@@ -27,13 +27,12 @@ from .errors import (
     LengthMismatch,
     MissingFragment,
     MissingManifest,
-    NotAPartition,
     RosterMismatch,
     XdgdlError,
 )
 from .model import Document, parse_document, serialize_document, validate_document
 from .scatter import Fragment, gather, scatter
-from .views import PartitionStatus, build_distribution_map, check_partition
+from .views import DistributionMap, build_distribution_map
 
 __all__ = ["LayoutDevice", "GridLayout", "StoredFile", "init_store", "put_file", "get_file"]
 
@@ -103,6 +102,15 @@ def _write_atomic(path: Path, payload: bytes) -> None:
         raise IoFailure(path, f"cannot write ({exc})") from exc
 
 
+def _devices_for(dmap: DistributionMap, layout: GridLayout) -> tuple[LayoutDevice, ...]:
+    """The layout devices the map's entries resolve to, positionally."""
+    if len(dmap.entries) > len(layout.devices):
+        raise RosterMismatch(
+            f"descriptor references {len(dmap.entries)} devices, layout provides {len(layout.devices)}"
+        )
+    return layout.devices[: len(dmap.entries)]
+
+
 def put_file(
     layout: GridLayout,
     name: str,
@@ -117,29 +125,20 @@ def put_file(
     it; otherwise the manifest is serialized canonically.
     """
     dmap = build_distribution_map(manifest, len(data))
-    if len(dmap.entries) > len(layout.devices):
-        raise RosterMismatch(
-            f"descriptor references {len(dmap.entries)} devices, layout provides {len(layout.devices)}"
-        )
-    for entry, device in zip(dmap.entries, layout.devices):
+    devices = _devices_for(dmap, layout)
+    for entry, device in zip(dmap.entries, devices):
         if entry.device_id != device.device_id:
             log.warning(
                 "descriptor device %s resolved positionally to %s", entry.device_id, device.directory
             )
-    verdict = check_partition(dmap)
-    if verdict.status is not PartitionStatus.EXACT_PARTITION:
-        raise NotAPartition(verdict)
+    fragments = scatter(data, dmap)  # raises NotAPartition before anything is written
 
     timestamp = manifest.timestamp
-    frag_paths = tuple(
-        device.directory / f"{timestamp}.frag"
-        for device in layout.devices[: len(dmap.entries)]
-    )
+    frag_paths = tuple(device.directory / f"{timestamp}.frag" for device in devices)
     for path in frag_paths:
         if path.exists():
             raise DuplicateTimestamp(f"fragment {path} already exists")
 
-    fragments = scatter(data, dmap)
     for frag, path in zip(fragments, frag_paths):
         _write_atomic(path, frag.payload)
 
@@ -176,12 +175,8 @@ def get_file(layout: GridLayout, name: str) -> bytes:
     size = int(raw_size)
 
     dmap = build_distribution_map(manifest, size)
-    if len(dmap.entries) > len(layout.devices):
-        raise RosterMismatch(
-            f"descriptor references {len(dmap.entries)} devices, layout provides {len(layout.devices)}"
-        )
     fragments = []
-    for entry, device in zip(dmap.entries, layout.devices):
+    for entry, device in zip(dmap.entries, _devices_for(dmap, layout)):
         path = device.directory / f"{manifest.timestamp}.frag"
         if not path.exists():
             raise MissingFragment(f"device {entry.label} has no fragment at {path}")

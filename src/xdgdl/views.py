@@ -11,16 +11,28 @@ inner pattern is applied within the take's span (inner header consumed
 once per take).  The pattern tiles until the region is exhausted; takes
 straddling the region end are clipped, never dropped.
 
+The data path works on each view's compiled ``Selection``: its header,
+its period and the merged pieces of one period, walked once and
+memoized on the (frozen) view, in the manner of FALLS nested strided
+segments or an MPI-IO vector file view.  Distribution maps hold one
+selection per device; their extents are expanded only on demand
+(plans, tests), byte totals are closed-form, and ``check_partition``
+certifies exactness from one common period of the coverage.
+
 Two independent evaluators are kept deliberately separate so they can
-check each other: ``enumerate_extents`` walks a streaming cursor, while
-``member_oracle`` answers per-byte membership purely arithmetically
-(modulo the period, then span subtraction and division).
+check each other: ``enumerate_extents`` expands the compiled selection
+period by period with a cursor, while ``member_oracle`` answers per-byte
+membership purely arithmetically (modulo the period, then span
+subtraction and division).
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field, replace
+from functools import cached_property
+from typing import Iterable, Iterator
 
 from .errors import ArithmeticOverflow, NoDevices
 from .model import BlockDecl, ByteBlock, Document, ViewDecl
@@ -61,24 +73,131 @@ class Extent:
 
 
 @dataclass(frozen=True)
+class Selection:
+    """A view compiled to one period: bytes [0, header) are skipped once,
+    then ``pieces`` -- ``(start, length)`` pairs relative to the period
+    origin -- repeat every ``period`` bytes.  No pieces, no bytes.
+
+    A selection is ``regular`` when its header is non-negative and its
+    pieces are sorted, disjoint and inside [0, period).  Valid documents
+    compile only to regular selections.  The closed-form totals, the
+    strided copy, the one-period partition certificate and the clipped
+    sweep rely on it; everywhere else -- negative offsets, skips or
+    strides in an unvalidated document, unsorted hand-built extents --
+    the map entry's expanded extents are used instead.
+    """
+
+    header: int
+    period: int
+    pieces: tuple[tuple[int, int], ...]
+    per_period: int = field(init=False)
+    regular: bool = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "per_period", sum(n for _, n in self.pieces))
+        ends = [0] + [x for start, n in self.pieces for x in (start, start + n)] + [self.period]
+        regular = self.header >= 0 and all(a <= b for a, b in zip(ends, ends[1:]))
+        object.__setattr__(self, "regular", regular)
+
+    def full_periods(self, size: int) -> int:
+        """Periods lying wholly inside [header, size) (regular selections)."""
+        if not self.pieces or size <= self.header:
+            return 0
+        return (size - self.header) // self.period
+
+    def runs(self, size: int, first: int = 0) -> Iterator[tuple[int, int]]:
+        """Selected ``(start, length)`` runs of [0, size) from period
+        ``first`` on, in period and piece order, clipped at size,
+        unmerged across periods; a period's remaining pieces are dropped
+        from the first one starting at or past size."""
+        if not self.pieces or size <= 0:
+            return
+        base = self.header + first * self.period
+        while base < size:
+            for start, length in self.pieces:
+                start += base
+                if start >= size:
+                    break
+                yield start, min(length, size - start)
+            base += self.period
+
+    def total(self, size: int) -> int:
+        """Selected bytes in [0, size): whole periods, then the clipped
+        tail (regular selections)."""
+        k = self.full_periods(size)
+        return k * self.per_period + sum(n for _, n in self.runs(size, k))
+
+    def extents(self, size: int) -> tuple[Extent, ...]:
+        return tuple(Extent(start, length) for start, length in _merge(self.runs(size)))
+
+
+_NOTHING = Selection(0, 1, ())
+# every byte, as one run of any file: the all-NOVIEW fallback
+_WHOLE = Selection(0, INT64_MAX, ((0, INT64_MAX),))
+
+
+@dataclass(frozen=True, init=False)
 class MapEntry:
+    """One device's share of a file: its selection clipped to ``size``.
+
+    ``build_distribution_map`` gives each entry its view's compiled
+    selection and the file size.  An entry built by hand from explicit
+    extents, ``MapEntry(island, host, device_id, extents)``, is a
+    one-period selection of exactly those extents, in the order given:
+    header 0 and a period longer than any file, clipped where the
+    extents end.  Its ``extents`` are returned as given.
+    """
+
     island: str
     host: str
     device_id: str
-    extents: tuple[Extent, ...]
+    selection: Selection
+    size: int
+
+    def __init__(
+        self,
+        island: str,
+        host: str,
+        device_id: str,
+        extents: Iterable[Extent] | None = None,
+        *,
+        selection: Selection | None = None,
+        size: int | None = None,
+    ):
+        if extents is not None:
+            if selection is not None or size is not None:
+                raise TypeError("MapEntry takes either extents or selection and size, not both")
+            extents = tuple(extents)
+            selection = Selection(0, INT64_MAX, tuple((e.start, e.length) for e in extents))
+            size = max((e.end for e in extents), default=0)
+            object.__setattr__(self, "extents", extents)  # fills the cached property
+        elif selection is None or size is None:
+            raise TypeError("MapEntry needs either extents or both selection and size")
+        object.__setattr__(self, "island", island)
+        object.__setattr__(self, "host", host)
+        object.__setattr__(self, "device_id", device_id)
+        object.__setattr__(self, "selection", selection)
+        object.__setattr__(self, "size", size)
 
     @property
     def label(self) -> str:
         return f"{self.island}/{self.host}/{self.device_id}"
 
+    @cached_property
+    def extents(self) -> tuple[Extent, ...]:
+        """The selection expanded to merged extents (plans and tests)."""
+        return self.selection.extents(self.size)
+
     @property
     def total_bytes(self) -> int:
-        return sum(e.length for e in self.extents)
+        if not self.selection.regular:
+            return sum(e.length for e in self.extents)
+        return self.selection.total(self.size)
 
 
 @dataclass(frozen=True)
 class DistributionMap:
-    """Per-device extent lists for one file size, in document order."""
+    """Per-device selections for one file size, in document order."""
 
     file_size: int
     entries: tuple[MapEntry, ...]
@@ -133,15 +252,13 @@ def _walk_one_period(view: ViewDecl) -> tuple[int, list[tuple[int, int]]]:
         cursor += b.offset
         if isinstance(b.child, ByteBlock):
             take = b.count
-            inner = None
+            inner = [(0, take)]
         else:
-            take = b.count * _walk_one_period(b.child)[0]
-            inner = enumerate_extents(b.child, take)  # same selection in every take
+            child = _compile(b.child)
+            take = b.count * child.period
+            inner = _merge(child.runs(take))  # same selection in every take
         for r in range(b.repeat):
-            if inner is None:
-                pieces.append((cursor, take))
-            else:
-                pieces.extend((cursor + e.start, e.length) for e in inner)
+            pieces.extend((cursor + start, length) for start, length in inner)
             cursor += take
             if r + 1 < b.repeat:
                 cursor += b.stride
@@ -150,7 +267,24 @@ def _walk_one_period(view: ViewDecl) -> tuple[int, list[tuple[int, int]]]:
     return _guard(cursor, "view period"), pieces
 
 
-def _merge(pieces: list[tuple[int, int]]) -> tuple[Extent, ...]:
+def _compile(view: ViewDecl) -> Selection:
+    """The view's selection: one walked period, memoized on the view.
+    A period below 1 (a block-less view, or negative skips) selects
+    nothing.  Pieces are merged only if they form a regular selection;
+    an irregular one keeps its walked pieces, empty ones included, as
+    each can end the walk of a clipped period."""
+    cached = view.__dict__.get("_selection")
+    if cached is not None:
+        return cached
+    period, pieces = _walk_one_period(view)
+    selection = Selection(view.skip_header, period, tuple(pieces) if period >= 1 else ())
+    if selection.regular:
+        selection = Selection(view.skip_header, period, _merge(selection.pieces))
+    view.__dict__["_selection"] = selection
+    return selection
+
+
+def _merge(pieces: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
     merged: list[list[int]] = []
     for start, length in pieces:
         if length <= 0:
@@ -159,26 +293,12 @@ def _merge(pieces: list[tuple[int, int]]) -> tuple[Extent, ...]:
             merged[-1][1] = start + length
         else:
             merged.append([start, start + length])
-    return tuple(Extent(s, e - s) for s, e in merged)
+    return tuple((s, e - s) for s, e in merged)
 
 
 def enumerate_extents(view: ViewDecl, region_size: int) -> tuple[Extent, ...]:
     """Selected extents of [0, region_size), merged, sorted and disjoint."""
-    if region_size <= 0:
-        return ()
-    period, pieces = _walk_one_period(view)
-    if period < 1:  # block-less views select nothing
-        return ()
-    out: list[tuple[int, int]] = []
-    base = view.skip_header
-    while base < region_size:
-        for start, length in pieces:
-            abs_start = base + start
-            if abs_start >= region_size:
-                break
-            out.append((abs_start, min(abs_start + length, region_size) - abs_start))
-        base += period
-    return _merge(out)
+    return _compile(view).extents(region_size)
 
 
 def _member_plan(view: ViewDecl) -> tuple[int, tuple[tuple[int, int, int, int, ViewDecl | None], ...]]:
@@ -227,10 +347,15 @@ def member_oracle(view: ViewDecl, byte_index: int) -> bool:
 
 
 def selected_bytes_per_period(view: ViewDecl) -> int:
-    """Bytes one full period places on the device (header excluded)."""
-    region = view.skip_header + view_period(view)
-    skipped = view.skip_header
-    return sum(e.length for e in enumerate_extents(view, region) if e.start >= skipped)
+    """Bytes one full period places on the device (header excluded).
+    Outside valid views (an irregular selection, or a negative REPEAT
+    that makes the closed-form period differ from the walked one), the
+    extents of the first closed-form period are counted."""
+    selection = _compile(view)
+    if selection.regular and selection.period == view_period(view):
+        return selection.per_period
+    region = selection.extents(view.skip_header + view_period(view))
+    return sum(e.length for e in region if e.start >= view.skip_header)
 
 
 def build_distribution_map(doc: Document, file_size: int) -> DistributionMap:
@@ -253,30 +378,53 @@ def build_distribution_map(doc: Document, file_size: int) -> DistributionMap:
     entries = []
     for i, (island, host, dev) in enumerate(devices):
         if dev.view is not None:
-            extents = enumerate_extents(dev.view, file_size)
-        elif all_noview and i == 0 and file_size > 0:
-            extents = (Extent(0, file_size),)
+            selection = _compile(dev.view)
+        elif all_noview and i == 0:
+            selection = _WHOLE
         else:
-            extents = ()
-        entries.append(MapEntry(island, host, dev.device_id, extents))
+            selection = _NOTHING
+        entries.append(MapEntry(island, host, dev.device_id, selection=selection, size=file_size))
     return DistributionMap(file_size=file_size, entries=tuple(entries))
 
 
 def check_partition(dmap: DistributionMap) -> PartitionVerdict:
-    """Classify coverage of [0, file_size) by the map's extents.
+    """Classify coverage of [0, file_size) by the map's selections.
 
     Exact means every byte is claimed exactly once.  Gaps and overlaps
     are reported as maximal extents; overlap runs split where the
     claimant set changes so each reported extent lists its exact owners.
+
+    When every selection is regular, the sweep first runs on the prefix
+    [0, H + L) only, H the largest header and L the lcm of the periods:
+    a byte's membership does not depend on the file size, and past its
+    header each selection repeats with its period, so past H the
+    coverage repeats with period L and the prefix is exact iff the whole
+    file is.  Only a map that is not exact is swept in full.
     """
+    selections = [e.selection for e in dmap.entries if e.selection.pieces]
+    if all(s.regular for s in selections):
+        header = max((s.header for s in selections), default=0)
+        prefix = header + math.lcm(*(s.period for s in selections))
+        if prefix < dmap.file_size:
+            verdict = _sweep(replace(dmap, file_size=prefix))
+            if verdict.status is PartitionStatus.EXACT_PARTITION:
+                return verdict
+    return _sweep(dmap)
+
+
+def _sweep(dmap: DistributionMap) -> PartitionVerdict:
+    """Full verdict with the gap and overlap report, by an event sweep
+    over every selected run of the file."""
     size = dmap.file_size
-    if size == 0:
-        return PartitionVerdict(PartitionStatus.EXACT_PARTITION)
     deltas: dict[int, list[tuple[int, str]]] = {}
     for entry in dmap.entries:
-        for ext in entry.extents:
-            lo = max(0, ext.start)
-            hi = min(size, ext.end)
+        if entry.selection.regular:
+            runs = entry.selection.runs(size)
+        else:
+            runs = ((e.start, e.length) for e in entry.extents)
+        for start, length in runs:
+            lo = max(0, start)
+            hi = min(size, start + length)
             if hi > lo:
                 deltas.setdefault(lo, []).append((1, entry.label))
                 deltas.setdefault(hi, []).append((-1, entry.label))
