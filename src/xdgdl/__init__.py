@@ -26,7 +26,7 @@ from .errors import (
     ValidationError,
     XdgdlError,
 )
-from .hpf import OwnerMap, SizeResult, check_align_refs, compile_hpf_mapping, ownermap_to_views, sizeof_type
+from .hpf import OwnerMap, SizeResult, compile_hpf_mapping, ownermap_to_views, sizeof_type
 from .model import (
     AlignDecl,
     ArrayDecl,

@@ -77,6 +77,17 @@ def _load_document(path: str) -> Document:
     return parse_document(Path(path).read_bytes())
 
 
+def _load_valid_document(path: str) -> Document | None:
+    """The parsed descriptor, or None once its violations are on stderr."""
+    doc = _load_document(path)
+    report = validate_document(doc)
+    if report.ok:
+        return doc
+    for violation in report.violations:
+        print(str(violation), file=sys.stderr)
+    return None
+
+
 def _frag_name(index: int) -> str:
     return f"{index:03d}.frag"
 
@@ -102,11 +113,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    doc = _load_document(args.descriptor)
-    report = validate_document(doc)
-    if not report.ok:
-        for violation in report.violations:
-            print(str(violation), file=sys.stderr)
+    doc = _load_valid_document(args.descriptor)
+    if doc is None:
         return EXIT_VALIDATION
     dmap = build_distribution_map(doc, args.size)
     print(render_plan(dmap), end="")
@@ -114,7 +122,9 @@ def cmd_plan(args) -> int:
 
 
 def cmd_scatter(args) -> int:
-    doc = _load_document(args.descriptor)
+    doc = _load_valid_document(args.descriptor)
+    if doc is None:
+        return EXIT_VALIDATION
     data = Path(args.file).read_bytes()
     dmap = build_distribution_map(doc, len(data))
     fragments = scatter(data, dmap)
@@ -126,7 +136,9 @@ def cmd_scatter(args) -> int:
 
 
 def cmd_gather(args) -> int:
-    doc = _load_document(args.descriptor)
+    doc = _load_valid_document(args.descriptor)
+    if doc is None:
+        return EXIT_VALIDATION
     dmap = build_distribution_map(doc, args.size)
     frag_dir = Path(args.frags)
     fragments = []

@@ -1,4 +1,4 @@
-"""Type sizes, alignment reference checks, and array-distribution compilation.
+"""Type sizes and array-distribution compilation.
 
 Distributed dimensions are mapped onto processor-array axes positionally,
 using the standard block/cyclic owner formulas: a block dimension of
@@ -17,21 +17,15 @@ from dataclasses import dataclass
 from .errors import ArithmeticOverflow, DimensionMismatch, UnresolvedProcessors
 from .model import (
     ArrayDecl,
-    BlockDecl,
-    ByteBlock,
     CompoundDecl,
     Distribution,
-    Document,
     EtypeDecl,
     Major,
     ProcessorsDecl,
     TypeDecl,
-    ValidationReport,
     ViewDecl,
-    Violation,
-    declared_names,
 )
-from .views import INT64_MAX, Extent, view_selecting
+from .views import INT64_MAX, Extent, round_robin_view, view_selecting
 
 __all__ = [
     "SizeResult",
@@ -39,7 +33,6 @@ __all__ = [
     "sizeof_type",
     "compile_hpf_mapping",
     "ownermap_to_views",
-    "check_align_refs",
 ]
 
 
@@ -196,15 +189,7 @@ def ownermap_to_views(om: OwnerMap, element_bytes: int) -> list[ViewDecl]:
     total = n * element_bytes
     k = _cyclic_group_size(om)
     if k is not None:
-        group = k * element_bytes
-        return [
-            ViewDecl(
-                skip_header=0,
-                skip=(om.num_targets - 1 - d) * group,
-                blocks=(BlockDecl(d * group, 1, group, 0, ByteBlock()),),
-            )
-            for d in range(om.num_targets)
-        ]
+        return [round_robin_view(d, om.num_targets, k * element_bytes) for d in range(om.num_targets)]
     views = []
     for d in range(om.num_targets):
         runs: list[Extent] = []
@@ -219,16 +204,3 @@ def ownermap_to_views(om: OwnerMap, element_bytes: int) -> list[ViewDecl]:
         views.append(view_selecting(runs, total))
     return views
 
-
-def check_align_refs(doc: Document) -> ValidationReport:
-    """Resolve every alignment's WHAT/WITH against declared names."""
-    names = declared_names(doc)
-    violations = []
-    for i, a in enumerate(doc.aligns, 1):
-        path = f"/PARSTORAGE/ALIGN[{i}]"
-        for attr, value in (("WHAT", a.what), ("WITH", a.with_target)):
-            if value not in names:
-                violations.append(
-                    Violation("unresolved-align", path, f"{attr}={value!r} names no declared TYPE, ARRAY or PROCESSORS")
-                )
-    return ValidationReport(tuple(violations), ())

@@ -13,8 +13,7 @@ selected byte offset of the period
 operations: bytes per period against pieces times full periods.  A
 coarse stripe thus moves run by run and a fine one (1-byte cyclic,
 nested views) byte offset by byte offset.  The clipped tail after the
-last whole period always moves as runs, and so does an irregular
-selection (see ``views.Selection``).
+last whole period always moves as runs.
 """
 
 from __future__ import annotations
@@ -46,10 +45,8 @@ def _copy_plan(entry: MapEntry, size: int) -> tuple[int, list[tuple[slice, slice
     """How to move the entry's selected bytes of [0, size): the fragment
     length the strided pairs fill, the strided (file slice, fragment
     slice) pairs, then the file runs ``(start, length)`` that follow in
-    the fragment.  An irregular selection moves as its extents."""
+    the fragment."""
     sel = entry.selection
-    if not sel.regular:
-        return 0, [], [(e.start, e.length) for e in entry.extents]
     k = sel.full_periods(size)
     if sel.per_period >= len(sel.pieces) * k:
         return 0, [], list(sel.runs(size))

@@ -17,7 +17,10 @@ memoized on the (frozen) view, in the manner of FALLS nested strided
 segments or an MPI-IO vector file view.  Distribution maps hold one
 selection per device; their extents are expanded only on demand
 (plans, tests), byte totals are closed-form, and ``check_partition``
-certifies exactness from one common period of the coverage.
+certifies exactness from one common period of the coverage.  A view
+with a negative SKIP_HEADER, SKIP, OFFSET, STRIDE or COUNT, which
+``validate_document`` rejects, does not compile to a selection:
+``_compile`` raises ValueError, so it never reaches the data path.
 
 Two independent evaluators are kept deliberately separate so they can
 check each other: ``enumerate_extents`` expands the compiled selection
@@ -78,29 +81,31 @@ class Selection:
     then ``pieces`` -- ``(start, length)`` pairs relative to the period
     origin -- repeat every ``period`` bytes.  No pieces, no bytes.
 
-    A selection is ``regular`` when its header is non-negative and its
-    pieces are sorted, disjoint and inside [0, period).  Valid documents
-    compile only to regular selections.  The closed-form totals, the
-    strided copy, the one-period partition certificate and the clipped
-    sweep rely on it; everywhere else -- negative offsets, skips or
-    strides in an unvalidated document, unsorted hand-built extents --
-    the map entry's expanded extents are used instead.
+    The header is non-negative and the pieces are sorted, disjoint and
+    inside [0, period); the constructor raises ValueError otherwise.
+    The closed-form totals, the strided copy, the one-period partition
+    certificate and the clipped sweep rely on it.
     """
 
     header: int
     period: int
     pieces: tuple[tuple[int, int], ...]
     per_period: int = field(init=False)
-    regular: bool = field(init=False)
 
     def __post_init__(self):
+        if self.header < 0:
+            raise ValueError(f"selection header {self.header} is negative")
+        end = 0
+        for start, length in self.pieces:
+            if not end <= start < self.period or length < 0:
+                raise ValueError(f"selection piece {start}:{length} is not a run inside [{end}, {self.period})")
+            end = start + length
+        if end > self.period:
+            raise ValueError(f"selection pieces end at {end}, past the period {self.period}")
         object.__setattr__(self, "per_period", sum(n for _, n in self.pieces))
-        ends = [0] + [x for start, n in self.pieces for x in (start, start + n)] + [self.period]
-        regular = self.header >= 0 and all(a <= b for a, b in zip(ends, ends[1:]))
-        object.__setattr__(self, "regular", regular)
 
     def full_periods(self, size: int) -> int:
-        """Periods lying wholly inside [header, size) (regular selections)."""
+        """Periods lying wholly inside [header, size)."""
         if not self.pieces or size <= self.header:
             return 0
         return (size - self.header) // self.period
@@ -123,7 +128,7 @@ class Selection:
 
     def total(self, size: int) -> int:
         """Selected bytes in [0, size): whole periods, then the clipped
-        tail (regular selections)."""
+        tail."""
         k = self.full_periods(size)
         return k * self.per_period + sum(n for _, n in self.runs(size, k))
 
@@ -143,9 +148,10 @@ class MapEntry:
     ``build_distribution_map`` gives each entry its view's compiled
     selection and the file size.  An entry built by hand from explicit
     extents, ``MapEntry(island, host, device_id, extents)``, is a
-    one-period selection of exactly those extents, in the order given:
-    header 0 and a period longer than any file, clipped where the
-    extents end.  Its ``extents`` are returned as given.
+    one-period selection of exactly those extents: header 0 and a
+    period longer than any file, clipped where the extents end.  The
+    extents must be sorted and disjoint (ValueError otherwise);
+    ``extents`` returns them merged.
     """
 
     island: str
@@ -167,10 +173,8 @@ class MapEntry:
         if extents is not None:
             if selection is not None or size is not None:
                 raise TypeError("MapEntry takes either extents or selection and size, not both")
-            extents = tuple(extents)
             selection = Selection(0, INT64_MAX, tuple((e.start, e.length) for e in extents))
-            size = max((e.end for e in extents), default=0)
-            object.__setattr__(self, "extents", extents)  # fills the cached property
+            size = max((start + n for start, n in selection.pieces), default=0)
         elif selection is None or size is None:
             raise TypeError("MapEntry needs either extents or both selection and size")
         object.__setattr__(self, "island", island)
@@ -190,8 +194,6 @@ class MapEntry:
 
     @property
     def total_bytes(self) -> int:
-        if not self.selection.regular:
-            return sum(e.length for e in self.extents)
         return self.selection.total(self.size)
 
 
@@ -243,9 +245,9 @@ def view_period(view: ViewDecl) -> int:
     return total
 
 
-def _walk_one_period(view: ViewDecl) -> tuple[int, list[tuple[int, int]]]:
+def _walk_one_period(view: ViewDecl) -> list[tuple[int, int]]:
     """Cursor-walk a single period; pieces are (start, length) relative
-    to the period origin, sorted and disjoint."""
+    to the period origin, in walk order and unmerged."""
     pieces: list[tuple[int, int]] = []
     cursor = 0
     for b in view.blocks:
@@ -256,30 +258,28 @@ def _walk_one_period(view: ViewDecl) -> tuple[int, list[tuple[int, int]]]:
         else:
             child = _compile(b.child)
             take = b.count * child.period
-            inner = _merge(child.runs(take))  # same selection in every take
+            # the same selection in every take; a negative take stays one
+            # piece, for _compile to reject
+            inner = _merge(child.runs(take)) if take >= 0 else [(0, take)]
         for r in range(b.repeat):
-            pieces.extend((cursor + start, length) for start, length in inner)
-            cursor += take
-            if r + 1 < b.repeat:
-                cursor += b.stride
-        _guard(cursor, "view cursor")
-    cursor += view.skip
-    return _guard(cursor, "view period"), pieces
+            at = cursor + r * (take + b.stride)
+            pieces.extend((at + start, length) for start, length in inner)
+        cursor = _guard(cursor + b.repeat * take + (b.repeat - 1) * b.stride, "view cursor")
+    return pieces
 
 
 def _compile(view: ViewDecl) -> Selection:
     """The view's selection: one walked period, memoized on the view.
-    A period below 1 (a block-less view, or negative skips) selects
-    nothing.  Pieces are merged only if they form a regular selection;
-    an irregular one keeps its walked pieces, empty ones included, as
-    each can end the walk of a clipped period."""
+    The walked pieces are checked before merging, which would drop a
+    negative one; a view with a negative parameter raises ValueError
+    here.  A block-less view selects nothing."""
     cached = view.__dict__.get("_selection")
     if cached is not None:
         return cached
-    period, pieces = _walk_one_period(view)
-    selection = Selection(view.skip_header, period, tuple(pieces) if period >= 1 else ())
-    if selection.regular:
-        selection = Selection(view.skip_header, period, _merge(selection.pieces))
+    pieces = _walk_one_period(view)
+    period = view_period(view)
+    Selection(view.skip_header, period, tuple(pieces))  # checks the walk
+    selection = Selection(view.skip_header, period, _merge(pieces))
     view.__dict__["_selection"] = selection
     return selection
 
@@ -347,15 +347,8 @@ def member_oracle(view: ViewDecl, byte_index: int) -> bool:
 
 
 def selected_bytes_per_period(view: ViewDecl) -> int:
-    """Bytes one full period places on the device (header excluded).
-    Outside valid views (an irregular selection, or a negative REPEAT
-    that makes the closed-form period differ from the walked one), the
-    extents of the first closed-form period are counted."""
-    selection = _compile(view)
-    if selection.regular and selection.period == view_period(view):
-        return selection.per_period
-    region = selection.extents(view.skip_header + view_period(view))
-    return sum(e.length for e in region if e.start >= view.skip_header)
+    """Bytes one full period places on the device (header excluded)."""
+    return _compile(view).per_period
 
 
 def build_distribution_map(doc: Document, file_size: int) -> DistributionMap:
@@ -394,21 +387,20 @@ def check_partition(dmap: DistributionMap) -> PartitionVerdict:
     are reported as maximal extents; overlap runs split where the
     claimant set changes so each reported extent lists its exact owners.
 
-    When every selection is regular, the sweep first runs on the prefix
-    [0, H + L) only, H the largest header and L the lcm of the periods:
-    a byte's membership does not depend on the file size, and past its
-    header each selection repeats with its period, so past H the
-    coverage repeats with period L and the prefix is exact iff the whole
-    file is.  Only a map that is not exact is swept in full.
+    The sweep first runs on the prefix [0, H + L) only, H the largest
+    header and L the lcm of the periods: a byte's membership does not
+    depend on the file size, and past its header each selection repeats
+    with its period, so past H the coverage repeats with period L and
+    the prefix is exact iff the whole file is.  Only a map that is not
+    exact is swept in full.
     """
     selections = [e.selection for e in dmap.entries if e.selection.pieces]
-    if all(s.regular for s in selections):
-        header = max((s.header for s in selections), default=0)
-        prefix = header + math.lcm(*(s.period for s in selections))
-        if prefix < dmap.file_size:
-            verdict = _sweep(replace(dmap, file_size=prefix))
-            if verdict.status is PartitionStatus.EXACT_PARTITION:
-                return verdict
+    header = max((s.header for s in selections), default=0)
+    prefix = header + math.lcm(*(s.period for s in selections))
+    if prefix < dmap.file_size:
+        verdict = _sweep(replace(dmap, file_size=prefix))
+        if verdict.status is PartitionStatus.EXACT_PARTITION:
+            return verdict
     return _sweep(dmap)
 
 
@@ -418,16 +410,9 @@ def _sweep(dmap: DistributionMap) -> PartitionVerdict:
     size = dmap.file_size
     deltas: dict[int, list[tuple[int, str]]] = {}
     for entry in dmap.entries:
-        if entry.selection.regular:
-            runs = entry.selection.runs(size)
-        else:
-            runs = ((e.start, e.length) for e in entry.extents)
-        for start, length in runs:
-            lo = max(0, start)
-            hi = min(size, start + length)
-            if hi > lo:
-                deltas.setdefault(lo, []).append((1, entry.label))
-                deltas.setdefault(hi, []).append((-1, entry.label))
+        for start, length in entry.selection.runs(size):
+            deltas.setdefault(start, []).append((1, entry.label))
+            deltas.setdefault(start + length, []).append((-1, entry.label))
     cuts = sorted(set(deltas) | {0, size})
     active: dict[str, int] = {}
     gaps: list[list[int]] = []
@@ -474,6 +459,16 @@ def render_plan(dmap: DistributionMap, verdict: PartitionVerdict | None = None) 
     ]
     lines.append(f"partition: {verdict.status.value}")
     return "\n".join(lines) + "\n"
+
+
+def round_robin_view(device: int, devices: int, chunk: int) -> ViewDecl:
+    """Device ``device`` of ``devices`` takes chunk number ``device`` of
+    every period of ``devices * chunk`` bytes."""
+    return ViewDecl(
+        skip_header=0,
+        skip=(devices - 1 - device) * chunk,
+        blocks=(BlockDecl(device * chunk, 1, chunk, 0, ByteBlock()),),
+    )
 
 
 def view_selecting(extents: tuple[Extent, ...] | list[Extent], region_size: int) -> ViewDecl:

@@ -16,19 +16,17 @@ from pathlib import Path
 from .config import VipfsConfig
 from .errors import IoFailure, XdgdlError
 from .model import (
-    BlockDecl,
-    ByteBlock,
     CompoundDecl,
     DeviceDecl,
     Document,
     EtypeDecl,
     IslandDecl,
     ServerDecl,
-    ViewDecl,
     parse_document,
     validate_document,
 )
 from .store import StoredFile, get_file, init_store, put_file
+from .views import round_robin_view
 
 __all__ = [
     "SidecarResult",
@@ -81,23 +79,17 @@ def timestamp_for_name(name: str) -> str:
     return cleaned
 
 
-def default_descriptor(cfg: VipfsConfig, file_size: int, timestamp: str) -> Document:
+def default_descriptor(cfg: VipfsConfig, timestamp: str) -> Document:
     """Round-robin descriptor: chunks of DATA_BUFLEN over all devices.
 
     Device d of D owns chunk d within every period of D*DATA_BUFLEN
     bytes.  The pattern is size-independent (it tiles and clips), so it
-    partitions a file of any size; file_size only documents what the
-    descriptor is being made for.
+    partitions a file of any size.
     """
-    chunk = cfg.data_buflen
     total = len(cfg.device_paths)
     servers = []
     for d, raw in enumerate(cfg.device_paths):
-        view = ViewDecl(
-            skip_header=0,
-            skip=(total - 1 - d) * chunk,
-            blocks=(BlockDecl(d * chunk, 1, chunk, 0, ByteBlock()),),
-        )
+        view = round_robin_view(d, total, cfg.data_buflen)
         servers.append(
             ServerDecl(
                 host=f"{cfg.srv_group_name}.{d + 1}",
@@ -127,7 +119,7 @@ def copy_in(cfg: VipfsConfig, src: Path) -> tuple[StoredFile, str | None]:
     if sidecar.document is not None:
         descriptor = sidecar.document
     else:
-        descriptor = default_descriptor(cfg, len(data), timestamp_for_name(src.name))
+        descriptor = default_descriptor(cfg, timestamp_for_name(src.name))
     stored = put_file(layout, src.name, data, descriptor, manifest_text=sidecar.text)
     return stored, sidecar.diagnostic
 

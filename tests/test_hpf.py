@@ -16,12 +16,12 @@ from xdgdl import (
     PartitionStatus,
     ProcessorsDecl,
     UnresolvedProcessors,
-    check_align_refs,
     check_partition,
     compile_hpf_mapping,
     enumerate_extents,
     ownermap_to_views,
     sizeof_type,
+    validate_document,
 )
 from xdgdl import AlignDecl, Document, IslandDecl
 
@@ -231,6 +231,8 @@ class TestOwnerMapToViews:
 
 
 class TestAlignRefs:
+    """ALIGN ... WITH must name a TYPE or a PROCESSORS (validate_document's unresolved-align rule)."""
+
     def doc(self, aligns):
         return Document(
             version="1",
@@ -242,12 +244,12 @@ class TestAlignRefs:
         )
 
     def test_resolved(self):
-        assert check_align_refs(self.doc((AlignDecl("A", "B"), AlignDecl("A", "P")))).ok
+        assert validate_document(self.doc((AlignDecl("A", "B"), AlignDecl("A", "P")))).ok
 
     def test_unresolved(self):
-        report = check_align_refs(self.doc((AlignDecl("A", "ghost"),)))
+        report = validate_document(self.doc((AlignDecl("A", "ghost"),)))
         assert [v.rule for v in report.violations] == ["unresolved-align"]
         assert "ghost" in report.violations[0].message
 
     def test_no_aligns(self):
-        assert check_align_refs(self.doc(())).ok
+        assert validate_document(self.doc(())).ok

@@ -4,8 +4,8 @@ Scatter/gather payloads and byte totals are compared with the naive
 painter in reference.py, on both sides of the strided/run switch; the
 one-period partition certificate is compared with the full extent sweep;
 maps of a 1 TiB file must plan and certify without enumerating it; and
-unvalidated views with negative parameters, whose selections are
-irregular, keep the behaviour of a plain extent list.
+views with negative parameters are rejected by the library and the
+command line alike.
 """
 
 import dataclasses
@@ -32,7 +32,6 @@ from xdgdl import (
     IslandDecl,
     MapEntry,
     NoDevices,
-    NotAPartition,
     PartitionStatus,
     ProcessorsDecl,
     ServerDecl,
@@ -45,10 +44,11 @@ from xdgdl import (
     ownermap_to_views,
     parse_config,
     parse_document,
-    render_plan,
     scatter,
+    validate_document,
     view_selecting,
 )
+from xdgdl.cli import main
 from xdgdl.scatter import _copy_plan
 from xdgdl.views import Selection, _sweep
 
@@ -228,7 +228,7 @@ def two_server_views():
 
 def round_robin_views():
     cfg = parse_config(CONFIG_TEMPLATE.format(root="/grid"))
-    return [srv.devices[0].view for srv in default_descriptor(cfg, 0, "t_rr").island.servers]
+    return [srv.devices[0].view for srv in default_descriptor(cfg, "t_rr").island.servers]
 
 
 def hpf_cyclic_1b_views():
@@ -256,17 +256,17 @@ class TestSizeIndependence:
 
 
 ONE_VIEW_XML = """<?xml version="1.0" encoding="ISO-8859-1"?>
-<PARSTORAGE VERSION="1.0" TIMESTAMP="irregular">
+<PARSTORAGE VERSION="1.0" TIMESTAMP="invalid">
   <TYPE>
     <ETYPE TYPE="CHAR" LENGTH="1"/>
   </TYPE>
   <ISLAND NAME="i">
     <SERVER HOST="h">
       <DEVICE DEVICE_ID="/dev/d">
-        <VIEW SKIP_HEADER="0" SKIP="{skip}">
-          <BLOCK OFFSET="0" REPEAT="{repeat}" COUNT="3" STRIDE="{stride}">
+        <VIEW SKIP_HEADER="{skip_header}" SKIP="{skip}">
+          <BLOCK OFFSET="{offset}" REPEAT="{repeat}" COUNT="{count}" STRIDE="{stride}">
             <BYTEBLOCK/>
-          </BLOCK>
+          </BLOCK>{second}
         </VIEW>
       </DEVICE>
     </SERVER>
@@ -274,93 +274,110 @@ ONE_VIEW_XML = """<?xml version="1.0" encoding="ISO-8859-1"?>
 </PARSTORAGE>
 """
 
+VIEW_PATH = "/PARSTORAGE/ISLAND[1]/SERVER[1]/DEVICE[1]/VIEW[1]"
+# the second block steps back over the first: pieces (2,2), (0,2), period 4
+STEP_BACK = '\n          <BLOCK OFFSET="-4" REPEAT="1" COUNT="2" STRIDE="0"><BYTEBLOCK/></BLOCK>'
+# a nested take of -1 inner periods selects no inner run
+NESTED_BACK = """
+          <BLOCK OFFSET="0" REPEAT="1" COUNT="-1" STRIDE="0">
+            <VIEW SKIP_HEADER="0" SKIP="0">
+              <BLOCK OFFSET="0" REPEAT="1" COUNT="2" STRIDE="0"><BYTEBLOCK/></BLOCK>
+            </VIEW>
+          </BLOCK>"""
 
-def random_irregular_view(rng: random.Random, depth: int = 0) -> ViewDecl:
-    """Unvalidated view: parameters may be negative or zero."""
-    blocks = []
-    for _ in range(rng.randint(0, 2)):
-        child = ByteBlock() if depth or rng.random() < 0.7 else random_irregular_view(rng, 1)
-        blocks.append(BlockDecl(rng.randint(-5, 6), rng.randint(-1, 3), rng.randint(-2, 4), rng.randint(-5, 6), child))
-    return ViewDecl(rng.randint(-4, 5), rng.randint(-5, 6), tuple(blocks))
 
+class TestInvalidViews:
+    @pytest.mark.parametrize(
+        "params, rule, path",
+        [
+            pytest.param({"skip_header": -2}, "nonnegative-int", VIEW_PATH, id="skip_header"),
+            # period 2 under a 3-byte take: every period overlaps the next
+            pytest.param({"skip": -1}, "nonnegative-int", VIEW_PATH, id="skip"),
+            pytest.param({"offset": -1}, "nonnegative-int", f"{VIEW_PATH}/BLOCK[1]", id="offset"),
+            # takes stacked on one another
+            pytest.param({"repeat": 3, "stride": -2}, "nonnegative-int", f"{VIEW_PATH}/BLOCK[1]", id="stride"),
+            # the trailing SKIP keeps the period positive
+            pytest.param({"count": -3, "skip": 6}, "positive-int", f"{VIEW_PATH}/BLOCK[1]", id="count"),
+            pytest.param({"skip": 4, "second": NESTED_BACK}, "positive-int", f"{VIEW_PATH}/BLOCK[2]", id="nested_count"),
+            pytest.param(
+                {"offset": 2, "count": 2, "skip": 2, "second": STEP_BACK},
+                "nonnegative-int",
+                f"{VIEW_PATH}/BLOCK[2]",
+                id="unsorted_pieces",
+            ),
+        ],
+    )
+    def test_rejected_by_library_and_cli(self, params, rule, path, tmp_path, capsys):
+        fields = {"skip_header": 0, "skip": 0, "offset": 0, "repeat": 1, "count": 3, "stride": 0, "second": ""}
+        xml = ONE_VIEW_XML.format(**{**fields, **params})
+        with pytest.raises(ValueError):
+            build_distribution_map(parse_document(xml), 12)
 
-def painted_status(dmap) -> PartitionStatus:
-    """Verdict status from painting the entries' extents byte by byte."""
-    coverage = [0] * dmap.file_size
-    for entry in dmap.entries:
-        for e in entry.extents:
-            for i in range(max(0, e.start), min(dmap.file_size, e.end)):
-                coverage[i] += 1
-    gaps, overlaps = 0 in coverage, any(c > 1 for c in coverage)
-    if gaps and overlaps:
-        return PartitionStatus.GAPS_AND_OVERLAPS
-    return PartitionStatus.HAS_GAPS if gaps else PartitionStatus.HAS_OVERLAPS if overlaps else EXACT
+        desc, data, frags, out = (tmp_path / n for n in ("desc.xml", "data.bin", "frags", "out"))
+        desc.write_text(xml)
+        data.write_bytes(bytes(range(12)))
+        frags.mkdir()
+        (frags / "000.frag").write_bytes(bytes(range(12)))
+        for argv in (
+            ["plan", str(desc), "--size", "12"],
+            ["scatter", str(data), str(desc), "--out", str(out)],
+            ["gather", str(desc), "--frags", str(frags), "--size", "12", "--out", str(out)],
+        ):
+            assert main(argv) == 2, argv[0]
+            captured = capsys.readouterr()
+            assert f"[{rule}] {path}:" in captured.err and not captured.out, argv[0]
+            assert not out.exists(), argv[0]
+
+    @pytest.mark.parametrize(
+        "header, period, pieces",
+        [
+            (-1, 4, ()),
+            (0, 4, ((2, 2), (0, 2))),  # unsorted
+            (0, 4, ((0, 3), (2, 2))),  # overlapping
+            (0, 4, ((0, -1),)),
+            (0, 4, ((2, 3),)),  # past the period
+            (0, 0, ((0, 0),)),  # no byte lies inside [0, 0)
+            (0, -2, ()),
+        ],
+    )
+    def test_selection_rule(self, header, period, pieces):
+        with pytest.raises(ValueError):
+            Selection(header, period, pieces)
 
 
 class TestIrregularViews:
+    """Views whose selections would step back or overlap are refused, not walked."""
+
     @pytest.mark.parametrize(
         "skip, repeat, stride",
         [
             (-1, 1, 0),  # period 2 under a 3-byte take: every period overlaps the next
-            (-3, 1, 0),  # period 0 selects nothing
-            (-5, 1, 0),  # period -2 selects nothing
+            (-3, 1, 0),  # period 0
+            (-5, 1, 0),  # period -2
             (0, 3, -2),  # takes stacked on one another
         ],
     )
     def test_negative_skip_or_stride_is_not_a_partition(self, skip, repeat, stride):
-        doc = parse_document(ONE_VIEW_XML.format(skip=skip, repeat=repeat, stride=stride))
-        dmap = build_distribution_map(doc, 10)
-        assert not dmap.entries[0].selection.regular or not dmap.entries[0].selection.pieces
-        with pytest.raises(NotAPartition):
-            scatter(bytes(10), dmap)
-        with pytest.raises(NotAPartition):
-            gather([], dmap)
-
-    def test_unsorted_pieces_move_in_walk_order(self):
-        # the second block steps back over the first: pieces (2,2), (0,2), period 4
-        view = ViewDecl(0, 2, (BlockDecl(2, 1, 2, 0, ByteBlock()), BlockDecl(-4, 1, 2, 0, ByteBlock())))
-        data = bytes(range(12))
-        dmap = build_distribution_map(doc_of([view]), 12)
-        (entry,) = dmap.entries
-        assert not entry.selection.regular
-        assert render_plan(dmap) == "i/h0//dev/d0\t2:2,0:2,6:2,4:2,10:2,8:2\npartition: exact\n"
-        (frag,) = scatter(data, dmap)
-        assert frag.payload == bytes([2, 3, 0, 1, 6, 7, 4, 5, 10, 11, 8, 9])
-        assert gather([frag], dmap) == data
-        # a period's walk stops at its first piece past the end, as in an extent list
-        assert check_partition(build_distribution_map(doc_of([view]), 10)).gaps == (Extent(8, 2),)
-
-    def test_random_views_behave_as_their_extents(self):
-        rng = random.Random(31)
-        for _ in range(1500):
-            views = [random_irregular_view(rng) for _ in range(rng.randint(1, 3))]
-            size = rng.randint(0, 60)
-            dmap = build_distribution_map(doc_of(views), size)
-            verdict = check_partition(dmap)
-            assert verdict.status is painted_status(dmap)
-            assert [e.total_bytes for e in dmap.entries] == [sum(x.length for x in e.extents) for e in dmap.entries]
-            data = rng.randbytes(size)
-            if verdict.status is not EXACT:
-                with pytest.raises(NotAPartition):
-                    scatter(data, dmap)
-                continue
-            frags = scatter(data, dmap)
-            assert [f.payload for f in frags] == [
-                b"".join(data[x.start : x.end] for x in e.extents) for e in dmap.entries
-            ]
+        fields = {"skip_header": 0, "skip": skip, "offset": 0, "repeat": repeat, "count": 3, "stride": stride}
+        doc = parse_document(ONE_VIEW_XML.format(**fields, second=""))
+        assert "nonnegative-int" in [v.rule for v in validate_document(doc).violations]
+        with pytest.raises(ValueError):
+            build_distribution_map(doc, 10)
 
 
 class TestMapEntry:
-    def test_hand_built_extents_are_kept_as_given(self):
-        given = (Extent(4, 4), Extent(0, 4))
-        entry = MapEntry("i", "h", "d", given)
-        assert entry.extents == given and entry.total_bytes == 8
+    def test_hand_built_extents_are_merged_or_rejected(self):
+        entry = MapEntry("i", "h", "d", (Extent(0, 4), Extent(4, 4)))
+        assert entry.extents == (Extent(0, 8),) and entry.total_bytes == 8
         dmap = DistributionMap(8, (entry,))
         (frag,) = scatter(bytes(range(8)), dmap)
-        assert frag.payload == bytes([4, 5, 6, 7, 0, 1, 2, 3])
+        assert frag.payload == bytes(range(8))
         assert gather([frag], dmap) == bytes(range(8))
-        # an extent past the file end claims nothing, even ahead of the others
-        dmap = DistributionMap(8, (MapEntry("i", "h", "d", (Extent(12, 2), Extent(0, 8))),))
+        for unsorted_or_overlapping in ((Extent(4, 4), Extent(0, 4)), (Extent(0, 4), Extent(3, 4))):
+            with pytest.raises(ValueError):
+                MapEntry("i", "h", "d", unsorted_or_overlapping)
+        # an extent past the file end claims nothing
+        dmap = DistributionMap(8, (MapEntry("i", "h", "d", (Extent(0, 8), Extent(12, 2))),))
         assert check_partition(dmap).status is EXACT
         assert scatter(bytes(range(8)), dmap)[0].payload == bytes(range(8))
 

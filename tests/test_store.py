@@ -138,7 +138,7 @@ class TestGetFile:
 
     def test_default_descriptor_round_trip(self, cfg, layout):
         data = random.Random(1).randbytes(3 * 4096 + 17)
-        manifest = default_descriptor(cfg, len(data), "cyclic_demo")
+        manifest = default_descriptor(cfg, "cyclic_demo")
         put_file(layout, "big", data, manifest)
         assert get_file(layout, "big") == data
 

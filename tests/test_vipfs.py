@@ -68,7 +68,7 @@ class TestTimestampForName:
 
 class TestDefaultDescriptor:
     def test_three_devices_full_periods(self, cfg):
-        doc = default_descriptor(cfg, 12288, "t_x")
+        doc = default_descriptor(cfg, "t_x")
         assert validate_document(doc).ok
         dmap = build_distribution_map(doc, 12288)
         assert [e.extents for e in dmap.entries] == [
@@ -82,12 +82,12 @@ class TestDefaultDescriptor:
             f'MAX_APP 1 MAX_SRV_FILE 1 DATA_BUFLEN 4096 SRV_GROUP_NAME "g" '
             f"SRVR_DEVICE_LIST 1 {tmp_path}/d0 VIP_DIR \"{tmp_path}/v\""
         )
-        doc = default_descriptor(single, 10000, "t_y")
+        doc = default_descriptor(single, "t_y")
         dmap = build_distribution_map(doc, 10000)
         assert dmap.entries[0].extents == (Extent(0, 10000),)
 
     def test_clipped_tail(self, cfg):
-        doc = default_descriptor(cfg, 5000, "t_z")
+        doc = default_descriptor(cfg, "t_z")
         dmap = build_distribution_map(doc, 5000)
         assert dmap.entries[0].extents == (Extent(0, 4096),)
         assert dmap.entries[1].extents == (Extent(4096, 904),)
@@ -97,7 +97,7 @@ class TestDefaultDescriptor:
         rng = random.Random(5)
         for _ in range(25):
             size = rng.randint(0, 50_000)
-            doc = default_descriptor(cfg, size, "t_s")
+            doc = default_descriptor(cfg, "t_s")
             verdict = check_partition(build_distribution_map(doc, size))
             assert verdict.status is PartitionStatus.EXACT_PARTITION, size
 
