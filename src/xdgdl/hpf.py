@@ -6,13 +6,22 @@ extent N over P targets gives element c to target c // ceil(N/P); a
 cyclic dimension with group size k gives it to (c // k) % P.  Compiled
 owner tables can then be lowered to per-target views that select exactly
 the owned bytes.
+
+Owner tables are tiled from runs, with no Python step per element: per
+distributed dimension, runs of ``g`` equal targets (ceil(N/P) for BLOCK,
+k for CYCLIC) are cycled up to the extent, stretched by the dimension's
+index stride and tiled over the table; the dimensions' tables are summed.
+The cyclic group-size check compares a table with one built the same way.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
+from itertools import chain, compress, count, islice, repeat
+from typing import Iterable
 
 from .errors import ArithmeticOverflow, DimensionMismatch, UnresolvedProcessors
 from .model import (
@@ -50,9 +59,6 @@ class OwnerMap:
     array_name: str
     num_targets: int
     owners: tuple[int, ...]
-
-    def owner(self, index: int) -> int:
-        return self.owners[index]
 
     @property
     def element_count(self) -> int:
@@ -125,35 +131,24 @@ def compile_hpf_mapping(arr: ArrayDecl, procs: ProcessorsDecl) -> OwnerMap:
     total = math.prod(extents)
     if total > INT64_MAX:
         raise ArithmeticOverflow(f"element count exceeds the 64-bit range: {total}")
-    # element-index strides per dimension, honoring MAJOR
-    strides = [1] * len(extents)
-    order = range(len(extents) - 1, -1, -1) if arr.major is Major.ROW else range(len(extents))
-    acc = 1
-    for i in order:
-        strides[i] = acc
-        acc *= extents[i]
-    # target strides: row-major over the processor shape
-    tstrides = [1] * len(proc_shape)
-    acc = 1
-    for j in range(len(proc_shape) - 1, -1, -1):
-        tstrides[j] = acc
-        acc *= proc_shape[j]
-
-    owners = []
-    for index in range(total):
-        target = 0
-        for axis, dim_pos in enumerate(dist_dims):
-            coord = (index // strides[dim_pos]) % extents[dim_pos]
-            dim = arr.dims[dim_pos]
-            p = proc_shape[axis]
-            if dim.distribute is Distribution.BLOCK:
-                chunk = -(-extents[dim_pos] // p)
-                owner = coord // chunk
-            else:
-                owner = (coord // dim.dist_skalar) % p
-            target += owner * tstrides[axis]
-        owners.append(target)
+    owners: list[int] | tuple[int, ...] = (0,) * total
+    for axis, dim_pos in enumerate(dist_dims):
+        dim, n, p = arr.dims[dim_pos], extents[dim_pos], proc_shape[axis]
+        group = -(-n // p) if dim.distribute is Distribution.BLOCK else dim.dist_skalar
+        if group < 1:
+            raise ValueError(f"DIST_SKALAR must be >= 1, got {group}")
+        stride = math.prod(extents[dim_pos + 1 :] if arr.major is Major.ROW else extents[:dim_pos])
+        tstride = math.prod(proc_shape[axis + 1 :])
+        span = n * stride
+        column = _owner_runs(range(0, p * tstride, tstride), group * stride, span) * (total // span)
+        owners = column if axis == 0 else list(map(operator.add, owners, column))
     return OwnerMap(arr.name or "", math.prod(proc_shape), tuple(owners))
+
+
+def _owner_runs(values: Iterable[int], run: int, length: int) -> list[int]:
+    """``values``, each repeated ``run`` times, cycled and cut at ``length``."""
+    one = list(islice(chain.from_iterable(map(repeat, values, repeat(run))), length))
+    return (one * -(-length // len(one)))[:length]
 
 
 def _cyclic_group_size(om: OwnerMap) -> int | None:
@@ -165,12 +160,8 @@ def _cyclic_group_size(om: OwnerMap) -> int | None:
     owners = om.owners
     if not owners or owners[0] != 0:
         return None
-    k = len(owners)
-    for i, o in enumerate(owners):
-        if o != 0:
-            k = i
-            break
-    if any(owners[i] != (i // k) % om.num_targets for i in range(len(owners))):
+    k = next(compress(count(), owners), len(owners))  # the first nonzero owner
+    if tuple(_owner_runs(range(om.num_targets), k, len(owners))) != owners:
         return None
     return k
 
@@ -190,17 +181,12 @@ def ownermap_to_views(om: OwnerMap, element_bytes: int) -> list[ViewDecl]:
     k = _cyclic_group_size(om)
     if k is not None:
         return [round_robin_view(d, om.num_targets, k * element_bytes) for d in range(om.num_targets)]
-    views = []
-    for d in range(om.num_targets):
-        runs: list[Extent] = []
-        start = None
-        for i in range(n + 1):
-            owned = i < n and om.owners[i] == d
-            if owned and start is None:
-                start = i
-            elif not owned and start is not None:
-                runs.append(Extent(start * element_bytes, (i - start) * element_bytes))
-                start = None
-        views.append(view_selecting(runs, total))
-    return views
+    # one pass over the table: a run ends wherever the owner changes
+    owners = om.owners
+    cuts = [0, *compress(count(1), map(operator.ne, owners, owners[1:])), n]
+    runs: list[list[Extent]] = [[] for _ in range(om.num_targets)]
+    for lo, hi in zip(cuts, cuts[1:]):
+        if 0 <= owners[lo] < om.num_targets:
+            runs[owners[lo]].append(Extent(lo * element_bytes, (hi - lo) * element_bytes))
+    return [view_selecting(r, total) for r in runs]
 

@@ -52,12 +52,9 @@ def _copy_plan(entry: MapEntry, size: int) -> tuple[int, list[tuple[slice, slice
         return 0, [], list(sel.runs(size))
     h, p, per = sel.header, sel.period, sel.per_period
     end, body = h + k * p, k * per
-    strided = []
-    off = 0
-    for a, n in sel.pieces:
-        strided.extend((slice(h + a + j, end, p), slice(off + j, body, per)) for j in range(n))
-        off += n
-    return body, strided, list(sel.runs(size, k))
+    picked = [a + j for a, n in sel.pieces for j in range(n)]  # selected offsets of a period
+    strided = [(slice(h + b, end, p), slice(i, body, per)) for i, b in enumerate(picked)]
+    return body, strided, sel.tail(size)
 
 
 def scatter(data: bytes, dmap: DistributionMap) -> list[Fragment]:
@@ -95,7 +92,7 @@ def gather(fragments: list[Fragment], dmap: DistributionMap) -> bytes:
         if not queue:
             raise MissingFragment(f"no fragment for device {entry.label}")
         payload = queue.popleft().payload
-        expected = entry.total_bytes
+        expected = entry.selection.total(dmap.file_size)
         if len(payload) != expected:
             raise LengthMismatch(
                 f"fragment for {entry.label} has {len(payload)} bytes, extents total {expected}"

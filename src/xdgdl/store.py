@@ -181,9 +181,8 @@ def get_file(layout: GridLayout, name: str) -> bytes:
         if not path.exists():
             raise MissingFragment(f"device {entry.label} has no fragment at {path}")
         payload = path.read_bytes()
-        if len(payload) != entry.total_bytes:
-            raise LengthMismatch(
-                f"fragment {path} has {len(payload)} bytes, extents total {entry.total_bytes}"
-            )
+        expected = entry.selection.total(dmap.file_size)
+        if len(payload) != expected:
+            raise LengthMismatch(f"fragment {path} has {len(payload)} bytes, extents total {expected}")
         fragments.append(Fragment((entry.island, entry.host, entry.device_id), payload))
     return gather(fragments, dmap)

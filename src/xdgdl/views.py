@@ -18,15 +18,22 @@ segments or an MPI-IO vector file view.  Distribution maps hold one
 selection per device; their extents are expanded only on demand
 (plans, tests), byte totals are closed-form, and ``check_partition``
 certifies exactness from one common period of the coverage.  A view
-with a negative SKIP_HEADER, SKIP, OFFSET, STRIDE or COUNT, which
-``validate_document`` rejects, does not compile to a selection:
+with a negative SKIP_HEADER, SKIP, OFFSET, STRIDE or COUNT, or a REPEAT
+below 1, which ``validate_document`` rejects, does not compile:
 ``_compile`` raises ValueError, so it never reaches the data path.
+
+Runs are expanded in bulk, with no Python step per run: the whole
+periods' starts interleave one ``range(h + a, h + k*p, p)`` per piece.
+A wrapping selection (first piece at 0, last one ending at the period)
+merges runs across periods: they are its head run, then the runs of it
+rotated to start at its second piece, the last piece absorbing the next
+period's first.  Plans, extents, the sweep and scatter read these runs.
 
 Two independent evaluators are kept deliberately separate so they can
 check each other: ``enumerate_extents`` expands the compiled selection
-period by period with a cursor, while ``member_oracle`` answers per-byte
-membership purely arithmetically (modulo the period, then span
-subtraction and division).
+period by period, while ``member_oracle`` answers per-byte membership
+purely arithmetically (modulo the period, then span subtraction and
+division).
 """
 
 from __future__ import annotations
@@ -35,7 +42,8 @@ import enum
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Iterable, Iterator
+from itertools import chain, cycle, starmap
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ArithmeticOverflow, NoDevices
 from .model import BlockDecl, ByteBlock, Document, ViewDecl
@@ -82,9 +90,10 @@ class Selection:
     origin -- repeat every ``period`` bytes.  No pieces, no bytes.
 
     The header is non-negative and the pieces are sorted, disjoint and
-    inside [0, period); the constructor raises ValueError otherwise.
-    The closed-form totals, the strided copy, the one-period partition
-    certificate and the clipped sweep rely on it.
+    inside [0, period); the constructor raises ValueError otherwise,
+    then stores the pieces merged, without empty ones.  The closed-form
+    totals, the run expansion, the strided copy, the one-period
+    partition certificate and the clipped sweep rely on it.
     """
 
     header: int
@@ -93,16 +102,21 @@ class Selection:
     per_period: int = field(init=False)
 
     def __post_init__(self):
-        if self.header < 0:
-            raise ValueError(f"selection header {self.header} is negative")
-        end = 0
+        if self.header < 0 or self.period < 0:
+            raise ValueError(f"selection header {self.header} or period {self.period} is negative")
+        merged: list[tuple[int, int]] = []
+        end = per_period = 0
         for start, length in self.pieces:
-            if not end <= start < self.period or length < 0:
+            if not end <= start < self.period or length < 0 or start + length > self.period:
                 raise ValueError(f"selection piece {start}:{length} is not a run inside [{end}, {self.period})")
+            if merged and sum(merged[-1]) == start:
+                merged[-1] = (merged[-1][0], merged[-1][1] + length)
+            elif length:
+                merged.append((start, length))
             end = start + length
-        if end > self.period:
-            raise ValueError(f"selection pieces end at {end}, past the period {self.period}")
-        object.__setattr__(self, "per_period", sum(n for _, n in self.pieces))
+            per_period += length
+        object.__setattr__(self, "pieces", tuple(merged))
+        object.__setattr__(self, "per_period", per_period)
 
     def full_periods(self, size: int) -> int:
         """Periods lying wholly inside [header, size)."""
@@ -110,30 +124,47 @@ class Selection:
             return 0
         return (size - self.header) // self.period
 
-    def runs(self, size: int, first: int = 0) -> Iterator[tuple[int, int]]:
-        """Selected ``(start, length)`` runs of [0, size) from period
-        ``first`` on, in period and piece order, clipped at size,
-        unmerged across periods; a period's remaining pieces are dropped
-        from the first one starting at or past size."""
-        if not self.pieces or size <= 0:
-            return
-        base = self.header + first * self.period
-        while base < size:
-            for start, length in self.pieces:
-                start += base
-                if start >= size:
-                    break
-                yield start, min(length, size - start)
-            base += self.period
+    def tail(self, size: int) -> list[tuple[int, int]]:
+        """The runs of [0, size) past the whole periods, clipped at size."""
+        base = self.header + self.full_periods(size) * self.period
+        return [(base + a, min(n, size - base - a)) for a, n in self.pieces if base + a < size]
+
+    def progressions(self, size: int) -> list[tuple[Sequence[int], Sequence[int]]]:
+        """The merged runs of [0, size) as non-empty progressions
+        ``(starts, lengths)``, each the runs ``zip(starts, cycle(lengths))``;
+        a wrapping single piece is one run from the header on."""
+        h, p, pieces = self.header, self.period, self.pieces
+        if pieces and pieces[0][0] == 0 and sum(pieces[-1]) == p and size > h:
+            if len(pieces) == 1:
+                return [([h], (size - h,))]
+            rotated = self.__dict__.get("_rotated") or self._rotate()
+            return [([h], (min(pieces[0][1], size - h),)), *rotated.progressions(size)]
+        m, k = len(pieces), self.full_periods(size)
+        if k > 1:
+            starts = [0] * (m * k)
+            for i, (a, _) in enumerate(pieces):
+                starts[i::m] = range(h + a, h + k * p, p)
+        else:  # at most one whole period: nothing to interleave
+            starts = [h + a for a, _ in pieces] if k else []
+        whole = (starts, [n for _, n in pieces])
+        tail = tuple(zip(*self.tail(size))) or ((), ())  # (starts, lengths)
+        return [progression for progression in (whole, tail) if progression[0]]
+
+    def runs(self, size: int) -> Iterator[tuple[int, int]]:
+        """Selected ``(start, length)`` runs of [0, size), merged, in order."""
+        return chain.from_iterable(zip(starts, cycle(lengths)) for starts, lengths in self.progressions(size))
+
+    def _rotate(self) -> Selection:
+        """A wrapping selection past its head run (module notes), memoized."""
+        (_, n0), (a1, _) = self.pieces[:2]
+        al, nl = self.pieces[-1]
+        moved = [(a - a1, n) for a, n in self.pieces[1:-1]] + [(al - a1, nl + n0)]
+        self.__dict__["_rotated"] = rotated = Selection(self.header + a1, self.period, tuple(moved))
+        return rotated
 
     def total(self, size: int) -> int:
-        """Selected bytes in [0, size): whole periods, then the clipped
-        tail."""
-        k = self.full_periods(size)
-        return k * self.per_period + sum(n for _, n in self.runs(size, k))
-
-    def extents(self, size: int) -> tuple[Extent, ...]:
-        return tuple(Extent(start, length) for start, length in _merge(self.runs(size)))
+        """Selected bytes in [0, size): whole periods, then the tail."""
+        return self.full_periods(size) * self.per_period + sum(n for _, n in self.tail(size))
 
 
 _NOTHING = Selection(0, 1, ())
@@ -151,7 +182,7 @@ class MapEntry:
     one-period selection of exactly those extents: header 0 and a
     period longer than any file, clipped where the extents end.  The
     extents must be sorted and disjoint (ValueError otherwise);
-    ``extents`` returns them merged.
+    ``extents`` returns them merged.  Maps clip entries at their file size.
     """
 
     island: str
@@ -189,8 +220,8 @@ class MapEntry:
 
     @cached_property
     def extents(self) -> tuple[Extent, ...]:
-        """The selection expanded to merged extents (plans and tests)."""
-        return self.selection.extents(self.size)
+        """The selection expanded to merged extents."""
+        return tuple(starmap(Extent, self.selection.runs(self.size)))
 
     @property
     def total_bytes(self) -> int:
@@ -251,6 +282,8 @@ def _walk_one_period(view: ViewDecl) -> list[tuple[int, int]]:
     pieces: list[tuple[int, int]] = []
     cursor = 0
     for b in view.blocks:
+        if b.repeat < 1:
+            raise ValueError(f"block REPEAT {b.repeat} is not positive")
         cursor += b.offset
         if isinstance(b.child, ByteBlock):
             take = b.count
@@ -259,8 +292,8 @@ def _walk_one_period(view: ViewDecl) -> list[tuple[int, int]]:
             child = _compile(b.child)
             take = b.count * child.period
             # the same selection in every take; a negative take stays one
-            # piece, for _compile to reject
-            inner = _merge(child.runs(take)) if take >= 0 else [(0, take)]
+            # piece, for the Selection check to reject
+            inner = tuple(child.runs(take)) if take >= 0 else [(0, take)]
         for r in range(b.repeat):
             at = cursor + r * (take + b.stride)
             pieces.extend((at + start, length) for start, length in inner)
@@ -270,35 +303,18 @@ def _walk_one_period(view: ViewDecl) -> list[tuple[int, int]]:
 
 def _compile(view: ViewDecl) -> Selection:
     """The view's selection: one walked period, memoized on the view.
-    The walked pieces are checked before merging, which would drop a
-    negative one; a view with a negative parameter raises ValueError
-    here.  A block-less view selects nothing."""
+    A view with a negative parameter or a REPEAT below 1 raises
+    ValueError here.  A block-less view selects nothing."""
     cached = view.__dict__.get("_selection")
-    if cached is not None:
-        return cached
-    pieces = _walk_one_period(view)
-    period = view_period(view)
-    Selection(view.skip_header, period, tuple(pieces))  # checks the walk
-    selection = Selection(view.skip_header, period, _merge(pieces))
-    view.__dict__["_selection"] = selection
-    return selection
-
-
-def _merge(pieces: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-    merged: list[list[int]] = []
-    for start, length in pieces:
-        if length <= 0:
-            continue
-        if merged and merged[-1][1] == start:
-            merged[-1][1] = start + length
-        else:
-            merged.append([start, start + length])
-    return tuple((s, e - s) for s, e in merged)
+    if cached is None:
+        cached = Selection(view.skip_header, view_period(view), tuple(_walk_one_period(view)))
+        view.__dict__["_selection"] = cached
+    return cached
 
 
 def enumerate_extents(view: ViewDecl, region_size: int) -> tuple[Extent, ...]:
     """Selected extents of [0, region_size), merged, sorted and disjoint."""
-    return _compile(view).extents(region_size)
+    return tuple(starmap(Extent, _compile(view).runs(region_size)))
 
 
 def _member_plan(view: ViewDecl) -> tuple[int, tuple[tuple[int, int, int, int, ViewDecl | None], ...]]:
@@ -453,12 +469,17 @@ def render_plan(dmap: DistributionMap, verdict: PartitionVerdict | None = None) 
     """Plan text: one tab-separated line per device plus a verdict line."""
     if verdict is None:
         verdict = check_partition(dmap)
-    lines = [
-        f"{entry.label}\t" + ",".join(str(e) for e in entry.extents)
-        for entry in dmap.entries
-    ]
+    lines = [f"{entry.label}\t" + _format_runs(entry.selection.progressions(dmap.file_size)) for entry in dmap.entries]
     lines.append(f"partition: {verdict.status.value}")
     return "\n".join(lines) + "\n"
+
+
+def _format_runs(progressions: list[tuple[Sequence[int], Sequence[int]]]) -> str:
+    """Comma-joined ``start:length`` runs, one ``%`` per progression."""
+    return ",".join(
+        ",".join([",".join(f"%d:{n}" for n in lengths)] * (len(starts) // len(lengths))) % tuple(starts)
+        for starts, lengths in progressions
+    )
 
 
 def round_robin_view(device: int, devices: int, chunk: int) -> ViewDecl:
@@ -478,16 +499,13 @@ def view_selecting(extents: tuple[Extent, ...] | list[Extent], region_size: int)
     An empty selection is encoded as a take placed past the region end,
     which clips to nothing.
     """
+    blocks = []
     cursor = 0
     for ext in extents:
         if ext.start < cursor or ext.length < 1 or ext.end > region_size:
             raise ValueError(f"extents must be sorted, disjoint and within [0, {region_size}): {ext}")
-        cursor = ext.end
-    if not extents:
-        return ViewDecl(0, 0, (BlockDecl(region_size, 1, 1, 0, ByteBlock()),))
-    blocks = []
-    cursor = 0
-    for ext in extents:
         blocks.append(BlockDecl(ext.start - cursor, 1, ext.length, 0, ByteBlock()))
         cursor = ext.end
+    if not blocks:
+        return ViewDecl(0, 0, (BlockDecl(region_size, 1, 1, 0, ByteBlock()),))
     return ViewDecl(0, region_size - cursor, tuple(blocks))

@@ -44,6 +44,7 @@ from xdgdl import (
     ownermap_to_views,
     parse_config,
     parse_document,
+    render_plan,
     scatter,
     validate_document,
     view_selecting,
@@ -277,6 +278,7 @@ ONE_VIEW_XML = """<?xml version="1.0" encoding="ISO-8859-1"?>
 VIEW_PATH = "/PARSTORAGE/ISLAND[1]/SERVER[1]/DEVICE[1]/VIEW[1]"
 # the second block steps back over the first: pieces (2,2), (0,2), period 4
 STEP_BACK = '\n          <BLOCK OFFSET="-4" REPEAT="1" COUNT="2" STRIDE="0"><BYTEBLOCK/></BLOCK>'
+TWO_BYTES = '\n          <BLOCK OFFSET="0" REPEAT="1" COUNT="2" STRIDE="0"><BYTEBLOCK/></BLOCK>'
 # a nested take of -1 inner periods selects no inner run
 NESTED_BACK = """
           <BLOCK OFFSET="0" REPEAT="1" COUNT="-1" STRIDE="0">
@@ -305,6 +307,11 @@ class TestInvalidViews:
                 f"{VIEW_PATH}/BLOCK[2]",
                 id="unsorted_pieces",
             ),
+            # no take, yet the closed-form span would move the next block
+            pytest.param(
+                {"repeat": 0, "second": TWO_BYTES}, "positive-int", f"{VIEW_PATH}/BLOCK[1]", id="repeat_zero"
+            ),
+            pytest.param({"repeat": -1, "skip": 6}, "positive-int", f"{VIEW_PATH}/BLOCK[1]", id="repeat_negative"),
         ],
     )
     def test_rejected_by_library_and_cli(self, params, rule, path, tmp_path, capsys):
@@ -376,10 +383,14 @@ class TestMapEntry:
         for unsorted_or_overlapping in ((Extent(4, 4), Extent(0, 4)), (Extent(0, 4), Extent(3, 4))):
             with pytest.raises(ValueError):
                 MapEntry("i", "h", "d", unsorted_or_overlapping)
-        # an extent past the file end claims nothing
+        # an extent past the file end claims nothing: plan, scatter and
+        # gather all clip the entry at the map's file size
         dmap = DistributionMap(8, (MapEntry("i", "h", "d", (Extent(0, 8), Extent(12, 2))),))
         assert check_partition(dmap).status is EXACT
-        assert scatter(bytes(range(8)), dmap)[0].payload == bytes(range(8))
+        assert render_plan(dmap) == "i/h/d\t0:8\npartition: exact\n"
+        frags = scatter(bytes(range(8)), dmap)
+        assert frags[0].payload == bytes(range(8))
+        assert gather(frags, dmap) == bytes(range(8))
 
     def test_extents_or_selection_not_both(self):
         with pytest.raises(TypeError):
