@@ -37,8 +37,8 @@ from .model import (
     serialize_document,
     validate_document,
 )
-from .scatter import Fragment, gather, scatter
-from .store import init_store
+from .scatter import gather, scatter
+from .store import init_store, read_fragments
 from .vipfs import copy_in, copy_out
 from .views import build_distribution_map, render_plan
 
@@ -140,19 +140,15 @@ def cmd_gather(args) -> int:
     if doc is None:
         return EXIT_VALIDATION
     dmap = build_distribution_map(doc, args.size)
-    frag_dir = Path(args.frags)
-    fragments = []
-    for i, entry in enumerate(dmap.entries):
-        path = frag_dir / _frag_name(i)
-        if not path.exists():
-            return _fail(f"missing fragment {path} for device {entry.label}", EXIT_IO)
-        fragments.append(Fragment((entry.island, entry.host, entry.device_id), path.read_bytes()))
-    Path(args.out).write_bytes(gather(fragments, dmap))
+    paths = [Path(args.frags) / _frag_name(i) for i in range(len(dmap.entries))]
+    Path(args.out).write_bytes(gather(read_fragments(dmap, paths), dmap))
     return EXIT_OK
 
 
 def cmd_hpf_compile(args) -> int:
-    doc = _load_document(args.descriptor)
+    doc = _load_valid_document(args.descriptor)
+    if doc is None:
+        return EXIT_VALIDATION
 
     def arrays(t) -> list[ArrayDecl]:
         if isinstance(t, ArrayDecl):

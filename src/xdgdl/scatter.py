@@ -1,9 +1,13 @@
 """Splitting file bytes into per-device fragments and reassembling them.
 
 A fragment is the concatenation, in ascending logical offset, of the
-bytes a device owns under a distribution map.  Scatter and gather both
-insist on an exact partition: only then is every byte placed exactly
-once and the round trip an identity.
+bytes a device owns under a distribution map.  Fragments are matched
+to devices by position: ``scatter`` returns one per map entry in entry
+order and ``gather`` takes them back in that order, as the store and the
+CLI keep them (``000.frag``, ``001.frag``, ...).  A fragment's device
+reference only has to agree with the entry at its position.
+Scatter and gather both insist on an exact partition: only then is
+every byte placed exactly once and the round trip an identity.
 
 Both directions share one copy plan per device, read off its compiled
 selection.  The whole periods move either as strided slices, one per
@@ -18,7 +22,6 @@ last whole period always moves as runs.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import ExtraFragment, LengthMismatch, MissingFragment, NotAPartition, SizeMismatch
@@ -58,7 +61,8 @@ def _copy_plan(entry: MapEntry, size: int) -> tuple[int, list[tuple[slice, slice
 
 
 def scatter(data: bytes, dmap: DistributionMap) -> list[Fragment]:
-    """One fragment per map entry; empty payloads are materialized."""
+    """One fragment per map entry, in entry order; empty payloads are
+    materialized."""
     if len(data) != dmap.file_size:
         raise SizeMismatch(f"data is {len(data)} bytes but the map addresses {dmap.file_size}")
     _require_exact(dmap)
@@ -76,27 +80,26 @@ def scatter(data: bytes, dmap: DistributionMap) -> list[Fragment]:
 
 
 def gather(fragments: list[Fragment], dmap: DistributionMap) -> bytes:
-    """Rebuild the logical file; inverse of scatter for exact partitions.
-
-    Fragments are matched to map entries by device reference (in order,
-    should a reference repeat).  Every entry must be matched exactly once.
-    """
+    """Rebuild the logical file from one fragment per map entry, in entry
+    order; inverse of scatter for exact partitions."""
     _require_exact(dmap)
-    pool: dict[DeviceRef, deque[Fragment]] = {}
-    for frag in fragments:
-        pool.setdefault(frag.device_ref, deque()).append(frag)
-    out = bytearray(dmap.file_size)
-    for entry in dmap.entries:
-        ref = (entry.island, entry.host, entry.device_id)
-        queue = pool.get(ref)
-        if not queue:
-            raise MissingFragment(f"no fragment for device {entry.label}")
-        payload = queue.popleft().payload
-        expected = entry.selection.total(dmap.file_size)
-        if len(payload) != expected:
-            raise LengthMismatch(
-                f"fragment for {entry.label} has {len(payload)} bytes, extents total {expected}"
+    if len(fragments) < len(dmap.entries):
+        raise MissingFragment(f"no fragment for device {dmap.entries[len(fragments)].label}")
+    if len(fragments) > len(dmap.entries):
+        raise ExtraFragment(f"{len(fragments)} fragments for {len(dmap.entries)} map entries")
+    for i, (entry, frag) in enumerate(zip(dmap.entries, fragments)):
+        if frag.device_ref != (entry.island, entry.host, entry.device_id):
+            raise MissingFragment(
+                f"position {i} holds the fragment for {'/'.join(frag.device_ref)}, not for device {entry.label}"
             )
+        expected = entry.selection.total(dmap.file_size)
+        if len(frag.payload) != expected:
+            raise LengthMismatch(
+                f"fragment for {entry.label} has {len(frag.payload)} bytes, extents total {expected}"
+            )
+    out = bytearray(dmap.file_size)  # only once the fragments account for every byte
+    for entry, frag in zip(dmap.entries, fragments):
+        payload = frag.payload
         pos, strided, runs = _copy_plan(entry, dmap.file_size)
         for dst, src in strided:
             out[dst] = payload[src]
@@ -104,7 +107,4 @@ def gather(fragments: list[Fragment], dmap: DistributionMap) -> bytes:
         for start, n in runs:
             out[start : start + n] = view[pos : pos + n]
             pos += n
-    leftover = [ref for ref, queue in pool.items() if queue]
-    if leftover:
-        raise ExtraFragment(f"fragments match no map entry: {leftover}")
     return bytes(out)

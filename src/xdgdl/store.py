@@ -9,7 +9,10 @@ of its own).
 
 Descriptor devices are resolved against layout devices positionally: the
 descriptors in circulation happily reuse one device id on every server,
-so ids are advisory and order is authoritative.
+so ids are advisory and order is authoritative.  Fragments stay in
+map-entry order throughout: ``put_file`` writes what ``scatter``
+returns, and ``read_fragments`` (shared with ``xdgdl gather``) reads
+them back for ``gather``, which checks their lengths.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from .errors import (
     DuplicateTimestamp,
     EmptyDeviceList,
     IoFailure,
-    LengthMismatch,
     MissingFragment,
     MissingManifest,
     RosterMismatch,
@@ -34,7 +36,7 @@ from .model import Document, parse_document, serialize_document, validate_docume
 from .scatter import Fragment, gather, scatter
 from .views import DistributionMap, build_distribution_map
 
-__all__ = ["LayoutDevice", "GridLayout", "StoredFile", "init_store", "put_file", "get_file"]
+__all__ = ["LayoutDevice", "GridLayout", "StoredFile", "init_store", "put_file", "get_file", "read_fragments"]
 
 log = logging.getLogger(__name__)
 
@@ -169,20 +171,21 @@ def get_file(layout: GridLayout, name: str) -> bytes:
     size_path = layout.root / f".vd.{name}.size"
     if not size_path.exists():
         raise MissingManifest(f"no stored size for {name!r}")
-    raw_size = size_path.read_text("ascii").strip()
-    if not raw_size.isdigit():
+    raw_size = size_path.read_bytes().strip()
+    if not raw_size.isdigit():  # bytes.isdigit accepts ASCII digits only
         raise MissingManifest(f"stored size for {name!r} is corrupt: {raw_size!r}")
-    size = int(raw_size)
+    dmap = build_distribution_map(manifest, int(raw_size))
+    paths = [device.directory / f"{manifest.timestamp}.frag" for device in _devices_for(dmap, layout)]
+    return gather(read_fragments(dmap, paths), dmap)
 
-    dmap = build_distribution_map(manifest, size)
+
+def read_fragments(dmap: DistributionMap, paths: list[Path]) -> list[Fragment]:
+    """Each entry's fragment, read from the file at the same position."""
     fragments = []
-    for entry, device in zip(dmap.entries, _devices_for(dmap, layout)):
-        path = device.directory / f"{manifest.timestamp}.frag"
-        if not path.exists():
-            raise MissingFragment(f"device {entry.label} has no fragment at {path}")
-        payload = path.read_bytes()
-        expected = entry.selection.total(dmap.file_size)
-        if len(payload) != expected:
-            raise LengthMismatch(f"fragment {path} has {len(payload)} bytes, extents total {expected}")
+    for entry, path in zip(dmap.entries, paths):
+        try:
+            payload = path.read_bytes()
+        except FileNotFoundError:
+            raise MissingFragment(f"device {entry.label} has no fragment at {path}") from None
         fragments.append(Fragment((entry.island, entry.host, entry.device_id), payload))
-    return gather(fragments, dmap)
+    return fragments

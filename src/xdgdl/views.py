@@ -223,10 +223,6 @@ class MapEntry:
         """The selection expanded to merged extents."""
         return tuple(starmap(Extent, self.selection.runs(self.size)))
 
-    @property
-    def total_bytes(self) -> int:
-        return self.selection.total(self.size)
-
 
 @dataclass(frozen=True)
 class DistributionMap:

@@ -146,6 +146,16 @@ class TestCp:
         monkeypatch.delenv("VIP_CONF", raising=False)
         assert main(["cp-in", "whatever"]) == 2
 
+    def test_cp_out_corrupt_size_exits_4(self, store_env, capsys):
+        src = store_env / "data.bin"
+        src.write_bytes(b"0123456789")
+        assert main(["cp-in", str(src)]) == 0
+        (store_env / "grid" / "vipios" / ".vd.data.bin.size").write_bytes(b"\xff\n")
+        capsys.readouterr()
+        assert main(["cp-out", "data.bin", str(store_env / "back.bin")]) == 4
+        assert "is corrupt" in capsys.readouterr().err
+        assert not (store_env / "back.bin").exists()
+
     def test_cp_out_unknown_name_exits_4(self, store_env, capsys):
         assert main(["cp-out", "ghost", str(store_env / "g")]) == 4
 
@@ -191,6 +201,33 @@ class TestHpfCompile:
         desc = tmp_path / "logical.xml"
         desc.write_text(self.DESC)
         assert main(["hpf-compile", str(desc), "--servers", "h1,h2"]) == 2
+
+    @pytest.mark.parametrize(
+        "field, bad, path",
+        [
+            ('DIST_SKALAR="2"', 'DIST_SKALAR="0"', "/PARSTORAGE/TYPE[1]/ARRAY[1]/DIMENSION[1]"),
+            ('LENGTH="4"', 'LENGTH="0"', "/PARSTORAGE/TYPE[1]/ARRAY[1]/TYPE[1]/ETYPE[1]"),
+        ],
+    )
+    def test_invalid_descriptor_exits_2(self, tmp_path, capsys, field, bad, path):
+        desc = tmp_path / "logical.xml"
+        desc.write_text(self.DESC.replace(field, bad))
+        out = tmp_path / "compiled.xml"
+        assert main(["hpf-compile", str(desc), "--servers", "h1,h2,h3", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"[positive-int] {path}:" in err
+        assert not out.exists()
+
+    def test_invalid_island_exits_2(self, tmp_path, capsys):
+        # the compiled descriptor replaces the island, but an invalid
+        # input is rejected whole, as plan, scatter and gather do
+        desc = tmp_path / "logical.xml"
+        island = '<ISLAND NAME="lab"><SERVER HOST="old"><DEVICE DEVICE_ID="/dev/a"/></SERVER></ISLAND>'
+        desc.write_text(self.DESC.replace('<ISLAND NAME="lab"/>', island))
+        assert main(["hpf-compile", str(desc), "--servers", "h1,h2,h3"]) == 2
+        captured = capsys.readouterr()
+        assert "[device-access] /PARSTORAGE/ISLAND[1]/SERVER[1]/DEVICE[1]:" in captured.err
+        assert captured.out == ""
 
     def test_no_distributed_array_exits_2(self, two_server, capsys):
         assert main(["hpf-compile", str(two_server), "--servers", "h1"]) == 2

@@ -73,7 +73,7 @@ def assert_expands_like_the_painter(sel: Selection, size: int, expected: list[tu
     assert list(sel.runs(size)) == expected
     entry = MapEntry("i", "h", "d", selection=sel, size=size)
     assert entry.extents == tuple(Extent(s, n) for s, n in expected)
-    assert entry.total_bytes == sum(n for _, n in expected)
+    assert entry.selection.total(size) == sum(n for _, n in expected)
     assert plan_runs(render_plan(DistributionMap(size, (entry,)))) == [expected]
 
 

@@ -114,8 +114,16 @@ class TestGather:
         dmap = build_distribution_map(two_server_doc, 72)
         frags = scatter(pattern_bytes(72), dmap)
         broken = [Fragment(frags[0].device_ref, frags[0].payload + b"!"), frags[1]]
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(LengthMismatch) as err:
             gather(broken, dmap)
+        assert "vipios.pri" in str(err.value)
+
+    def test_fragments_out_of_entry_order_rejected(self, two_server_doc):
+        dmap = build_distribution_map(two_server_doc, 72)
+        frags = scatter(pattern_bytes(72), dmap)
+        with pytest.raises(MissingFragment) as err:
+            gather(frags[::-1], dmap)
+        assert "vipios.pri" in str(err.value) and "position 0" in str(err.value)
 
     def test_extra_fragment(self):
         dmap = whole_file_map(4)

@@ -95,7 +95,7 @@ def assert_moves_like_the_painter(views, size: int, seed: int = 0):
     frags = scatter(data, dmap)
     expected = expected_payloads(views, data)
     assert [f.payload for f in frags] == expected
-    assert [e.total_bytes for e in dmap.entries] == [len(p) for p in expected]
+    assert [e.selection.total(size) for e in dmap.entries] == [len(p) for p in expected]
     assert gather(frags, dmap) == data
     return dmap
 
@@ -153,7 +153,7 @@ class TestScatterAgainstPainter:
     def test_block_less_views_select_nothing(self, size):
         views = [ViewDecl(0, 5, ()), byte_view(0, 1, 1, 0), ViewDecl(3, 0, ()), None]
         dmap = assert_moves_like_the_painter(views, size)
-        assert [e.total_bytes for e in dmap.entries] == [0, size, 0, 0]
+        assert [e.selection.total(size) for e in dmap.entries] == [0, size, 0, 0]
         assert strided(dmap, 1) is (size >= 2)
 
 
@@ -252,8 +252,8 @@ class TestSizeIndependence:
             header, period = view.skip_header, naive_period(view)
             one_period = naive_coverage(view, header + period)[header:]
             full, rest = divmod(size - header, period)
-            assert entry.total_bytes == full * sum(one_period) + sum(one_period[:rest])
-        assert sum(e.total_bytes for e in dmap.entries) == size
+            assert entry.selection.total(size) == full * sum(one_period) + sum(one_period[:rest])
+        assert sum(e.selection.total(size) for e in dmap.entries) == size
 
 
 ONE_VIEW_XML = """<?xml version="1.0" encoding="ISO-8859-1"?>
@@ -375,7 +375,7 @@ class TestIrregularViews:
 class TestMapEntry:
     def test_hand_built_extents_are_merged_or_rejected(self):
         entry = MapEntry("i", "h", "d", (Extent(0, 4), Extent(4, 4)))
-        assert entry.extents == (Extent(0, 8),) and entry.total_bytes == 8
+        assert entry.extents == (Extent(0, 8),) and entry.selection.total(8) == 8
         dmap = DistributionMap(8, (entry,))
         (frag,) = scatter(bytes(range(8)), dmap)
         assert frag.payload == bytes(range(8))

@@ -133,7 +133,23 @@ class TestGetFile:
     def test_truncated_fragment(self, layout):
         stored = put_file(layout, "testfile", b"g" * 72, two_server_manifest())
         stored.fragment_paths[0].write_bytes(b"short")
+        with pytest.raises(LengthMismatch) as err:
+            get_file(layout, "testfile")
+        assert "vipios.pri.univie.ac.at" in str(err.value)
+
+    def test_oversized_size_sidecar_allocates_nothing(self, layout):
+        # a 1 PB size must fail on the fragment lengths, before the
+        # output buffer is allocated
+        put_file(layout, "testfile", b"h" * 72, two_server_manifest())
+        (layout.root / ".vd.testfile.size").write_bytes(b"%d\n" % 10**15)
         with pytest.raises(LengthMismatch):
+            get_file(layout, "testfile")
+
+    @pytest.mark.parametrize("raw", [b"\xff\n", "\u00b2\n".encode()])
+    def test_corrupt_size_sidecar(self, layout, raw):
+        put_file(layout, "testfile", b"h" * 72, two_server_manifest())
+        (layout.root / ".vd.testfile.size").write_bytes(raw)
+        with pytest.raises(MissingManifest, match="stored size for 'testfile' is corrupt"):
             get_file(layout, "testfile")
 
     def test_default_descriptor_round_trip(self, cfg, layout):

@@ -177,7 +177,7 @@ class TestOracle:
 class TestDistributionMap:
     def test_two_server_sizes(self, two_server_doc):
         dmap = build_distribution_map(two_server_doc, 72)
-        assert [e.total_bytes for e in dmap.entries] == [30, 42]
+        assert [e.selection.total(72) for e in dmap.entries] == [30, 42]
         assert [len(e.extents) for e in dmap.entries] == [6, 6]
         assert [e.host for e in dmap.entries] == [
             "vipios.pri.univie.ac.at",
