@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -17,6 +18,7 @@ from .errors import (
     ArithmeticOverflow,
     ConfigError,
     DimensionMismatch,
+    ExtraFragment,
     InvalidDocument,
     NoDevices,
     NotAPartition,
@@ -37,8 +39,8 @@ from .model import (
     serialize_document,
     validate_document,
 )
-from .scatter import gather, scatter
-from .store import init_store, read_fragments
+from .scatter import fragment_windows, gather, require_exact, scatter, windows, write_all
+from .store import committed, init_store, measured, read_fragments
 from .vipfs import copy_in, copy_out
 from .views import build_distribution_map, render_plan
 
@@ -125,13 +127,16 @@ def cmd_scatter(args) -> int:
     doc = _load_valid_document(args.descriptor)
     if doc is None:
         return EXIT_VALIDATION
-    data = Path(args.file).read_bytes()
-    dmap = build_distribution_map(doc, len(data))
-    fragments = scatter(data, dmap)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for i, frag in enumerate(fragments):
-        (out / _frag_name(i)).write_bytes(frag.payload)
+    with open(args.file, "rb", buffering=0) as stream:
+        src, size = measured(stream)
+        dmap = build_distribution_map(doc, size)
+        require_exact(dmap)  # before the output directory is made
+        out.mkdir(parents=True, exist_ok=True)
+        with committed([out / _frag_name(i) for i in range(len(dmap.entries))]) as sinks:
+            for data, wmap in windows(src, dmap):
+                for sink, frag in zip(sinks, scatter(data, wmap)):
+                    write_all(sink, frag.payload)
     return EXIT_OK
 
 
@@ -140,8 +145,16 @@ def cmd_gather(args) -> int:
     if doc is None:
         return EXIT_VALIDATION
     dmap = build_distribution_map(doc, args.size)
-    paths = [Path(args.frags) / _frag_name(i) for i in range(len(dmap.entries))]
-    Path(args.out).write_bytes(gather(read_fragments(dmap, paths), dmap))
+    require_exact(dmap)
+    frags, count = Path(args.frags), len(dmap.entries)
+    names = os.listdir(frags) if frags.is_dir() else ()
+    extra = sorted(n for n in names if re.fullmatch(r"[0-9]+\.frag", n) and int(n[:-5]) >= count)
+    if extra:
+        raise ExtraFragment(f"{frags / extra[0]} is past the map's {count} entries")
+    with read_fragments(dmap, [frags / _frag_name(i) for i in range(count)]) as sources:
+        with committed([Path(args.out)]) as (sink,):
+            for fragments, wmap in fragment_windows(sources, dmap):
+                write_all(sink, gather(fragments, wmap))
     return EXIT_OK
 
 

@@ -10,26 +10,49 @@ Scatter and gather both insist on an exact partition: only then is
 every byte placed exactly once and the round trip an identity.
 
 Both directions share one copy plan per device, read off its compiled
-selection.  The whole periods move either as strided slices, one per
-selected byte offset of the period
+selection and built once per map.  The whole periods move either as
+strided slices, one per selected byte offset of the period
 (``frag[off+j::per] = data[h+a+j:h+k*p:p]``), or as one contiguous
 ``memoryview`` slice per piece per period, whichever takes fewer slice
 operations: bytes per period against pieces times full periods.  A
 coarse stripe thus moves run by run and a fine one (1-byte cyclic,
 nested views) byte offset by byte offset.  The clipped tail after the
 last whole period always moves as runs.
+
+Files move window by window: ``windows`` reads a source stream and
+``fragment_windows`` reads fragment streams, and each yields every
+window with the map of that window, for ``scatter`` and ``gather`` to
+move as a file of its own.  With H the largest header of the map's
+selections and L the lcm of their periods, the coverage repeats every
+L bytes past H.  The head window is [0, H + k*L), the longest such
+prefix within ``WINDOW_BYTES`` but at least one period; every later
+window is the largest whole number of periods within ``WINDOW_BYTES``,
+at least one.  Each selection therefore meets every later window at
+the same phase, so one window map, and with it one plan per entry,
+serves them all; only the head window and the clipped last window get
+their own.  A file no longer than its head window is one window whose
+map is the file's own, so it runs exactly the whole-file plan; so does
+every file of a map whose period is longer than the file (coprime
+periods, or the all-NOVIEW fallback, whose period is the 64-bit range).
+Memory stays a few windows of max(``WINDOW_BYTES``, H + L) bytes,
+whatever the file size.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
+from typing import BinaryIO, Iterator
 
-from .errors import ExtraFragment, LengthMismatch, MissingFragment, NotAPartition, SizeMismatch
-from .views import DistributionMap, MapEntry, PartitionStatus, check_partition
+from .errors import ExtraFragment, IoFailure, LengthMismatch, MissingFragment, NotAPartition, SizeMismatch
+from .views import DistributionMap, MapEntry, PartitionStatus, Selection, check_partition
 
-__all__ = ["Fragment", "scatter", "gather"]
+__all__ = ["Fragment", "scatter", "gather", "windows", "fragment_windows", "require_exact", "WINDOW_BYTES"]
 
 DeviceRef = tuple[str, str, str]  # (island, host, device_id)
+Plan = tuple[int, list[tuple[slice, slice]], list[tuple[int, int]]]
+
+WINDOW_BYTES = 1 << 20  # budget of one window; a window still spans one lcm period at least
 
 
 @dataclass(frozen=True)
@@ -38,18 +61,25 @@ class Fragment:
     payload: bytes
 
 
-def _require_exact(dmap: DistributionMap) -> None:
-    verdict = check_partition(dmap)
-    if verdict.status is not PartitionStatus.EXACT_PARTITION:
-        raise NotAPartition(verdict)
+def _ref(entry: MapEntry) -> DeviceRef:
+    return (entry.island, entry.host, entry.device_id)
 
 
-def _copy_plan(entry: MapEntry, size: int) -> tuple[int, list[tuple[slice, slice]], list[tuple[int, int]]]:
-    """How to move the entry's selected bytes of [0, size): the fragment
-    length the strided pairs fill, the strided (file slice, fragment
-    slice) pairs, then the file runs ``(start, length)`` that follow in
-    the fragment."""
-    sel = entry.selection
+def require_exact(dmap: DistributionMap) -> None:
+    """Raise NotAPartition unless the map covers its file exactly once;
+    a map found exact is not checked again."""
+    if not dmap.__dict__.get("_exact"):
+        verdict = check_partition(dmap)
+        if verdict.status is not PartitionStatus.EXACT_PARTITION:
+            raise NotAPartition(verdict)
+        dmap.__dict__["_exact"] = True  # the map is frozen, so the verdict holds
+
+
+def _copy_plan(sel: Selection, size: int) -> Plan:
+    """How to move the selected bytes of [0, size): the fragment length
+    the strided pairs fill, the strided (file slice, fragment slice)
+    pairs, then the file runs ``(start, length)`` that follow in the
+    fragment."""
     k = sel.full_periods(size)
     if sel.per_period >= len(sel.pieces) * k:
         return 0, [], list(sel.runs(size))
@@ -60,35 +90,168 @@ def _copy_plan(entry: MapEntry, size: int) -> tuple[int, list[tuple[slice, slice
     return body, strided, sel.tail(size)
 
 
-def scatter(data: bytes, dmap: DistributionMap) -> list[Fragment]:
+def _plans(dmap: DistributionMap) -> list[Plan]:
+    """One copy plan per entry of an exact map, built on first use and
+    kept on the (frozen) map, so a window map reused for every window
+    plans once."""
+    plans = dmap.__dict__.get("_plans")
+    if plans is None:
+        require_exact(dmap)
+        plans = dmap.__dict__["_plans"] = [_copy_plan(e.selection, dmap.file_size) for e in dmap.entries]
+    return plans
+
+
+def _shifted(sel: Selection, start: int) -> Selection:
+    """The selection's bytes from ``start`` (past its header) on, as a
+    header-less selection of the same period: the pieces rotated to the
+    phase of ``start``, a piece the phase cuts split in two."""
+    if not sel.pieces:
+        return sel
+    p = sel.period
+    phase = (start - sel.header) % p
+    pieces = []
+    for a, n in sel.pieces:
+        a -= phase
+        if a < 0 < a + n:
+            pieces += [(0, a + n), (a + p, -a)]
+        else:
+            pieces.append((a % p, n))
+    return Selection(0, p, tuple(sorted(pieces)))
+
+
+def _windows(dmap: DistributionMap) -> tuple[int, int]:
+    """The head window's end and the width of every later window."""
+    sels = [e.selection for e in dmap.entries if e.selection.pieces]
+    header = max((s.header for s in sels), default=0)
+    period = math.lcm(*(s.period for s in sels))
+    return header + max(1, (WINDOW_BYTES - header) // period) * period, max(1, WINDOW_BYTES // period) * period
+
+
+def _window_maps(dmap: DistributionMap) -> Iterator[DistributionMap]:
+    """The map of each window of the file, in file order: the file's own
+    map if it is one window, else the head window's, then one map shared
+    by every full later window, then the clipped last window's."""
+    size = dmap.file_size
+    head, width = _windows(dmap)
+    if size <= head:
+        yield dmap
+        return
+
+    def window(sels: list[Selection], n: int) -> DistributionMap:
+        wmap = DistributionMap(n, tuple(replace(e, selection=s, size=n) for e, s in zip(dmap.entries, sels)))
+        wmap.__dict__["_exact"] = dmap.__dict__.get("_exact")  # a window of an exact map is exact
+        return wmap
+
+    yield window([e.selection for e in dmap.entries], head)
+    later = [_shifted(e.selection, head) for e in dmap.entries]
+    steady = window(later, width)
+    for start in range(head, size, width):
+        yield steady if size - start >= width else window(later, size - start)
+
+
+def _changed(stream: BinaryIO) -> IoFailure:
+    return IoFailure(getattr(stream, "name", "stream"), "size changed while copying")
+
+
+def _read(src: BinaryIO, n: int) -> bytes:
+    """The next ``n`` bytes of the stream, as one bytes object."""
+    parts = []
+    while n and (part := src.read(n)):
+        parts.append(part)
+        n -= len(part)
+    if n:
+        raise _changed(src)
+    return b"".join(parts)  # one part is returned as it is
+
+
+def windows(src: BinaryIO, dmap: DistributionMap) -> Iterator[tuple[bytearray, DistributionMap]]:
+    """The next ``dmap.file_size`` bytes of ``src``, window by window:
+    each window's bytes with its map.  The bytes are read with
+    ``readinto`` into one reused buffer, so a window's bytes are
+    overwritten by the next.  The source must end there: a short source
+    or one with bytes left raises IoFailure."""
+    require_exact(dmap)
+    buf = bytearray()
+    for wmap in _window_maps(dmap):
+        if len(buf) != wmap.file_size:  # the head window, the first later one, the last one
+            buf = bytearray(wmap.file_size)
+        view = memoryview(buf)
+        while view:
+            got = src.readinto(view)
+            if not got:
+                raise _changed(src)
+            view = view[got:]
+        yield buf, wmap
+    if src.read(1):
+        raise _changed(src)
+
+
+def fragment_windows(
+    sources: list[BinaryIO], dmap: DistributionMap
+) -> Iterator[tuple[list[Fragment], DistributionMap]]:
+    """The fragments of the file, window by window, read from one source
+    per map entry holding exactly that entry's fragment (as
+    ``store.read_fragments`` checks): each window's share of every
+    fragment, in entry order, with the window's map."""
+    require_exact(dmap)
+    for wmap in _window_maps(dmap):
+        n = wmap.file_size
+        yield [Fragment(_ref(e), _read(src, e.selection.total(n))) for e, src in zip(wmap.entries, sources)], wmap
+
+
+def write_all(sink: BinaryIO, data) -> None:
+    """Write every byte, however many calls an unbuffered sink takes."""
+    view = memoryview(data)
+    try:
+        while view:
+            view = view[sink.write(view) :]
+    except OSError as exc:
+        raise IoFailure(getattr(sink, "name", "stream"), f"cannot write ({exc.strerror})") from exc
+
+
+def _split(data: bytes | bytearray, view: memoryview, plan: Plan) -> list:
+    """One entry's bytes, as the consecutive parts of its fragment."""
+    body, strided, runs = plan
+    head = bytearray(body)
+    for src, dst in strided:
+        head[dst] = data[src]  # a step slice of bytes copies faster than a strided memoryview
+    return [head, *(view[start : start + n] for start, n in runs)]
+
+
+def _merge(out: bytearray, payload: bytes, plan: Plan) -> None:
+    """Put one entry's bytes, as ``_split`` took them, back."""
+    pos, strided, runs = plan
+    for dst, src in strided:
+        out[dst] = payload[src]
+    view = memoryview(payload)
+    for start, n in runs:
+        out[start : start + n] = view[pos : pos + n]
+        pos += n
+
+
+def scatter(data: bytes | bytearray, dmap: DistributionMap) -> list[Fragment]:
     """One fragment per map entry, in entry order; empty payloads are
     materialized."""
     if len(data) != dmap.file_size:
         raise SizeMismatch(f"data is {len(data)} bytes but the map addresses {dmap.file_size}")
-    _require_exact(dmap)
-    data = bytes(data)
+    plans = _plans(dmap)
+    if not isinstance(data, (bytes, bytearray)):
+        data = bytes(data)
     view = memoryview(data)
-    fragments = []
-    for entry in dmap.entries:
-        body, strided, runs = _copy_plan(entry, dmap.file_size)
-        head = bytearray(body)
-        for src, dst in strided:
-            head[dst] = data[src]  # a bytes step slice copies faster than a strided memoryview
-        payload = b"".join([head, *(view[start : start + n] for start, n in runs)])
-        fragments.append(Fragment((entry.island, entry.host, entry.device_id), payload))
-    return fragments
+    return [Fragment(_ref(entry), b"".join(_split(data, view, plan))) for entry, plan in zip(dmap.entries, plans)]
 
 
-def gather(fragments: list[Fragment], dmap: DistributionMap) -> bytes:
+def gather(fragments: list[Fragment], dmap: DistributionMap) -> bytearray:
     """Rebuild the logical file from one fragment per map entry, in entry
-    order; inverse of scatter for exact partitions."""
-    _require_exact(dmap)
+    order; inverse of scatter for exact partitions.  The file comes back
+    in the buffer it was rebuilt in, without a copy to ``bytes``."""
+    require_exact(dmap)
     if len(fragments) < len(dmap.entries):
         raise MissingFragment(f"no fragment for device {dmap.entries[len(fragments)].label}")
     if len(fragments) > len(dmap.entries):
         raise ExtraFragment(f"{len(fragments)} fragments for {len(dmap.entries)} map entries")
     for i, (entry, frag) in enumerate(zip(dmap.entries, fragments)):
-        if frag.device_ref != (entry.island, entry.host, entry.device_id):
+        if frag.device_ref != _ref(entry):
             raise MissingFragment(
                 f"position {i} holds the fragment for {'/'.join(frag.device_ref)}, not for device {entry.label}"
             )
@@ -98,13 +261,6 @@ def gather(fragments: list[Fragment], dmap: DistributionMap) -> bytes:
                 f"fragment for {entry.label} has {len(frag.payload)} bytes, extents total {expected}"
             )
     out = bytearray(dmap.file_size)  # only once the fragments account for every byte
-    for entry, frag in zip(dmap.entries, fragments):
-        payload = frag.payload
-        pos, strided, runs = _copy_plan(entry, dmap.file_size)
-        for dst, src in strided:
-            out[dst] = payload[src]
-        view = memoryview(payload)
-        for start, n in runs:
-            out[start : start + n] = view[pos : pos + n]
-            pos += n
-    return bytes(out)
+    for frag, plan in zip(fragments, _plans(dmap)):
+        _merge(out, frag.payload, plan)
+    return out

@@ -10,33 +10,52 @@ of its own).
 Descriptor devices are resolved against layout devices positionally: the
 descriptors in circulation happily reuse one device id on every server,
 so ids are advisory and order is authoritative.  Fragments stay in
-map-entry order throughout: ``put_file`` writes what ``scatter``
-returns, and ``read_fragments`` (shared with ``xdgdl gather``) reads
-them back for ``gather``, which checks their lengths.
+map-entry order throughout.
+
+``put_file`` and ``get_file`` are the store's only write and read path,
+and they stream: ``put_file`` reads a binary stream and ``get_file``
+writes one, window by window (see ``scatter``), so memory stays bounded
+by the window, not by the file.  Callers holding bytes pass
+``io.BytesIO``; a stream that cannot seek, such as a pipe, is read
+whole first (``measured``).  Every output file is written to
+``<path>.tmp`` through an unbuffered handle and renamed into place
+(``committed``), so no reader sees a half-written file.  A put writes
+the fragments, then ``.vd.<name>`` and its ``.size``, then the stub, so
+storing a name again with another TIMESTAMP reads back the new bytes
+(the old fragments stay on disk).  ``read_fragments``, shared with
+``xdgdl gather``, is the one place that opens fragment files; it checks
+every length before a byte is written.
 """
 
 from __future__ import annotations
 
+import io
 import logging
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from typing import BinaryIO, Iterator
 
 from .config import VipfsConfig
 from .errors import (
     DuplicateTimestamp,
     EmptyDeviceList,
     IoFailure,
+    LengthMismatch,
     MissingFragment,
     MissingManifest,
     RosterMismatch,
     XdgdlError,
 )
 from .model import Document, parse_document, serialize_document, validate_document
-from .scatter import Fragment, gather, scatter
+from .scatter import fragment_windows, gather, require_exact, scatter, windows, write_all
 from .views import DistributionMap, build_distribution_map
 
-__all__ = ["LayoutDevice", "GridLayout", "StoredFile", "init_store", "put_file", "get_file", "read_fragments"]
+__all__ = [
+    "LayoutDevice", "GridLayout", "StoredFile", "init_store", "put_file", "get_file", "read_fragments", "committed",
+    "measured",
+]
 
 log = logging.getLogger(__name__)
 
@@ -95,13 +114,53 @@ def init_store(cfg: VipfsConfig) -> GridLayout:
     return GridLayout(root=root, devices=tuple(devices))
 
 
-def _write_atomic(path: Path, payload: bytes) -> None:
-    tmp = path.with_name(path.name + ".tmp")
+@contextmanager
+def committed(paths: list[Path]) -> Iterator[list[BinaryIO]]:
+    """Unbuffered handles on ``<path>.tmp``, one per path, each renamed
+    over its path once the block succeeds.  If the block fails, the
+    ``.tmp`` files are removed and no path is touched."""
+    tmps = [path.with_name(path.name + ".tmp") for path in paths]
+    sinks: list[BinaryIO] = []
     try:
-        tmp.write_bytes(payload)
-        os.replace(tmp, path)
+        try:
+            for tmp in tmps:
+                sinks.append(_writing(tmp, open, tmp, "wb", buffering=0))
+            yield sinks
+        finally:
+            for sink in sinks:
+                sink.close()
+        for tmp, path in zip(tmps, paths):
+            _writing(path, os.replace, tmp, path)
+    except BaseException:
+        for tmp in tmps:
+            tmp.unlink(missing_ok=True)
+        raise
+
+
+def _writing(path: Path, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``, an OSError raised as IoFailure on ``path``."""
+    try:
+        return fn(*args, **kwargs)
     except OSError as exc:
-        raise IoFailure(path, f"cannot write ({exc})") from exc
+        raise IoFailure(path, f"cannot write ({exc.strerror})") from exc
+
+
+def measured(src: BinaryIO) -> tuple[BinaryIO, int]:
+    """The stream and the count of bytes left in it, taken from its end.
+    A stream that cannot seek, such as a pipe, is read whole and comes
+    back as ``io.BytesIO``."""
+    if not src.seekable():
+        data = src.read()
+        return io.BytesIO(data), len(data)
+    here = src.tell()
+    size = src.seek(0, os.SEEK_END) - here
+    src.seek(here)
+    return src, size
+
+
+def _write_atomic(path: Path, payload: bytes) -> None:
+    with committed([path]) as (sink,):
+        write_all(sink, payload)
 
 
 def _devices_for(dmap: DistributionMap, layout: GridLayout) -> tuple[LayoutDevice, ...]:
@@ -116,24 +175,28 @@ def _devices_for(dmap: DistributionMap, layout: GridLayout) -> tuple[LayoutDevic
 def put_file(
     layout: GridLayout,
     name: str,
-    data: bytes,
+    src: BinaryIO,
     manifest: Document,
     manifest_text: bytes | None = None,
 ) -> StoredFile:
-    """Scatter data per the manifest and persist fragments plus metadata.
+    """Scatter the rest of the stream per the manifest and persist
+    fragments plus metadata.
 
+    The size is taken once (``measured``); a source that then shrinks or
+    grows raises IoFailure and leaves no fragment behind.
     When the caller holds the descriptor's original text (a user-supplied
     sidecar), passing it keeps the stored ``.vd.`` file byte-identical to
     it; otherwise the manifest is serialized canonically.
     """
-    dmap = build_distribution_map(manifest, len(data))
+    src, size = measured(src)
+    dmap = build_distribution_map(manifest, size)
     devices = _devices_for(dmap, layout)
     for entry, device in zip(dmap.entries, devices):
         if entry.device_id != device.device_id:
             log.warning(
                 "descriptor device %s resolved positionally to %s", entry.device_id, device.directory
             )
-    fragments = scatter(data, dmap)  # raises NotAPartition before anything is written
+    require_exact(dmap)  # raises NotAPartition before anything is written
 
     timestamp = manifest.timestamp
     frag_paths = tuple(device.directory / f"{timestamp}.frag" for device in devices)
@@ -141,21 +204,21 @@ def put_file(
         if path.exists():
             raise DuplicateTimestamp(f"fragment {path} already exists")
 
-    for frag, path in zip(fragments, frag_paths):
-        _write_atomic(path, frag.payload)
-
-    manifest_path = layout.root / f".vd.{name}"
-    if not manifest_path.exists():
-        if manifest_text is None:
-            manifest_text = serialize_document(manifest).encode("iso-8859-1", "xmlcharrefreplace")
-        _write_atomic(manifest_path, manifest_text)
-        _write_atomic(layout.root / f".vd.{name}.size", f"{len(data)}\n".encode("ascii"))
+    with committed(list(frag_paths)) as sinks:
+        for data, wmap in windows(src, dmap):
+            for sink, frag in zip(sinks, scatter(data, wmap)):
+                write_all(sink, frag.payload)
+    if manifest_text is None:
+        manifest_text = serialize_document(manifest).encode("iso-8859-1", "xmlcharrefreplace")
+    _write_atomic(layout.root / f".vd.{name}", manifest_text)
+    _write_atomic(layout.root / f".vd.{name}.size", f"{dmap.file_size}\n".encode("ascii"))
     _write_atomic(layout.root / name, b"")  # 0-byte stub marks the file as stored
     return StoredFile(timestamp_id=timestamp, manifest=manifest, fragment_paths=frag_paths)
 
 
-def get_file(layout: GridLayout, name: str) -> bytes:
-    """Rebuild a stored file from its manifest and fragments."""
+def get_file(layout: GridLayout, name: str, dst: BinaryIO) -> None:
+    """Rebuild a stored file from its manifest and fragments into ``dst``;
+    every check passes before the first byte is written."""
     manifest_path = layout.root / f".vd.{name}"
     if not manifest_path.exists():
         raise MissingManifest(f"no stored descriptor for {name!r}")
@@ -176,16 +239,29 @@ def get_file(layout: GridLayout, name: str) -> bytes:
         raise MissingManifest(f"stored size for {name!r} is corrupt: {raw_size!r}")
     dmap = build_distribution_map(manifest, int(raw_size))
     paths = [device.directory / f"{manifest.timestamp}.frag" for device in _devices_for(dmap, layout)]
-    return gather(read_fragments(dmap, paths), dmap)
+    require_exact(dmap)
+    with read_fragments(dmap, paths) as sources:
+        for fragments, wmap in fragment_windows(sources, dmap):
+            write_all(dst, gather(fragments, wmap))
 
 
-def read_fragments(dmap: DistributionMap, paths: list[Path]) -> list[Fragment]:
-    """Each entry's fragment, read from the file at the same position."""
-    fragments = []
-    for entry, path in zip(dmap.entries, paths):
-        try:
-            payload = path.read_bytes()
-        except FileNotFoundError:
-            raise MissingFragment(f"device {entry.label} has no fragment at {path}") from None
-        fragments.append(Fragment((entry.island, entry.host, entry.device_id), payload))
-    return fragments
+@contextmanager
+def read_fragments(dmap: DistributionMap, paths: list[Path]) -> Iterator[list[BinaryIO]]:
+    """Each entry's fragment file, open for reading, once every file is
+    there and holds exactly the entry's byte count."""
+    sources: list[BinaryIO] = []
+    try:
+        for entry, path in zip(dmap.entries, paths):
+            try:
+                sources.append(open(path, "rb", buffering=0))
+            except FileNotFoundError:
+                raise MissingFragment(f"device {entry.label} has no fragment at {path}") from None
+            except OSError as exc:
+                raise IoFailure(path, f"cannot read fragment ({exc.strerror})") from exc
+            expected, actual = entry.selection.total(dmap.file_size), os.fstat(sources[-1].fileno()).st_size
+            if actual != expected:
+                raise LengthMismatch(f"fragment for {entry.label} has {actual} bytes, extents total {expected}")
+        yield sources
+    finally:
+        for source in sources:
+            source.close()

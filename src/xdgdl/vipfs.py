@@ -25,7 +25,7 @@ from .model import (
     parse_document,
     validate_document,
 )
-from .store import StoredFile, get_file, init_store, put_file
+from .store import StoredFile, committed, get_file, init_store, put_file
 from .views import round_robin_view
 
 __all__ = [
@@ -112,7 +112,7 @@ def copy_in(cfg: VipfsConfig, src: Path) -> tuple[StoredFile, str | None]:
     """
     layout = init_store(cfg)
     try:
-        data = src.read_bytes()
+        stream = open(src, "rb", buffering=0)
     except OSError as exc:
         raise IoFailure(src, f"cannot read source file ({exc})") from exc
     sidecar = locate_sidecar(src)
@@ -120,17 +120,16 @@ def copy_in(cfg: VipfsConfig, src: Path) -> tuple[StoredFile, str | None]:
         descriptor = sidecar.document
     else:
         descriptor = default_descriptor(cfg, timestamp_for_name(src.name))
-    stored = put_file(layout, src.name, data, descriptor, manifest_text=sidecar.text)
+    with stream:
+        stored = put_file(layout, src.name, stream, descriptor, manifest_text=sidecar.text)
     return stored, sidecar.diagnostic
 
 
 def copy_out(cfg: VipfsConfig, name: str, dst: Path) -> Path:
-    """Rebuild a stored file and write it to dst (or into dst if a dir)."""
+    """Rebuild a stored file into dst (or into dst if a dir).  The bytes
+    go to ``<target>.tmp`` first, so a failed copy leaves no target."""
     layout = init_store(cfg)
-    data = get_file(layout, name)
     target = dst / name if dst.is_dir() else dst
-    try:
-        target.write_bytes(data)
-    except OSError as exc:
-        raise IoFailure(target, f"cannot write destination ({exc})") from exc
+    with committed([target]) as (sink,):
+        get_file(layout, name, sink)
     return target

@@ -157,3 +157,37 @@ def random_document(rng: random.Random) -> Document:
         processors=processors,
         aligns=aligns,
     )
+
+
+def random_partition_views(rng: random.Random, devices: int, period: int, run_max: int) -> list:
+    """Views (None for NOVIEW) dealing every byte to exactly one device.
+
+    Runs of 1..run_max bytes of one period go to random devices; each
+    device's view skips, as its header, the bytes before its first run
+    and then repeats the period rotated to start there, written out one
+    to three times, so headers and periods are unequal and a device's
+    last piece may wrap into its first.  A device dealt nothing is NOVIEW.
+    """
+    from xdgdl import Extent, view_selecting
+
+    owner = []
+    while len(owner) < period:
+        owner += [rng.randrange(devices)] * rng.randint(1, run_max)
+    owner = owner[:period]
+    views = []
+    for d in range(devices):
+        if d not in owner:
+            views.append(None)
+            continue
+        header = owner.index(d)
+        rotated = (owner[header:] + owner[:header]) * rng.randint(1, 3)
+        runs = []
+        for i, o in enumerate(rotated):
+            if o == d:
+                if runs and runs[-1].end == i:
+                    runs[-1] = Extent(runs[-1].start, runs[-1].length + 1)
+                else:
+                    runs.append(Extent(i, 1))
+        view = view_selecting(runs, len(rotated))
+        views.append(ViewDecl(header, view.skip, view.blocks))
+    return views

@@ -100,6 +100,23 @@ class TestScatterGather:
         assert "overlap" in err
         assert "gap 17:7" in err
 
+    @pytest.mark.parametrize("extra, code", [("003.frag", 4), ("\u00b2.frag", 0), ("1.frag.bak", 0)])
+    def test_gather_extra_fragment_exits_4(self, tmp_path, capsys, extra, code):
+        desc = tmp_path / "three.xml"
+        desc.write_text(THREE_SERVER_BALANCED_XML)
+        src = tmp_path / "input.bin"
+        src.write_bytes(random.Random(22).randbytes(82))
+        frag_dir = tmp_path / "frags"
+        assert main(["scatter", str(src), str(desc), "--out", str(frag_dir)]) == 0
+        (frag_dir / extra).write_bytes(b"")
+        out = tmp_path / "rebuilt.bin"
+        assert main(["gather", str(desc), "--frags", str(frag_dir), "--size", "82", "--out", str(out)]) == code
+        if code:  # a fragment number past the entries
+            assert "003.frag" in capsys.readouterr().err
+            assert not out.exists()
+        else:  # not a fragment name
+            assert out.read_bytes() == src.read_bytes()
+
     def test_gather_missing_fragment_exits_4(self, two_server, tmp_path, capsys):
         frag_dir = tmp_path / "nofrags"
         frag_dir.mkdir()
@@ -155,6 +172,15 @@ class TestCp:
         assert main(["cp-out", "data.bin", str(store_env / "back.bin")]) == 4
         assert "is corrupt" in capsys.readouterr().err
         assert not (store_env / "back.bin").exists()
+
+    def test_recopy_with_another_timestamp_reads_back_the_new_bytes(self, store_env, capsys):
+        src = store_env / "again"
+        for version, stamp in ((b"old" * 30, "first_copy"), (b"new" * 30, "second_copy")):
+            src.write_bytes(version)
+            (store_env / ".vd.again").write_text(TWO_SERVER_XML.replace("testfile_regular", stamp))
+            assert main(["cp-in", str(src)]) == 0
+            assert main(["cp-out", "again", str(store_env / "back")]) == 0
+            assert (store_env / "back").read_bytes() == version
 
     def test_cp_out_unknown_name_exits_4(self, store_env, capsys):
         assert main(["cp-out", "ghost", str(store_env / "g")]) == 4

@@ -101,7 +101,7 @@ def assert_moves_like_the_painter(views, size: int, seed: int = 0):
 
 
 def strided(dmap, device: int = 0) -> bool:
-    return bool(_copy_plan(dmap.entries[device], dmap.file_size)[1])
+    return bool(_copy_plan(dmap.entries[device].selection, dmap.file_size)[1])
 
 
 def byte_view(offset, repeat, count, stride, skip=0, skip_header=0):

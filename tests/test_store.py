@@ -1,3 +1,4 @@
+import io
 import random
 
 import pytest
@@ -39,6 +40,16 @@ def two_server_manifest():
     return parse_document(TWO_SERVER_XML)
 
 
+def put(layout, name, data, manifest):
+    return put_file(layout, name, io.BytesIO(data), manifest)
+
+
+def get(layout, name):
+    out = io.BytesIO()
+    get_file(layout, name, out)
+    return out.getvalue()
+
+
 class TestInit:
     def test_creates_directories(self, cfg):
         layout = init_store(cfg)
@@ -68,7 +79,7 @@ class TestInit:
 class TestPutFile:
     def test_fragments_stub_and_sidecars(self, layout):
         data = bytes(i % 251 for i in range(72))
-        stored = put_file(layout, "testfile", data, two_server_manifest())
+        stored = put(layout, "testfile", data, two_server_manifest())
         sizes = [p.stat().st_size for p in stored.fragment_paths]
         assert sizes == [30, 42]
         assert (layout.root / "testfile").stat().st_size == 0
@@ -76,14 +87,14 @@ class TestPutFile:
         assert (layout.root / ".vd.testfile.size").read_text() == "72\n"
 
     def test_empty_file(self, layout):
-        stored = put_file(layout, "nil", b"", two_server_manifest())
+        stored = put(layout, "nil", b"", two_server_manifest())
         assert [p.stat().st_size for p in stored.fragment_paths] == [0, 0]
         assert (layout.root / "nil").stat().st_size == 0
 
     def test_duplicate_timestamp(self, layout):
-        put_file(layout, "one", b"a" * 36, two_server_manifest())
+        put(layout, "one", b"a" * 36, two_server_manifest())
         with pytest.raises(DuplicateTimestamp):
-            put_file(layout, "two", b"b" * 36, two_server_manifest())
+            put(layout, "two", b"b" * 36, two_server_manifest())
 
     def test_partition_required(self, layout):
         overlapping = parse_document(
@@ -91,7 +102,7 @@ class TestPutFile:
                                    'OFFSET="0" REPEAT="3"\n            COUNT="7" STRIDE="5"')
         )
         with pytest.raises(NotAPartition):
-            put_file(layout, "bad", b"c" * 72, overlapping)
+            put(layout, "bad", b"c" * 72, overlapping)
 
     def test_manifest_with_more_devices_than_layout(self, cfg, tmp_path):
         single = VipfsConfig(
@@ -104,10 +115,10 @@ class TestPutFile:
         )
         layout = init_store(single)
         with pytest.raises(RosterMismatch):
-            put_file(layout, "f", b"d" * 72, two_server_manifest())
+            put(layout, "f", b"d" * 72, two_server_manifest())
 
     def test_no_leftover_temp_files(self, layout):
-        put_file(layout, "t", b"e" * 72, two_server_manifest())
+        put(layout, "t", b"e" * 72, two_server_manifest())
         for device in layout.devices:
             assert not list(device.directory.glob("*.tmp"))
         assert not list(layout.root.glob("*.tmp"))
@@ -116,47 +127,47 @@ class TestPutFile:
 class TestGetFile:
     def test_round_trip(self, layout):
         data = bytes(i % 256 for i in range(72))
-        put_file(layout, "testfile", data, two_server_manifest())
-        assert get_file(layout, "testfile") == data
+        put(layout, "testfile", data, two_server_manifest())
+        assert get(layout, "testfile") == data
 
     def test_unknown_name(self, layout):
         with pytest.raises(MissingManifest):
-            get_file(layout, "ghost")
+            get(layout, "ghost")
 
     def test_deleted_fragment_names_device(self, layout):
-        stored = put_file(layout, "testfile", b"f" * 72, two_server_manifest())
+        stored = put(layout, "testfile", b"f" * 72, two_server_manifest())
         stored.fragment_paths[1].unlink()
         with pytest.raises(MissingFragment) as err:
-            get_file(layout, "testfile")
+            get(layout, "testfile")
         assert "vipclus9.pri.univie.ac.at" in str(err.value)
 
     def test_truncated_fragment(self, layout):
-        stored = put_file(layout, "testfile", b"g" * 72, two_server_manifest())
+        stored = put(layout, "testfile", b"g" * 72, two_server_manifest())
         stored.fragment_paths[0].write_bytes(b"short")
         with pytest.raises(LengthMismatch) as err:
-            get_file(layout, "testfile")
+            get(layout, "testfile")
         assert "vipios.pri.univie.ac.at" in str(err.value)
 
     def test_oversized_size_sidecar_allocates_nothing(self, layout):
         # a 1 PB size must fail on the fragment lengths, before the
         # output buffer is allocated
-        put_file(layout, "testfile", b"h" * 72, two_server_manifest())
+        put(layout, "testfile", b"h" * 72, two_server_manifest())
         (layout.root / ".vd.testfile.size").write_bytes(b"%d\n" % 10**15)
         with pytest.raises(LengthMismatch):
-            get_file(layout, "testfile")
+            get(layout, "testfile")
 
     @pytest.mark.parametrize("raw", [b"\xff\n", "\u00b2\n".encode()])
     def test_corrupt_size_sidecar(self, layout, raw):
-        put_file(layout, "testfile", b"h" * 72, two_server_manifest())
+        put(layout, "testfile", b"h" * 72, two_server_manifest())
         (layout.root / ".vd.testfile.size").write_bytes(raw)
         with pytest.raises(MissingManifest, match="stored size for 'testfile' is corrupt"):
-            get_file(layout, "testfile")
+            get(layout, "testfile")
 
     def test_default_descriptor_round_trip(self, cfg, layout):
         data = random.Random(1).randbytes(3 * 4096 + 17)
         manifest = default_descriptor(cfg, "cyclic_demo")
-        put_file(layout, "big", data, manifest)
-        assert get_file(layout, "big") == data
+        put(layout, "big", data, manifest)
+        assert get(layout, "big") == data
 
 
 class TestRandomManifests:
@@ -196,8 +207,8 @@ class TestRandomManifests:
         for i, size in enumerate([0, 1, 4096, 700_001, 1 << 20]):
             data = rng.randbytes(size)
             manifest = self.random_manifest(rng, cfg, size, f"rand_{i}")
-            put_file(layout, f"file{i}", data, manifest)
-            assert get_file(layout, f"file{i}") == data
+            put(layout, f"file{i}", data, manifest)
+            assert get(layout, f"file{i}") == data
             total = sum(
                 (device.directory / f"rand_{i}.frag").stat().st_size
                 for device in layout.devices

@@ -1,0 +1,324 @@
+"""The windowed data path: ``cp-in``, ``cp-out``, ``xdgdl scatter`` and
+``xdgdl gather`` move files window by window, ``scatter`` or ``gather``
+moving each window that ``windows`` or ``fragment_windows`` reads.
+Most tests shrink ``WINDOW_BYTES`` to one to three lcm periods so that
+small files cross many windows."""
+
+import dataclasses
+import importlib
+import io
+import math
+import os
+import random
+import threading
+import tracemalloc
+
+import pytest
+
+from descriptors import CONFIG_TEMPLATE, THREE_SERVER_BALANCED_XML
+from gen import random_partition_views
+from test_selection import doc_of, expected_payloads
+from xdgdl import (
+    IoFailure,
+    build_distribution_map,
+    copy_in,
+    copy_out,
+    gather,
+    get_file,
+    init_store,
+    parse_config,
+    parse_document,
+    put_file,
+    scatter,
+    serialize_document,
+)
+from xdgdl import cli
+from xdgdl.cli import main
+
+stream = importlib.import_module("xdgdl.scatter")  # the package's ``scatter`` is the function
+store = importlib.import_module("xdgdl.store")
+vipfs = importlib.import_module("xdgdl.vipfs")
+
+
+@pytest.fixture
+def cfg(tmp_path):
+    return parse_config(CONFIG_TEMPLATE.format(root=tmp_path / "grid"))
+
+
+@pytest.fixture
+def store_env(tmp_path, monkeypatch):
+    conf = tmp_path / "ViPIOS.conf"
+    conf.write_text(CONFIG_TEMPLATE.format(root=tmp_path / "grid"))
+    monkeypatch.setenv("VIP_CONF", str(conf))
+    monkeypatch.delenv("VIP_DIR", raising=False)
+    return tmp_path
+
+
+def lcm_of(dmap) -> int:
+    return math.lcm(*(e.selection.period for e in dmap.entries if e.selection.pieces))
+
+
+def window_sizes(dmap) -> list[int]:
+    """0, the largest header, both sides of the first window edges, and
+    two sizes for maps whose one window is longer than any test file."""
+    head, width = stream._windows(dmap)
+    header = max((e.selection.header for e in dmap.entries if e.selection.pieces), default=0)
+    edges = [head + j * width + d for j in range(3) for d in (-1, 0, 1)]
+    return sorted({0, 1, 37, header, *(s for s in edges if 0 <= s <= 20_000)})
+
+
+def scatter_stream(data: bytes, dmap) -> list[bytes]:
+    """The fragments as the store and the CLI write them, window by window."""
+    sinks = [io.BytesIO() for _ in dmap.entries]
+    for window, wmap in stream.windows(io.BytesIO(data), dmap):
+        for sink, frag in zip(sinks, scatter(window, wmap)):
+            sink.write(frag.payload)
+    return [s.getvalue() for s in sinks]
+
+
+def gather_stream(payloads: list[bytes], dmap) -> bytes:
+    """The file as the store and the CLI rebuild it, window by window."""
+    sources = [io.BytesIO(p) for p in payloads]
+    return b"".join(gather(fragments, wmap) for fragments, wmap in stream.fragment_windows(sources, dmap))
+
+
+def get_bytes(layout, name) -> bytes:
+    out = io.BytesIO()
+    get_file(layout, name, out)
+    return out.getvalue()
+
+
+def test_windowed_paths_match_the_painter_and_the_library(cfg, monkeypatch, tmp_path):
+    rng = random.Random(2024)
+    layout = init_store(cfg)
+    seen = {"multi": 0, "strided": 0, "runs": 0, "wrapping": 0, "noview": 0}
+    for case in range(45):
+        devices = rng.randint(1, 3)
+        if case % 15 == 0:  # all NOVIEW: the first device takes the file in one window
+            views = [None] * devices
+        else:
+            views = random_partition_views(rng, devices, rng.randint(1, 24), rng.choice([1, 2, 9]))
+        doc = doc_of(views)
+        seen["noview"] += None in views
+        monkeypatch.setattr(stream, "WINDOW_BYTES", rng.randint(1, 3) * lcm_of(build_distribution_map(doc, 0)))
+        for size in window_sizes(build_distribution_map(doc, 0)):
+            data = rng.randbytes(size)
+            dmap = build_distribution_map(doc, size)
+            expected = expected_payloads(views, data)
+            assert [f.payload for f in scatter(data, dmap)] == expected
+            assert scatter_stream(data, dmap) == expected, (case, size)
+            assert gather_stream(expected, dmap) == data == gather(scatter(data, dmap), dmap)
+
+            name = f"c{case}_{size}"
+            stored = put_file(layout, name, io.BytesIO(data), dataclasses.replace(doc, timestamp=name))
+            assert [p.read_bytes() for p in stored.fragment_paths] == expected
+            assert get_bytes(layout, name) == data
+
+            head, width = stream._windows(dmap)
+            if size > head:
+                seen["multi"] += 1
+                for entry in dmap.entries:
+                    sel = entry.selection
+                    if sel.pieces:
+                        later = stream._shifted(sel, head)
+                        seen["strided" if stream._copy_plan(later, width)[1] else "runs"] += 1
+                        seen["wrapping"] += later.pieces[0][0] == 0 and sum(later.pieces[-1]) == later.period
+    assert all(seen.values()), seen
+
+
+def test_cli_commands_cross_windows(store_env, monkeypatch, capsys):
+    tmp_path = store_env
+    doc = parse_document(THREE_SERVER_BALANCED_XML)
+    period = lcm_of(build_distribution_map(doc, 0))
+    monkeypatch.setattr(stream, "WINDOW_BYTES", 2 * period)
+    for size in (0, 2 * period - 1, 2 * period + 1, 7 * period + 3):
+        data = random.Random(size).randbytes(size)
+        work = tmp_path / f"w{size}"
+        work.mkdir()
+        (work / "f").write_bytes(data)
+        (work / ".vd.f").write_text(THREE_SERVER_BALANCED_XML.replace("regular_multilevel", f"t{size}"))
+        expected = [f.payload for f in scatter(data, build_distribution_map(doc, size))]
+        assert main(["cp-in", str(work / "f")]) == 0
+        assert main(["cp-out", "f", str(work / "back")]) == 0
+        assert (work / "back").read_bytes() == data
+        assert main(["scatter", str(work / "f"), str(work / ".vd.f"), "--out", str(work / "frags")]) == 0
+        assert [(work / "frags" / f"00{i}.frag").read_bytes() for i in range(3)] == expected
+        gathered = str(work / "g")
+        assert main(["gather", str(work / ".vd.f"), "--frags", str(work / "frags"), "--size", str(size), "--out", gathered]) == 0
+        assert (work / "g").read_bytes() == data
+        assert not list(work.rglob("*.tmp"))
+
+
+def test_steady_window_plan_is_built_once(monkeypatch):
+    doc = parse_document(THREE_SERVER_BALANCED_XML)
+    period = lcm_of(build_distribution_map(doc, 0))
+    monkeypatch.setattr(stream, "WINDOW_BYTES", period)
+    size = 50 * period + 7
+    dmap = build_distribution_map(doc, size)
+    calls = []
+    real = stream._copy_plan
+    monkeypatch.setattr(stream, "_copy_plan", lambda sel, n: calls.append(n) or real(sel, n))
+    data = random.Random(5).randbytes(size)
+    payloads = scatter_stream(data, dmap)
+    assert len(calls) == 3 * 3  # head, steady and last window, per entry
+    assert gather_stream(payloads, dmap) == data
+    assert len(calls) == 2 * 3 * 3  # as many again to gather
+    assert payloads == [f.payload for f in scatter(data, dmap)]
+
+
+def test_memory_is_bounded_by_the_window(cfg, tmp_path):
+    src = tmp_path / "big"
+    src.write_bytes(bytes(range(256)) * 262144)  # 64 MiB, default round-robin
+    tracemalloc.start()
+    try:
+        copy_in(cfg, src)
+        copy_out(cfg, "big", tmp_path / "back")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, peak
+    with open(src, "rb") as a, open(tmp_path / "back", "rb") as b:
+        while chunk := a.read(1 << 20):
+            assert chunk == b.read(1 << 20)
+
+
+class ShortReads(io.FileIO):
+    """A file whose every read delivers one byte less than asked, so it
+    ends before its stat size."""
+
+    def read(self, n=-1):
+        return super().read(max(0, n - 1))
+
+    def readinto(self, buffer):
+        return super().readinto(memoryview(buffer)[: max(0, len(buffer) - 1)])
+
+
+class OneByteMore(io.FileIO):
+    """A file that has grown by one byte since its size was taken."""
+
+    def seek(self, pos, whence=os.SEEK_SET):
+        end = super().seek(pos, whence)
+        return end - 1 if whence == os.SEEK_END else end
+
+
+def opening(cls):
+    """An ``open`` that hands out ``cls`` for reading."""
+    return lambda path, mode="r", buffering=-1: cls(path) if mode == "rb" else open(path, mode, buffering=buffering)
+
+
+WINDOWS = pytest.mark.parametrize("window", [None, 64], ids=["one_window", "many_windows"])
+
+
+@WINDOWS
+@pytest.mark.parametrize("reader", [ShortReads, OneByteMore])
+def test_cp_in_of_a_changing_source_leaves_nothing(store_env, monkeypatch, capsys, window, reader):
+    if window:
+        monkeypatch.setattr(stream, "WINDOW_BYTES", window)
+    src = store_env / "moving"
+    src.write_bytes(random.Random(3).randbytes(40_000))  # past 3 periods of the default 3 x 4096 stripe
+    monkeypatch.setattr(vipfs, "open", opening(reader), raising=False)
+    assert main(["cp-in", str(src)]) == 4
+    assert "size changed while copying" in capsys.readouterr().err
+    grid = store_env / "grid"
+    assert [p.name for p in grid.rglob("*") if p.is_file()] == []
+
+
+@WINDOWS
+@pytest.mark.parametrize("reader", [ShortReads, OneByteMore])
+def test_scatter_of_a_changing_source_leaves_nothing(tmp_path, monkeypatch, capsys, window, reader):
+    if window:
+        monkeypatch.setattr(stream, "WINDOW_BYTES", window)
+    desc = tmp_path / "d.xml"
+    desc.write_text(THREE_SERVER_BALANCED_XML)
+    src = tmp_path / "in"
+    src.write_bytes(random.Random(4).randbytes(5000))
+    monkeypatch.setattr(cli, "open", opening(reader), raising=False)
+    assert main(["scatter", str(src), str(desc), "--out", str(tmp_path / "frags")]) == 4
+    assert "size changed while copying" in capsys.readouterr().err
+    assert list((tmp_path / "frags").iterdir()) == []
+
+
+@WINDOWS
+def test_failed_gather_and_cp_out_leave_the_destination_alone(store_env, monkeypatch, capsys, window):
+    if window:
+        monkeypatch.setattr(stream, "WINDOW_BYTES", window)
+    data = random.Random(6).randbytes(40_000)
+    src = store_env / "kept"
+    src.write_bytes(data)
+    desc = store_env / "d.xml"
+    desc.write_text(serialize_document(parse_document(THREE_SERVER_BALANCED_XML)))
+    assert main(["cp-in", str(src)]) == 0
+    assert main(["scatter", str(src), str(desc), "--out", str(store_env / "frags")]) == 0
+    for target in ("back", "g"):
+        (store_env / target).write_bytes(b"old")
+    monkeypatch.setattr(store, "open", opening(ShortReads), raising=False)
+    assert main(["cp-out", "kept", str(store_env / "back")]) == 4
+    argv = ["gather", str(desc), "--frags", str(store_env / "frags"), "--size", "40000", "--out", str(store_env / "g")]
+    assert main(argv) == 4
+    assert capsys.readouterr().err.count("size changed while copying") == 2
+    assert (store_env / "back").read_bytes() == (store_env / "g").read_bytes() == b"old"
+    assert not list(store_env.rglob("*.tmp"))
+
+
+def test_put_file_of_a_short_stream_raises_io_failure(cfg):
+    class Claims(io.BytesIO):  # its end is one byte past its data
+        def seek(self, pos, whence=os.SEEK_SET):
+            end = super().seek(pos, whence)
+            return end + 1 if whence == os.SEEK_END else end
+
+    layout = init_store(cfg)
+    with pytest.raises(IoFailure, match="size changed while copying"):
+        put_file(layout, "s", Claims(b"x" * 100), parse_document(THREE_SERVER_BALANCED_XML))
+    assert not [p for d in layout.devices for p in d.directory.iterdir()]
+    assert not list(layout.root.iterdir())
+
+
+def feeding(path, data: bytes) -> threading.Thread:
+    """A started thread that writes ``data`` into the FIFO at ``path``
+    once a reader opens it."""
+
+    def feed():
+        with open(path, "wb") as fifo:
+            fifo.write(data)
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    return writer
+
+
+def test_scatter_and_cp_in_read_a_pipe_whole(store_env, monkeypatch):
+    monkeypatch.setattr(stream, "WINDOW_BYTES", 64)
+    data = random.Random(8).randbytes(5000)
+    desc = store_env / "d.xml"
+    desc.write_text(THREE_SERVER_BALANCED_XML)
+    fifo = store_env / "piped"
+    os.mkfifo(fifo)
+    writer = feeding(fifo, data)
+    assert main(["scatter", str(fifo), str(desc), "--out", str(store_env / "frags")]) == 0
+    writer.join(10)
+    assert not writer.is_alive()
+    expected = [f.payload for f in scatter(data, build_distribution_map(parse_document(THREE_SERVER_BALANCED_XML), 5000))]
+    assert [(store_env / "frags" / f"00{i}.frag").read_bytes() for i in range(3)] == expected
+    writer = feeding(fifo, data)
+    assert main(["cp-in", str(fifo)]) == 0
+    writer.join(10)
+    assert not writer.is_alive()
+    assert main(["cp-out", "piped", str(store_env / "back")]) == 0
+    assert (store_env / "back").read_bytes() == data
+
+
+def test_unreadable_fragment_is_a_read_failure(store_env, monkeypatch, capsys):
+    src = store_env / "locked"
+    src.write_bytes(b"x" * 100)
+    assert main(["cp-in", str(src)]) == 0
+
+    def denied(path, mode="r", buffering=-1):
+        if str(path).endswith(".frag"):
+            raise PermissionError(13, "Permission denied", str(path))
+        return open(path, mode, buffering=buffering)
+
+    monkeypatch.setattr(store, "open", denied, raising=False)
+    assert main(["cp-out", "locked", str(store_env / "back")]) == 4
+    err = capsys.readouterr().err
+    assert "cannot read fragment (Permission denied)" in err and ".frag" in err
+    assert not (store_env / "back").exists() and not list(store_env.rglob("*.tmp"))
