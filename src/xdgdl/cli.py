@@ -39,8 +39,8 @@ from .model import (
     serialize_document,
     validate_document,
 )
-from .scatter import fragment_windows, gather, require_exact, scatter, windows, write_all
-from .store import committed, init_store, measured, read_fragments
+from .scatter import require_exact, scatter, windows, write_all
+from .store import committed, init_store, measured, rebuild
 from .vipfs import copy_in, copy_out
 from .views import build_distribution_map, render_plan
 
@@ -151,10 +151,8 @@ def cmd_gather(args) -> int:
     extra = sorted(n for n in names if re.fullmatch(r"[0-9]+\.frag", n) and int(n[:-5]) >= count)
     if extra:
         raise ExtraFragment(f"{frags / extra[0]} is past the map's {count} entries")
-    with read_fragments(dmap, [frags / _frag_name(i) for i in range(count)]) as sources:
-        with committed([Path(args.out)]) as (sink,):
-            for fragments, wmap in fragment_windows(sources, dmap):
-                write_all(sink, gather(fragments, wmap))
+    with committed([Path(args.out)]) as (sink,):
+        rebuild(dmap, [frags / _frag_name(i) for i in range(count)], sink)
     return EXIT_OK
 
 

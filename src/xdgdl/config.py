@@ -64,8 +64,13 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+def _is_digits(text: str) -> bool:
+    """ASCII digits only: ``str.isdigit`` also accepts ``²``, which ``int`` rejects."""
+    return text.isascii() and text.isdigit()
+
+
 def _positive_int(tok: _Token, key: str) -> int:
-    if not tok.text.isdigit():
+    if not _is_digits(tok.text):
         raise ConfigError(f"{key} expects a positive integer, got {tok.text!r} (token {tok.ordinal})")
     value = int(tok.text)
     if value < 1:
@@ -103,7 +108,7 @@ def parse_config(text: str) -> VipfsConfig:
             i += 1
         else:  # SRVR_DEVICE_LIST
             declared = tokens[i]
-            if not declared.text.isdigit():
+            if not _is_digits(declared.text):
                 raise ConfigError(f"SRVR_DEVICE_LIST expects a count, got {declared.text!r} (token {declared.ordinal})")
             count = int(declared.text)
             i += 1

@@ -20,27 +20,26 @@ nested views) byte offset by byte offset.  The clipped tail after the
 last whole period always moves as runs.
 
 Files move window by window: ``windows`` reads a source stream and
-``fragment_windows`` reads fragment streams, and each yields every
-window with the map of that window, for ``scatter`` and ``gather`` to
-move as a file of its own.  With H the largest header of the map's
-selections and L the lcm of their periods, the coverage repeats every
-L bytes past H.  The head window is [0, H + k*L), the longest such
-prefix within ``WINDOW_BYTES`` but at least one period; every later
-window is the largest whole number of periods within ``WINDOW_BYTES``,
-at least one.  Each selection therefore meets every later window at
+``fragment_windows`` reads fragment streams, both with one ``readinto``
+loop into reused buffers, and each yields every window with its map,
+for ``scatter`` and ``gather`` to move as a file of its own.  With H and
+L the map's ``coverage_period``, the coverage repeats every L bytes
+past H.  The head window is [0, H + k*L), the longest such prefix
+within ``WINDOW_BYTES`` but at least one period, and its map is the
+file's own selections clipped at the window.  Every later window is the
+largest whole number of periods within ``WINDOW_BYTES``, at least one;
+each selection, ``shifted`` to the head window's end, meets them all at
 the same phase, so one window map, and with it one plan per entry,
-serves them all; only the head window and the clipped last window get
-their own.  A file no longer than its head window is one window whose
-map is the file's own, so it runs exactly the whole-file plan; so does
-every file of a map whose period is longer than the file (coprime
-periods, or the all-NOVIEW fallback, whose period is the 64-bit range).
-Memory stays a few windows of max(``WINDOW_BYTES``, H + L) bytes,
-whatever the file size.
+serves them all, and only the clipped last window gets its own.  A file
+no longer than its head window thus runs exactly the whole-file plan;
+so does every file of a map whose period is longer than the file
+(coprime periods, or the all-NOVIEW fallback, whose period is the
+64-bit range).  Memory stays a few windows of max(``WINDOW_BYTES``,
+H + L) bytes, whatever the file size.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import BinaryIO, Iterator
 
@@ -101,86 +100,61 @@ def _plans(dmap: DistributionMap) -> list[Plan]:
     return plans
 
 
-def _shifted(sel: Selection, start: int) -> Selection:
-    """The selection's bytes from ``start`` (past its header) on, as a
-    header-less selection of the same period: the pieces rotated to the
-    phase of ``start``, a piece the phase cuts split in two."""
-    if not sel.pieces:
-        return sel
-    p = sel.period
-    phase = (start - sel.header) % p
-    pieces = []
-    for a, n in sel.pieces:
-        a -= phase
-        if a < 0 < a + n:
-            pieces += [(0, a + n), (a + p, -a)]
-        else:
-            pieces.append((a % p, n))
-    return Selection(0, p, tuple(sorted(pieces)))
-
-
 def _windows(dmap: DistributionMap) -> tuple[int, int]:
     """The head window's end and the width of every later window."""
-    sels = [e.selection for e in dmap.entries if e.selection.pieces]
-    header = max((s.header for s in sels), default=0)
-    period = math.lcm(*(s.period for s in sels))
+    header, period = dmap.coverage_period()
     return header + max(1, (WINDOW_BYTES - header) // period) * period, max(1, WINDOW_BYTES // period) * period
 
 
 def _window_maps(dmap: DistributionMap) -> Iterator[DistributionMap]:
-    """The map of each window of the file, in file order: the file's own
-    map if it is one window, else the head window's, then one map shared
-    by every full later window, then the clipped last window's."""
+    """The map of each window of the file, in file order: the head
+    window's, clipped at the file size, then one map shared by every full
+    later window, then the clipped last window's."""
     size = dmap.file_size
     head, width = _windows(dmap)
-    if size <= head:
-        yield dmap
-        return
 
     def window(sels: list[Selection], n: int) -> DistributionMap:
         wmap = DistributionMap(n, tuple(replace(e, selection=s, size=n) for e, s in zip(dmap.entries, sels)))
         wmap.__dict__["_exact"] = dmap.__dict__.get("_exact")  # a window of an exact map is exact
         return wmap
 
-    yield window([e.selection for e in dmap.entries], head)
-    later = [_shifted(e.selection, head) for e in dmap.entries]
-    steady = window(later, width)
+    yield window([e.selection for e in dmap.entries], min(size, head))
+    steady = None
     for start in range(head, size, width):
-        yield steady if size - start >= width else window(later, size - start)
+        if steady is None:  # selections are shifted only for a file past its head window
+            steady = window([e.selection.shifted(head) for e in dmap.entries], width)
+        yield steady if size - start >= width else window([e.selection for e in steady.entries], size - start)
 
 
 def _changed(stream: BinaryIO) -> IoFailure:
     return IoFailure(getattr(stream, "name", "stream"), "size changed while copying")
 
 
-def _read(src: BinaryIO, n: int) -> bytes:
-    """The next ``n`` bytes of the stream, as one bytes object."""
-    parts = []
-    while n and (part := src.read(n)):
-        parts.append(part)
-        n -= len(part)
-    if n:
-        raise _changed(src)
-    return b"".join(parts)  # one part is returned as it is
+def _read_into(src: BinaryIO, buf: bytearray, n: int) -> bytearray:
+    """The next ``n`` bytes of the stream, read with ``readinto`` into
+    ``buf``, or into a new buffer if ``buf`` is not ``n`` bytes long.  A
+    stream that ends first raises IoFailure."""
+    if len(buf) != n:
+        buf = bytearray(n)
+    view = memoryview(buf)
+    while view:
+        got = src.readinto(view)
+        if not got:
+            raise _changed(src)
+        view = view[got:]
+    return buf
 
 
 def windows(src: BinaryIO, dmap: DistributionMap) -> Iterator[tuple[bytearray, DistributionMap]]:
     """The next ``dmap.file_size`` bytes of ``src``, window by window:
-    each window's bytes with its map.  The bytes are read with
-    ``readinto`` into one reused buffer, so a window's bytes are
-    overwritten by the next.  The source must end there: a short source
-    or one with bytes left raises IoFailure."""
+    each window's bytes with its map.  The bytes are read into one reused
+    buffer, so a window's bytes are overwritten by the next.  The source
+    must end there: a short source or one with bytes left raises
+    IoFailure."""
     require_exact(dmap)
     buf = bytearray()
     for wmap in _window_maps(dmap):
-        if len(buf) != wmap.file_size:  # the head window, the first later one, the last one
-            buf = bytearray(wmap.file_size)
-        view = memoryview(buf)
-        while view:
-            got = src.readinto(view)
-            if not got:
-                raise _changed(src)
-            view = view[got:]
+        buf = _read_into(src, buf, wmap.file_size)
         yield buf, wmap
     if src.read(1):
         raise _changed(src)
@@ -192,11 +166,15 @@ def fragment_windows(
     """The fragments of the file, window by window, read from one source
     per map entry holding exactly that entry's fragment (as
     ``store.read_fragments`` checks): each window's share of every
-    fragment, in entry order, with the window's map."""
+    fragment, in entry order, with the window's map.  Each entry's share
+    is read into one reused buffer, so a window's payloads are
+    overwritten by the next."""
     require_exact(dmap)
+    bufs = [bytearray() for _ in sources]
     for wmap in _window_maps(dmap):
         n = wmap.file_size
-        yield [Fragment(_ref(e), _read(src, e.selection.total(n))) for e, src in zip(wmap.entries, sources)], wmap
+        bufs = [_read_into(src, buf, e.selection.total(n)) for e, src, buf in zip(wmap.entries, sources, bufs)]
+        yield [Fragment(_ref(e), buf) for e, buf in zip(wmap.entries, bufs)], wmap
 
 
 def write_all(sink: BinaryIO, data) -> None:

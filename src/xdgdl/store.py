@@ -19,12 +19,14 @@ by the window, not by the file.  Callers holding bytes pass
 ``io.BytesIO``; a stream that cannot seek, such as a pipe, is read
 whole first (``measured``).  Every output file is written to
 ``<path>.tmp`` through an unbuffered handle and renamed into place
-(``committed``), so no reader sees a half-written file.  A put writes
-the fragments, then ``.vd.<name>`` and its ``.size``, then the stub, so
-storing a name again with another TIMESTAMP reads back the new bytes
-(the old fragments stay on disk).  ``read_fragments``, shared with
-``xdgdl gather``, is the one place that opens fragment files; it checks
-every length before a byte is written.
+(``committed``), so no reader sees a half-written file.  A put commits
+its fragments and its three metadata files in one block, renamed in
+order: the fragments, then ``.vd.<name>`` and its ``.size``, then the
+stub, so storing a name again with another TIMESTAMP reads back the new
+bytes (the old fragments stay on disk).  ``rebuild``, shared by
+``get_file`` and ``xdgdl gather``, is the one loop that rebuilds a file
+from fragment files, and ``read_fragments`` the one place that opens
+them; it checks every length before a byte is written.
 """
 
 from __future__ import annotations
@@ -53,8 +55,8 @@ from .scatter import fragment_windows, gather, require_exact, scatter, windows, 
 from .views import DistributionMap, build_distribution_map
 
 __all__ = [
-    "LayoutDevice", "GridLayout", "StoredFile", "init_store", "put_file", "get_file", "read_fragments", "committed",
-    "measured",
+    "LayoutDevice", "GridLayout", "StoredFile", "init_store", "put_file", "get_file", "rebuild", "read_fragments",
+    "committed", "measured",
 ]
 
 log = logging.getLogger(__name__)
@@ -158,11 +160,6 @@ def measured(src: BinaryIO) -> tuple[BinaryIO, int]:
     return src, size
 
 
-def _write_atomic(path: Path, payload: bytes) -> None:
-    with committed([path]) as (sink,):
-        write_all(sink, payload)
-
-
 def _devices_for(dmap: DistributionMap, layout: GridLayout) -> tuple[LayoutDevice, ...]:
     """The layout devices the map's entries resolve to, positionally."""
     if len(dmap.entries) > len(layout.devices):
@@ -193,9 +190,7 @@ def put_file(
     devices = _devices_for(dmap, layout)
     for entry, device in zip(dmap.entries, devices):
         if entry.device_id != device.device_id:
-            log.warning(
-                "descriptor device %s resolved positionally to %s", entry.device_id, device.directory
-            )
+            log.debug("descriptor device %s resolved positionally to %s", entry.device_id, device.directory)
     require_exact(dmap)  # raises NotAPartition before anything is written
 
     timestamp = manifest.timestamp
@@ -204,15 +199,20 @@ def put_file(
         if path.exists():
             raise DuplicateTimestamp(f"fragment {path} already exists")
 
-    with committed(list(frag_paths)) as sinks:
-        for data, wmap in windows(src, dmap):
-            for sink, frag in zip(sinks, scatter(data, wmap)):
-                write_all(sink, frag.payload)
     if manifest_text is None:
         manifest_text = serialize_document(manifest).encode("iso-8859-1", "xmlcharrefreplace")
-    _write_atomic(layout.root / f".vd.{name}", manifest_text)
-    _write_atomic(layout.root / f".vd.{name}.size", f"{dmap.file_size}\n".encode("ascii"))
-    _write_atomic(layout.root / name, b"")  # 0-byte stub marks the file as stored
+    metadata = {
+        layout.root / f".vd.{name}": manifest_text,
+        layout.root / f".vd.{name}.size": f"{dmap.file_size}\n".encode("ascii"),
+        layout.root / name: b"",  # the 0-byte stub, renamed last, marks the file as stored
+    }
+    with committed([*frag_paths, *metadata]) as sinks:
+        frag_sinks, meta_sinks = sinks[: len(frag_paths)], sinks[len(frag_paths) :]
+        for data, wmap in windows(src, dmap):
+            for sink, frag in zip(frag_sinks, scatter(data, wmap)):
+                write_all(sink, frag.payload)
+        for sink, payload in zip(meta_sinks, metadata.values()):
+            write_all(sink, payload)
     return StoredFile(timestamp_id=timestamp, manifest=manifest, fragment_paths=frag_paths)
 
 
@@ -239,6 +239,14 @@ def get_file(layout: GridLayout, name: str, dst: BinaryIO) -> None:
         raise MissingManifest(f"stored size for {name!r} is corrupt: {raw_size!r}")
     dmap = build_distribution_map(manifest, int(raw_size))
     paths = [device.directory / f"{manifest.timestamp}.frag" for device in _devices_for(dmap, layout)]
+    rebuild(dmap, paths, dst)
+
+
+def rebuild(dmap: DistributionMap, paths: list[Path], dst: BinaryIO) -> None:
+    """Rebuild the file of the map from its entries' fragment files into
+    ``dst``, window by window.  The map must be an exact partition and
+    every fragment must hold its entry's byte count before the first
+    byte is written."""
     require_exact(dmap)
     with read_fragments(dmap, paths) as sources:
         for fragments, wmap in fragment_windows(sources, dmap):

@@ -14,20 +14,23 @@ straddling the region end are clipped, never dropped.
 The data path works on each view's compiled ``Selection``: its header,
 its period and the merged pieces of one period, walked once and
 memoized on the (frozen) view, in the manner of FALLS nested strided
-segments or an MPI-IO vector file view.  Distribution maps hold one
-selection per device; their extents are expanded only on demand
-(plans, tests), byte totals are closed-form, and ``check_partition``
-certifies exactness from one common period of the coverage.  A view
-with a negative SKIP_HEADER, SKIP, OFFSET, STRIDE or COUNT, or a REPEAT
-below 1, which ``validate_document`` rejects, does not compile:
+segments or an MPI-IO vector file view.  ``Selection`` owns the piece
+arithmetic, including ``shifted``, the one builder of a selection
+rotated to start at any byte.  A ``MapEntry`` is a plain selection and
+file size per device; extents are expanded only on demand (plans,
+tests), byte totals are closed-form, and ``check_partition`` certifies
+exactness from one common period of the coverage (``coverage_period``).
+A view with a negative SKIP_HEADER, SKIP, OFFSET, STRIDE or COUNT, or a
+REPEAT below 1, which ``validate_document`` rejects, does not compile:
 ``_compile`` raises ValueError, so it never reaches the data path.
 
 Runs are expanded in bulk, with no Python step per run: the whole
 periods' starts interleave one ``range(h + a, h + k*p, p)`` per piece.
 A wrapping selection (first piece at 0, last one ending at the period)
 merges runs across periods: they are its head run, then the runs of it
-rotated to start at its second piece, the last piece absorbing the next
-period's first.  Plans, extents, the sweep and scatter read these runs.
+shifted to start at its second piece, where the last piece absorbs
+the next period's first.  Plans, extents, the sweep and scatter read
+these runs.
 
 Two independent evaluators are kept deliberately separate so they can
 check each other: ``enumerate_extents`` expands the compiled selection
@@ -43,7 +46,7 @@ import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import chain, cycle, starmap
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import ArithmeticOverflow, NoDevices
 from .model import BlockDecl, ByteBlock, Document, ViewDecl
@@ -137,8 +140,7 @@ class Selection:
         if pieces and pieces[0][0] == 0 and sum(pieces[-1]) == p and size > h:
             if len(pieces) == 1:
                 return [([h], (size - h,))]
-            rotated = self.__dict__.get("_rotated") or self._rotate()
-            return [([h], (min(pieces[0][1], size - h),)), *rotated.progressions(size)]
+            return [([h], (min(pieces[0][1], size - h),)), *self._past_head.progressions(size)]
         m, k = len(pieces), self.full_periods(size)
         if k > 1:
             starts = [0] * (m * k)
@@ -154,13 +156,29 @@ class Selection:
         """Selected ``(start, length)`` runs of [0, size), merged, in order."""
         return chain.from_iterable(zip(starts, cycle(lengths)) for starts, lengths in self.progressions(size))
 
-    def _rotate(self) -> Selection:
-        """A wrapping selection past its head run (module notes), memoized."""
-        (_, n0), (a1, _) = self.pieces[:2]
-        al, nl = self.pieces[-1]
-        moved = [(a - a1, n) for a, n in self.pieces[1:-1]] + [(al - a1, nl + n0)]
-        self.__dict__["_rotated"] = rotated = Selection(self.header + a1, self.period, tuple(moved))
-        return rotated
+    def shifted(self, start: int) -> Selection:
+        """The selection's bytes from ``start`` (past its header) on, as a
+        header-less selection of the same period: the pieces rotated to the
+        phase of ``start``, a piece the phase cuts split in two."""
+        if not self.pieces:
+            return self
+        p = self.period
+        phase = (start - self.header) % p
+        pieces = []
+        for a, n in self.pieces:
+            a -= phase
+            if a < 0 < a + n:
+                pieces += [(0, a + n), (a + p, -a)]
+            else:
+                pieces.append((a % p, n))
+        return Selection(0, p, tuple(sorted(pieces)))
+
+    @cached_property
+    def _past_head(self) -> Selection:
+        """A wrapping selection past its head run (module notes): shifted
+        to its second piece, whose start becomes the header."""
+        start = self.header + self.pieces[1][0]
+        return replace(self.shifted(start), header=start)
 
     def total(self, size: int) -> int:
         """Selected bytes in [0, size): whole periods, then the tail."""
@@ -172,47 +190,16 @@ _NOTHING = Selection(0, 1, ())
 _WHOLE = Selection(0, INT64_MAX, ((0, INT64_MAX),))
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class MapEntry:
     """One device's share of a file: its selection clipped to ``size``.
-
-    ``build_distribution_map`` gives each entry its view's compiled
-    selection and the file size.  An entry built by hand from explicit
-    extents, ``MapEntry(island, host, device_id, extents)``, is a
-    one-period selection of exactly those extents: header 0 and a
-    period longer than any file, clipped where the extents end.  The
-    extents must be sorted and disjoint (ValueError otherwise);
-    ``extents`` returns them merged.  Maps clip entries at their file size.
-    """
+    Maps clip entries at their file size."""
 
     island: str
     host: str
     device_id: str
     selection: Selection
     size: int
-
-    def __init__(
-        self,
-        island: str,
-        host: str,
-        device_id: str,
-        extents: Iterable[Extent] | None = None,
-        *,
-        selection: Selection | None = None,
-        size: int | None = None,
-    ):
-        if extents is not None:
-            if selection is not None or size is not None:
-                raise TypeError("MapEntry takes either extents or selection and size, not both")
-            selection = Selection(0, INT64_MAX, tuple((e.start, e.length) for e in extents))
-            size = max((start + n for start, n in selection.pieces), default=0)
-        elif selection is None or size is None:
-            raise TypeError("MapEntry needs either extents or both selection and size")
-        object.__setattr__(self, "island", island)
-        object.__setattr__(self, "host", host)
-        object.__setattr__(self, "device_id", device_id)
-        object.__setattr__(self, "selection", selection)
-        object.__setattr__(self, "size", size)
 
     @property
     def label(self) -> str:
@@ -230,6 +217,12 @@ class DistributionMap:
 
     file_size: int
     entries: tuple[MapEntry, ...]
+
+    def coverage_period(self) -> tuple[int, int]:
+        """(H, L): the largest header of the entries' selections and the
+        lcm of their periods.  Past H, the coverage repeats every L bytes."""
+        selections = [e.selection for e in self.entries if e.selection.pieces]
+        return max((s.header for s in selections), default=0), math.lcm(*(s.period for s in selections))
 
 
 class PartitionStatus(enum.Enum):
@@ -388,7 +381,7 @@ def build_distribution_map(doc: Document, file_size: int) -> DistributionMap:
             selection = _WHOLE
         else:
             selection = _NOTHING
-        entries.append(MapEntry(island, host, dev.device_id, selection=selection, size=file_size))
+        entries.append(MapEntry(island, host, dev.device_id, selection, file_size))
     return DistributionMap(file_size=file_size, entries=tuple(entries))
 
 
@@ -399,16 +392,14 @@ def check_partition(dmap: DistributionMap) -> PartitionVerdict:
     are reported as maximal extents; overlap runs split where the
     claimant set changes so each reported extent lists its exact owners.
 
-    The sweep first runs on the prefix [0, H + L) only, H the largest
-    header and L the lcm of the periods: a byte's membership does not
+    The sweep first runs on the prefix [0, H + L) only, with H and L
+    the map's ``coverage_period``: a byte's membership does not
     depend on the file size, and past its header each selection repeats
     with its period, so past H the coverage repeats with period L and
     the prefix is exact iff the whole file is.  Only a map that is not
     exact is swept in full.
     """
-    selections = [e.selection for e in dmap.entries if e.selection.pieces]
-    header = max((s.header for s in selections), default=0)
-    prefix = header + math.lcm(*(s.period for s in selections))
+    prefix = sum(dmap.coverage_period())
     if prefix < dmap.file_size:
         verdict = _sweep(replace(dmap, file_size=prefix))
         if verdict.status is PartitionStatus.EXACT_PARTITION:
@@ -461,10 +452,9 @@ def _sweep(dmap: DistributionMap) -> PartitionVerdict:
     return PartitionVerdict(status, gap_extents, overlap_extents)
 
 
-def render_plan(dmap: DistributionMap, verdict: PartitionVerdict | None = None) -> str:
+def render_plan(dmap: DistributionMap) -> str:
     """Plan text: one tab-separated line per device plus a verdict line."""
-    if verdict is None:
-        verdict = check_partition(dmap)
+    verdict = check_partition(dmap)
     lines = [f"{entry.label}\t" + _format_runs(entry.selection.progressions(dmap.file_size)) for entry in dmap.entries]
     lines.append(f"partition: {verdict.status.value}")
     return "\n".join(lines) + "\n"

@@ -25,6 +25,7 @@ from xdgdl import (
     ServerDecl,
     ViewDecl,
 )
+from xdgdl.views import INT64_MAX, MapEntry, Selection
 
 _NAME_CHARS = string.ascii_lowercase + string.digits + "._-"
 
@@ -191,3 +192,11 @@ def random_partition_views(rng: random.Random, devices: int, period: int, run_ma
         view = view_selecting(runs, len(rotated))
         views.append(ViewDecl(header, view.skip, view.blocks))
     return views
+
+
+def entry_of(island: str, host: str, device_id: str, extents) -> MapEntry:
+    """A hand-built map entry selecting exactly ``extents``, which must be
+    sorted and disjoint (ValueError otherwise): one period longer than any
+    file, merged, and clipped where the extents end."""
+    selection = Selection(0, INT64_MAX, tuple((e.start, e.length) for e in extents))
+    return MapEntry(island, host, device_id, selection, max((a + n for a, n in selection.pieces), default=0))

@@ -16,7 +16,7 @@ from descriptors import (
     THREE_SERVER_XML,
     TWO_SERVER_XML,
 )
-from gen import random_document, random_view
+from gen import entry_of, random_document, random_view
 from xdgdl import (
     Extent,
     PartitionStatus,
@@ -36,7 +36,7 @@ from xdgdl import (
     view_period,
 )
 from xdgdl import ArrayDecl, DimensionDecl, Distribution, EtypeDecl, ProcessorsDecl
-from xdgdl import DistributionMap, MapEntry
+from xdgdl import DistributionMap
 from xdgdl.cli import main as cli_main
 
 
@@ -262,7 +262,7 @@ def test_criterion_7_hpf_compiler():
     def views_partition(om, element_bytes):
         total = om.element_count * element_bytes
         entries = tuple(
-            MapEntry("i", f"h{d}", f"d{d}", enumerate_extents(view, total))
+            entry_of("i", f"h{d}", f"d{d}", enumerate_extents(view, total))
             for d, view in enumerate(ownermap_to_views(om, element_bytes))
         )
         return check_partition(DistributionMap(total, entries)).status

@@ -1,4 +1,9 @@
+import logging
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +15,8 @@ from descriptors import (
 )
 from xdgdl import parse_document
 from xdgdl.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -181,6 +188,23 @@ class TestCp:
             assert main(["cp-in", str(src)]) == 0
             assert main(["cp-out", "again", str(store_env / "back")]) == 0
             assert (store_env / "back").read_bytes() == version
+
+    def test_positional_device_ids_stay_off_stderr(self, store_env, caplog):
+        """The bench's nested descriptor names /dev/vda1 on every server;
+        resolving its devices by position is logged at DEBUG only."""
+        sidecar = (ROOT / "bench" / "nested_3srv.xml").read_text(encoding="iso-8859-1")
+        for name, stamp in (("cli_copy", "in_a_process"), ("lib_copy", "in_pytest")):
+            (store_env / name).write_bytes(random.Random(5).randbytes(500))
+            text = sidecar.replace("regular_multilevel", stamp)
+            (store_env / f".vd.{name}").write_text(text, encoding="iso-8859-1")
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        argv = [sys.executable, "-m", "xdgdl.cli", "cp-in", str(store_env / "cli_copy")]
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        with caplog.at_level(logging.DEBUG, logger="xdgdl.store"):
+            assert main(["cp-in", str(store_env / "lib_copy")]) == 0
+        records = [r for r in caplog.records if "resolved positionally" in r.getMessage()]
+        assert [r.levelno for r in records] == [logging.DEBUG] * 3
 
     def test_cp_out_unknown_name_exits_4(self, store_env, capsys):
         assert main(["cp-out", "ghost", str(store_env / "g")]) == 4

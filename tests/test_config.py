@@ -12,6 +12,7 @@ from xdgdl import (
     parse_config,
     serialize_config,
 )
+from xdgdl.cli import main
 
 FULL_CONFIG = CONFIG_TEMPLATE.format(root="/home/felder")
 
@@ -73,9 +74,19 @@ def test_unterminated_quote():
         parse_config('MAX_APP 5 SRV_GROUP_NAME "oops')
 
 
-def test_non_integer_count():
+def test_non_integer_count(tmp_path, monkeypatch, capsys):
     with pytest.raises(ConfigError):
         parse_config(FULL_CONFIG.replace("MAX_APP 5", "MAX_APP five"))
+    # str.isdigit accepts a superscript two, which int() refuses
+    for key, value in (("DATA_BUFLEN", "4096"), ("SRVR_DEVICE_LIST", "3")):
+        text = FULL_CONFIG.replace(f"{key} {value}", f"{key} \u00b2")
+        with pytest.raises(ConfigError, match=key):
+            parse_config(text)
+        conf = tmp_path / f"{key}.conf"
+        conf.write_text(text, encoding="utf-8")
+        monkeypatch.setenv("VIP_CONF", str(conf))
+        assert main(["init"]) == 2
+        assert capsys.readouterr().err.startswith(f"xdgdl: {key} expects")
 
 
 def test_zero_buflen_rejected():

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from gen import entry_of
 from xdgdl import (
     ArrayDecl,
     CompoundDecl,
@@ -12,7 +13,6 @@ from xdgdl import (
     EtypeDecl,
     Extent,
     Major,
-    MapEntry,
     PartitionStatus,
     ProcessorsDecl,
     UnresolvedProcessors,
@@ -171,7 +171,7 @@ class TestOwnerMapToViews:
             extents = enumerate_extents(view, total)
             covered = [i for e in extents for i in range(e.start, e.end)]
             assert covered == owned[d], f"target {d}"
-            entries.append(MapEntry("i", f"h{d}", f"d{d}", extents))
+            entries.append(entry_of("i", f"h{d}", f"d{d}", extents))
         verdict = check_partition(DistributionMap(total, tuple(entries)))
         assert verdict.status is PartitionStatus.EXACT_PARTITION
 

@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gen import entry_of
 from xdgdl import (
     DistributionMap,
     Extent,
     ExtraFragment,
     Fragment,
     LengthMismatch,
-    MapEntry,
     MissingFragment,
     NotAPartition,
     SizeMismatch,
@@ -28,7 +28,7 @@ def pattern_bytes(n: int) -> bytes:
 
 
 def whole_file_map(n: int) -> DistributionMap:
-    return DistributionMap(n, (MapEntry("i", "h", "d", (Extent(0, n),)),))
+    return DistributionMap(n, (entry_of("i", "h", "d", (Extent(0, n),)),))
 
 
 def random_partition_map(rng: random.Random, size: int, devices: int) -> DistributionMap:
@@ -45,7 +45,7 @@ def random_partition_map(rng: random.Random, size: int, devices: int) -> Distrib
         # re-deriving through the engine keeps extents canonical (merged)
         from xdgdl import enumerate_extents
 
-        entries.append(MapEntry("isle", f"h{d}", f"/dev/{d}", enumerate_extents(view, size)))
+        entries.append(entry_of("isle", f"h{d}", f"/dev/{d}", enumerate_extents(view, size)))
     return DistributionMap(size, tuple(entries))
 
 
@@ -70,8 +70,8 @@ class TestScatter:
         dmap = DistributionMap(
             8,
             (
-                MapEntry("i", "h", "a", (Extent(0, 8),)),
-                MapEntry("i", "h", "b", (Extent(0, 8),)),
+                entry_of("i", "h", "a", (Extent(0, 8),)),
+                entry_of("i", "h", "b", (Extent(0, 8),)),
             ),
         )
         with pytest.raises(NotAPartition) as err:
@@ -135,8 +135,8 @@ class TestGather:
         dmap = DistributionMap(
             4,
             (
-                MapEntry("i", "h", "d", (Extent(0, 2),)),
-                MapEntry("i", "h", "d", (Extent(2, 2),)),
+                entry_of("i", "h", "d", (Extent(0, 2),)),
+                entry_of("i", "h", "d", (Extent(2, 2),)),
             ),
         )
         frags = scatter(b"abcd", dmap)

@@ -16,8 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from descriptors import CONFIG_TEMPLATE, MINIMAL_XML, TWO_SERVER_XML
-from gen import random_document, random_view
-from reference import naive_coverage, naive_period
+from gen import entry_of, random_document, random_partition_views, random_view
+from reference import naive_coverage, naive_period, painted_runs
 from strategies import view_decls
 from xdgdl import (
     ArrayDecl,
@@ -241,6 +241,31 @@ def hpf_cyclic_1b_views():
     return ownermap_to_views(compile_hpf_mapping(arr, ProcessorsDecl("P", ((1, 2),))), 1)
 
 
+class TestShifted:
+    def test_shifted_selection_matches_the_painter(self):
+        """``shifted(start)`` over [0, n) selects what the view selects in
+        [start, start + n), moved down by start, for starts from the header
+        to three periods past it, inside pieces and between them."""
+        rng = random.Random(77)
+        seen = {"wrapping": 0, "inside_a_piece": 0, "between_pieces": 0}
+        for case in range(120):
+            if case % 2:
+                view = random_view(rng, max_depth=2, pmax=6)
+            else:  # runs dealt at random, so that some selections wrap
+                views = random_partition_views(rng, rng.randint(1, 3), rng.randint(1, 24), rng.choice([1, 2, 9]))
+                view = next(v for v in views if v is not None)
+            sel = build_distribution_map(doc_of([view]), 0).entries[0].selection
+            h, p = sel.header, sel.period
+            seen["wrapping"] += sel.pieces[0][0] == 0 and sum(sel.pieces[-1]) == p
+            n = 2 * p + rng.randint(0, p)
+            for start in {h, h + 3 * p, *(rng.randint(h, h + 3 * p) for _ in range(4))}:
+                phase = (start - h) % p
+                seen["inside_a_piece" if any(a < phase < a + k for a, k in sel.pieces) else "between_pieces"] += 1
+                painted = naive_coverage(view, start + n)[start:]
+                assert list(sel.shifted(start).runs(n)) == painted_runs(painted), (case, start)
+        assert all(seen.values()), seen
+
+
 class TestSizeIndependence:
     @pytest.mark.parametrize("make_views", [two_server_views, round_robin_views, hpf_cyclic_1b_views])
     def test_one_tebibyte_plans_and_certifies(self, make_views):
@@ -374,7 +399,7 @@ class TestIrregularViews:
 
 class TestMapEntry:
     def test_hand_built_extents_are_merged_or_rejected(self):
-        entry = MapEntry("i", "h", "d", (Extent(0, 4), Extent(4, 4)))
+        entry = entry_of("i", "h", "d", (Extent(0, 4), Extent(4, 4)))
         assert entry.extents == (Extent(0, 8),) and entry.selection.total(8) == 8
         dmap = DistributionMap(8, (entry,))
         (frag,) = scatter(bytes(range(8)), dmap)
@@ -382,10 +407,10 @@ class TestMapEntry:
         assert gather([frag], dmap) == bytes(range(8))
         for unsorted_or_overlapping in ((Extent(4, 4), Extent(0, 4)), (Extent(0, 4), Extent(3, 4))):
             with pytest.raises(ValueError):
-                MapEntry("i", "h", "d", unsorted_or_overlapping)
+                entry_of("i", "h", "d", unsorted_or_overlapping)
         # an extent past the file end claims nothing: plan, scatter and
         # gather all clip the entry at the map's file size
-        dmap = DistributionMap(8, (MapEntry("i", "h", "d", (Extent(0, 8), Extent(12, 2))),))
+        dmap = DistributionMap(8, (entry_of("i", "h", "d", (Extent(0, 8), Extent(12, 2))),))
         assert check_partition(dmap).status is EXACT
         assert render_plan(dmap) == "i/h/d\t0:8\npartition: exact\n"
         frags = scatter(bytes(range(8)), dmap)
@@ -393,10 +418,12 @@ class TestMapEntry:
         assert gather(frags, dmap) == bytes(range(8))
 
     def test_extents_or_selection_not_both(self):
+        """An entry is a selection and a size; there is no extents form."""
         with pytest.raises(TypeError):
-            MapEntry("i", "h", "d", (Extent(0, 1),), selection=Selection(0, 1, ((0, 1),)), size=1)
+            MapEntry("i", "h", "d", (Extent(0, 1),))
         with pytest.raises(TypeError):
             MapEntry("i", "h", "d")
-        entry = MapEntry("i", "h", "d", selection=Selection(0, 2, ((0, 1),)), size=5)
+        entry = MapEntry("i", "h", "d", Selection(0, 2, ((0, 1),)), 5)
+        assert entry == MapEntry("i", "h", "d", selection=Selection(0, 2, ((0, 1),)), size=5)
         assert entry.extents == (Extent(0, 1), Extent(2, 1), Extent(4, 1))
         assert dataclasses.replace(entry, size=3).extents == (Extent(0, 1), Extent(2, 1))

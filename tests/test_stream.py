@@ -120,7 +120,7 @@ def test_windowed_paths_match_the_painter_and_the_library(cfg, monkeypatch, tmp_
                 for entry in dmap.entries:
                     sel = entry.selection
                     if sel.pieces:
-                        later = stream._shifted(sel, head)
+                        later = sel.shifted(head)
                         seen["strided" if stream._copy_plan(later, width)[1] else "runs"] += 1
                         seen["wrapping"] += later.pieces[0][0] == 0 and sum(later.pieces[-1]) == later.period
     assert all(seen.values()), seen
@@ -153,17 +153,22 @@ def test_steady_window_plan_is_built_once(monkeypatch):
     doc = parse_document(THREE_SERVER_BALANCED_XML)
     period = lcm_of(build_distribution_map(doc, 0))
     monkeypatch.setattr(stream, "WINDOW_BYTES", period)
-    size = 50 * period + 7
-    dmap = build_distribution_map(doc, size)
-    calls = []
+    built = []
     real = stream._copy_plan
-    monkeypatch.setattr(stream, "_copy_plan", lambda sel, n: calls.append(n) or real(sel, n))
-    data = random.Random(5).randbytes(size)
-    payloads = scatter_stream(data, dmap)
-    assert len(calls) == 3 * 3  # head, steady and last window, per entry
-    assert gather_stream(payloads, dmap) == data
-    assert len(calls) == 2 * 3 * 3  # as many again to gather
-    assert payloads == [f.payload for f in scatter(data, dmap)]
+    monkeypatch.setattr(stream, "_copy_plan", lambda sel, n: built.append(real(sel, n)) or built[-1])
+    head, _ = stream._windows(build_distribution_map(doc, 0))
+    # head, steady and last window per entry; then a file of one window
+    for size, windows in ((50 * period + 7, 3), (head, 1)):
+        built.clear()
+        dmap = build_distribution_map(doc, size)
+        data = random.Random(5).randbytes(size)
+        payloads = scatter_stream(data, dmap)
+        assert len(built) == windows * 3
+        assert gather_stream(payloads, dmap) == data
+        assert len(built) == 2 * windows * 3  # as many again to gather
+        assert payloads == [f.payload for f in scatter(data, dmap)]
+    # the one window plans the whole file, once per entry in each direction
+    assert built[:3] == built[3:6] == [real(e.selection, head) for e in dmap.entries]
 
 
 def test_memory_is_bounded_by_the_window(cfg, tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gen import random_view
+from gen import entry_of, random_view
 from reference import naive_coverage, naive_period
 from strategies import view_decls
 from xdgdl import (
@@ -16,7 +16,6 @@ from xdgdl import (
     DistributionMap,
     Extent,
     IslandDecl,
-    MapEntry,
     NoDevices,
     PartitionStatus,
     ServerDecl,
@@ -220,7 +219,7 @@ class TestDistributionMap:
 
 class TestPartition:
     def entry(self, device, pairs):
-        return MapEntry("i", "h", device, extent_list(pairs))
+        return entry_of("i", "h", device, extent_list(pairs))
 
     def test_two_server_exact(self, two_server_doc):
         for size in (0, 1, 36, 72, 75):
@@ -263,7 +262,7 @@ class TestPartition:
     def test_status_is_order_insensitive(self, seed, data):
         rng = random.Random(seed)
         entries = tuple(
-            MapEntry("i", "h", f"d{j}", enumerate_extents(random_view(rng, pmax=8), 64))
+            entry_of("i", "h", f"d{j}", enumerate_extents(random_view(rng, pmax=8), 64))
             for j in range(rng.randint(1, 4))
         )
         dmap = DistributionMap(64, entries)
