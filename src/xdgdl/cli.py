@@ -128,8 +128,7 @@ def cmd_scatter(args) -> int:
     if doc is None:
         return EXIT_VALIDATION
     out = Path(args.out)
-    with open(args.file, "rb", buffering=0) as stream:
-        src, size = measured(stream)
+    with open(args.file, "rb", buffering=0) as stream, measured(stream) as (src, size):
         dmap = build_distribution_map(doc, size)
         require_exact(dmap)  # before the output directory is made
         out.mkdir(parents=True, exist_ok=True)

@@ -3,9 +3,9 @@
 A fragment is the concatenation, in ascending logical offset, of the
 bytes a device owns under a distribution map.  Fragments are matched
 to devices by position: ``scatter`` returns one per map entry in entry
-order and ``gather`` takes them back in that order, as the store and the
-CLI keep them (``000.frag``, ``001.frag``, ...).  A fragment's device
-reference only has to agree with the entry at its position.
+order and ``gather`` reads them back from one stream per entry in that
+order, as the store and the CLI keep them (``000.frag``, ``001.frag``,
+...).
 Scatter and gather both insist on an exact partition: only then is
 every byte placed exactly once and the round trip an identity.
 
@@ -19,39 +19,42 @@ coarse stripe thus moves run by run and a fine one (1-byte cyclic,
 nested views) byte offset by byte offset.  The clipped tail after the
 last whole period always moves as runs.
 
-Files move window by window: ``windows`` reads a source stream and
-``fragment_windows`` reads fragment streams, both with one ``readinto``
-loop into reused buffers, and each yields every window with its map,
-for ``scatter`` and ``gather`` to move as a file of its own.  With H and
-L the map's ``coverage_period``, the coverage repeats every L bytes
-past H.  The head window is [0, H + k*L), the longest such prefix
-within ``WINDOW_BYTES`` but at least one period, and its map is the
-file's own selections clipped at the window.  Every later window is the
-largest whole number of periods within ``WINDOW_BYTES``, at least one;
-each selection, ``shifted`` to the head window's end, meets them all at
-the same phase, so one window map, and with it one plan per entry,
-serves them all, and only the clipped last window gets its own.  A file
-no longer than its head window thus runs exactly the whole-file plan;
-so does every file of a map whose period is longer than the file
-(coprime periods, or the all-NOVIEW fallback, whose period is the
-64-bit range).  Memory stays a few windows of max(``WINDOW_BYTES``,
-H + L) bytes, whatever the file size.
+Files move window by window.  With H and L the map's
+``coverage_period``, the coverage repeats every L bytes past H.  The
+head window is [0, H + k*L), the longest such prefix within
+``WINDOW_BYTES`` but at least one period, and its map is the file's own
+selections clipped at the window.  Every later window is the largest
+whole number of periods within ``WINDOW_BYTES``, at least one; each
+selection, ``shifted`` to the head window's end, meets them all at the
+same phase, so one window map, and with it one plan per entry, serves
+them all, and only the clipped last window gets its own.  A file no
+longer than its head window thus runs exactly the whole-file plan; so
+does every file of a map whose period is longer than the file (coprime
+periods, or the all-NOVIEW fallback, whose period is the 64-bit range).
+``windows`` reads a source into one reused buffer for ``scatter``.
+``gather`` reads each entry's share of a window straight into one reused
+window buffer, by one ``os.readv`` per entry into slots built once per
+window map: list I/O, as in ROMIO (Thakur, Gropp & Lusk, 1999).  Memory
+stays a few windows of max(``WINDOW_BYTES``, H + L) bytes.
 """
 
 from __future__ import annotations
 
+import io
+import os
 from dataclasses import dataclass, replace
 from typing import BinaryIO, Iterator
 
 from .errors import ExtraFragment, IoFailure, LengthMismatch, MissingFragment, NotAPartition, SizeMismatch
 from .views import DistributionMap, MapEntry, PartitionStatus, Selection, check_partition
 
-__all__ = ["Fragment", "scatter", "gather", "windows", "fragment_windows", "require_exact", "WINDOW_BYTES"]
+__all__ = ["Fragment", "scatter", "gather", "windows", "remaining", "require_exact", "WINDOW_BYTES"]
 
 DeviceRef = tuple[str, str, str]  # (island, host, device_id)
 Plan = tuple[int, list[tuple[slice, slice]], list[tuple[int, int]]]
 
 WINDOW_BYTES = 1 << 20  # budget of one window; a window still spans one lcm period at least
+IOV_MAX = 1024  # most buffers one os.readv fills: the limit on Linux and the BSDs
 
 
 @dataclass(frozen=True)
@@ -130,19 +133,22 @@ def _changed(stream: BinaryIO) -> IoFailure:
     return IoFailure(getattr(stream, "name", "stream"), "size changed while copying")
 
 
-def _read_into(src: BinaryIO, buf: bytearray, n: int) -> bytearray:
-    """The next ``n`` bytes of the stream, read with ``readinto`` into
-    ``buf``, or into a new buffer if ``buf`` is not ``n`` bytes long.  A
-    stream that ends first raises IoFailure."""
-    if len(buf) != n:
-        buf = bytearray(n)
+def remaining(src: BinaryIO) -> int:
+    """The count of bytes left in a seekable stream, taken from its end."""
+    here = src.tell()
+    size = src.seek(0, os.SEEK_END) - here
+    src.seek(here)
+    return size
+
+
+def _fill(src: BinaryIO, buf) -> None:
+    """Fill ``buf`` from the stream by ``readinto``; a stream that ends first raises IoFailure."""
     view = memoryview(buf)
     while view:
         got = src.readinto(view)
         if not got:
             raise _changed(src)
         view = view[got:]
-    return buf
 
 
 def windows(src: BinaryIO, dmap: DistributionMap) -> Iterator[tuple[bytearray, DistributionMap]]:
@@ -154,27 +160,37 @@ def windows(src: BinaryIO, dmap: DistributionMap) -> Iterator[tuple[bytearray, D
     require_exact(dmap)
     buf = bytearray()
     for wmap in _window_maps(dmap):
-        buf = _read_into(src, buf, wmap.file_size)
+        if len(buf) != wmap.file_size:
+            buf = bytearray(wmap.file_size)
+        _fill(src, buf)
         yield buf, wmap
     if src.read(1):
         raise _changed(src)
 
 
-def fragment_windows(
-    sources: list[BinaryIO], dmap: DistributionMap
-) -> Iterator[tuple[list[Fragment], DistributionMap]]:
-    """The fragments of the file, window by window, read from one source
-    per map entry holding exactly that entry's fragment (as
-    ``store.read_fragments`` checks): each window's share of every
-    fragment, in entry order, with the window's map.  Each entry's share
-    is read into one reused buffer, so a window's payloads are
-    overwritten by the next."""
-    require_exact(dmap)
-    bufs = [bytearray() for _ in sources]
-    for wmap in _window_maps(dmap):
-        n = wmap.file_size
-        bufs = [_read_into(src, buf, e.selection.total(n)) for e, src, buf in zip(wmap.entries, sources, bufs)]
-        yield [Fragment(_ref(e), buf) for e, buf in zip(wmap.entries, bufs)], wmap
+def _read_slots(src: BinaryIO, slots: list[memoryview]) -> None:
+    """Fill the slots in order from the stream: one ``os.readv`` per IOV_MAX
+    slots on an unbuffered file, then, after a short read or for any other
+    stream, ``readinto`` slot by slot.  A stream that ends first raises IoFailure."""
+    fd = src.fileno() if isinstance(src, io.FileIO) and hasattr(os, "readv") else None
+    for i in range(0, len(slots), IOV_MAX):
+        chunk = slots[i : i + IOV_MAX]
+        got = 0 if fd is None else os.readv(fd, chunk)
+        if got < sum(map(len, chunk)):
+            for slot in chunk:
+                _fill(src, slot[min(got, len(slot)) :])
+                got = max(0, got - len(slot))
+
+
+def _slot_table(wmap: DistributionMap, window: memoryview) -> list[tuple[bytearray, list[memoryview], list]]:
+    """Per entry of a window map: its strided share's buffer, the slots
+    its bytes are read into in fragment order (that buffer, then the
+    window's slice for each run), and the strided (window, share) pairs."""
+    table = []
+    for body, strided, runs in _plans(wmap):
+        share = bytearray(body)
+        table.append((share, [memoryview(share), *(window[start : start + n] for start, n in runs)], strided))
+    return table
 
 
 def write_all(sink: BinaryIO, data) -> None:
@@ -196,17 +212,6 @@ def _split(data: bytes | bytearray, view: memoryview, plan: Plan) -> list:
     return [head, *(view[start : start + n] for start, n in runs)]
 
 
-def _merge(out: bytearray, payload: bytes, plan: Plan) -> None:
-    """Put one entry's bytes, as ``_split`` took them, back."""
-    pos, strided, runs = plan
-    for dst, src in strided:
-        out[dst] = payload[src]
-    view = memoryview(payload)
-    for start, n in runs:
-        out[start : start + n] = view[pos : pos + n]
-        pos += n
-
-
 def scatter(data: bytes | bytearray, dmap: DistributionMap) -> list[Fragment]:
     """One fragment per map entry, in entry order; empty payloads are
     materialized."""
@@ -219,26 +224,29 @@ def scatter(data: bytes | bytearray, dmap: DistributionMap) -> list[Fragment]:
     return [Fragment(_ref(entry), b"".join(_split(data, view, plan))) for entry, plan in zip(dmap.entries, plans)]
 
 
-def gather(fragments: list[Fragment], dmap: DistributionMap) -> bytearray:
-    """Rebuild the logical file from one fragment per map entry, in entry
-    order; inverse of scatter for exact partitions.  The file comes back
-    in the buffer it was rebuilt in, without a copy to ``bytes``."""
+def gather(sources: list[BinaryIO], dmap: DistributionMap, dst: BinaryIO) -> None:
+    """Rebuild the logical file into ``dst`` from one seekable stream per
+    map entry, in entry order, each holding from where it stands exactly
+    its entry's fragment; inverse of scatter for exact partitions.  Every
+    check passes before a buffer is allocated or a byte written."""
     require_exact(dmap)
-    if len(fragments) < len(dmap.entries):
-        raise MissingFragment(f"no fragment for device {dmap.entries[len(fragments)].label}")
-    if len(fragments) > len(dmap.entries):
-        raise ExtraFragment(f"{len(fragments)} fragments for {len(dmap.entries)} map entries")
-    for i, (entry, frag) in enumerate(zip(dmap.entries, fragments)):
-        if frag.device_ref != _ref(entry):
-            raise MissingFragment(
-                f"position {i} holds the fragment for {'/'.join(frag.device_ref)}, not for device {entry.label}"
-            )
-        expected = entry.selection.total(dmap.file_size)
-        if len(frag.payload) != expected:
-            raise LengthMismatch(
-                f"fragment for {entry.label} has {len(frag.payload)} bytes, extents total {expected}"
-            )
-    out = bytearray(dmap.file_size)  # only once the fragments account for every byte
-    for frag, plan in zip(fragments, _plans(dmap)):
-        _merge(out, frag.payload, plan)
-    return out
+    if len(sources) < len(dmap.entries):
+        raise MissingFragment(f"no fragment for device {dmap.entries[len(sources)].label}")
+    if len(sources) > len(dmap.entries):
+        raise ExtraFragment(f"{len(sources)} fragments for {len(dmap.entries)} map entries")
+    for entry, src in zip(dmap.entries, sources):
+        expected, actual = entry.selection.total(dmap.file_size), remaining(src)
+        if actual != expected:
+            raise LengthMismatch(f"fragment for {entry.label} has {actual} bytes, extents total {expected}")
+    buf, tabled = bytearray(), None
+    for wmap in _window_maps(dmap):
+        n = wmap.file_size
+        if wmap is not tabled:  # the head, the steady and the last window map
+            if len(buf) < n:
+                buf = bytearray(n)
+            table, tabled = _slot_table(wmap, memoryview(buf)), wmap
+        for src, (share, slots, strided) in zip(sources, table):
+            _read_slots(src, slots)
+            for window_slice, share_slice in strided:
+                buf[window_slice] = share[share_slice]
+        write_all(dst, memoryview(buf)[:n])

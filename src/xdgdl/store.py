@@ -16,25 +16,26 @@ map-entry order throughout.
 and they stream: ``put_file`` reads a binary stream and ``get_file``
 writes one, window by window (see ``scatter``), so memory stays bounded
 by the window, not by the file.  Callers holding bytes pass
-``io.BytesIO``; a stream that cannot seek, such as a pipe, is read
-whole first (``measured``).  Every output file is written to
-``<path>.tmp`` through an unbuffered handle and renamed into place
+``io.BytesIO``; a stream that cannot seek, such as a pipe, is spooled
+to a temporary file first (``measured``).  Every output file is written
+to ``<path>.tmp`` through an unbuffered handle and renamed into place
 (``committed``), so no reader sees a half-written file.  A put commits
 its fragments and its three metadata files in one block, renamed in
 order: the fragments, then ``.vd.<name>`` and its ``.size``, then the
 stub, so storing a name again with another TIMESTAMP reads back the new
 bytes (the old fragments stay on disk).  ``rebuild``, shared by
-``get_file`` and ``xdgdl gather``, is the one loop that rebuilds a file
-from fragment files, and ``read_fragments`` the one place that opens
-them; it checks every length before a byte is written.
+``get_file`` and ``xdgdl gather``, rebuilds a file from fragment files:
+``read_fragments`` is the one place that opens them, and ``gather``
+checks every length before a byte is written.
 """
 
 from __future__ import annotations
 
-import io
 import logging
 import os
-from contextlib import contextmanager
+import shutil
+import tempfile
+from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Iterator
@@ -44,14 +45,13 @@ from .errors import (
     DuplicateTimestamp,
     EmptyDeviceList,
     IoFailure,
-    LengthMismatch,
     MissingFragment,
     MissingManifest,
     RosterMismatch,
     XdgdlError,
 )
 from .model import Document, parse_document, serialize_document, validate_document
-from .scatter import fragment_windows, gather, require_exact, scatter, windows, write_all
+from .scatter import WINDOW_BYTES, gather, remaining, require_exact, scatter, windows, write_all
 from .views import DistributionMap, build_distribution_map
 
 __all__ = [
@@ -135,7 +135,8 @@ def committed(paths: list[Path]) -> Iterator[list[BinaryIO]]:
             _writing(path, os.replace, tmp, path)
     except BaseException:
         for tmp in tmps:
-            tmp.unlink(missing_ok=True)
+            with suppress(OSError):  # a failed removal must not hide the failure being raised
+                tmp.unlink(missing_ok=True)
         raise
 
 
@@ -147,17 +148,18 @@ def _writing(path: Path, fn, *args, **kwargs):
         raise IoFailure(path, f"cannot write ({exc.strerror})") from exc
 
 
-def measured(src: BinaryIO) -> tuple[BinaryIO, int]:
+@contextmanager
+def measured(src: BinaryIO) -> Iterator[tuple[BinaryIO, int]]:
     """The stream and the count of bytes left in it, taken from its end.
-    A stream that cannot seek, such as a pipe, is read whole and comes
-    back as ``io.BytesIO``."""
-    if not src.seekable():
-        data = src.read()
-        return io.BytesIO(data), len(data)
-    here = src.tell()
-    size = src.seek(0, os.SEEK_END) - here
-    src.seek(here)
-    return src, size
+    A stream that cannot seek, such as a pipe, is copied a window at a
+    time into a temporary file, which is read instead and closed after."""
+    if src.seekable():
+        yield src, remaining(src)
+        return
+    with tempfile.TemporaryFile() as spool:
+        shutil.copyfileobj(src, spool, WINDOW_BYTES)
+        spool.seek(0)
+        yield spool, remaining(spool)
 
 
 def _devices_for(dmap: DistributionMap, layout: GridLayout) -> tuple[LayoutDevice, ...]:
@@ -185,35 +187,35 @@ def put_file(
     sidecar), passing it keeps the stored ``.vd.`` file byte-identical to
     it; otherwise the manifest is serialized canonically.
     """
-    src, size = measured(src)
-    dmap = build_distribution_map(manifest, size)
-    devices = _devices_for(dmap, layout)
-    for entry, device in zip(dmap.entries, devices):
-        if entry.device_id != device.device_id:
-            log.debug("descriptor device %s resolved positionally to %s", entry.device_id, device.directory)
-    require_exact(dmap)  # raises NotAPartition before anything is written
+    with measured(src) as (src, size):
+        dmap = build_distribution_map(manifest, size)
+        devices = _devices_for(dmap, layout)
+        for entry, device in zip(dmap.entries, devices):
+            if entry.device_id != device.device_id:
+                log.debug("descriptor device %s resolved positionally to %s", entry.device_id, device.directory)
+        require_exact(dmap)  # raises NotAPartition before anything is written
 
-    timestamp = manifest.timestamp
-    frag_paths = tuple(device.directory / f"{timestamp}.frag" for device in devices)
-    for path in frag_paths:
-        if path.exists():
-            raise DuplicateTimestamp(f"fragment {path} already exists")
+        timestamp = manifest.timestamp
+        frag_paths = tuple(device.directory / f"{timestamp}.frag" for device in devices)
+        for path in frag_paths:
+            if path.exists():
+                raise DuplicateTimestamp(f"fragment {path} already exists")
 
-    if manifest_text is None:
-        manifest_text = serialize_document(manifest).encode("iso-8859-1", "xmlcharrefreplace")
-    metadata = {
-        layout.root / f".vd.{name}": manifest_text,
-        layout.root / f".vd.{name}.size": f"{dmap.file_size}\n".encode("ascii"),
-        layout.root / name: b"",  # the 0-byte stub, renamed last, marks the file as stored
-    }
-    with committed([*frag_paths, *metadata]) as sinks:
-        frag_sinks, meta_sinks = sinks[: len(frag_paths)], sinks[len(frag_paths) :]
-        for data, wmap in windows(src, dmap):
-            for sink, frag in zip(frag_sinks, scatter(data, wmap)):
-                write_all(sink, frag.payload)
-        for sink, payload in zip(meta_sinks, metadata.values()):
-            write_all(sink, payload)
-    return StoredFile(timestamp_id=timestamp, manifest=manifest, fragment_paths=frag_paths)
+        if manifest_text is None:
+            manifest_text = serialize_document(manifest).encode("iso-8859-1", "xmlcharrefreplace")
+        metadata = {
+            layout.root / f".vd.{name}": manifest_text,
+            layout.root / f".vd.{name}.size": f"{dmap.file_size}\n".encode("ascii"),
+            layout.root / name: b"",  # the 0-byte stub, renamed last, marks the file as stored
+        }
+        with committed([*frag_paths, *metadata]) as sinks:
+            frag_sinks, meta_sinks = sinks[: len(frag_paths)], sinks[len(frag_paths) :]
+            for data, wmap in windows(src, dmap):
+                for sink, frag in zip(frag_sinks, scatter(data, wmap)):
+                    write_all(sink, frag.payload)
+            for sink, payload in zip(meta_sinks, metadata.values()):
+                write_all(sink, payload)
+        return StoredFile(timestamp_id=timestamp, manifest=manifest, fragment_paths=frag_paths)
 
 
 def get_file(layout: GridLayout, name: str, dst: BinaryIO) -> None:
@@ -244,32 +246,23 @@ def get_file(layout: GridLayout, name: str, dst: BinaryIO) -> None:
 
 def rebuild(dmap: DistributionMap, paths: list[Path], dst: BinaryIO) -> None:
     """Rebuild the file of the map from its entries' fragment files into
-    ``dst``, window by window.  The map must be an exact partition and
-    every fragment must hold its entry's byte count before the first
-    byte is written."""
+    ``dst`` (``gather``), once the map is found an exact partition."""
     require_exact(dmap)
     with read_fragments(dmap, paths) as sources:
-        for fragments, wmap in fragment_windows(sources, dmap):
-            write_all(dst, gather(fragments, wmap))
+        gather(sources, dmap, dst)
 
 
 @contextmanager
 def read_fragments(dmap: DistributionMap, paths: list[Path]) -> Iterator[list[BinaryIO]]:
     """Each entry's fragment file, open for reading, once every file is
-    there and holds exactly the entry's byte count."""
-    sources: list[BinaryIO] = []
-    try:
+    there; ``gather`` checks their lengths."""
+    with ExitStack() as stack:
+        sources: list[BinaryIO] = []
         for entry, path in zip(dmap.entries, paths):
             try:
-                sources.append(open(path, "rb", buffering=0))
+                sources.append(stack.enter_context(open(path, "rb", buffering=0)))
             except FileNotFoundError:
                 raise MissingFragment(f"device {entry.label} has no fragment at {path}") from None
             except OSError as exc:
                 raise IoFailure(path, f"cannot read fragment ({exc.strerror})") from exc
-            expected, actual = entry.selection.total(dmap.file_size), os.fstat(sources[-1].fileno()).st_size
-            if actual != expected:
-                raise LengthMismatch(f"fragment for {entry.label} has {actual} bytes, extents total {expected}")
         yield sources
-    finally:
-        for source in sources:
-            source.close()

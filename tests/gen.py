@@ -5,6 +5,7 @@ thousands of cases); the hypothesis strategies in strategies.py cover the
 same shapes with shrinking support.
 """
 
+import io
 import random
 import string
 
@@ -24,6 +25,7 @@ from xdgdl import (
     ProcessorsDecl,
     ServerDecl,
     ViewDecl,
+    gather,
 )
 from xdgdl.views import INT64_MAX, MapEntry, Selection
 
@@ -200,3 +202,11 @@ def entry_of(island: str, host: str, device_id: str, extents) -> MapEntry:
     file, merged, and clipped where the extents end."""
     selection = Selection(0, INT64_MAX, tuple((e.start, e.length) for e in extents))
     return MapEntry(island, host, device_id, selection, max((a + n for a, n in selection.pieces), default=0))
+
+
+def gather_bytes(fragments, dmap) -> bytes:
+    """The file ``gather`` rebuilds from in-memory fragments, one
+    ``io.BytesIO`` source per fragment."""
+    out = io.BytesIO()
+    gather([io.BytesIO(f.payload) for f in fragments], dmap, out)
+    return out.getvalue()

@@ -206,6 +206,16 @@ class TestCp:
         records = [r for r in caplog.records if "resolved positionally" in r.getMessage()]
         assert [r.levelno for r in records] == [logging.DEBUG] * 3
 
+    def test_a_directory_in_the_way_of_a_tmp_file_is_a_write_failure(self, store_env, capsys):
+        src = store_env / "f"
+        src.write_bytes(random.Random(7).randbytes(20_000))
+        blocker = store_env / "grid" / "vipios" / ".vd.f.tmp"
+        blocker.mkdir(parents=True)
+        assert main(["cp-in", str(src)]) == 4
+        assert "cannot write" in capsys.readouterr().err
+        assert [p for p in (store_env / "grid").rglob("*.tmp") if p != blocker] == []
+        assert blocker.is_dir()
+
     def test_cp_out_unknown_name_exits_4(self, store_env, capsys):
         assert main(["cp-out", "ghost", str(store_env / "g")]) == 4
 

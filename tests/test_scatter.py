@@ -1,10 +1,12 @@
+import importlib
+import io
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gen import entry_of
+from gen import entry_of, gather_bytes
 from xdgdl import (
     DistributionMap,
     Extent,
@@ -20,6 +22,8 @@ from xdgdl import (
     scatter,
     view_selecting,
 )
+
+scatter_module = importlib.import_module("xdgdl.scatter")  # the package's ``scatter`` is the function
 
 
 def pattern_bytes(n: int) -> bytes:
@@ -92,22 +96,22 @@ class TestGather:
     def test_round_trip_two_server(self, two_server_doc):
         data = pattern_bytes(72)
         dmap = build_distribution_map(two_server_doc, 72)
-        assert gather(scatter(data, dmap), dmap) == data
+        assert gather_bytes(scatter(data, dmap), dmap) == data
 
     def test_round_trip_balanced_three_server(self, balanced_doc):
         data = bytes(random.Random(3).randbytes(82))
         dmap = build_distribution_map(balanced_doc, 82)
-        assert gather(scatter(data, dmap), dmap) == data
+        assert gather_bytes(scatter(data, dmap), dmap) == data
 
     def test_zero_size(self):
         dmap = whole_file_map(0)
-        assert gather(scatter(b"", dmap), dmap) == b""
+        assert gather_bytes(scatter(b"", dmap), dmap) == b""
 
     def test_missing_fragment(self, two_server_doc):
         dmap = build_distribution_map(two_server_doc, 72)
         frags = scatter(pattern_bytes(72), dmap)
         with pytest.raises(MissingFragment) as err:
-            gather(frags[:1], dmap)
+            gather_bytes(frags[:1], dmap)
         assert "vipclus9" in str(err.value)
 
     def test_length_mismatch(self, two_server_doc):
@@ -115,33 +119,33 @@ class TestGather:
         frags = scatter(pattern_bytes(72), dmap)
         broken = [Fragment(frags[0].device_ref, frags[0].payload + b"!"), frags[1]]
         with pytest.raises(LengthMismatch) as err:
-            gather(broken, dmap)
+            gather_bytes(broken, dmap)
         assert "vipios.pri" in str(err.value)
-
-    def test_fragments_out_of_entry_order_rejected(self, two_server_doc):
-        dmap = build_distribution_map(two_server_doc, 72)
-        frags = scatter(pattern_bytes(72), dmap)
-        with pytest.raises(MissingFragment) as err:
-            gather(frags[::-1], dmap)
-        assert "vipios.pri" in str(err.value) and "position 0" in str(err.value)
 
     def test_extra_fragment(self):
         dmap = whole_file_map(4)
         frags = scatter(b"abcd", dmap)
         with pytest.raises(ExtraFragment):
-            gather(frags + [Fragment(("x", "y", "z"), b"")], dmap)
+            gather_bytes(frags + [Fragment(("x", "y", "z"), b"")], dmap)
 
-    def test_duplicate_device_refs_match_in_order(self):
-        dmap = DistributionMap(
-            4,
-            (
-                entry_of("i", "h", "d", (Extent(0, 2),)),
-                entry_of("i", "h", "d", (Extent(2, 2),)),
-            ),
-        )
-        frags = scatter(b"abcd", dmap)
-        assert frags[0].device_ref == frags[1].device_ref
-        assert gather(frags, dmap) == b"abcd"
+    @pytest.mark.parametrize(
+        "damage, error",
+        [(lambda p: p[:1], MissingFragment), (lambda p: p + [b""], ExtraFragment), (lambda p: [p[0][1:], p[1]], LengthMismatch)],
+    )
+    def test_checks_come_before_any_allocation_or_write(self, two_server_doc, monkeypatch, damage, error):
+        dmap = build_distribution_map(two_server_doc, 72)
+        payloads = damage([f.payload for f in scatter(pattern_bytes(72), dmap)])
+
+        class Untouched(io.RawIOBase):
+            def write(self, data):
+                raise AssertionError("written before the checks passed")
+
+        def no_buffer(*args):
+            raise AssertionError("allocated before the checks passed")
+
+        monkeypatch.setattr(scatter_module, "bytearray", no_buffer, raising=False)
+        with pytest.raises(error):
+            gather([io.BytesIO(p) for p in payloads], dmap, Untouched())
 
 
 class TestRoundTripProperty:
@@ -153,4 +157,4 @@ class TestRoundTripProperty:
         data = rng.randbytes(size)
         frags = scatter(data, dmap)
         assert sum(len(f.payload) for f in frags) == size
-        assert gather(frags, dmap) == data
+        assert gather_bytes(frags, dmap) == data

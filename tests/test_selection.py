@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from descriptors import CONFIG_TEMPLATE, MINIMAL_XML, TWO_SERVER_XML
-from gen import entry_of, random_document, random_partition_views, random_view
+from gen import entry_of, gather_bytes, random_document, random_partition_views, random_view
 from reference import naive_coverage, naive_period, painted_runs
 from strategies import view_decls
 from xdgdl import (
@@ -40,7 +40,6 @@ from xdgdl import (
     check_partition,
     compile_hpf_mapping,
     default_descriptor,
-    gather,
     ownermap_to_views,
     parse_config,
     parse_document,
@@ -96,7 +95,7 @@ def assert_moves_like_the_painter(views, size: int, seed: int = 0):
     expected = expected_payloads(views, data)
     assert [f.payload for f in frags] == expected
     assert [e.selection.total(size) for e in dmap.entries] == [len(p) for p in expected]
-    assert gather(frags, dmap) == data
+    assert gather_bytes(frags, dmap) == data
     return dmap
 
 
@@ -404,7 +403,7 @@ class TestMapEntry:
         dmap = DistributionMap(8, (entry,))
         (frag,) = scatter(bytes(range(8)), dmap)
         assert frag.payload == bytes(range(8))
-        assert gather([frag], dmap) == bytes(range(8))
+        assert gather_bytes([frag], dmap) == bytes(range(8))
         for unsorted_or_overlapping in ((Extent(4, 4), Extent(0, 4)), (Extent(0, 4), Extent(3, 4))):
             with pytest.raises(ValueError):
                 entry_of("i", "h", "d", unsorted_or_overlapping)
@@ -415,7 +414,7 @@ class TestMapEntry:
         assert render_plan(dmap) == "i/h/d\t0:8\npartition: exact\n"
         frags = scatter(bytes(range(8)), dmap)
         assert frags[0].payload == bytes(range(8))
-        assert gather(frags, dmap) == bytes(range(8))
+        assert gather_bytes(frags, dmap) == bytes(range(8))
 
     def test_extents_or_selection_not_both(self):
         """An entry is a selection and a size; there is no extents form."""

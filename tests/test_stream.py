@@ -1,8 +1,8 @@
 """The windowed data path: ``cp-in``, ``cp-out``, ``xdgdl scatter`` and
-``xdgdl gather`` move files window by window, ``scatter`` or ``gather``
-moving each window that ``windows`` or ``fragment_windows`` reads.
-Most tests shrink ``WINDOW_BYTES`` to one to three lcm periods so that
-small files cross many windows."""
+``xdgdl gather`` move files window by window, ``scatter`` splitting each
+window that ``windows`` reads and ``gather`` reading each window's
+fragment shares straight into place.  Most tests shrink ``WINDOW_BYTES``
+to one to three lcm periods so that small files cross many windows."""
 
 import dataclasses
 import importlib
@@ -19,7 +19,10 @@ from descriptors import CONFIG_TEMPLATE, THREE_SERVER_BALANCED_XML
 from gen import random_partition_views
 from test_selection import doc_of, expected_payloads
 from xdgdl import (
+    BlockDecl,
+    ByteBlock,
     IoFailure,
+    ViewDecl,
     build_distribution_map,
     copy_in,
     copy_out,
@@ -77,9 +80,19 @@ def scatter_stream(data: bytes, dmap) -> list[bytes]:
 
 
 def gather_stream(payloads: list[bytes], dmap) -> bytes:
-    """The file as the store and the CLI rebuild it, window by window."""
-    sources = [io.BytesIO(p) for p in payloads]
-    return b"".join(gather(fragments, wmap) for fragments, wmap in stream.fragment_windows(sources, dmap))
+    """The file ``gather`` rebuilds, window by window, from ``io.BytesIO``
+    sources, which it fills by ``readinto``."""
+    out = io.BytesIO()
+    gather([io.BytesIO(p) for p in payloads], dmap, out)
+    return out.getvalue()
+
+
+def counting_readv(monkeypatch) -> list[int]:
+    """The number of buffers of every ``os.readv`` call from now on."""
+    calls: list[int] = []
+    real = os.readv
+    monkeypatch.setattr(os, "readv", lambda fd, buffers: calls.append(len(buffers)) or real(fd, buffers))
+    return calls
 
 
 def get_bytes(layout, name) -> bytes:
@@ -91,7 +104,8 @@ def get_bytes(layout, name) -> bytes:
 def test_windowed_paths_match_the_painter_and_the_library(cfg, monkeypatch, tmp_path):
     rng = random.Random(2024)
     layout = init_store(cfg)
-    seen = {"multi": 0, "strided": 0, "runs": 0, "wrapping": 0, "noview": 0}
+    seen = {"multi": 0, "strided": 0, "runs": 0, "wrapping": 0, "noview": 0, "readv": 0}
+    readv = counting_readv(monkeypatch)
     for case in range(45):
         devices = rng.randint(1, 3)
         if case % 15 == 0:  # all NOVIEW: the first device takes the file in one window
@@ -107,12 +121,15 @@ def test_windowed_paths_match_the_painter_and_the_library(cfg, monkeypatch, tmp_
             expected = expected_payloads(views, data)
             assert [f.payload for f in scatter(data, dmap)] == expected
             assert scatter_stream(data, dmap) == expected, (case, size)
-            assert gather_stream(expected, dmap) == data == gather(scatter(data, dmap), dmap)
+            calls = len(readv)
+            assert gather_stream(expected, dmap) == data
+            assert len(readv) == calls  # io.BytesIO sources are read by readinto
 
             name = f"c{case}_{size}"
             stored = put_file(layout, name, io.BytesIO(data), dataclasses.replace(doc, timestamp=name))
             assert [p.read_bytes() for p in stored.fragment_paths] == expected
             assert get_bytes(layout, name) == data
+            seen["readv"] += len(readv) > calls  # fragment files are read by os.readv
 
             head, width = stream._windows(dmap)
             if size > head:
@@ -171,6 +188,62 @@ def test_steady_window_plan_is_built_once(monkeypatch):
     assert built[:3] == built[3:6] == [real(e.selection, head) for e in dmap.entries]
 
 
+def test_cp_out_reads_each_window_with_one_readv_per_entry(store_env, monkeypatch):
+    src = store_env / "f"
+    src.write_bytes(random.Random(9).randbytes(3 * (1 << 20) + 5000))  # default 3 x 4096 stripe: 4 windows
+    assert main(["cp-in", str(src)]) == 0
+    readv, tables, written = counting_readv(monkeypatch), [], []
+    real_table, real_write = stream._slot_table, stream.write_all
+    monkeypatch.setattr(stream, "_slot_table", lambda wmap, window: tables.append(wmap) or real_table(wmap, window))
+    monkeypatch.setattr(stream, "write_all", lambda sink, data: written.append(data.obj) or real_write(sink, data))
+    assert main(["cp-out", "f", str(store_env / "back")]) == 0
+    assert (store_env / "back").read_bytes() == src.read_bytes()
+    assert len(written) == 4
+    assert len(readv) == 3 * len(written) and max(readv) <= 1024  # 86 slots an entry a window
+    assert len(tables) <= 3
+    assert all(buf is written[1] for buf in written[1:])  # no window buffer after the first steady window
+
+
+def test_short_readv_carries_on_where_it_stopped(store_env, monkeypatch):
+    monkeypatch.setattr(stream, "WINDOW_BYTES", 2 * 82)
+    src = store_env / "f"
+    data = random.Random(11).randbytes(5000)
+    src.write_bytes(data)
+    (store_env / ".vd.f").write_text(THREE_SERVER_BALANCED_XML)
+    assert main(["cp-in", str(src)]) == 0
+    real = os.readv
+
+    def short(fd, buffers):  # at most 7 bytes, into the first buffer that takes any
+        return real(fd, [memoryview(next((b for b in buffers if len(b)), buffers[0]))[:7]])
+
+    monkeypatch.setattr(os, "readv", short)
+    assert main(["cp-out", "f", str(store_env / "back")]) == 0
+    assert (store_env / "back").read_bytes() == data
+
+
+def test_windows_of_more_than_iov_max_runs_match_the_painter(tmp_path, monkeypatch):
+    # 2000 pieces of 256 bytes per device in a period of 1,024,000 bytes:
+    # every full window holds one period, 2000 runs per entry
+    views = [
+        ViewDecl(0, 256, (BlockDecl(0, 2000, 256, 256, ByteBlock()),)),
+        ViewDecl(0, 0, (BlockDecl(256, 2000, 256, 256, ByteBlock()),)),
+    ]
+    size = 2 * 1_024_000 + 300_001  # the head window, one steady window, a clipped last one
+    data = random.Random(10).randbytes(size)
+    expected = expected_payloads(views, data)
+    desc, frags = tmp_path / "d.xml", tmp_path / "frags"
+    desc.write_text(serialize_document(doc_of(views)))
+    frags.mkdir()
+    for i, payload in enumerate(expected):
+        (frags / f"00{i}.frag").write_bytes(payload)
+    readv = counting_readv(monkeypatch)
+    assert main(["gather", str(desc), "--frags", str(frags), "--size", str(size), "--out", str(tmp_path / "g")]) == 0
+    assert (tmp_path / "g").read_bytes() == data
+    # two calls per entry for each full window, one for the last window's 586 runs
+    assert len(readv) == 2 * 2 * 2 + 2 and max(readv) == 1024
+    assert gather_stream(expected, build_distribution_map(doc_of(views), size)) == data
+
+
 def test_memory_is_bounded_by_the_window(cfg, tmp_path):
     src = tmp_path / "big"
     src.write_bytes(bytes(range(256)) * 262144)  # 64 MiB, default round-robin
@@ -204,6 +277,14 @@ class OneByteMore(io.FileIO):
     def seek(self, pos, whence=os.SEEK_SET):
         end = super().seek(pos, whence)
         return end - 1 if whence == os.SEEK_END else end
+
+
+class OneByteShort(io.FileIO):
+    """A file that has lost its last byte since its size was taken."""
+
+    def seek(self, pos, whence=os.SEEK_SET):
+        end = super().seek(pos, whence)
+        return end + 1 if whence == os.SEEK_END else end
 
 
 def opening(cls):
@@ -256,7 +337,9 @@ def test_failed_gather_and_cp_out_leave_the_destination_alone(store_env, monkeyp
     assert main(["scatter", str(src), str(desc), "--out", str(store_env / "frags")]) == 0
     for target in ("back", "g"):
         (store_env / target).write_bytes(b"old")
-    monkeypatch.setattr(store, "open", opening(ShortReads), raising=False)
+    for frag in store_env.rglob("*.frag"):  # each one byte shorter than its reader reports
+        os.truncate(frag, frag.stat().st_size - 1)
+    monkeypatch.setattr(store, "open", opening(OneByteShort), raising=False)
     assert main(["cp-out", "kept", str(store_env / "back")]) == 4
     argv = ["gather", str(desc), "--frags", str(store_env / "frags"), "--size", "40000", "--out", str(store_env / "g")]
     assert main(argv) == 4
@@ -291,7 +374,7 @@ def feeding(path, data: bytes) -> threading.Thread:
     return writer
 
 
-def test_scatter_and_cp_in_read_a_pipe_whole(store_env, monkeypatch):
+def test_scatter_and_cp_in_spool_a_pipe(store_env, monkeypatch):
     monkeypatch.setattr(stream, "WINDOW_BYTES", 64)
     data = random.Random(8).randbytes(5000)
     desc = store_env / "d.xml"
@@ -308,6 +391,24 @@ def test_scatter_and_cp_in_read_a_pipe_whole(store_env, monkeypatch):
     assert main(["cp-in", str(fifo)]) == 0
     writer.join(10)
     assert not writer.is_alive()
+    assert main(["cp-out", "piped", str(store_env / "back")]) == 0
+    assert (store_env / "back").read_bytes() == data
+
+
+def test_cp_in_of_a_pipe_is_bounded_by_the_window(store_env):
+    data = bytes(range(256)) * 32768  # 8 MiB, default round-robin
+    fifo = store_env / "piped"
+    os.mkfifo(fifo)
+    writer = feeding(fifo, data)
+    tracemalloc.start()
+    try:
+        assert main(["cp-in", str(fifo)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    writer.join(10)
+    assert not writer.is_alive()
+    assert peak < 3 << 20, peak
     assert main(["cp-out", "piped", str(store_env / "back")]) == 0
     assert (store_env / "back").read_bytes() == data
 
