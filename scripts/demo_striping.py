@@ -18,7 +18,6 @@ from xdgdl import (
     build_distribution_map,
     render_plan,
     scatter,
-    selected_bytes_per_period,
     serialize_document,
     view_period,
 )
@@ -53,16 +52,15 @@ def main() -> None:
     doc = two_server_document()
     print(serialize_document(doc))
 
-    views = [srv.devices[0].view for srv in doc.island.servers]
-    for srv, view in zip(doc.island.servers, views):
+    text = (b"pack my box with five dozen liquor jugs " * 2)[:72]
+    dmap = build_distribution_map(doc, len(text))
+    for srv, entry in zip(doc.island.servers, dmap.entries):
         print(
-            f"{srv.host}: period {view_period(view)} bytes, "
-            f"{selected_bytes_per_period(view)} selected per period"
+            f"{srv.host}: period {view_period(srv.devices[0].view)} bytes, "
+            f"{entry.selection.per_period} selected per period"
         )
     print()
 
-    text = (b"pack my box with five dozen liquor jugs " * 2)[:72]
-    dmap = build_distribution_map(doc, len(text))
     print(render_plan(dmap))
     for srv, frag in zip(doc.island.servers, scatter(text, dmap)):
         print(f"{srv.host}: {frag.payload!r}")

@@ -64,7 +64,6 @@ from .views import (
     enumerate_extents,
     member_oracle,
     render_plan,
-    selected_bytes_per_period,
     view_period,
     view_selecting,
 )

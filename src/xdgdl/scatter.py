@@ -16,26 +16,26 @@ strided slices, one per selected byte offset of the period
 ``memoryview`` slice per piece per period, whichever takes fewer slice
 operations: bytes per period against pieces times full periods.  A
 coarse stripe thus moves run by run and a fine one (1-byte cyclic,
-nested views) byte offset by byte offset.  The clipped tail after the
-last whole period always moves as runs.
+nested views) byte offset by byte offset; a selection of every byte
+past its header is one run.  The clipped tail after the last whole
+period always moves as runs.
 
-Files move window by window.  With H and L the map's
-``coverage_period``, the coverage repeats every L bytes past H.  The
-head window is [0, H + k*L), the longest such prefix within
-``WINDOW_BYTES`` but at least one period, and its map is the file's own
-selections clipped at the window.  Every later window is the largest
-whole number of periods within ``WINDOW_BYTES``, at least one; each
-selection, ``shifted`` to the head window's end, meets them all at the
-same phase, so one window map, and with it one plan per entry, serves
-them all, and only the clipped last window gets its own.  A file no
-longer than its head window thus runs exactly the whole-file plan; so
-does every file of a map whose period is longer than the file (coprime
-periods, or the all-NOVIEW fallback, whose period is the 64-bit range).
-``windows`` reads a source into one reused buffer for ``scatter``.
-``gather`` reads each entry's share of a window straight into one reused
-window buffer, by one ``os.readv`` per entry into slots built once per
-window map: list I/O, as in ROMIO (Thakur, Gropp & Lusk, 1999).  Memory
-stays a few windows of max(``WINDOW_BYTES``, H + L) bytes.
+Files move window by window, cut from byte 0 by one rule: with H and L
+the map's ``coverage_period``, every window but the clipped last one is
+the largest whole number of periods L within ``WINDOW_BYTES``, or
+``WINDOW_BYTES`` itself when L is longer.  No window is larger than the
+budget, whatever the header or the period.  A window's map holds each
+selection as seen from the window's start (``Selection.shifted``),
+built from only the pieces that meet the window, so a window of a long
+period costs its own runs, not the period's.  A window whose map equals
+the previous one's reuses that map object, with its plans and slot
+table: past H the coverage repeats every L bytes, so every full window
+of whole periods there does, without being built.  ``windows`` reads a
+source into one reused buffer for ``scatter``.  ``gather`` reads each
+entry's share of a window straight into one reused window buffer, by
+one ``os.readv`` per entry into slots built once per window map: list
+I/O, as in ROMIO (Thakur, Gropp & Lusk, 1999).  Memory stays a few
+windows of ``WINDOW_BYTES`` bytes, plus the compiled selections.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ __all__ = ["Fragment", "scatter", "gather", "windows", "remaining", "require_exa
 DeviceRef = tuple[str, str, str]  # (island, host, device_id)
 Plan = tuple[int, list[tuple[slice, slice]], list[tuple[int, int]]]
 
-WINDOW_BYTES = 1 << 20  # budget of one window; a window still spans one lcm period at least
+WINDOW_BYTES = 1 << 20  # the most bytes one window holds: whole lcm periods, or this when a period is longer
 IOV_MAX = 1024  # most buffers one os.readv fills: the limit on Linux and the BSDs
 
 
@@ -83,7 +83,7 @@ def _copy_plan(sel: Selection, size: int) -> Plan:
     pairs, then the file runs ``(start, length)`` that follow in the
     fragment."""
     k = sel.full_periods(size)
-    if sel.per_period >= len(sel.pieces) * k:
+    if sel.per_period >= len(sel.pieces) * k or sel.per_period == sel.period:  # every byte is one run
         return 0, [], list(sel.runs(size))
     h, p, per = sel.header, sel.period, sel.per_period
     end, body = h + k * p, k * per
@@ -103,30 +103,23 @@ def _plans(dmap: DistributionMap) -> list[Plan]:
     return plans
 
 
-def _windows(dmap: DistributionMap) -> tuple[int, int]:
-    """The head window's end and the width of every later window."""
-    header, period = dmap.coverage_period()
-    return header + max(1, (WINDOW_BYTES - header) // period) * period, max(1, WINDOW_BYTES // period) * period
-
-
 def _window_maps(dmap: DistributionMap) -> Iterator[DistributionMap]:
-    """The map of each window of the file, in file order: the head
-    window's, clipped at the file size, then one map shared by every full
-    later window, then the clipped last window's."""
-    size = dmap.file_size
-    head, width = _windows(dmap)
-
-    def window(sels: list[Selection], n: int) -> DistributionMap:
-        wmap = DistributionMap(n, tuple(replace(e, selection=s, size=n) for e, s in zip(dmap.entries, sels)))
-        wmap.__dict__["_exact"] = dmap.__dict__.get("_exact")  # a window of an exact map is exact
-        return wmap
-
-    yield window([e.selection for e in dmap.entries], min(size, head))
-    steady = None
-    for start in range(head, size, width):
-        if steady is None:  # selections are shifted only for a file past its head window
-            steady = window([e.selection.shifted(head) for e in dmap.entries], width)
-        yield steady if size - start >= width else window([e.selection for e in steady.entries], size - start)
+    """The map of each window of the file, in file order: each entry's
+    selection as seen from the window's start.  A window whose map equals
+    the previous one's reuses that map object, plans and all."""
+    size, (header, period) = dmap.file_size, dmap.coverage_period()
+    width = WINDOW_BYTES // period * period or WINDOW_BYTES
+    key = None
+    for start in range(0, size, width):
+        n = min(width, size - start)
+        # past the headers, a full window of whole periods repeats the one before: nothing to build
+        if n < width or start - width < header or width % period:
+            sels = tuple(e.selection.shifted(start, n) for e in dmap.entries)
+            if (n, sels) != key:
+                key = n, sels
+                wmap = DistributionMap(n, tuple(replace(e, selection=s, size=n) for e, s in zip(dmap.entries, sels)))
+                wmap.__dict__["_exact"] = dmap.__dict__.get("_exact")  # a window of an exact map is exact
+        yield wmap
 
 
 def _changed(stream: BinaryIO) -> IoFailure:

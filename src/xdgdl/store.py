@@ -5,7 +5,7 @@ files named ``<timestamp>.frag``.  The user-visible directory holds a
 0-byte stub per stored file, the descriptor under ``.vd.<name>``, and the
 byte count under ``.vd.<name>.size`` (the descriptor file itself stays
 byte-identical to what the user supplied, so the size rides in a sidecar
-of its own).
+of its own).  ``put_file`` refuses names that begin with ``.vd.``.
 
 Descriptor devices are resolved against layout devices positionally: the
 descriptors in circulation happily reuse one device id on every server,
@@ -15,7 +15,8 @@ map-entry order throughout.
 ``put_file`` and ``get_file`` are the store's only write and read path,
 and they stream: ``put_file`` reads a binary stream and ``get_file``
 writes one, window by window (see ``scatter``), so memory stays bounded
-by the window, not by the file.  Callers holding bytes pass
+by the window, at most ``WINDOW_BYTES`` whatever the descriptor's
+header or period, not by the file.  Callers holding bytes pass
 ``io.BytesIO``; a stream that cannot seek, such as a pipe, is spooled
 to a temporary file first (``measured``).  Every output file is written
 to ``<path>.tmp`` through an unbuffered handle and renamed into place
@@ -185,8 +186,12 @@ def put_file(
     grows raises IoFailure and leaves no fragment behind.
     When the caller holds the descriptor's original text (a user-supplied
     sidecar), passing it keeps the stored ``.vd.`` file byte-identical to
-    it; otherwise the manifest is serialized canonically.
+    it; otherwise the manifest is serialized canonically.  A name that
+    begins with ``.vd.``, the prefix of the metadata files, raises
+    IoFailure before anything is written.
     """
+    if name.startswith(".vd."):
+        raise IoFailure(layout.root / name, "cannot store a name that begins with the reserved '.vd.' prefix")
     with measured(src) as (src, size):
         dmap = build_distribution_map(manifest, size)
         devices = _devices_for(dmap, layout)

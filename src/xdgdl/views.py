@@ -15,11 +15,12 @@ The data path works on each view's compiled ``Selection``: its header,
 its period and the merged pieces of one period, walked once and
 memoized on the (frozen) view, in the manner of FALLS nested strided
 segments or an MPI-IO vector file view.  ``Selection`` owns the piece
-arithmetic, including ``shifted``, the one builder of a selection
-rotated to start at any byte.  A ``MapEntry`` is a plain selection and
-file size per device; extents are expanded only on demand (plans,
-tests), byte totals are closed-form, and ``check_partition`` certifies
-exactness from one common period of the coverage (``coverage_period``).
+arithmetic, including ``shifted``, the one builder of a selection as
+seen from any byte, over a window of any length.  A ``MapEntry`` is a
+plain selection and file size per device; extents are expanded only on
+demand (plans, tests), byte totals are closed-form, and
+``check_partition`` certifies exactness from one common period of the
+coverage (``coverage_period``).
 A view with a negative SKIP_HEADER, SKIP, OFFSET, STRIDE or COUNT, or a
 REPEAT below 1, which ``validate_document`` rejects, does not compile:
 ``_compile`` raises ValueError, so it never reaches the data path.
@@ -43,9 +44,11 @@ from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import chain, cycle, starmap
+from operator import itemgetter
 from typing import Iterator, Sequence
 
 from .errors import ArithmeticOverflow, NoDevices
@@ -59,7 +62,6 @@ __all__ = [
     "PartitionStatus",
     "PartitionVerdict",
     "view_period",
-    "selected_bytes_per_period",
     "enumerate_extents",
     "member_oracle",
     "build_distribution_map",
@@ -69,6 +71,7 @@ __all__ = [
 ]
 
 INT64_MAX = 2**63 - 1
+_START = itemgetter(0)  # a piece's start: sorted pieces bisect on it
 
 
 @dataclass(frozen=True)
@@ -156,29 +159,33 @@ class Selection:
         """Selected ``(start, length)`` runs of [0, size), merged, in order."""
         return chain.from_iterable(zip(starts, cycle(lengths)) for starts, lengths in self.progressions(size))
 
-    def shifted(self, start: int) -> Selection:
-        """The selection's bytes from ``start`` (past its header) on, as a
-        header-less selection of the same period: the pieces rotated to the
-        phase of ``start``, a piece the phase cuts split in two."""
-        if not self.pieces:
+    def shifted(self, start: int, n: int) -> Selection:
+        """The selection as seen from ``start``: over [0, n) it selects
+        what this one selects in [start, start + n), moved down by start.
+        It keeps the period; the part of the header past ``start`` stays
+        its header, and its pieces are the selected runs of the window's
+        first period past that header, cut at the phase of ``start`` and
+        at the window's end.  Only the pieces that meet the window are
+        visited, found by bisection, so a window costs its own runs."""
+        h, p, pieces = self.header, self.period, self.pieces
+        if not pieces:
             return self
-        p = self.period
-        phase = (start - self.header) % p
-        pieces = []
-        for a, n in self.pieces:
-            a -= phase
-            if a < 0 < a + n:
-                pieces += [(0, a + n), (a + p, -a)]
-            else:
-                pieces.append((a % p, n))
-        return Selection(0, p, tuple(sorted(pieces)))
+        phase = max(0, start - h) % p
+        end = phase + min(p, n, start + n - h)  # the window is [phase, end) of this period and the next
+        first = bisect_right(pieces, phase, key=sum)  # the first piece ending past the phase
+        if end <= p:
+            meeting = pieces[first : bisect_left(pieces, end, key=_START)]
+        else:
+            meeting = chain(pieces[first:], ((a + p, k) for a, k in pieces[: bisect_left(pieces, end - p, key=_START)]))
+        cut = [(max(a, phase), min(a + k, end)) for a, k in meeting]
+        return Selection(max(0, h - start), p, tuple((a - phase, b - a) for a, b in cut))
 
     @cached_property
     def _past_head(self) -> Selection:
         """A wrapping selection past its head run (module notes): shifted
         to its second piece, whose start becomes the header."""
         start = self.header + self.pieces[1][0]
-        return replace(self.shifted(start), header=start)
+        return replace(self.shifted(start, self.period), header=start)
 
     def total(self, size: int) -> int:
         """Selected bytes in [0, size): whole periods, then the tail."""
@@ -349,11 +356,6 @@ def member_oracle(view: ViewDecl, byte_index: int) -> bool:
             return member_oracle(nested, inside)
         r -= span
     return False  # trailing skip
-
-
-def selected_bytes_per_period(view: ViewDecl) -> int:
-    """Bytes one full period places on the device (header excluded)."""
-    return _compile(view).per_period
 
 
 def build_distribution_map(doc: Document, file_size: int) -> DistributionMap:

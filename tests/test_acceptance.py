@@ -29,7 +29,6 @@ from xdgdl import (
     ownermap_to_views,
     parse_document,
     scatter,
-    selected_bytes_per_period,
     serialize_document,
     validate_document,
     view_period,
@@ -48,7 +47,7 @@ def test_criterion_1_period_cross_check(two_server_doc):
     view1, view2 = (s.devices[0].view for s in two_server_doc.island.servers)
     periods = (view_period(view1), view_period(view2))
     assert periods == (36, 36)
-    bytes_per_period = (selected_bytes_per_period(view1), selected_bytes_per_period(view2))
+    bytes_per_period = tuple(e.selection.per_period for e in build_distribution_map(two_server_doc, 0).entries)
     assert bytes_per_period == (15, 21)
     assert Fraction(*bytes_per_period) == Fraction(5, 7)
     report(

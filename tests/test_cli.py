@@ -216,6 +216,23 @@ class TestCp:
         assert [p for p in (store_env / "grid").rglob("*.tmp") if p != blocker] == []
         assert blocker.is_dir()
 
+    def test_reserved_names_are_refused_before_anything_is_written(self, store_env, capsys):
+        """``.vd.foo`` and ``.vd.foo.size`` are foo's stored descriptor and
+        size: storing a file under either name would replace them."""
+        src, grid = store_env / "src", store_env / "grid"
+        src.mkdir()
+        (src / "foo").write_bytes(b"0123456789" * 50)
+        assert main(["cp-in", str(src / "foo")]) == 0
+        stored = {p: p.read_bytes() for p in grid.rglob("*") if p.is_file()}
+        for name in (".vd.foo.size", ".vd.foo"):
+            (src / name).write_bytes(b"")
+            capsys.readouterr()
+            assert main(["cp-in", str(src / name)]) == 4
+            assert "reserved '.vd.' prefix" in capsys.readouterr().err
+            assert {p: p.read_bytes() for p in grid.rglob("*") if p.is_file()} == stored
+        assert main(["cp-out", "foo", str(store_env / "back")]) == 0
+        assert (store_env / "back").read_bytes() == b"0123456789" * 50
+
     def test_cp_out_unknown_name_exits_4(self, store_env, capsys):
         assert main(["cp-out", "ghost", str(store_env / "g")]) == 4
 

@@ -7,7 +7,8 @@ whose runs wrap across periods.  ``check_partition``'s gap and overlap
 report is compared with painted coverage.  The HPF owner table and the
 cyclic group size are compared with the per-element formulas in
 reference.py.  A cost guard counts the Python-level steps of planning,
-which must not grow with the file size.
+which must not grow with the file size, and of the streaming window
+maps, which must not grow with the period.
 """
 
 import dataclasses
@@ -46,7 +47,8 @@ from xdgdl import (
     view_period,
 )
 from xdgdl.hpf import _cyclic_group_size
-from xdgdl.views import Selection
+from xdgdl.scatter import WINDOW_BYTES, _window_maps
+from xdgdl.views import Selection, view_selecting
 
 EXACT = PartitionStatus.EXACT_PARTITION
 
@@ -247,7 +249,9 @@ def python_steps(fn) -> int:
 
 class TestCostGuard:
     """Planning expands runs and owner tables in bulk: the Python-level
-    steps it takes are the same for a file 16 times larger."""
+    steps it takes are the same for a file 16 times larger.  A window's
+    map is built from only the pieces that meet the window: the steps
+    are the same for a period 4 times longer."""
 
     def test_render_plan(self, balanced_doc):
         # about 64 KiB and 1 MiB, alike modulo the 82-byte period, so the
@@ -268,3 +272,20 @@ class TestCostGuard:
         assert python_steps(lambda: compile_hpf_mapping(big, procs)) == python_steps(
             lambda: compile_hpf_mapping(small, procs)
         )
+
+    def test_window_maps(self):
+        # two devices dealt alternate 32 KiB runs of one long period: the
+        # first 4 MiB are alike, and the longer period has 4 times the pieces
+        chunk, size = 32 << 10, 4 << 20
+
+        def window_maps(period):
+            halves = [[Extent(a, chunk) for a in range(first, period, 2 * chunk)] for first in (0, chunk)]
+            dmap = build_distribution_map(doc_of([view_selecting(runs, period) for runs in halves]), size)
+            return lambda: list(_window_maps(dmap))
+
+        short, long = window_maps(size), window_maps(4 * size)
+        assert [w.file_size for w in short()] == [WINDOW_BYTES] * 4
+        assert [[e.selection.pieces for e in w.entries] for w in short()] == [
+            [e.selection.pieces for e in w.entries] for w in long()
+        ]
+        assert python_steps(long) == python_steps(short)

@@ -153,7 +153,7 @@ class TestScatterAgainstPainter:
         views = [ViewDecl(0, 5, ()), byte_view(0, 1, 1, 0), ViewDecl(3, 0, ()), None]
         dmap = assert_moves_like_the_painter(views, size)
         assert [e.selection.total(size) for e in dmap.entries] == [0, size, 0, 0]
-        assert strided(dmap, 1) is (size >= 2)
+        assert not strided(dmap, 1)  # every byte: one run, never a per-byte copy
 
 
 def random_tiling(rng: random.Random) -> list[ViewDecl]:
@@ -242,11 +242,12 @@ def hpf_cyclic_1b_views():
 
 class TestShifted:
     def test_shifted_selection_matches_the_painter(self):
-        """``shifted(start)`` over [0, n) selects what the view selects in
-        [start, start + n), moved down by start, for starts from the header
-        to three periods past it, inside pieces and between them."""
+        """``shifted(start, n)`` over [0, n) selects what the view selects in
+        [start, start + n), moved down by start, for starts from 0 to three
+        periods past the header, inside the header, inside pieces and
+        between them, and for windows shorter and longer than the period."""
         rng = random.Random(77)
-        seen = {"wrapping": 0, "inside_a_piece": 0, "between_pieces": 0}
+        seen = {"wrapping": 0, "inside_a_piece": 0, "between_pieces": 0, "in_the_header": 0, "shorter": 0}
         for case in range(120):
             if case % 2:
                 view = random_view(rng, max_depth=2, pmax=6)
@@ -256,12 +257,14 @@ class TestShifted:
             sel = build_distribution_map(doc_of([view]), 0).entries[0].selection
             h, p = sel.header, sel.period
             seen["wrapping"] += sel.pieces[0][0] == 0 and sum(sel.pieces[-1]) == p
-            n = 2 * p + rng.randint(0, p)
-            for start in {h, h + 3 * p, *(rng.randint(h, h + 3 * p) for _ in range(4))}:
+            for start in {0, h, h + 3 * p, *(rng.randint(0, h + 3 * p) for _ in range(6))}:
+                n = rng.choice([2 * p + rng.randint(0, p), rng.randint(0, p)])
                 phase = (start - h) % p
                 seen["inside_a_piece" if any(a < phase < a + k for a, k in sel.pieces) else "between_pieces"] += 1
+                seen["in_the_header"] += 0 < start < h < start + n
+                seen["shorter"] += n < p
                 painted = naive_coverage(view, start + n)[start:]
-                assert list(sel.shifted(start).runs(n)) == painted_runs(painted), (case, start)
+                assert list(sel.shifted(start, n).runs(n)) == painted_runs(painted), (case, start, n)
         assert all(seen.values()), seen
 
 

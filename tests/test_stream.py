@@ -62,11 +62,15 @@ def lcm_of(dmap) -> int:
 
 
 def window_sizes(dmap) -> list[int]:
-    """0, the largest header, both sides of the first window edges, and
-    two sizes for maps whose one window is longer than any test file."""
-    head, width = stream._windows(dmap)
+    """0, the largest header and a window past it, both sides of the
+    first window edges, and two sizes for maps whose one window is longer
+    than any test file.  A window is the largest whole number of lcm
+    periods within ``WINDOW_BYTES``, or ``WINDOW_BYTES`` when the period
+    is longer."""
+    period = lcm_of(dmap)
+    width = stream.WINDOW_BYTES // period * period or stream.WINDOW_BYTES
     header = max((e.selection.header for e in dmap.entries if e.selection.pieces), default=0)
-    edges = [head + j * width + d for j in range(3) for d in (-1, 0, 1)]
+    edges = [header + width + 1, *(j * width + d for j in range(1, 4) for d in (-1, 0, 1))]
     return sorted({0, 1, 37, header, *(s for s in edges if 0 <= s <= 20_000)})
 
 
@@ -105,16 +109,20 @@ def test_windowed_paths_match_the_painter_and_the_library(cfg, monkeypatch, tmp_
     rng = random.Random(2024)
     layout = init_store(cfg)
     seen = {"multi": 0, "strided": 0, "runs": 0, "wrapping": 0, "noview": 0, "readv": 0}
+    seen |= {"shorter_than_the_period": 0, "starts_in_a_header": 0}
     readv = counting_readv(monkeypatch)
-    for case in range(45):
+    for case in range(60):
         devices = rng.randint(1, 3)
-        if case % 15 == 0:  # all NOVIEW: the first device takes the file in one window
+        if case % 15 == 0:  # all NOVIEW: the first device takes the whole file
             views = [None] * devices
         else:
             views = random_partition_views(rng, devices, rng.randint(1, 24), rng.choice([1, 2, 9]))
         doc = doc_of(views)
         seen["noview"] += None in views
-        monkeypatch.setattr(stream, "WINDOW_BYTES", rng.randint(1, 3) * lcm_of(build_distribution_map(doc, 0)))
+        header, period = build_distribution_map(doc, 0).coverage_period()
+        # 1-3 periods, or a window shorter than the period and, mostly, the header
+        window = rng.randint(1, 3) * period if case % 4 else rng.randint(1, min(period, max(2, header)))
+        monkeypatch.setattr(stream, "WINDOW_BYTES", window)
         for size in window_sizes(build_distribution_map(doc, 0)):
             data = rng.randbytes(size)
             dmap = build_distribution_map(doc, size)
@@ -131,15 +139,16 @@ def test_windowed_paths_match_the_painter_and_the_library(cfg, monkeypatch, tmp_
             assert get_bytes(layout, name) == data
             seen["readv"] += len(readv) > calls  # fragment files are read by os.readv
 
-            head, width = stream._windows(dmap)
-            if size > head:
+            maps = list(stream._window_maps(dmap))
+            assert sum(w.file_size for w in maps) == size and all(w.file_size <= window for w in maps)
+            if len(maps) > 1:
                 seen["multi"] += 1
-                for entry in dmap.entries:
-                    sel = entry.selection
-                    if sel.pieces:
-                        later = sel.shifted(head)
-                        seen["strided" if stream._copy_plan(later, width)[1] else "runs"] += 1
-                        seen["wrapping"] += later.pieces[0][0] == 0 and sum(later.pieces[-1]) == later.period
+                for wmap in maps[1:]:
+                    for sel in (e.selection for e in wmap.entries if e.selection.pieces):
+                        seen["strided" if stream._copy_plan(sel, wmap.file_size)[1] else "runs"] += 1
+                        seen["wrapping"] += sel.pieces[0][0] == 0 and sum(sel.pieces[-1]) == sel.period
+                        seen["shorter_than_the_period"] += wmap.file_size < sel.period
+                        seen["starts_in_a_header"] += sel.header > 0
     assert all(seen.values()), seen
 
 
@@ -173,9 +182,9 @@ def test_steady_window_plan_is_built_once(monkeypatch):
     built = []
     real = stream._copy_plan
     monkeypatch.setattr(stream, "_copy_plan", lambda sel, n: built.append(real(sel, n)) or built[-1])
-    head, _ = stream._windows(build_distribution_map(doc, 0))
-    # head, steady and last window per entry; then a file of one window
-    for size, windows in ((50 * period + 7, 3), (head, 1)):
+    # one map for every full window and one for the clipped last window,
+    # per entry; then a file of one window
+    for size, windows in ((50 * period + 7, 2), (period, 1)):
         built.clear()
         dmap = build_distribution_map(doc, size)
         data = random.Random(5).randbytes(size)
@@ -185,7 +194,7 @@ def test_steady_window_plan_is_built_once(monkeypatch):
         assert len(built) == 2 * windows * 3  # as many again to gather
         assert payloads == [f.payload for f in scatter(data, dmap)]
     # the one window plans the whole file, once per entry in each direction
-    assert built[:3] == built[3:6] == [real(e.selection, head) for e in dmap.entries]
+    assert built[:3] == built[3:6] == [real(e.selection, period) for e in dmap.entries]
 
 
 def test_cp_out_reads_each_window_with_one_readv_per_entry(store_env, monkeypatch):
@@ -200,8 +209,8 @@ def test_cp_out_reads_each_window_with_one_readv_per_entry(store_env, monkeypatc
     assert (store_env / "back").read_bytes() == src.read_bytes()
     assert len(written) == 4
     assert len(readv) == 3 * len(written) and max(readv) <= 1024  # 86 slots an entry a window
-    assert len(tables) <= 3
-    assert all(buf is written[1] for buf in written[1:])  # no window buffer after the first steady window
+    assert len(tables) <= 2  # every full window's map, then the clipped last one's
+    assert all(buf is written[0] for buf in written)  # one window buffer
 
 
 def test_short_readv_carries_on_where_it_stopped(store_env, monkeypatch):
@@ -228,7 +237,7 @@ def test_windows_of_more_than_iov_max_runs_match_the_painter(tmp_path, monkeypat
         ViewDecl(0, 256, (BlockDecl(0, 2000, 256, 256, ByteBlock()),)),
         ViewDecl(0, 0, (BlockDecl(256, 2000, 256, 256, ByteBlock()),)),
     ]
-    size = 2 * 1_024_000 + 300_001  # the head window, one steady window, a clipped last one
+    size = 2 * 1_024_000 + 300_001  # two full windows under one map, a clipped last one
     data = random.Random(10).randbytes(size)
     expected = expected_payloads(views, data)
     desc, frags = tmp_path / "d.xml", tmp_path / "frags"
@@ -244,20 +253,64 @@ def test_windows_of_more_than_iov_max_runs_match_the_painter(tmp_path, monkeypat
     assert gather_stream(expected, build_distribution_map(doc_of(views), size)) == data
 
 
+def one_byte(offset: int, count: int, skip: int = 0, skip_header: int = 0) -> ViewDecl:
+    return ViewDecl(skip_header, skip, (BlockDecl(offset, 1, count, 0, ByteBlock()),))
+
+
+# periods far longer than any window: the first device takes the whole file,
+# or its first 4 KiB, and the second device everything past its SKIP_HEADER
+LONG_PERIODS = {
+    "all_noview": doc_of([None, None, None]),
+    "skip_header": doc_of([one_byte(0, 4096, skip=1 << 40), one_byte(0, 1, skip_header=4096)]),
+}
+
+
 def test_memory_is_bounded_by_the_window(cfg, tmp_path):
-    src = tmp_path / "big"
-    src.write_bytes(bytes(range(256)) * 262144)  # 64 MiB, default round-robin
-    tracemalloc.start()
-    try:
-        copy_in(cfg, src)
-        copy_out(cfg, "big", tmp_path / "back")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 << 20, peak
-    with open(src, "rb") as a, open(tmp_path / "back", "rb") as b:
-        while chunk := a.read(1 << 20):
-            assert chunk == b.read(1 << 20)
+    data = bytes(range(256)) * 262144  # 64 MiB
+    for layout in ("round_robin", *LONG_PERIODS):
+        work = tmp_path / layout
+        work.mkdir()
+        src, desc, frags = work / layout, work / "d.xml", work / "frags"
+        src.write_bytes(data)
+        if layout == "round_robin":  # no sidecar: cp-in takes the default descriptor
+            desc.write_text(serialize_document(vipfs.default_descriptor(cfg, layout)))
+        else:
+            desc.write_text(serialize_document(dataclasses.replace(LONG_PERIODS[layout], timestamp=layout)))
+            (work / f".vd.{layout}").write_text(desc.read_text())
+        gather_argv = ["gather", str(desc), "--frags", str(frags), "--size", str(len(data)), "--out", str(work / "g")]
+        ops = {
+            "cp-in": lambda: copy_in(cfg, src) and 0,
+            "cp-out": lambda: copy_out(cfg, layout, work / "back") and 0,
+            "scatter": lambda: main(["scatter", str(src), str(desc), "--out", str(frags)]),
+            "gather": lambda: main(gather_argv),
+        }
+        peaks = {}
+        tracemalloc.start()
+        try:
+            for name, op in ops.items():
+                tracemalloc.reset_peak()
+                assert op() == 0, (layout, name)
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert max(peaks.values()) < 4 << 20, (layout, peaks)
+        for copy in ("back", "g"):
+            with open(work / copy, "rb") as rebuilt:
+                for i in range(0, len(data), 1 << 20):
+                    assert rebuilt.read(1 << 20) == data[i : i + (1 << 20)], (layout, copy, i)
+
+
+@pytest.mark.parametrize("layout, maps", [("all_noview", 2), ("skip_header", 7)])
+def test_windows_of_a_long_period_share_equal_maps(monkeypatch, layout, maps):
+    """A period longer than the budget cuts windows at changing phases;
+    a window whose runs are those of the window before still gets its
+    map object.  All-NOVIEW: one for every full window, then the last.
+    The SKIP_HEADER descriptor: one each for the five windows that start
+    inside its 4096-byte header, one for every later full window, then
+    the last."""
+    monkeypatch.setattr(stream, "WINDOW_BYTES", 1000)
+    dmap = build_distribution_map(LONG_PERIODS[layout], 10_500)
+    assert len({id(wmap) for wmap in stream._window_maps(dmap)}) == maps
 
 
 class ShortReads(io.FileIO):

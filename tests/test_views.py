@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from gen import entry_of, random_view
 from reference import naive_coverage, naive_period
 from strategies import view_decls
+from test_selection import doc_of
 from xdgdl import (
     ArithmeticOverflow,
     BlockDecl,
@@ -25,7 +26,6 @@ from xdgdl import (
     enumerate_extents,
     member_oracle,
     render_plan,
-    selected_bytes_per_period,
     view_period,
     view_selecting,
 )
@@ -39,6 +39,11 @@ def byte_view(offset, repeat, count, stride, skip=0, skip_header=0):
 
 S1 = byte_view(0, 3, 5, 7, skip=7)
 S2 = byte_view(5, 3, 7, 5, skip=0)
+
+
+def per_period(view) -> int:
+    """Bytes one full period of the view places on its device."""
+    return build_distribution_map(doc_of([view]), 0).entries[0].selection.per_period
 
 
 def extent_list(pairs):
@@ -63,8 +68,8 @@ class TestPeriod:
         assert view_period(inner) == 31
 
     def test_per_period_bytes(self):
-        assert selected_bytes_per_period(S1) == 15
-        assert selected_bytes_per_period(S2) == 21
+        assert per_period(S1) == 15
+        assert per_period(S2) == 21
         assert Fraction(15, 21) == Fraction(5, 7)
 
     def test_overflow(self):
@@ -123,7 +128,7 @@ class TestEnumerate:
     def test_period_consistency(self, view, k):
         region = view.skip_header + k * view_period(view)
         selected = sum(e.length for e in enumerate_extents(view, region))
-        assert selected == k * selected_bytes_per_period(view)
+        assert selected == k * per_period(view)
 
     @settings(max_examples=150, deadline=None)
     @given(view_decls(), st.integers(0, 300), st.integers(0, 300))
