@@ -7,8 +7,9 @@ devices).  Every device either holds a recursive ``VIEW``/``BLOCK``
 selection pattern or an explicit ``NOVIEW`` marker.
 
 This module owns the in-memory tree (frozen dataclasses), parsing from XML
-text, structural validation, and canonical serialization.  Validation is
-coded directly against the grammar rules; the emitted ``XDGDL.dtd``
+text, structural validation, and canonical serialization.  The parser checks
+every element against one grammar table (attributes, child tags); paths index
+siblings per tag, in parser and validator alike.  The emitted ``XDGDL.dtd``
 doctype reference is never fetched, so parsing stays hermetic.
 """
 
@@ -247,23 +248,27 @@ class ValidationReport:
 # --------------------------------------------------------------------------
 # parsing
 
-# tag -> (allowed attributes, required attributes)
-_ELEMENT_ATTRS: dict[str, tuple[frozenset[str], frozenset[str]]] = {
-    "PARSTORAGE": (frozenset({"VERSION", "TIMESTAMP"}), frozenset({"VERSION", "TIMESTAMP"})),
-    "PROCESSORS": (frozenset({"NAME"}), frozenset({"NAME"})),
-    "PROC_DIMENSION": (frozenset({"LOWER", "UPPER"}), frozenset({"UPPER"})),
-    "TYPE": (frozenset({"TYPENAME", "NAME"}), frozenset()),
-    "ETYPE": (frozenset({"TYPE", "LENGTH", "NAME"}), frozenset({"TYPE", "LENGTH"})),
-    "ARRAY": (frozenset({"NAME", "MAJOR", "DISTRIBUTE_ONTO"}), frozenset()),
-    "DIMENSION": (frozenset({"LOWER", "UPPER", "DISTRIBUTE", "DIST_SKALAR"}), frozenset({"UPPER"})),
-    "ALIGN": (frozenset({"WHAT", "WITH"}), frozenset({"WHAT", "WITH"})),
-    "ISLAND": (frozenset({"NAME"}), frozenset({"NAME"})),
-    "SERVER": (frozenset({"HOST"}), frozenset({"HOST"})),
-    "DEVICE": (frozenset({"DEVICE_ID"}), frozenset({"DEVICE_ID"})),
-    "VIEW": (frozenset({"SKIP_HEADER", "SKIP"}), frozenset({"SKIP_HEADER", "SKIP"})),
-    "NOVIEW": (frozenset(), frozenset()),
-    "BLOCK": (frozenset({"OFFSET", "REPEAT", "COUNT", "STRIDE"}), frozenset({"OFFSET", "REPEAT", "COUNT", "STRIDE"})),
-    "BYTEBLOCK": (frozenset(), frozenset()),
+# The grammar: tag -> (attributes, required attributes, child tags), built from
+# (optional attributes, required ones in the order a missing one is named, child tags).
+_GRAMMAR: dict[str, tuple[frozenset[str], tuple[str, ...], frozenset[str]]] = {
+    tag: (frozenset(optional + required), required, frozenset(children))
+    for tag, (optional, required, children) in {
+        "PARSTORAGE": ((), ("VERSION", "TIMESTAMP"), ("PROCESSORS", "TYPE", "ALIGN", "ISLAND")),
+        "PROCESSORS": ((), ("NAME",), ("PROC_DIMENSION",)),
+        "PROC_DIMENSION": (("LOWER",), ("UPPER",), ()),
+        "TYPE": (("TYPENAME", "NAME"), (), ("ETYPE", "ARRAY", "TYPE")),
+        "ETYPE": (("NAME",), ("TYPE", "LENGTH"), ()),
+        "ARRAY": (("NAME", "MAJOR", "DISTRIBUTE_ONTO"), (), ("DIMENSION", "ETYPE", "ARRAY", "TYPE")),
+        "DIMENSION": (("LOWER", "DISTRIBUTE", "DIST_SKALAR"), ("UPPER",), ()),
+        "ALIGN": ((), ("WHAT", "WITH"), ()),
+        "ISLAND": ((), ("NAME",), ("SERVER",)),
+        "SERVER": ((), ("HOST",), ("DEVICE",)),
+        "DEVICE": ((), ("DEVICE_ID",), ("VIEW", "NOVIEW")),
+        "VIEW": ((), ("SKIP_HEADER", "SKIP"), ("BLOCK",)),
+        "NOVIEW": ((), (), ()),
+        "BLOCK": ((), ("OFFSET", "REPEAT", "COUNT", "STRIDE"), ("VIEW", "BYTEBLOCK")),
+        "BYTEBLOCK": ((), (), ()),
+    }.items()
 }
 
 # base-10 integers only; leading zeros accepted, leading '+' rejected
@@ -312,28 +317,37 @@ def parse_document(xml_text: str | bytes) -> Document:
     return _build_document(root, "/PARSTORAGE")
 
 
-def _reject_child(tag: str, path: str, parent: str) -> ValidationError:
-    if tag not in _ELEMENT_ATTRS:
-        return ValidationError("unknown-element", path, f"unknown element {tag}")
-    return ValidationError("unexpected-element", path, f"{tag} is not allowed under {parent}")
+def _step(parent: str, tag: str, seen: dict[str, int]) -> str:
+    """Path of the next ``tag`` child of ``parent``, siblings indexed per tag."""
+    n = seen[tag] = seen.get(tag, 0) + 1
+    return f"{parent}/{tag}[{n}]"
 
 
-def _check_element(elem: ET.Element, path: str) -> None:
+def _check(elem: ET.Element, path: str, check_tags: bool = True) -> list[tuple[ET.Element, str]]:
+    """Check an element's attributes, text and (unless its builder does) child
+    tags against the grammar; return the children with their paths."""
     tag = elem.tag
-    if tag not in _ELEMENT_ATTRS:
-        raise ValidationError("unknown-element", path, f"unknown element {tag}")
-    allowed, required = _ELEMENT_ATTRS[tag]
+    attributes, required, child_tags = _GRAMMAR[tag]
     for attr in elem.attrib:
-        if attr not in allowed:
+        if attr not in attributes:
             raise ValidationError("unknown-attribute", path, f"unknown attribute {attr!r} on {tag}")
     for attr in required:
         if attr not in elem.attrib:
             raise ValidationError("required-attribute", path, f"{tag} requires attribute {attr}")
     if elem.text and elem.text.strip():
         raise ValidationError("unexpected-text", path, f"{tag} must not contain text")
+    seen: dict[str, int] = {}
+    children = []
     for child in elem:
         if child.tail and child.tail.strip():
             raise ValidationError("unexpected-text", path, f"{tag} must not contain text")
+        cpath = _step(path, child.tag, seen)
+        if check_tags and child.tag not in child_tags:
+            if child.tag not in _GRAMMAR:
+                raise ValidationError("unknown-element", cpath, f"unknown element {child.tag}")
+            raise ValidationError("unexpected-element", cpath, f"{child.tag} is not allowed under {tag}")
+        children.append((child, cpath))
+    return children
 
 
 def _int_attr(elem: ET.Element, attr: str, path: str, default: int | None = None) -> int:
@@ -346,36 +360,31 @@ def _int_attr(elem: ET.Element, attr: str, path: str, default: int | None = None
     return int(raw)
 
 
-def _children(elem: ET.Element, path: str) -> list[tuple[ET.Element, str]]:
-    """Children paired with their sibling-indexed paths."""
-    seen: dict[str, int] = {}
-    out = []
-    for child in elem:
-        if not isinstance(child.tag, str):  # comments / processing instructions
-            continue
-        seen[child.tag] = seen.get(child.tag, 0) + 1
-        out.append((child, f"{path}/{child.tag}[{seen[child.tag]}]"))
-    return out
+def _enum_attr(elem: ET.Element, attr: str, path: str, default: enum.Enum, choices: tuple[str, ...]) -> enum.Enum:
+    raw = elem.get(attr)
+    if raw is None:
+        return default
+    if raw not in choices:
+        raise ValidationError("bad-enum", path, f"{attr} must be {', '.join(choices[:-1])} or {choices[-1]}, got {raw!r}")
+    return type(default)(raw)
 
 
 def _build_document(elem: ET.Element, path: str) -> Document:
-    _check_element(elem, path)
     processors: list[ProcessorsDecl] = []
     types: list[TypeDecl] = []
     aligns: list[AlignDecl] = []
     islands: list[IslandDecl] = []
-    for child, cpath in _children(elem, path):
+    for child, cpath in _check(elem, path):
         tag = child.tag
         if tag == "PROCESSORS":
             processors.append(_build_processors(child, cpath))
         elif tag == "TYPE":
             types.append(_build_type(child, cpath))
         elif tag == "ALIGN":
-            aligns.append(_build_align(child, cpath))
-        elif tag == "ISLAND":
-            islands.append(_build_island(child, cpath))
+            _check(child, cpath)
+            aligns.append(AlignDecl(what=child.get("WHAT", ""), with_target=child.get("WITH", "")))
         else:
-            raise _reject_child(tag, cpath, "PARSTORAGE")
+            islands.append(_build_island(child, cpath))
     if len(islands) != 1:
         raise ValidationError("parstorage-structure", path, f"PARSTORAGE requires exactly one ISLAND, found {len(islands)}")
     return Document(
@@ -389,50 +398,30 @@ def _build_document(elem: ET.Element, path: str) -> Document:
 
 
 def _build_processors(elem: ET.Element, path: str) -> ProcessorsDecl:
-    _check_element(elem, path)
     dims = []
-    for child, cpath in _children(elem, path):
-        if child.tag != "PROC_DIMENSION":
-            raise _reject_child(child.tag, cpath, "PROCESSORS")
-        _check_element(child, cpath)
+    for child, cpath in _check(elem, path):
+        _check(child, cpath)
         dims.append((_int_attr(child, "LOWER", cpath, default=1), _int_attr(child, "UPPER", cpath)))
     return ProcessorsDecl(name=elem.get("NAME", ""), dims=tuple(dims))
 
 
-def _build_type(elem: ET.Element, path: str) -> CompoundDecl:
-    _check_element(elem, path)
-    children = []
-    for child, cpath in _children(elem, path):
-        children.append(_build_type_child(child, cpath))
+def _build_type(elem: ET.Element, path: str) -> TypeDecl:
+    if elem.tag == "ETYPE":
+        _check(elem, path)
+        return EtypeDecl(base=elem.get("TYPE", ""), length_bytes=_int_attr(elem, "LENGTH", path), name=elem.get("NAME"))
+    if elem.tag == "ARRAY":
+        return _build_array(elem, path)
+    children = [_build_type(child, cpath) for child, cpath in _check(elem, path)]
     return CompoundDecl(children=tuple(children), name=elem.get("NAME"), typename=elem.get("TYPENAME"))
 
 
-def _build_type_child(elem: ET.Element, path: str) -> TypeDecl:
-    tag = elem.tag
-    if tag == "ETYPE":
-        _check_element(elem, path)
-        return EtypeDecl(base=elem.get("TYPE", ""), length_bytes=_int_attr(elem, "LENGTH", path), name=elem.get("NAME"))
-    if tag == "ARRAY":
-        return _build_array(elem, path)
-    if tag == "TYPE":
-        return _build_type(elem, path)
-    raise _reject_child(tag, path, "TYPE")
-
-
 def _build_array(elem: ET.Element, path: str) -> ArrayDecl:
-    _check_element(elem, path)
     element: TypeDecl | None = None
     dims: list[DimensionDecl] = []
-    for child, cpath in _children(elem, path):
+    for child, cpath in _check(elem, path):
         if child.tag == "DIMENSION":
-            _check_element(child, cpath)
-            raw_dist = child.get("DISTRIBUTE")
-            if raw_dist is None:
-                dist = Distribution.UNSPECIFIED
-            elif raw_dist in ("BLOCK", "CYCLIC", "NO"):
-                dist = Distribution(raw_dist)
-            else:
-                raise ValidationError("bad-enum", cpath, f"DISTRIBUTE must be BLOCK, CYCLIC or NO, got {raw_dist!r}")
+            _check(child, cpath)
+            dist = _enum_attr(child, "DISTRIBUTE", cpath, Distribution.UNSPECIFIED, ("BLOCK", "CYCLIC", "NO"))
             dims.append(
                 DimensionDecl(
                     upper=_int_attr(child, "UPPER", cpath),
@@ -441,85 +430,49 @@ def _build_array(elem: ET.Element, path: str) -> ArrayDecl:
                     dist_skalar=_int_attr(child, "DIST_SKALAR", cpath, default=1),
                 )
             )
-        elif child.tag in ("TYPE", "ETYPE", "ARRAY"):
-            if element is not None:
-                raise ValidationError("array-structure", cpath, "ARRAY allows a single element type")
-            element = _build_type_child(child, cpath)
+        elif element is not None:
+            raise ValidationError("array-structure", cpath, "ARRAY allows a single element type")
         else:
-            raise _reject_child(child.tag, cpath, "ARRAY")
+            element = _build_type(child, cpath)
     if element is None:
         raise ValidationError("array-structure", path, "ARRAY requires an element type child")
-    raw_major = elem.get("MAJOR")
-    if raw_major is None:
-        major = Major.ROW
-    elif raw_major in ("ROW", "COLUMN"):
-        major = Major(raw_major)
-    else:
-        raise ValidationError("bad-enum", path, f"MAJOR must be ROW or COLUMN, got {raw_major!r}")
     return ArrayDecl(
         element=element,
         dims=tuple(dims),
-        major=major,
+        major=_enum_attr(elem, "MAJOR", path, Major.ROW, ("ROW", "COLUMN")),
         distribute_onto=elem.get("DISTRIBUTE_ONTO"),
         name=elem.get("NAME"),
     )
 
 
-def _build_align(elem: ET.Element, path: str) -> AlignDecl:
-    _check_element(elem, path)
-    if len(elem):
-        raise ValidationError("unexpected-element", path, "ALIGN must be empty")
-    return AlignDecl(what=elem.get("WHAT", ""), with_target=elem.get("WITH", ""))
-
-
 def _build_island(elem: ET.Element, path: str) -> IslandDecl:
-    _check_element(elem, path)
-    servers = []
-    for child, cpath in _children(elem, path):
-        if child.tag != "SERVER":
-            raise _reject_child(child.tag, cpath, "ISLAND")
-        servers.append(_build_server(child, cpath))
+    servers = [_build_server(child, cpath) for child, cpath in _check(elem, path)]
     return IslandDecl(name=elem.get("NAME", ""), servers=tuple(servers))
 
 
 def _build_server(elem: ET.Element, path: str) -> ServerDecl:
-    _check_element(elem, path)
-    devices = []
-    for child, cpath in _children(elem, path):
-        if child.tag != "DEVICE":
-            raise _reject_child(child.tag, cpath, "SERVER")
-        devices.append(_build_device(child, cpath))
+    devices = [_build_device(child, cpath) for child, cpath in _check(elem, path)]
     return ServerDecl(host=elem.get("HOST", ""), devices=tuple(devices))
 
 
 def _build_device(elem: ET.Element, path: str) -> DeviceDecl:
-    _check_element(elem, path)
     view: ViewDecl | None = None
     noview = False
-    for child, cpath in _children(elem, path):
+    for child, cpath in _check(elem, path):
         if child.tag == "VIEW":
             if view is not None:
                 raise ValidationError("device-access", cpath, "DEVICE allows a single VIEW")
             view = _build_view(child, cpath)
-        elif child.tag == "NOVIEW":
-            _check_element(child, cpath)
-            if len(child):
-                raise ValidationError("unexpected-element", cpath, "NOVIEW must be empty")
+        else:
+            _check(child, cpath)
             if noview:
                 raise ValidationError("device-access", cpath, "DEVICE allows a single NOVIEW")
             noview = True
-        else:
-            raise _reject_child(child.tag, cpath, "DEVICE")
     return DeviceDecl(device_id=elem.get("DEVICE_ID", ""), view=view, noview=noview)
 
 
 def _build_view(elem: ET.Element, path: str) -> ViewDecl:
-    _check_element(elem, path)
-    blocks = []
-    for child, cpath in _children(elem, path):
-        if child.tag != "BLOCK":
-            raise _reject_child(child.tag, cpath, "VIEW")
-        blocks.append(_build_block(child, cpath))
+    blocks = [_build_block(child, cpath) for child, cpath in _check(elem, path)]
     return ViewDecl(
         skip_header=_int_attr(elem, "SKIP_HEADER", path),
         skip=_int_attr(elem, "SKIP", path),
@@ -528,13 +481,12 @@ def _build_view(elem: ET.Element, path: str) -> ViewDecl:
 
 
 def _build_block(elem: ET.Element, path: str) -> BlockDecl:
-    _check_element(elem, path)
-    kids = _children(elem, path)
+    kids = _check(elem, path, check_tags=False)
     if len(kids) != 1:
         raise ValidationError("block-child", path, f"BLOCK requires exactly one VIEW or BYTEBLOCK child, found {len(kids)}")
-    child, cpath = kids[0]
+    ((child, cpath),) = kids
     if child.tag == "BYTEBLOCK":
-        _check_element(child, cpath)
+        _check(child, cpath)
         body: ViewDecl | ByteBlock = ByteBlock()
     elif child.tag == "VIEW":
         body = _build_view(child, cpath)
@@ -615,8 +567,9 @@ def validate_document(doc: Document) -> ValidationReport:
             if lo > up:
                 out.bad("dimension-range", f"{path}/PROC_DIMENSION[{j}]", f"LOWER {lo} exceeds UPPER {up}")
 
-    for i, t in enumerate(doc.types, 1):
-        _validate_type(t, f"/PARSTORAGE/TYPE[{i}]", proc_names, out)
+    seen: dict[str, int] = {}
+    for t in doc.types:
+        _validate_type(t, "/PARSTORAGE", seen, proc_names, out)
 
     for i, a in enumerate(doc.aligns, 1):
         path = f"/PARSTORAGE/ALIGN[{i}]"
@@ -652,19 +605,23 @@ def validate_document(doc: Document) -> ValidationReport:
     return ValidationReport(tuple(out.violations), tuple(out.warnings))
 
 
-def _validate_type(t: TypeDecl, path: str, proc_names: set[str], out: _Collector) -> None:
+def _validate_type(t: TypeDecl, parent: str, seen: dict[str, int], proc_names: set[str], out: _Collector) -> None:
+    """Check a type declaration, the child of ``parent`` after the ``seen`` ones."""
     if isinstance(t, EtypeDecl):
+        path = _step(parent, "ETYPE", seen)
         if not t.base:
             out.bad("required-nonempty", path, "TYPE attribute must be nonempty")
         if t.length_bytes < 1:
             out.bad("positive-int", path, f"LENGTH must be >= 1, got {t.length_bytes}")
     elif isinstance(t, CompoundDecl):
+        path = _step(parent, "TYPE", seen)
         if not t.children:
             out.bad("type-children", path, "TYPE requires at least one ETYPE, ARRAY or TYPE child")
-        for i, c in enumerate(t.children, 1):
-            tag = {"EtypeDecl": "ETYPE", "ArrayDecl": "ARRAY", "CompoundDecl": "TYPE"}[type(c).__name__]
-            _validate_type(c, f"{path}/{tag}[{i}]", proc_names, out)
+        children_seen: dict[str, int] = {}
+        for c in t.children:
+            _validate_type(c, path, children_seen, proc_names, out)
     else:
+        path = _step(parent, "ARRAY", seen)
         if not t.dims:
             out.bad("array-dimensions", path, "ARRAY requires at least one DIMENSION")
         for i, d in enumerate(t.dims, 1):
@@ -677,7 +634,7 @@ def _validate_type(t: TypeDecl, path: str, proc_names: set[str], out: _Collector
                 out.warn("block-dist-skalar", dpath, "DIST_SKALAR has no effect on BLOCK distribution")
         if t.distribute_onto is not None and t.distribute_onto not in proc_names:
             out.bad("unresolved-processors", path, f"DISTRIBUTE_ONTO={t.distribute_onto!r} names no declared PROCESSORS")
-        _validate_type(t.element, f"{path}/TYPE[1]", proc_names, out)
+        _validate_type(t.element, path, {}, proc_names, out)
 
 
 def _validate_view(v: ViewDecl, path: str, out: _Collector) -> None:

@@ -19,6 +19,7 @@ from descriptors import (
 from gen import entry_of, gather_bytes, random_document, random_view
 from xdgdl import (
     Extent,
+    ParseError,
     PartitionStatus,
     ValidationError,
     build_distribution_map,
@@ -110,79 +111,246 @@ def test_criterion_4_oracle_equivalence():
     report(f"criterion 4 PASS: {trees} view trees, {checked} byte memberships, 0 mismatches")
 
 
-def _rejection_rules(xml: str) -> set[str]:
-    """Rules that reject the text, at parse time or validation time."""
+def _rejections(xml: str) -> set[str]:
+    """Diagnostics that reject the text, at parse time or validation time."""
     try:
         doc = parse_document(xml)
-    except ValidationError as exc:
-        return {exc.rule}
-    return {v.rule for v in validate_document(doc).violations}
+    except (ParseError, ValidationError) as exc:
+        return {str(exc)}
+    return {str(v) for v in validate_document(doc).violations}
 
 
+_ETYPE = '<ETYPE TYPE="CHAR" LENGTH="1"/>'
+_ARRAY = f'<ARRAY>{_ETYPE}<DIMENSION UPPER="4"/></ARRAY>'
+_NAMED = MINIMAL_XML.replace('LENGTH="1"', 'LENGTH="1" NAME="a"')
+_DEVICE = "/PARSTORAGE/ISLAND[1]/SERVER[1]/DEVICE[1]"
+_BLOCK = f"{_DEVICE}/VIEW[1]/BLOCK[1]"
+
+# (label, descriptor text, the full diagnostic it must be rejected with)
 MUTATIONS = [
-    ("drop SERVER HOST", TWO_SERVER_XML.replace(' HOST="vipios.pri.univie.ac.at"', "", 1), "required-attribute"),
+    (
+        "drop SERVER HOST",
+        TWO_SERVER_XML.replace(' HOST="vipios.pri.univie.ac.at"', "", 1),
+        "[required-attribute] /PARSTORAGE/ISLAND[1]/SERVER[1]: SERVER requires attribute HOST",
+    ),
     (
         "drop BLOCK from VIEW",
         TWO_SERVER_XML.replace(
             '<BLOCK OFFSET="0" REPEAT="3"\n            COUNT="5" STRIDE="7">\n            <BYTEBLOCK/>\n          </BLOCK>\n        ',
             "",
         ),
-        "view-blocks",
+        f"[view-blocks] {_DEVICE}/VIEW[1]: VIEW requires at least one BLOCK",
     ),
-    ("drop ETYPE from TYPE", TWO_SERVER_XML.replace('<ETYPE TYPE="CHAR" LENGTH="1"/>', ""), "type-children"),
-    ("negative STRIDE", TWO_SERVER_XML.replace('STRIDE="7"', 'STRIDE="-7"'), "nonnegative-int"),
-    ("zero REPEAT", TWO_SERVER_XML.replace('REPEAT="3"', 'REPEAT="0"', 1), "positive-int"),
-    ("drop VERSION", TWO_SERVER_XML.replace('VERSION="1.0"\n    ', ""), "required-attribute"),
-    ("drop TIMESTAMP", TWO_SERVER_XML.replace('\n    TIMESTAMP="testfile_regular"', ""), "required-attribute"),
-    ("non-ID TIMESTAMP", TWO_SERVER_XML.replace('TIMESTAMP="testfile_regular"', 'TIMESTAMP="1 bad id"'), "timestamp-id"),
+    (
+        "drop ETYPE from TYPE",
+        TWO_SERVER_XML.replace(_ETYPE, ""),
+        "[type-children] /PARSTORAGE/TYPE[1]: TYPE requires at least one ETYPE, ARRAY or TYPE child",
+    ),
+    (
+        "negative STRIDE",
+        TWO_SERVER_XML.replace('STRIDE="7"', 'STRIDE="-7"'),
+        f"[nonnegative-int] {_BLOCK}: STRIDE must be >= 0, got -7",
+    ),
+    ("zero REPEAT", TWO_SERVER_XML.replace('REPEAT="3"', 'REPEAT="0"', 1), f"[positive-int] {_BLOCK}: REPEAT must be >= 1, got 0"),
+    (
+        "drop VERSION",
+        TWO_SERVER_XML.replace('VERSION="1.0"\n    ', ""),
+        "[required-attribute] /PARSTORAGE: PARSTORAGE requires attribute VERSION",
+    ),
+    (
+        "drop TIMESTAMP",
+        TWO_SERVER_XML.replace('\n    TIMESTAMP="testfile_regular"', ""),
+        "[required-attribute] /PARSTORAGE: PARSTORAGE requires attribute TIMESTAMP",
+    ),
+    (
+        "non-ID TIMESTAMP",
+        TWO_SERVER_XML.replace('TIMESTAMP="testfile_regular"', 'TIMESTAMP="1 bad id"'),
+        "[timestamp-id] /PARSTORAGE: TIMESTAMP must be an XML ID (letter or underscore first, no spaces), got '1 bad id'",
+    ),
     (
         "DEVICE without VIEW or NOVIEW",
         MINIMAL_XML.replace(
             '<ISLAND NAME="lonely"/>',
             '<ISLAND NAME="lonely"><SERVER HOST="h"><DEVICE DEVICE_ID="/dev/x"></DEVICE></SERVER></ISLAND>',
         ),
-        "device-access",
+        f"[device-access] {_DEVICE}: DEVICE requires exactly one of VIEW or NOVIEW",
     ),
     (
         "DEVICE with VIEW and NOVIEW",
         TWO_SERVER_XML.replace("</VIEW>\n      </DEVICE>", "</VIEW>\n      <NOVIEW/>\n      </DEVICE>", 1),
-        "device-access",
+        f"[device-access] {_DEVICE}: DEVICE requires exactly one of VIEW or NOVIEW",
     ),
-    ("unknown element", MINIMAL_XML.replace("<ISLAND", "<GIZMO/><ISLAND"), "unknown-element"),
-    ("unknown attribute", MINIMAL_XML.replace('TYPE="CHAR"', 'TYPE="CHAR" COLOR="red"'), "unknown-attribute"),
-    ("non-integer LENGTH", MINIMAL_XML.replace('LENGTH="1"', 'LENGTH="abc"'), "bad-integer"),
-    ("leading-plus COUNT", TWO_SERVER_XML.replace('COUNT="5"', 'COUNT="+5"'), "bad-integer"),
+    (
+        "unknown element",
+        MINIMAL_XML.replace("<ISLAND", "<GIZMO/><ISLAND"),
+        "[unknown-element] /PARSTORAGE/GIZMO[1]: unknown element GIZMO",
+    ),
+    (
+        "unknown attribute",
+        MINIMAL_XML.replace('TYPE="CHAR"', 'TYPE="CHAR" COLOR="red"'),
+        "[unknown-attribute] /PARSTORAGE/TYPE[1]/ETYPE[1]: unknown attribute 'COLOR' on ETYPE",
+    ),
+    (
+        "non-integer LENGTH",
+        MINIMAL_XML.replace('LENGTH="1"', 'LENGTH="abc"'),
+        "[bad-integer] /PARSTORAGE/TYPE[1]/ETYPE[1]: attribute LENGTH must be a base-10 integer, got 'abc'",
+    ),
+    (
+        "leading-plus COUNT",
+        TWO_SERVER_XML.replace('COUNT="5"', 'COUNT="+5"'),
+        f"[bad-integer] {_BLOCK}: attribute COUNT must be a base-10 integer, got '+5'",
+    ),
     (
         "PROCESSORS without dimensions",
         MINIMAL_XML.replace("<TYPE>", '<PROCESSORS NAME="P"></PROCESSORS><TYPE>'),
-        "processors-dimensions",
+        "[processors-dimensions] /PARSTORAGE/PROCESSORS[1]: PROCESSORS requires at least one PROC_DIMENSION",
     ),
     (
         "dangling DISTRIBUTE_ONTO",
-        MINIMAL_XML.replace(
-            '<ETYPE TYPE="CHAR" LENGTH="1"/>',
-            '<ARRAY DISTRIBUTE_ONTO="ghost"><TYPE><ETYPE TYPE="CHAR" LENGTH="1"/></TYPE><DIMENSION UPPER="4"/></ARRAY>',
-        ),
-        "unresolved-processors",
+        MINIMAL_XML.replace(_ETYPE, _ARRAY.replace("<ARRAY>", '<ARRAY DISTRIBUTE_ONTO="ghost">')),
+        "[unresolved-processors] /PARSTORAGE/TYPE[1]/ARRAY[1]: DISTRIBUTE_ONTO='ghost' names no declared PROCESSORS",
     ),
     (
         "dangling ALIGN",
         MINIMAL_XML.replace("<ISLAND", '<ALIGN WHAT="a" WITH="b"/><ISLAND'),
-        "unresolved-align",
+        "[unresolved-align] /PARSTORAGE/ALIGN[1]: WITH='b' names no declared TYPE, ARRAY or PROCESSORS",
+    ),
+    # parse time
+    (
+        "unknown encoding",
+        MINIMAL_XML.replace("ISO-8859-1", "NO-SUCH-CODEC"),
+        "unknown encoding 'NO-SUCH-CODEC' (line 1, column 0)",
+    ),
+    ("root is not PARSTORAGE", '<SERVER HOST="h"/>', "[unexpected-element] /SERVER: document root must be PARSTORAGE"),
+    (
+        "no ISLAND",
+        MINIMAL_XML.replace('<ISLAND NAME="lonely"/>', ""),
+        "[parstorage-structure] /PARSTORAGE: PARSTORAGE requires exactly one ISLAND, found 0",
+    ),
+    (
+        "two ISLANDs",
+        MINIMAL_XML.replace('<ISLAND NAME="lonely"/>', '<ISLAND NAME="a"/><ISLAND NAME="b"/>'),
+        "[parstorage-structure] /PARSTORAGE: PARSTORAGE requires exactly one ISLAND, found 2",
+    ),
+    (
+        "unknown DISTRIBUTE",
+        MINIMAL_XML.replace(_ETYPE, _ARRAY.replace('UPPER="4"', 'UPPER="4" DISTRIBUTE="SPIRAL"')),
+        "[bad-enum] /PARSTORAGE/TYPE[1]/ARRAY[1]/DIMENSION[1]: DISTRIBUTE must be BLOCK, CYCLIC or NO, got 'SPIRAL'",
+    ),
+    (
+        "unknown MAJOR",
+        MINIMAL_XML.replace(_ETYPE, _ARRAY.replace("<ARRAY>", '<ARRAY MAJOR="DIAGONAL">')),
+        "[bad-enum] /PARSTORAGE/TYPE[1]/ARRAY[1]: MAJOR must be ROW or COLUMN, got 'DIAGONAL'",
+    ),
+    (
+        "ARRAY with two element types",
+        MINIMAL_XML.replace(_ETYPE, _ARRAY.replace("<DIMENSION", f"<TYPE>{_ETYPE}</TYPE><DIMENSION")),
+        "[array-structure] /PARSTORAGE/TYPE[1]/ARRAY[1]/TYPE[1]: ARRAY allows a single element type",
+    ),
+    (
+        "ARRAY without an element type",
+        MINIMAL_XML.replace(_ETYPE, '<ARRAY><DIMENSION UPPER="4"/></ARRAY>'),
+        "[array-structure] /PARSTORAGE/TYPE[1]/ARRAY[1]: ARRAY requires an element type child",
+    ),
+    (
+        "DEVICE with two VIEWs",
+        TWO_SERVER_XML.replace("</VIEW>\n      </DEVICE>", '</VIEW><VIEW SKIP_HEADER="0" SKIP="0"/></DEVICE>', 1),
+        f"[device-access] {_DEVICE}/VIEW[2]: DEVICE allows a single VIEW",
+    ),
+    (
+        "DEVICE with two NOVIEWs",
+        MINIMAL_XML.replace(
+            '<ISLAND NAME="lonely"/>',
+            '<ISLAND NAME="i"><SERVER HOST="h"><DEVICE DEVICE_ID="d"><NOVIEW/><NOVIEW/></DEVICE></SERVER></ISLAND>',
+        ),
+        f"[device-access] {_DEVICE}/NOVIEW[2]: DEVICE allows a single NOVIEW",
+    ),
+    (
+        "BLOCK with a known child of the wrong tag",
+        TWO_SERVER_XML.replace("<BYTEBLOCK/>", "<NOVIEW/>", 1),
+        f"[block-child] {_BLOCK}/NOVIEW[1]: NOVIEW is not allowed under BLOCK",
+    ),
+    (
+        "BLOCK with an unknown child",
+        TWO_SERVER_XML.replace("<BYTEBLOCK/>", "<GIZMO/>", 1),
+        f"[block-child] {_BLOCK}/GIZMO[1]: GIZMO is not allowed under BLOCK",
+    ),
+    (
+        "BLOCK with an unknown second child",
+        TWO_SERVER_XML.replace("<BYTEBLOCK/>", "<BYTEBLOCK/><GIZMO/>", 1),
+        f"[block-child] {_BLOCK}: BLOCK requires exactly one VIEW or BYTEBLOCK child, found 2",
+    ),
+    (
+        "misplaced known element",
+        MINIMAL_XML.replace("<ISLAND", '<SERVER HOST="h"/><ISLAND'),
+        "[unexpected-element] /PARSTORAGE/SERVER[1]: SERVER is not allowed under PARSTORAGE",
+    ),
+    (
+        "text in a child's tail",
+        MINIMAL_XML.replace(_ETYPE, f"{_ETYPE}junk"),
+        "[unexpected-text] /PARSTORAGE/TYPE[1]: TYPE must not contain text",
+    ),
+    # validation time
+    ("empty VERSION", MINIMAL_XML.replace('VERSION="1.0"', 'VERSION=""'), "[required-nonempty] /PARSTORAGE: VERSION must be nonempty"),
+    (
+        "empty PROCESSORS NAME",
+        MINIMAL_XML.replace("<TYPE>", '<PROCESSORS NAME=""><PROC_DIMENSION UPPER="2"/></PROCESSORS><TYPE>'),
+        "[required-nonempty] /PARSTORAGE/PROCESSORS[1]: NAME must be nonempty",
+    ),
+    (
+        "empty ISLAND NAME",
+        MINIMAL_XML.replace('NAME="lonely"', 'NAME=""'),
+        "[required-nonempty] /PARSTORAGE/ISLAND[1]: NAME must be nonempty",
+    ),
+    (
+        "empty WHAT",
+        _NAMED.replace("<ISLAND", '<ALIGN WHAT="" WITH="a"/><ISLAND'),
+        "[required-nonempty] /PARSTORAGE/ALIGN[1]: WHAT must be nonempty",
+    ),
+    (
+        "empty WITH",
+        _NAMED.replace("<ISLAND", '<ALIGN WHAT="a" WITH=""/><ISLAND'),
+        "[required-nonempty] /PARSTORAGE/ALIGN[1]: WITH must be nonempty",
+    ),
+    (
+        "empty HOST",
+        TWO_SERVER_XML.replace('HOST="vipclus9.pri.univie.ac.at"', 'HOST=""'),
+        "[required-nonempty] /PARSTORAGE/ISLAND[1]/SERVER[2]: HOST must be nonempty",
+    ),
+    (
+        "empty DEVICE_ID",
+        TWO_SERVER_XML.replace('DEVICE_ID="/dev/vda1"', 'DEVICE_ID=""', 1),
+        f"[required-nonempty] {_DEVICE}: DEVICE_ID must be nonempty",
+    ),
+    (
+        "empty ETYPE TYPE",
+        MINIMAL_XML.replace('TYPE="CHAR"', 'TYPE=""'),
+        "[required-nonempty] /PARSTORAGE/TYPE[1]/ETYPE[1]: TYPE attribute must be nonempty",
+    ),
+    (
+        "PROC_DIMENSION LOWER above UPPER",
+        MINIMAL_XML.replace("<TYPE>", '<PROCESSORS NAME="P"><PROC_DIMENSION LOWER="5" UPPER="2"/></PROCESSORS><TYPE>'),
+        "[dimension-range] /PARSTORAGE/PROCESSORS[1]/PROC_DIMENSION[1]: LOWER 5 exceeds UPPER 2",
+    ),
+    (
+        "ARRAY without dimensions",
+        MINIMAL_XML.replace(_ETYPE, f"<ARRAY>{_ETYPE}</ARRAY>"),
+        "[array-dimensions] /PARSTORAGE/TYPE[1]/ARRAY[1]: ARRAY requires at least one DIMENSION",
     ),
 ]
 
 
 def test_criterion_5_dtd_conformance(two_server_doc, three_server_doc):
     """Both bundled descriptors are clean; mutations are rejected with the
-    matching rule; 500 random documents survive a serialize/parse trip."""
+    expected diagnostic, rule, element path and message; 500 random
+    documents survive a serialize/parse trip."""
     for doc in (two_server_doc, three_server_doc):
         assert validate_document(doc).ok
 
     assert len(MUTATIONS) >= 10
-    for label, xml, expected_rule in MUTATIONS:
-        rules = _rejection_rules(xml)
-        assert expected_rule in rules, f"{label}: expected {expected_rule}, got {rules}"
+    for label, xml, expected in MUTATIONS:
+        diagnostics = _rejections(xml)
+        assert expected in diagnostics, f"{label}: expected {expected}, got {diagnostics}"
 
     rng = random.Random(500500)
     docs = 500
@@ -191,7 +359,7 @@ def test_criterion_5_dtd_conformance(two_server_doc, three_server_doc):
         assert parse_document(serialize_document(doc)) == doc
     report(
         f"criterion 5 PASS: bundled descriptors validate cleanly, {len(MUTATIONS)} mutations rejected "
-        f"rule-specifically, {docs} random documents round-trip"
+        f"with their exact diagnostics, {docs} random documents round-trip"
     )
 
 

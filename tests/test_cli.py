@@ -9,6 +9,7 @@ import pytest
 
 from descriptors import (
     CONFIG_TEMPLATE,
+    MINIMAL_XML,
     THREE_SERVER_BALANCED_XML,
     THREE_SERVER_XML,
     TWO_SERVER_XML,
@@ -51,6 +52,14 @@ class TestValidate:
         bad.write_text("<PARSTORAGE>")
         assert main(["validate", str(bad)]) == 2
         assert "xdgdl:" in capsys.readouterr().err
+
+    def test_warnings_print_before_ok(self, tmp_path, capsys):
+        lone = tmp_path / "lone.xml"
+        lone.write_text(MINIMAL_XML.replace('<ISLAND NAME="lonely"/>', '<ISLAND NAME="lonely"><SERVER HOST="h"/></ISLAND>'))
+        assert main(["validate", str(lone)]) == 0
+        assert capsys.readouterr().out == (
+            "warning: [server-empty] /PARSTORAGE/ISLAND[1]/SERVER[1]: server declares no devices\nOK\n"
+        )
 
 
 class TestPlan:
@@ -179,6 +188,44 @@ class TestCp:
         assert main(["cp-out", "data.bin", str(store_env / "back.bin")]) == 4
         assert "is corrupt" in capsys.readouterr().err
         assert not (store_env / "back.bin").exists()
+
+    @pytest.mark.parametrize(
+        "name, content, message",
+        [
+            (
+                ".vd.m",
+                b"<PARSTORAGE",
+                "stored descriptor for 'm' is unreadable: unclosed token (line 1, column 0)",
+            ),
+            (
+                ".vd.m",
+                TWO_SERVER_XML.replace('STRIDE="7"', 'STRIDE="-7"').encode(),
+                "stored descriptor for 'm' is invalid: [nonnegative-int] "
+                "/PARSTORAGE/ISLAND[1]/SERVER[1]/DEVICE[1]/VIEW[1]/BLOCK[1]: STRIDE must be >= 0, got -7",
+            ),
+            (".vd.m.size", None, "no stored size for 'm'"),
+        ],
+        ids=["unparsable", "invalid", "no-size"],
+    )
+    def test_cp_out_damaged_manifest_exits_4(self, store_env, capsys, name, content, message):
+        """A stored descriptor that does not parse or validate, or a missing
+        stored size, fails before the destination is touched."""
+        src = store_env / "m"
+        src.write_bytes(b"x" * 72)
+        (store_env / ".vd.m").write_text(TWO_SERVER_XML)
+        assert main(["cp-in", str(src)]) == 0
+        path = store_env / "grid" / "vipios" / name
+        if content is None:
+            path.unlink()
+        else:
+            path.write_bytes(content)
+        dst = store_env / "back.bin"
+        dst.write_bytes(b"untouched")
+        capsys.readouterr()
+        assert main(["cp-out", "m", str(dst)]) == 4
+        assert capsys.readouterr().err == f"xdgdl: {message}\n"
+        assert dst.read_bytes() == b"untouched"
+        assert not (store_env / "back.bin.tmp").exists()
 
     def test_recopy_with_another_timestamp_reads_back_the_new_bytes(self, store_env, capsys):
         src = store_env / "again"

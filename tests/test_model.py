@@ -1,4 +1,9 @@
+import os
 import random
+import subprocess
+import sys
+import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +33,8 @@ from xdgdl import (
     serialize_document,
     validate_document,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def small_doc(island=None, types=None, **kw):
@@ -109,6 +116,30 @@ class TestParse:
         assert err.value.rule == "required-attribute"
         assert "LENGTH" in str(err.value)
 
+    @pytest.mark.parametrize("seed", ["0", "5", "8", "9"])
+    def test_first_missing_attribute_in_grammar_order_is_named(self, seed):
+        """A bare BLOCK and a bare VIEW name the same missing attribute
+        whatever the interpreter's hash seed."""
+        bare_block = TWO_SERVER_XML.replace(' OFFSET="0" REPEAT="3"\n            COUNT="5" STRIDE="7"', "", 1)
+        bare_view = TWO_SERVER_XML.replace(' SKIP_HEADER="0" SKIP="7"', "")
+        code = (
+            "import sys\n"
+            "from xdgdl import ValidationError, parse_document\n"
+            "for xml in sys.argv[1:]:\n"
+            "    try:\n"
+            "        parse_document(xml)\n"
+            "    except ValidationError as exc:\n"
+            "        print(exc)\n"
+        )
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(ROOT / "src"))
+        argv = [sys.executable, "-c", code, bare_block, bare_view]
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60, check=True)
+        view = "/PARSTORAGE/ISLAND[1]/SERVER[1]/DEVICE[1]/VIEW[1]"
+        assert proc.stdout.splitlines() == [
+            f"[required-attribute] {view}/BLOCK[1]: BLOCK requires attribute OFFSET",
+            f"[required-attribute] {view}: VIEW requires attribute SKIP_HEADER",
+        ]
+
     def test_non_integer_attribute_names_the_attribute(self):
         xml = MINIMAL_XML.replace('LENGTH="1"', 'LENGTH="one"')
         with pytest.raises(ValidationError) as err:
@@ -127,6 +158,47 @@ class TestParse:
         xml = TWO_SERVER_XML.replace('STRIDE="7"', 'STRIDE="-7"')
         doc = parse_document(xml)
         assert doc.island.servers[0].devices[0].view.blocks[0].stride == -7
+
+    @pytest.mark.parametrize(
+        "leaf",
+        [
+            "/PARSTORAGE/PROCESSORS[1]/PROC_DIMENSION[1]",
+            "/PARSTORAGE/TYPE[1]/ARRAY[1]/ETYPE[1]",
+            "/PARSTORAGE/TYPE[1]/ARRAY[1]/DIMENSION[1]",
+            "/PARSTORAGE/ALIGN[1]",
+            "/PARSTORAGE/ISLAND[1]/SERVER[1]/DEVICE[1]/NOVIEW[1]",
+            "/PARSTORAGE/ISLAND[1]/SERVER[1]/DEVICE[2]/VIEW[1]/BLOCK[1]/BYTEBLOCK[1]",
+        ],
+        ids=lambda leaf: leaf.rsplit("/", 1)[1],
+    )
+    def test_leaves_reject_children(self, leaf):
+        """A child of an element that allows none is rejected at the
+        child's path, known tag or not."""
+        xml = (
+            MINIMAL_XML.replace("<TYPE>", '<PROCESSORS NAME="P"><PROC_DIMENSION UPPER="2"/></PROCESSORS><TYPE>')
+            .replace(
+                '<ETYPE TYPE="CHAR" LENGTH="1"/>',
+                '<ARRAY NAME="a"><ETYPE TYPE="CHAR" LENGTH="1"/><DIMENSION UPPER="2"/></ARRAY>',
+            )
+            .replace(
+                '<ISLAND NAME="lonely"/>',
+                '<ALIGN WHAT="a" WITH="P"/><ISLAND NAME="i"><SERVER HOST="h">'
+                '<DEVICE DEVICE_ID="d"><NOVIEW/></DEVICE><DEVICE DEVICE_ID="e"><VIEW SKIP_HEADER="0" SKIP="0">'
+                '<BLOCK OFFSET="0" REPEAT="1" COUNT="1" STRIDE="0"><BYTEBLOCK/></BLOCK></VIEW></DEVICE>'
+                "</SERVER></ISLAND>",
+            )
+        )
+        assert validate_document(parse_document(xml)).ok
+        tag = leaf.rsplit("/", 1)[1].split("[")[0]
+        for child, message in (
+            ("ISLAND", f"[unexpected-element] {leaf}/ISLAND[1]: ISLAND is not allowed under {tag}"),
+            ("GIZMO", f"[unknown-element] {leaf}/GIZMO[1]: unknown element GIZMO"),
+        ):
+            root = ET.fromstring(xml.encode("iso-8859-1"))
+            ET.SubElement(root.find(leaf.replace("/PARSTORAGE", ".", 1)), child, NAME="x")
+            with pytest.raises(ValidationError) as err:
+                parse_document(ET.tostring(root))
+            assert str(err.value) == message
 
     def test_text_content_rejected(self):
         xml = MINIMAL_XML.replace("<ISLAND NAME=\"lonely\"/>", "<ISLAND NAME=\"lonely\">junk</ISLAND>")
@@ -254,6 +326,22 @@ class TestValidate:
         (violation,) = validate_document(doc).violations
         assert violation.path == "/PARSTORAGE/ISLAND[1]/SERVER[1]/DEVICE[1]/VIEW[1]"
 
+    def test_violation_paths_are_the_xml_paths(self):
+        """Paths index siblings per tag, as XPath does: ETYPE[2] is the
+        second ETYPE of a TYPE whatever sits between them, and an ARRAY's
+        element is named by its own tag."""
+        xml = MINIMAL_XML.replace(
+            '<ETYPE TYPE="CHAR" LENGTH="1"/>',
+            '<ETYPE TYPE="CHAR" LENGTH="1"/>'
+            '<ARRAY><ETYPE TYPE="CHAR" LENGTH="0"/><DIMENSION UPPER="2"/></ARRAY>'
+            '<ETYPE TYPE="CHAR" LENGTH="0"/>',
+        )
+        paths = [v.path for v in validate_document(parse_document(xml)).violations]
+        assert paths == ["/PARSTORAGE/TYPE[1]/ARRAY[1]/ETYPE[1]", "/PARSTORAGE/TYPE[1]/ETYPE[2]"]
+        root = ET.fromstring(xml.encode("iso-8859-1"))
+        for path in paths:
+            assert root.find(path.replace("/PARSTORAGE", ".", 1)).get("LENGTH") == "0", path
+
 
 class TestSerialize:
     def test_listing_round_trip(self, two_server_doc):
@@ -323,8 +411,6 @@ class TestValidationSoundness:
         return not validate_document(doc).ok
 
     def test_every_single_mutation_is_rejected(self):
-        import xml.etree.ElementTree as ET
-
         rng = random.Random(1848)
         mutations = 0
         for _ in range(60):

@@ -307,10 +307,12 @@ def test_windows_of_a_long_period_share_equal_maps(monkeypatch, layout, maps):
     map object.  All-NOVIEW: one for every full window, then the last.
     The SKIP_HEADER descriptor: one each for the five windows that start
     inside its 4096-byte header, one for every later full window, then
-    the last."""
+    the last.  The maps are held while their ids are counted: a freed
+    map's id can be handed to the next one."""
     monkeypatch.setattr(stream, "WINDOW_BYTES", 1000)
     dmap = build_distribution_map(LONG_PERIODS[layout], 10_500)
-    assert len({id(wmap) for wmap in stream._window_maps(dmap)}) == maps
+    wmaps = list(stream._window_maps(dmap))
+    assert len({id(wmap) for wmap in wmaps}) == maps
 
 
 class ShortReads(io.FileIO):
