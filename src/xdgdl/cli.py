@@ -95,10 +95,12 @@ def _frag_name(index: int) -> str:
 
 
 def _size_arg(raw: str) -> int:
-    value = int(raw)
-    if value < 0:
-        raise argparse.ArgumentTypeError("size must be >= 0")
-    return value
+    try:
+        if int(raw) >= 0:
+            return int(raw)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"size must be a non-negative integer, got {raw!r}")
 
 
 def cmd_validate(args) -> int:
@@ -172,9 +174,7 @@ def cmd_hpf_compile(args) -> int:
     if len(distributed) != 1:
         return _fail(f"expected exactly one distributed ARRAY, found {len(distributed)}", EXIT_VALIDATION)
     arr = distributed[0]
-    procs = {p.name: p for p in doc.processors}.get(arr.distribute_onto)
-    if procs is None:
-        return _fail(f"no PROCESSORS named {arr.distribute_onto!r}", EXIT_VALIDATION)
+    procs = next(p for p in doc.processors if p.name == arr.distribute_onto)  # validated to exist
     hosts = [h for h in args.servers.split(",") if h]
     owner_map = compile_hpf_mapping(arr, procs)
     if len(hosts) != owner_map.num_targets:

@@ -15,7 +15,6 @@ doctype reference is never fetched, so parsing stays hermetic.
 
 from __future__ import annotations
 
-import codecs
 import enum
 import re
 import xml.etree.ElementTree as ET
@@ -287,31 +286,28 @@ def _as_bytes(xml_text: str | bytes) -> bytes:
     if isinstance(xml_text, bytes):
         return xml_text
     m = _DECL_ENCODING_RE.match(xml_text[:200].encode("ascii", "replace"))
-    encoding = m.group(1).decode("ascii") if m else "utf-8"
-    try:
-        codecs.lookup(encoding)
-    except LookupError:
-        raise ParseError(f"unknown encoding {encoding!r}", 1, 0) from None
-    return xml_text.encode(encoding, errors="xmlcharrefreplace")
+    return xml_text.encode(m.group(1).decode("ascii") if m else "utf-8", errors="xmlcharrefreplace")
 
 
 def parse_document(xml_text: str | bytes) -> Document:
     """Parse descriptor XML into a Document.
 
-    Raises ParseError (with line/column) for malformed XML and
-    ValidationError for structure the model cannot represent: unknown or
-    misplaced elements, unknown or missing attributes, and attribute
-    values that are not base-10 integers where one is required.
+    Raises ParseError (with line/column) for malformed XML or a declared
+    encoding that cannot be read, and ValidationError for structure the
+    model cannot represent: unknown or misplaced elements, unknown or
+    missing attributes, and attribute values that are not base-10
+    integers where one is required.
     Representable rule breaks (an empty VIEW, a dangling reference, a
     negative stride) parse fine and are left for validate_document.
     """
-    data = _as_bytes(xml_text)
     try:
-        root = ET.fromstring(data)
+        root = ET.fromstring(_as_bytes(xml_text))
     except ET.ParseError as exc:
         line, column = exc.position if exc.position else (None, None)
         message = str(exc).split(": line ")[0]  # expat repeats the position
         raise ParseError(message, line, column) from exc
+    except (LookupError, ValueError) as exc:  # an encoding no codec or expat reads
+        raise ParseError(f"declared encoding is unusable: {exc}", 1, 0) from None
     if root.tag != "PARSTORAGE":
         raise ValidationError("unexpected-element", f"/{root.tag}", "document root must be PARSTORAGE")
     return _build_document(root, "/PARSTORAGE")

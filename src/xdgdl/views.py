@@ -18,9 +18,10 @@ segments or an MPI-IO vector file view.  ``Selection`` owns the piece
 arithmetic, including ``shifted``, the one builder of a selection as
 seen from any byte, over a window of any length.  A ``MapEntry`` is a
 plain selection and file size per device; extents are expanded only on
-demand (plans, tests), byte totals are closed-form, and
-``check_partition`` certifies exactness from one common period of the
-coverage (``coverage_period``).
+demand (plans, tests) and byte totals are closed-form.  One sweep of one
+common period of the coverage (``coverage_period``) decides
+``check_partition``, and ``Selection`` tiles its gap and overlap report
+over the file.
 A view with a negative SKIP_HEADER, SKIP, OFFSET, STRIDE or COUNT, or a
 REPEAT below 1, which ``validate_document`` rejects, does not compile:
 ``_compile`` raises ValueError, so it never reaches the data path.
@@ -43,11 +44,12 @@ division).
 from __future__ import annotations
 
 import enum
+import heapq
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import chain, cycle, starmap
+from itertools import chain, cycle, repeat, starmap
 from operator import itemgetter
 from typing import Iterator, Sequence
 
@@ -99,7 +101,7 @@ class Selection:
     inside [0, period); the constructor raises ValueError otherwise,
     then stores the pieces merged, without empty ones.  The closed-form
     totals, the run expansion, the strided copy, the one-period
-    partition certificate and the clipped sweep rely on it.
+    partition verdict and its tiled report rely on it.
     """
 
     header: int
@@ -394,64 +396,60 @@ def check_partition(dmap: DistributionMap) -> PartitionVerdict:
     are reported as maximal extents; overlap runs split where the
     claimant set changes so each reported extent lists its exact owners.
 
-    The sweep first runs on the prefix [0, H + L) only, with H and L
-    the map's ``coverage_period``: a byte's membership does not
-    depend on the file size, and past its header each selection repeats
-    with its period, so past H the coverage repeats with period L and
-    the prefix is exact iff the whole file is.  Only a map that is not
-    exact is swept in full.
+    One sweep of one period decides: with H and L the map's
+    ``coverage_period``, a byte's membership does not depend on the file
+    size, and past its header each selection repeats with its period, so
+    past H the claimants of every byte repeat with period L.  Only
+    [0, min(size, H + L)) is swept, cut at H.  Each claimant set found
+    there (a gap has none) becomes the runs of its stretches before H,
+    then a ``Selection`` of its stretches in one period from H, which
+    tiles, merges and clips them over the file.
     """
-    prefix = sum(dmap.coverage_period())
-    if prefix < dmap.file_size:
-        verdict = _sweep(replace(dmap, file_size=prefix))
-        if verdict.status is PartitionStatus.EXACT_PARTITION:
-            return verdict
-    return _sweep(dmap)
+    size, (h, period) = dmap.file_size, dmap.coverage_period()
+    stretches: dict[tuple[str, ...], tuple[list, list]] = {}
+    for lo, hi, claimants in _stretches(dmap.entries, min(size, h + period), h):
+        before, after = stretches.setdefault(claimants, ([], []))
+        if hi <= h:
+            before.append((lo, hi - lo))
+        else:
+            after.append((lo - h, hi - lo))
+    runs = {
+        claimants: _joined(Selection(0, h, tuple(before)).pieces, Selection(h, period, tuple(after)).runs(size))
+        for claimants, (before, after) in stretches.items()
+    }
+    gaps = tuple(starmap(Extent, runs.pop((), ())))
+    merged = heapq.merge(*(zip(own, repeat(claimants)) for claimants, own in runs.items()))
+    overlaps = tuple((Extent(*run), claimants) for run, claimants in merged)
+    # the statuses in declaration order: exact, gaps, overlaps, both
+    return PartitionVerdict(list(PartitionStatus)[bool(gaps) + 2 * bool(overlaps)], gaps, overlaps)
 
 
-def _sweep(dmap: DistributionMap) -> PartitionVerdict:
-    """Full verdict with the gap and overlap report, by an event sweep
-    over every selected run of the file."""
-    size = dmap.file_size
+def _stretches(entries: Sequence[MapEntry], size: int, cut: int) -> Iterator[tuple[int, int, tuple[str, ...]]]:
+    """The stretches ``(start, end, claimants)`` of [0, size) claimed by no
+    entry or by two or more, split where the claimants change and at
+    ``cut``, by an event sweep over the entries' runs of [0, size)."""
     deltas: dict[int, list[tuple[int, str]]] = {}
-    for entry in dmap.entries:
+    for entry in entries:
         for start, length in entry.selection.runs(size):
             deltas.setdefault(start, []).append((1, entry.label))
             deltas.setdefault(start + length, []).append((-1, entry.label))
-    cuts = sorted(set(deltas) | {0, size})
+    cuts = sorted(set(deltas) | {0, min(cut, size), size})
     active: dict[str, int] = {}
-    gaps: list[list[int]] = []
-    overlaps: list[tuple[int, int, tuple[str, ...]]] = []
     for pos, nxt in zip(cuts, cuts[1:]):
         for delta, label in deltas.get(pos, ()):
             active[label] = active.get(label, 0) + delta
             if active[label] == 0:
                 del active[label]
-        if pos >= size:
-            break
-        coverage = sum(active.values())
-        if coverage == 0:
-            if gaps and gaps[-1][1] == pos:
-                gaps[-1][1] = nxt
-            else:
-                gaps.append([pos, nxt])
-        elif coverage >= 2:
-            claimants = tuple(sorted(active))
-            if overlaps and overlaps[-1][1] == pos and overlaps[-1][2] == claimants:
-                overlaps[-1] = (overlaps[-1][0], nxt, claimants)
-            else:
-                overlaps.append((pos, nxt, claimants))
-    gap_extents = tuple(Extent(lo, hi - lo) for lo, hi in gaps)
-    overlap_extents = tuple((Extent(lo, hi - lo), who) for lo, hi, who in overlaps)
-    if gap_extents and overlap_extents:
-        status = PartitionStatus.GAPS_AND_OVERLAPS
-    elif gap_extents:
-        status = PartitionStatus.HAS_GAPS
-    elif overlap_extents:
-        status = PartitionStatus.HAS_OVERLAPS
-    else:
-        status = PartitionStatus.EXACT_PARTITION
-    return PartitionVerdict(status, gap_extents, overlap_extents)
+        if sum(active.values()) != 1:
+            yield pos, nxt, tuple(sorted(active))
+
+
+def _joined(before: tuple[tuple[int, int], ...], after: Iterator[tuple[int, int]]) -> Iterator[tuple[int, int]]:
+    """The runs before H, then those from H on, joined where they meet at H."""
+    first = next(after, None)
+    if before and first and sum(before[-1]) == first[0]:
+        before, first = before[:-1], (before[-1][0], before[-1][1] + first[1])
+    return chain(before, [first] if first else (), after)
 
 
 def render_plan(dmap: DistributionMap) -> str:

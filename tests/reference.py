@@ -3,14 +3,15 @@ against.
 
 These deliberately share no code with the package: the byte painter below
 walks the selection rules literally, marking coverage counts into a
-bytearray, and the period is derived from the same walk; the HPF owner
+bytearray, and the period is derived from the same walk; the partition
+report is read off painted coverages one byte at a time; the HPF owner
 table is computed one element at a time from the owner formulas.  Slow
 and dumb on purpose.
 """
 
 import math
 
-from xdgdl import ArrayDecl, ByteBlock, Distribution, Major, ViewDecl
+from xdgdl import ArrayDecl, ByteBlock, Distribution, Extent, Major, ViewDecl
 
 
 def naive_period(view: ViewDecl) -> int:
@@ -61,6 +62,28 @@ def painted_runs(coverage) -> list[tuple[int, int]]:
             else:
                 runs.append([i, 1])
     return [(s, n) for s, n in runs]
+
+
+def painted_report(coverages: list[list[int]], labels: list[str], size: int):
+    """Gaps and overlaps of painted coverages, as maximal runs; an
+    overlap run also ends where its set of claimants changes."""
+    gaps, overlaps = [], []
+    for i in range(size):
+        who = tuple(sorted(label for label, cov in zip(labels, coverages) for _ in range(cov[i])))
+        if not who:
+            if gaps and gaps[-1][1] == i:
+                gaps[-1][1] = i + 1
+            else:
+                gaps.append([i, i + 1])
+        elif len(who) >= 2:
+            if overlaps and overlaps[-1][1] == i and overlaps[-1][2] == who:
+                overlaps[-1][1] = i + 1
+            else:
+                overlaps.append([i, i + 1, who])
+    return (
+        tuple(Extent(lo, hi - lo) for lo, hi in gaps),
+        tuple((Extent(lo, hi - lo), who) for lo, hi, who in overlaps),
+    )
 
 
 def naive_owners(arr: ArrayDecl, shape: tuple[int, ...]) -> list[int]:

@@ -219,7 +219,7 @@ MUTATIONS = [
     (
         "unknown encoding",
         MINIMAL_XML.replace("ISO-8859-1", "NO-SUCH-CODEC"),
-        "unknown encoding 'NO-SUCH-CODEC' (line 1, column 0)",
+        "declared encoding is unusable: unknown encoding: NO-SUCH-CODEC (line 1, column 0)",
     ),
     ("root is not PARSTORAGE", '<SERVER HOST="h"/>', "[unexpected-element] /SERVER: document root must be PARSTORAGE"),
     (

@@ -14,10 +14,13 @@ from descriptors import (
     THREE_SERVER_XML,
     TWO_SERVER_XML,
 )
+from reference import naive_coverage, painted_report
 from xdgdl import parse_document
 from xdgdl.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
+# declared encodings that no codec, or expat, can read a descriptor with
+UNUSABLE_ENCODINGS = ["NO-SUCH", "base64", "rot13", "UTF-7", "shift_jis", "utf-32", "idna"]
 
 
 @pytest.fixture
@@ -53,6 +56,13 @@ class TestValidate:
         assert main(["validate", str(bad)]) == 2
         assert "xdgdl:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("encoding", UNUSABLE_ENCODINGS)
+    def test_unusable_declared_encoding_exits_2(self, tmp_path, capsys, encoding):
+        bad = tmp_path / "bad.xml"
+        bad.write_bytes(MINIMAL_XML.replace("ISO-8859-1", encoding).encode("ascii"))
+        assert main(["validate", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith("xdgdl: declared encoding is unusable: ")
+
     def test_warnings_print_before_ok(self, tmp_path, capsys):
         lone = tmp_path / "lone.xml"
         lone.write_text(MINIMAL_XML.replace('<ISLAND NAME="lonely"/>', '<ISLAND NAME="lonely"><SERVER HOST="h"/></ISLAND>'))
@@ -77,6 +87,14 @@ class TestPlan:
         desc.write_text(THREE_SERVER_XML)
         assert main(["plan", str(desc), "--size", "82"]) == 0
         assert capsys.readouterr().out.splitlines()[-1] == "partition: gaps+overlaps"
+
+    @pytest.mark.parametrize("size", ["abc", "-1"])
+    def test_bad_size_is_a_usage_error(self, two_server, capsys, size):
+        with pytest.raises(SystemExit) as exc:
+            main(["plan", str(two_server), "--size", size])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f"error: argument --size: size must be a non-negative integer, got '{size}'\n")
 
     def test_empty_device_line_keeps_tab(self, tmp_path, capsys):
         conf_doc = TWO_SERVER_XML  # size 3 leaves server 2's first take beyond the region
@@ -115,6 +133,30 @@ class TestScatterGather:
         err = capsys.readouterr().err
         assert "overlap" in err
         assert "gap 17:7" in err
+
+    def test_scatter_prints_the_painted_report_of_a_headered_map(self, tmp_path, capsys):
+        """Past the header and the one swept period, the report is tiled:
+        it must be the gaps and overlaps painted byte by byte."""
+        text = THREE_SERVER_XML.replace('<VIEW SKIP_HEADER="0" SKIP="12">', '<VIEW SKIP_HEADER="7" SKIP="12">', 1)
+        desc = tmp_path / "headered.xml"
+        desc.write_text(text)
+        size = 7 + 5 * 82 + 30
+        src = tmp_path / "input.bin"
+        src.write_bytes(b"h" * size)
+        assert main(["scatter", str(src), str(desc), "--out", str(tmp_path / "f")]) == 3
+        doc = parse_document(text)
+        devices = [(srv.host, dev) for srv in doc.island.servers for dev in srv.devices]
+        gaps, overlaps = painted_report(
+            [naive_coverage(dev.view, size) for _, dev in devices],
+            [f"{doc.island.name}/{host}/{dev.device_id}" for host, dev in devices],
+            size,
+        )
+        assert len(gaps) > 10 and len(overlaps) > 10 and gaps[-1].end > 7 + 4 * 82
+        expected = ["xdgdl: not an exact partition (gaps+overlaps)"]
+        expected += [f"  gap {gap}" for gap in gaps]
+        expected += [f"  overlap {extent} claimed by {', '.join(who)}" for extent, who in overlaps]
+        assert capsys.readouterr().err == "\n".join(expected) + "\n"
+        assert not (tmp_path / "f").exists()
 
     @pytest.mark.parametrize("extra, code", [("003.frag", 4), ("\u00b2.frag", 0), ("1.frag.bak", 0)])
     def test_gather_extra_fragment_exits_4(self, tmp_path, capsys, extra, code):
@@ -226,6 +268,32 @@ class TestCp:
         assert capsys.readouterr().err == f"xdgdl: {message}\n"
         assert dst.read_bytes() == b"untouched"
         assert not (store_env / "back.bin.tmp").exists()
+
+    @pytest.mark.parametrize("encoding", UNUSABLE_ENCODINGS)
+    def test_unusable_encoding_in_a_sidecar_falls_back(self, store_env, capsys, encoding):
+        src = store_env / "enc"
+        src.write_bytes(b"e" * 100)
+        (store_env / ".vd.enc").write_bytes(TWO_SERVER_XML.replace("ISO-8859-1", encoding).encode("ascii"))
+        assert main(["cp-in", str(src)]) == 0
+        err = capsys.readouterr().err
+        assert "does not parse: declared encoding is unusable: " in err
+        assert err.endswith("; using default cyclic distribution\n")
+        assert main(["cp-out", "enc", str(store_env / "back")]) == 0
+        assert (store_env / "back").read_bytes() == b"e" * 100
+
+    @pytest.mark.parametrize("encoding", UNUSABLE_ENCODINGS)
+    def test_cp_out_of_an_unusable_stored_encoding_exits_4(self, store_env, capsys, encoding):
+        src = store_env / "m"
+        src.write_bytes(b"x" * 72)
+        (store_env / ".vd.m").write_text(TWO_SERVER_XML)
+        assert main(["cp-in", str(src)]) == 0
+        stored = store_env / "grid" / "vipios" / ".vd.m"
+        stored.write_bytes(TWO_SERVER_XML.replace("ISO-8859-1", encoding).encode("ascii"))
+        capsys.readouterr()
+        assert main(["cp-out", "m", str(store_env / "back")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("xdgdl: stored descriptor for 'm' is unreadable: declared encoding is unusable: ")
+        assert not (store_env / "back").exists()
 
     def test_recopy_with_another_timestamp_reads_back_the_new_bytes(self, store_env, capsys):
         src = store_env / "again"
@@ -351,6 +419,16 @@ class TestHpfCompile:
         assert main(["hpf-compile", str(desc), "--servers", "h1,h2,h3"]) == 2
         captured = capsys.readouterr()
         assert "[device-access] /PARSTORAGE/ISLAND[1]/SERVER[1]/DEVICE[1]:" in captured.err
+        assert captured.out == ""
+
+    def test_undeclared_processors_exit_2(self, tmp_path, capsys):
+        desc = tmp_path / "logical.xml"
+        desc.write_text(self.DESC.replace('DISTRIBUTE_ONTO="P"', 'DISTRIBUTE_ONTO="ghost"'))
+        assert main(["hpf-compile", str(desc), "--servers", "h1,h2,h3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "[unresolved-processors] /PARSTORAGE/TYPE[1]/ARRAY[1]: DISTRIBUTE_ONTO='ghost' names no declared PROCESSORS\n"
+        )
         assert captured.out == ""
 
     def test_no_distributed_array_exits_2(self, two_server, capsys):

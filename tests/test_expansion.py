@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from descriptors import CONFIG_TEMPLATE
 from gen import random_view
-from reference import naive_coverage, naive_group_size, naive_owners, painted_runs
+from reference import naive_coverage, naive_group_size, naive_owners, painted_report, painted_runs
 from strategies import view_decls
 from test_selection import byte_view, doc_of
 from xdgdl import (
@@ -138,28 +138,6 @@ class TestRunsAgainstPainter:
         dmap = build_distribution_map(doc_of([None, None]), size)
         assert plan_runs(render_plan(dmap)) == [[(0, size)] if size else [], []]
         assert [len(e.extents) for e in dmap.entries] == [1 if size else 0, 0]
-
-
-def painted_report(coverages: list[list[int]], labels: list[str], size: int):
-    """Gaps and overlaps of painted coverages, as maximal runs; an
-    overlap run also ends where its set of claimants changes."""
-    gaps, overlaps = [], []
-    for i in range(size):
-        who = tuple(sorted(label for label, cov in zip(labels, coverages) for _ in range(cov[i])))
-        if not who:
-            if gaps and gaps[-1][1] == i:
-                gaps[-1][1] = i + 1
-            else:
-                gaps.append([i, i + 1])
-        elif len(who) >= 2:
-            if overlaps and overlaps[-1][1] == i and overlaps[-1][2] == who:
-                overlaps[-1][1] = i + 1
-            else:
-                overlaps.append([i, i + 1, who])
-    return (
-        tuple(Extent(lo, hi - lo) for lo, hi in gaps),
-        tuple((Extent(lo, hi - lo), who) for lo, hi, who in overlaps),
-    )
 
 
 class TestPartitionReport:

@@ -2,7 +2,8 @@
 
 Scatter/gather payloads and byte totals are compared with the naive
 painter in reference.py, on both sides of the strided/run switch; the
-one-period partition certificate is compared with the full extent sweep;
+one-period partition verdict is compared with the report painted over
+the whole file;
 maps of a 1 TiB file must plan and certify without enumerating it; and
 views with negative parameters are rejected by the library and the
 command line alike.
@@ -15,9 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from descriptors import CONFIG_TEMPLATE, MINIMAL_XML, TWO_SERVER_XML
+from descriptors import CONFIG_TEMPLATE, MINIMAL_XML, THREE_SERVER_XML, TWO_SERVER_XML
 from gen import entry_of, gather_bytes, random_document, random_partition_views, random_view
-from reference import naive_coverage, naive_period, painted_runs
+from reference import naive_coverage, naive_period, painted_report, painted_runs
 from strategies import view_decls
 from xdgdl import (
     ArrayDecl,
@@ -50,9 +51,15 @@ from xdgdl import (
 )
 from xdgdl.cli import main
 from xdgdl.scatter import _copy_plan
-from xdgdl.views import Selection, _sweep
+from xdgdl.views import Selection
 
 EXACT = PartitionStatus.EXACT_PARTITION
+STATUSES = {
+    (False, False): EXACT,
+    (True, False): PartitionStatus.HAS_GAPS,
+    (False, True): PartitionStatus.HAS_OVERLAPS,
+    (True, True): PartitionStatus.GAPS_AND_OVERLAPS,
+}
 
 
 def doc_of(views):
@@ -193,8 +200,21 @@ def random_tiling(rng: random.Random) -> list[ViewDecl]:
 
 
 class TestPartitionCertificate:
-    def agree(self, dmap):
-        assert check_partition(dmap) == _sweep(dmap)
+    """``check_partition`` sweeps one period; its verdict must be the
+    report painted byte by byte over the whole file."""
+
+    def agree(self, doc, size: int):
+        dmap = build_distribution_map(doc, size)
+        verdict = check_partition(dmap)
+        views = [dev.view for srv in doc.island.servers for dev in srv.devices]
+        if all(v is None for v in views):
+            coverages = [[1] * size] + [bytes(size)] * (len(views) - 1)
+        else:
+            coverages = [bytes(size) if v is None else naive_coverage(v, size) for v in views]
+        gaps, overlaps = painted_report(coverages, [e.label for e in dmap.entries], size)
+        assert (verdict.gaps, verdict.overlaps) == (gaps, overlaps)
+        assert verdict.status is STATUSES[bool(gaps), bool(overlaps)]
+        return verdict
 
     def test_random_documents(self):
         rng = random.Random(23)
@@ -203,10 +223,9 @@ class TestPartitionCertificate:
             doc = random_document(rng)
             for size in (rng.randint(0, 50), rng.randint(0, 1500)):
                 try:
-                    dmap = build_distribution_map(doc, size)
+                    self.agree(doc, size)
                 except NoDevices:
                     continue
-                self.agree(dmap)
                 checked += 1
         assert checked > 400
 
@@ -216,10 +235,40 @@ class TestPartitionCertificate:
         for _ in range(500):
             doc = doc_of(random_tiling(rng))
             for size in (rng.randint(0, 40), rng.randint(0, 400), rng.randint(0, 2000)):
-                dmap = build_distribution_map(doc, size)
-                self.agree(dmap)
-                statuses.add(check_partition(dmap).status)
+                statuses.add(self.agree(doc, size).status)
         assert statuses == set(PartitionStatus)
+
+    def test_near_misses_with_a_header_three_periods_on(self):
+        """The report past the swept period is tiled: near misses whose
+        coverage has a header, at three to four periods past it."""
+        rng = random.Random(31)
+        inexact = 0
+        for _ in range(400):
+            doc = doc_of(random_tiling(rng))
+            header, period = build_distribution_map(doc, 0).coverage_period()
+            size = header + rng.randint(3, 4) * period + rng.randint(0, period)
+            if header and size <= 20_000:  # the painter takes a Python step per byte
+                inexact += self.agree(doc, size).status is not EXACT
+        assert inexact > 100
+
+    def test_no_entry_is_expanded_past_one_period(self, monkeypatch):
+        """A map that is not exact is swept over [0, H + L) only: no
+        entry's selection is expanded over the 1 MiB file."""
+        dmap = build_distribution_map(parse_document(THREE_SERVER_XML), 1 << 20)
+        header, period = dmap.coverage_period()
+        entries = {id(e.selection) for e in dmap.entries}
+        expanded = []
+        progressions = Selection.progressions
+
+        def spy(sel, size):
+            if id(sel) in entries:
+                expanded.append(size)
+            return progressions(sel, size)
+
+        monkeypatch.setattr(Selection, "progressions", spy)
+        verdict = check_partition(dmap)
+        assert verdict.status is PartitionStatus.GAPS_AND_OVERLAPS and verdict.gaps[-1].end > 1_000_000
+        assert expanded and max(expanded) <= header + period
 
 
 def two_server_views():
