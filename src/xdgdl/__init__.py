@@ -26,7 +26,7 @@ from .errors import (
     ValidationError,
     XdgdlError,
 )
-from .hpf import OwnerMap, SizeResult, compile_hpf_mapping, ownermap_to_views, sizeof_type
+from .hpf import OwnerMap, compile_hpf_mapping, ownermap_to_views, sizeof_type
 from .model import (
     AlignDecl,
     ArrayDecl,
@@ -65,7 +65,6 @@ from .views import (
     member_oracle,
     render_plan,
     view_period,
-    view_selecting,
 )
 
 __version__ = "0.1.0"

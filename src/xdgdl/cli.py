@@ -96,9 +96,9 @@ def _frag_name(index: int) -> str:
 
 def _size_arg(raw: str) -> int:
     try:
-        if int(raw) >= 0:
+        if re.fullmatch(r"[0-9]+", raw):
             return int(raw)
-    except ValueError:
+    except ValueError:  # more digits than int() converts
         pass
     raise argparse.ArgumentTypeError(f"size must be a non-negative integer, got {raw!r}")
 
@@ -182,8 +182,7 @@ def cmd_hpf_compile(args) -> int:
             f"mapping needs {owner_map.num_targets} servers, --servers lists {len(hosts)}",
             EXIT_VALIDATION,
         )
-    element_bytes = sizeof_type(arr.element).total_bytes
-    views = ownermap_to_views(owner_map, element_bytes)
+    views = ownermap_to_views(owner_map, sizeof_type(arr.element))
     servers = tuple(
         ServerDecl(host=host, devices=(DeviceDecl(device_id=f"disk{i}", view=view),))
         for i, (host, view) in enumerate(zip(hosts, views))
@@ -191,7 +190,8 @@ def cmd_hpf_compile(args) -> int:
     compiled = replace(doc, island=IslandDecl(name=doc.island.name, servers=servers))
     text = serialize_document(compiled)
     if args.out:
-        Path(args.out).write_text(text, encoding="iso-8859-1", errors="xmlcharrefreplace")
+        with committed([Path(args.out)]) as (sink,):
+            write_all(sink, text.encode("iso-8859-1", errors="xmlcharrefreplace"))
     else:
         print(text, end="")
     return EXIT_OK

@@ -3,29 +3,35 @@
 Distributed dimensions are mapped onto processor-array axes positionally,
 using the standard block/cyclic owner formulas: a block dimension of
 extent N over P targets gives element c to target c // ceil(N/P); a
-cyclic dimension with group size k gives it to (c // k) % P.  Compiled
-owner tables can then be lowered to per-target views that select exactly
-the owned bytes.
+cyclic dimension with group size k gives it to (c // k) % P.  Both are
+one formula, (c // g) % P with group g = ceil(N/P) or k, so an
+``OwnerMap`` holds a handful of integers per dimension, never a table.
 
-Owner tables are tiled from runs, with no Python step per element: per
-distributed dimension, runs of ``g`` equal targets (ceil(N/P) for BLOCK,
-k for CYCLIC) are cycled up to the extent, stretched by the dimension's
-index stride and tiled over the table; the dimensions' tables are summed.
-The cyclic group-size check compares a table with one built the same way.
+Lowering builds each target's view from those integers, as
+``MPI_Type_create_darray`` builds a file type.  From the fastest
+dimension up, a distributed dimension other than the slowest becomes a
+VIEW spanning one slab of it: a BLOCK of the whole turns (g units of
+every P*g) and a BLOCK of the target's part of the last partial turn.
+Its unit is the view of the next faster distributed dimension, or a byte
+while none is; an undistributed dimension only multiplies the units
+per element.  The slowest dimension tiles with period P*g units
+(``round_robin_view``).  A target owning no element selects one byte
+past the array.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import warnings
 from dataclasses import dataclass
-from itertools import chain, compress, count, islice, repeat
-from typing import Iterable
+from functools import cached_property
+from itertools import product
 
 from .errors import ArithmeticOverflow, DimensionMismatch, UnresolvedProcessors
 from .model import (
     ArrayDecl,
+    BlockDecl,
+    ByteBlock,
     CompoundDecl,
     Distribution,
     EtypeDecl,
@@ -34,10 +40,9 @@ from .model import (
     TypeDecl,
     ViewDecl,
 )
-from .views import INT64_MAX, Extent, round_robin_view, view_selecting
+from .views import INT64_MAX, round_robin_view, view_period
 
 __all__ = [
-    "SizeResult",
     "OwnerMap",
     "sizeof_type",
     "compile_hpf_mapping",
@@ -46,66 +51,62 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class SizeResult:
-    total_bytes: int
-    element_bytes: int
-    element_count: int
-
-
-@dataclass(frozen=True)
 class OwnerMap:
-    """Element-index -> target table for one distributed array."""
+    """The owner formula of one distributed array: per dimension, slowest
+    first in storage order, ``(extent, group, targets, target_stride)``.
+    Coordinate c goes to processor coordinate (c // group) % targets,
+    which adds that times target_stride to the target index."""
 
     array_name: str
     num_targets: int
-    owners: tuple[int, ...]
+    dims: tuple[tuple[int, int, int, int], ...]
 
     @property
     def element_count(self) -> int:
-        return len(self.owners)
+        return math.prod(n for n, _, _, _ in self.dims)
+
+    @cached_property
+    def owners(self) -> tuple[int, ...]:
+        """The target of every element, in storage order, one element at
+        a time; the lowering does not read it."""
+        columns = [[c // g % p * s for c in range(n)] for n, g, p, s in self.dims]
+        return tuple(map(sum, product(*columns)))
 
 
-def sizeof_type(t: TypeDecl) -> SizeResult:
-    """Storage footprint of a type tree.
-
-    element_bytes/element_count describe the outermost homogeneous array;
-    for non-arrays the whole type counts as a single element.
-    """
+def sizeof_type(t: TypeDecl) -> int:
+    """Storage footprint of a type tree, in bytes."""
     if isinstance(t, EtypeDecl):
         if t.length_bytes < 1:
             raise ValueError(f"element length must be >= 1, got {t.length_bytes}")
-        return SizeResult(t.length_bytes, t.length_bytes, 1)
+        return t.length_bytes
     if isinstance(t, CompoundDecl):
         total = 0
         for child in t.children:
-            total += sizeof_type(child).total_bytes
+            total += sizeof_type(child)
             if total > INT64_MAX:
                 raise ArithmeticOverflow(f"type size exceeds the 64-bit range: {total}")
         if total < 1:
             raise ValueError("empty TYPE has no storage size")
-        return SizeResult(total, total, 1)
-    element = sizeof_type(t.element)
-    count = 1
+        return total
+    total = sizeof_type(t.element)
     for dim in t.dims:
         if dim.extent < 1:
             raise ValueError(f"dimension extent must be >= 1, got {dim.extent}")
-        count *= dim.extent
-        if count > INT64_MAX:
-            raise ArithmeticOverflow(f"element count exceeds the 64-bit range: {count}")
-    total = element.total_bytes * count
-    if total > INT64_MAX:
-        raise ArithmeticOverflow(f"array size exceeds the 64-bit range: {total}")
-    return SizeResult(total, element.total_bytes, count)
+        total *= dim.extent
+        if total > INT64_MAX:
+            raise ArithmeticOverflow(f"array size exceeds the 64-bit range: {total}")
+    return total
 
 
 def compile_hpf_mapping(arr: ArrayDecl, procs: ProcessorsDecl) -> OwnerMap:
-    """Owner table of a distributed array over a processor array.
+    """Owner formula of a distributed array over a processor array.
 
     Array dimensions marked BLOCK or CYCLIC consume processor axes in
     order; NO/unmarked dimensions contribute owner coordinate 0.  Element
     indices are linearized per the array's MAJOR (ROW: last dimension
     fastest); target indices are linearized row-major over the processor
-    shape.
+    shape.  A group is at most the extent, and is the extent over one
+    target.
     """
     if arr.distribute_onto is None or arr.distribute_onto != procs.name:
         raise UnresolvedProcessors(
@@ -131,62 +132,59 @@ def compile_hpf_mapping(arr: ArrayDecl, procs: ProcessorsDecl) -> OwnerMap:
     total = math.prod(extents)
     if total > INT64_MAX:
         raise ArithmeticOverflow(f"element count exceeds the 64-bit range: {total}")
-    owners: list[int] | tuple[int, ...] = (0,) * total
-    for axis, dim_pos in enumerate(dist_dims):
-        dim, n, p = arr.dims[dim_pos], extents[dim_pos], proc_shape[axis]
-        group = -(-n // p) if dim.distribute is Distribution.BLOCK else dim.dist_skalar
+    dims = [(n, n, 1, 0) for n in extents]
+    for axis, i in enumerate(dist_dims):
+        n, p = extents[i], proc_shape[axis]
+        group = -(-n // p) if arr.dims[i].distribute is Distribution.BLOCK else arr.dims[i].dist_skalar
         if group < 1:
             raise ValueError(f"DIST_SKALAR must be >= 1, got {group}")
-        stride = math.prod(extents[dim_pos + 1 :] if arr.major is Major.ROW else extents[:dim_pos])
-        tstride = math.prod(proc_shape[axis + 1 :])
-        span = n * stride
-        column = _owner_runs(range(0, p * tstride, tstride), group * stride, span) * (total // span)
-        owners = column if axis == 0 else list(map(operator.add, owners, column))
-    return OwnerMap(arr.name or "", math.prod(proc_shape), tuple(owners))
-
-
-def _owner_runs(values: Iterable[int], run: int, length: int) -> list[int]:
-    """``values``, each repeated ``run`` times, cycled and cut at ``length``."""
-    one = list(islice(chain.from_iterable(map(repeat, values, repeat(run))), length))
-    return (one * -(-length // len(one)))[:length]
-
-
-def _cyclic_group_size(om: OwnerMap) -> int | None:
-    """Group size k if owners follow (i // k) % num_targets, else None.
-
-    Block tables always match (k = chunk size), so one periodic emission
-    path covers both standard shapes.
-    """
-    owners = om.owners
-    if not owners or owners[0] != 0:
-        return None
-    k = next(compress(count(), owners), len(owners))  # the first nonzero owner
-    if tuple(_owner_runs(range(om.num_targets), k, len(owners))) != owners:
-        return None
-    return k
+        dims[i] = (n, n if p == 1 else min(group, n), p, math.prod(proc_shape[axis + 1 :]))
+    if arr.major is Major.COLUMN:
+        dims.reverse()
+    return OwnerMap(arr.name or "", math.prod(proc_shape), tuple(dims))
 
 
 def ownermap_to_views(om: OwnerMap, element_bytes: int) -> list[ViewDecl]:
-    """Per-target views selecting exactly the owned bytes.
-
-    Element i occupies bytes [i*element_bytes, (i+1)*element_bytes).
-    Block and cyclic tables become one-block periodic views with period
-    num_targets * k * element_bytes; irregular tables fall back to a
-    single-period view enumerating the owned runs.
-    """
+    """Per-target views selecting exactly the owned bytes, each built
+    from the per-dimension formula with no step per element (module
+    notes).  Element i occupies bytes [i*element_bytes, (i+1)*element_bytes)."""
     if element_bytes < 1:
         raise ValueError(f"element_bytes must be >= 1, got {element_bytes}")
-    n = om.element_count
-    total = n * element_bytes
-    k = _cyclic_group_size(om)
-    if k is not None:
-        return [round_robin_view(d, om.num_targets, k * element_bytes) for d in range(om.num_targets)]
-    # one pass over the table: a run ends wherever the owner changes
-    owners = om.owners
-    cuts = [0, *compress(count(1), map(operator.ne, owners, owners[1:])), n]
-    runs: list[list[Extent]] = [[] for _ in range(om.num_targets)]
-    for lo, hi in zip(cuts, cuts[1:]):
-        if 0 <= owners[lo] < om.num_targets:
-            runs[owners[lo]].append(Extent(lo * element_bytes, (hi - lo) * element_bytes))
-    return [view_selecting(r, total) for r in runs]
+    nothing = ViewDecl(0, 0, (BlockDecl(om.element_count * element_bytes, 1, 1, 0, ByteBlock()),))
+    return [_target_view(om.dims, t, element_bytes) or nothing for t in range(om.num_targets)]
 
+
+def _target_view(dims: tuple[tuple[int, int, int, int], ...], target: int, element_bytes: int) -> ViewDecl | None:
+    """The target's view, or None when it owns no element."""
+    coords = [target // s % p if s else 0 for _, _, p, s in dims]
+    if sum(d * s for d, (_, _, _, s) in zip(coords, dims)) != target:
+        return None  # a coordinate on a processor axis no dimension uses
+    child: ViewDecl | ByteBlock | None = ByteBlock()
+    per = element_bytes  # one element of the next slower dimension is ``per`` units of child
+    for (n, g, p, _), d in zip(dims[:0:-1], coords[:0:-1]):
+        if p == 1:
+            per *= n
+        else:
+            child, per = _slab_view(n * per, g * per, p, d, child), 1
+            if child is None:
+                return None
+    _, g, p, _ = dims[0]
+    return round_robin_view(coords[0], p, g * per, child)
+
+
+def _slab_view(n: int, g: int, p: int, d: int, child: ViewDecl | ByteBlock) -> ViewDecl | None:
+    """Coordinate d's part of a slab of n units of child, dealt in groups
+    of g units over p coordinates: the whole turns, then its part of the
+    last partial turn.  None when that part is empty."""
+    unit = 1 if isinstance(child, ByteBlock) else view_period(child)
+    turns, rest = divmod(n, p * g)
+    blocks, end = [], 0  # end: the units laid down so far
+    if turns:
+        blocks.append(BlockDecl(d * g * unit, turns, g, (p - 1) * g * unit, child))
+        end = ((turns - 1) * p + d + 1) * g
+    last = min(g, rest - d * g)
+    if last > 0:
+        start = (turns * p + d) * g
+        blocks.append(BlockDecl((start - end) * unit, 1, last, 0, child))
+        end = start + last
+    return ViewDecl(0, (n - end) * unit, tuple(blocks)) if blocks else None

@@ -69,7 +69,6 @@ __all__ = [
     "build_distribution_map",
     "check_partition",
     "render_plan",
-    "view_selecting",
 ]
 
 INT64_MAX = 2**63 - 1
@@ -147,12 +146,9 @@ class Selection:
                 return [([h], (size - h,))]
             return [([h], (min(pieces[0][1], size - h),)), *self._past_head.progressions(size)]
         m, k = len(pieces), self.full_periods(size)
-        if k > 1:
-            starts = [0] * (m * k)
-            for i, (a, _) in enumerate(pieces):
-                starts[i::m] = range(h + a, h + k * p, p)
-        else:  # at most one whole period: nothing to interleave
-            starts = [h + a for a, _ in pieces] if k else []
+        starts = [0] * (m * k)
+        for i, (a, _) in enumerate(pieces):
+            starts[i::m] = range(h + a, h + k * p, p)
         whole = (starts, [n for _, n in pieces])
         tail = tuple(zip(*self.tail(size))) or ((), ())  # (starts, lengths)
         return [progression for progression in (whole, tail) if progression[0]]
@@ -468,30 +464,13 @@ def _format_runs(progressions: list[tuple[Sequence[int], Sequence[int]]]) -> str
     )
 
 
-def round_robin_view(device: int, devices: int, chunk: int) -> ViewDecl:
+def round_robin_view(device: int, devices: int, chunk: int, child: ViewDecl | ByteBlock = ByteBlock()) -> ViewDecl:
     """Device ``device`` of ``devices`` takes chunk number ``device`` of
-    every period of ``devices * chunk`` bytes."""
+    every ``devices`` chunks of ``chunk`` units of ``child``: bytes under
+    a BYTEBLOCK, the child's periods under a VIEW."""
+    unit = 1 if isinstance(child, ByteBlock) else view_period(child)
     return ViewDecl(
         skip_header=0,
-        skip=(devices - 1 - device) * chunk,
-        blocks=(BlockDecl(device * chunk, 1, chunk, 0, ByteBlock()),),
+        skip=(devices - 1 - device) * chunk * unit,
+        blocks=(BlockDecl(device * chunk * unit, 1, chunk, 0, child),),
     )
-
-
-def view_selecting(extents: tuple[Extent, ...] | list[Extent], region_size: int) -> ViewDecl:
-    """Build a single-period view whose selection over region_size equals
-    the given extents (sorted, disjoint, within the region).
-
-    An empty selection is encoded as a take placed past the region end,
-    which clips to nothing.
-    """
-    blocks = []
-    cursor = 0
-    for ext in extents:
-        if ext.start < cursor or ext.length < 1 or ext.end > region_size:
-            raise ValueError(f"extents must be sorted, disjoint and within [0, {region_size}): {ext}")
-        blocks.append(BlockDecl(ext.start - cursor, 1, ext.length, 0, ByteBlock()))
-        cursor = ext.end
-    if not blocks:
-        return ViewDecl(0, 0, (BlockDecl(region_size, 1, 1, 0, ByteBlock()),))
-    return ViewDecl(0, region_size - cursor, tuple(blocks))

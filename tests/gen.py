@@ -9,6 +9,7 @@ import io
 import random
 import string
 
+from reference import view_selecting
 from xdgdl import (
     AlignDecl,
     ArrayDecl,
@@ -20,6 +21,7 @@ from xdgdl import (
     Distribution,
     Document,
     EtypeDecl,
+    Extent,
     IslandDecl,
     Major,
     ProcessorsDecl,
@@ -171,8 +173,6 @@ def random_partition_views(rng: random.Random, devices: int, period: int, run_ma
     to three times, so headers and periods are unequal and a device's
     last piece may wrap into its first.  A device dealt nothing is NOVIEW.
     """
-    from xdgdl import Extent, view_selecting
-
     owner = []
     while len(owner) < period:
         owner += [rng.randrange(devices)] * rng.randint(1, run_max)

@@ -6,12 +6,13 @@ walks the selection rules literally, marking coverage counts into a
 bytearray, and the period is derived from the same walk; the partition
 report is read off painted coverages one byte at a time; the HPF owner
 table is computed one element at a time from the owner formulas.  Slow
-and dumb on purpose.
+and dumb on purpose.  ``view_selecting`` writes given extents out as a
+one-period view, for tests that need a view of arbitrary runs.
 """
 
 import math
 
-from xdgdl import ArrayDecl, ByteBlock, Distribution, Extent, Major, ViewDecl
+from xdgdl import ArrayDecl, BlockDecl, ByteBlock, Distribution, Extent, Major, ViewDecl
 
 
 def naive_period(view: ViewDecl) -> int:
@@ -118,11 +119,18 @@ def naive_owners(arr: ArrayDecl, shape: tuple[int, ...]) -> list[int]:
     return owners
 
 
-def naive_group_size(owners, targets: int):
-    """k if owner i is (i // k) % targets for every i, else None."""
-    if not owners or owners[0] != 0:
-        return None
-    k = next((i for i, o in enumerate(owners) if o != 0), len(owners))
-    if all(o == (i // k) % targets for i, o in enumerate(owners)):
-        return k
-    return None
+def view_selecting(extents, region_size: int) -> ViewDecl:
+    """A single-period view whose selection over region_size is the given
+    extents (sorted, disjoint, within the region; ValueError otherwise),
+    one BLOCK per extent.  An empty selection is a take placed past the
+    region end, which clips to nothing."""
+    blocks = []
+    cursor = 0
+    for ext in extents:
+        if ext.start < cursor or ext.length < 1 or ext.end > region_size:
+            raise ValueError(f"extents must be sorted, disjoint and within [0, {region_size}): {ext}")
+        blocks.append(BlockDecl(ext.start - cursor, 1, ext.length, 0, ByteBlock()))
+        cursor = ext.end
+    if not blocks:
+        return ViewDecl(0, 0, (BlockDecl(region_size, 1, 1, 0, ByteBlock()),))
+    return ViewDecl(0, region_size - cursor, tuple(blocks))

@@ -1,3 +1,4 @@
+import io
 import logging
 import os
 import random
@@ -14,8 +15,8 @@ from descriptors import (
     THREE_SERVER_XML,
     TWO_SERVER_XML,
 )
-from reference import naive_coverage, painted_report
-from xdgdl import parse_document
+from reference import naive_coverage, naive_owners, painted_report
+from xdgdl import OwnerMap, parse_document, store
 from xdgdl.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -88,7 +89,7 @@ class TestPlan:
         assert main(["plan", str(desc), "--size", "82"]) == 0
         assert capsys.readouterr().out.splitlines()[-1] == "partition: gaps+overlaps"
 
-    @pytest.mark.parametrize("size", ["abc", "-1"])
+    @pytest.mark.parametrize("size", ["abc", "-1", "1_0", "+10", " 10", "\u0661\u0660"])
     def test_bad_size_is_a_usage_error(self, two_server, capsys, size):
         with pytest.raises(SystemExit) as exc:
             main(["plan", str(two_server), "--size", size])
@@ -433,6 +434,54 @@ class TestHpfCompile:
 
     def test_no_distributed_array_exits_2(self, two_server, capsys):
         assert main(["hpf-compile", str(two_server), "--servers", "h1"]) == 2
+
+    def test_failed_write_leaves_the_old_out_file(self, tmp_path, capsys, monkeypatch):
+        desc, out = tmp_path / "logical.xml", tmp_path / "compiled.xml"
+        desc.write_text(self.DESC)
+        out.write_bytes(b"<previous/>\n")
+
+        class FailingSink(io.FileIO):
+            def write(self, data):
+                super().write(bytes(data[:16]))
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(store, "open", lambda path, mode, buffering: FailingSink(path, mode), raising=False)
+        assert main(["hpf-compile", str(desc), "--servers", "h1,h2,h3", "--out", str(out)]) == 4
+        assert "No space left on device" in capsys.readouterr().err
+        assert out.read_bytes() == b"<previous/>\n"
+        assert list(tmp_path.glob("*.tmp")) == []
+
+    # 7 rows dealt in pairs over 2 leave a ragged last turn; the COLUMN
+    # array stores its rows fastest
+    RAGGED = DESC.replace('UPPER="3"/>', 'UPPER="2"/>\n    <PROC_DIMENSION LOWER="1" UPPER="2"/>').replace(
+        '<ARRAY NAME="m" DISTRIBUTE_ONTO="P">', '<ARRAY NAME="m" DISTRIBUTE_ONTO="P" MAJOR="COLUMN">'
+    ).replace(
+        '<DIMENSION LOWER="1" UPPER="12" DISTRIBUTE="CYCLIC" DIST_SKALAR="2"/>',
+        '<DIMENSION LOWER="1" UPPER="7" DISTRIBUTE="CYCLIC" DIST_SKALAR="2"/>\n'
+        '      <DIMENSION LOWER="1" UPPER="5" DISTRIBUTE="BLOCK"/>',
+    )
+
+    def test_column_major_ragged_turn_plans_exactly(self, tmp_path, capsys):
+        desc, out = tmp_path / "logical.xml", tmp_path / "compiled.xml"
+        desc.write_text(self.RAGGED)
+        assert main(["hpf-compile", str(desc), "--servers", "h1,h2,h3,h4", "--out", str(out)]) == 0
+        assert main(["plan", str(out), "--size", str(7 * 5 * 4)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "partition: exact"
+        totals = [sum(int(run.split(":")[1]) for run in line.split("\t")[1].split(",")) for line in lines[:-1]]
+        doc = parse_document(self.RAGGED)
+        owners = naive_owners(doc.types[0].children[0], doc.processors[0].shape)
+        assert totals == [4 * owners.count(target) for target in range(4)] == [48, 32, 36, 24]
+
+    def test_never_reads_the_owner_table(self, tmp_path, monkeypatch):
+        def refuse(om):
+            raise AssertionError("hpf-compile read OwnerMap.owners")
+
+        monkeypatch.setattr(OwnerMap, "owners", property(refuse))
+        for text, servers in ((self.DESC, "h1,h2,h3"), (self.RAGGED, "h1,h2,h3,h4")):
+            desc = tmp_path / "logical.xml"
+            desc.write_text(text)
+            assert main(["hpf-compile", str(desc), "--servers", servers, "--out", str(tmp_path / "out.xml")]) == 0
 
 
 class TestInit:

@@ -4,11 +4,12 @@
 the merged runs of ``Selection.progressions``; they are compared with the
 naive painter in reference.py, on random views and on random selections
 whose runs wrap across periods.  ``check_partition``'s gap and overlap
-report is compared with painted coverage.  The HPF owner table and the
-cyclic group size are compared with the per-element formulas in
-reference.py.  A cost guard counts the Python-level steps of planning,
-which must not grow with the file size, and of the streaming window
-maps, which must not grow with the period.
+report is compared with painted coverage.  The HPF owner formula, and
+the bytes its lowered views select, are compared with the per-element
+owners in reference.py.  A cost guard counts the Python-level steps of
+planning, which must not grow with the file size, of lowering an HPF
+array, which must not grow with its extents, and of the streaming
+window maps, which must not grow with the period.
 """
 
 import dataclasses
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 
 from descriptors import CONFIG_TEMPLATE
 from gen import random_view
-from reference import naive_coverage, naive_group_size, naive_owners, painted_report, painted_runs
+from reference import naive_coverage, naive_owners, painted_report, painted_runs, view_selecting
 from strategies import view_decls
 from test_selection import byte_view, doc_of
 from xdgdl import (
@@ -34,7 +35,6 @@ from xdgdl import (
     Extent,
     Major,
     MapEntry,
-    OwnerMap,
     PartitionStatus,
     ProcessorsDecl,
     build_distribution_map,
@@ -42,13 +42,13 @@ from xdgdl import (
     compile_hpf_mapping,
     default_descriptor,
     enumerate_extents,
+    ownermap_to_views,
     parse_config,
     render_plan,
     view_period,
 )
-from xdgdl.hpf import _cyclic_group_size
 from xdgdl.scatter import WINDOW_BYTES, _window_maps
-from xdgdl.views import Selection, view_selecting
+from xdgdl.views import Selection
 
 EXACT = PartitionStatus.EXACT_PARTITION
 
@@ -178,21 +178,24 @@ class TestOwnerTable:
             om = compile_hpf_mapping(arr, procs)
             assert om.owners == tuple(naive_owners(arr, procs.shape)), (arr, procs)
             assert om.num_targets == math.prod(procs.shape)
-            assert _cyclic_group_size(om) == naive_group_size(om.owners, om.num_targets)
 
-    def test_group_size_of_random_and_nearly_cyclic_tables(self):
+    def test_lowered_views_select_the_owned_bytes(self):
         rng = random.Random(10)
         for _ in range(400):
-            targets, n = rng.randint(1, 4), rng.randint(1, 30)
-            if rng.random() < 0.5:
-                owners = [rng.randrange(targets) for _ in range(n)]
-            else:
-                k = rng.randint(1, 5)
-                owners = [(i // k) % targets for i in range(n)]
-                if rng.random() < 0.5:
-                    owners[rng.randrange(n)] = rng.randrange(targets)
-            om = OwnerMap("x", targets, tuple(owners))
-            assert _cyclic_group_size(om) == naive_group_size(owners, targets), om
+            arr, procs = random_array(rng)
+            element_bytes = rng.randint(1, 3)
+            owners = naive_owners(arr, procs.shape)
+            size = len(owners) * element_bytes
+            views = ownermap_to_views(compile_hpf_mapping(arr, procs), element_bytes)
+            assert len(views) == math.prod(procs.shape)
+            for target, view in enumerate(views):
+                coverage = [o == target for o in owners for _ in range(element_bytes)]
+                assert [(e.start, e.length) for e in enumerate_extents(view, size)] == painted_runs(coverage), (
+                    arr,
+                    procs,
+                    target,
+                )
+            assert check_partition(build_distribution_map(doc_of(views), size)).status is EXACT, (arr, procs)
 
     @pytest.mark.parametrize("skalar", [0, -2])
     def test_cyclic_group_below_one_is_rejected(self, skalar):
@@ -226,8 +229,9 @@ def python_steps(fn) -> int:
 
 
 class TestCostGuard:
-    """Planning expands runs and owner tables in bulk: the Python-level
-    steps it takes are the same for a file 16 times larger.  A window's
+    """Planning expands runs in bulk: the Python-level steps it takes
+    are the same for a file 16 times larger.  Lowering an HPF array
+    takes the same steps for extents 16 times larger.  A window's
     map is built from only the pieces that meet the window: the steps
     are the same for a period 4 times longer."""
 
@@ -241,15 +245,16 @@ class TestCostGuard:
         assert python_steps(lambda: render_plan(big)) == python_steps(lambda: render_plan(small))
 
     def test_compile_hpf_mapping(self):
-        def array(records):
-            dim = DimensionDecl(upper=records, distribute=Distribution.CYCLIC)
-            return ArrayDecl(EtypeDecl("CHAR", 1), (dim,), distribute_onto="P")
+        def lowering(extent, rank, kind, skalar):
+            dims = (DimensionDecl(upper=extent, distribute=kind, dist_skalar=skalar),) * rank
+            arr = ArrayDecl(EtypeDecl("CHAR", 1), dims, distribute_onto="P")
+            procs = ProcessorsDecl("P", ((1, 2),) * rank)
+            return lambda: ownermap_to_views(compile_hpf_mapping(arr, procs), 1)
 
-        procs = ProcessorsDecl("P", ((1, 2),))
-        small, big = array(4 << 10), array(64 << 10)
-        assert python_steps(lambda: compile_hpf_mapping(big, procs)) == python_steps(
-            lambda: compile_hpf_mapping(small, procs)
-        )
+        # 512 and 8192 leave the same partial turn of CYCLIC(3) over 2
+        for rank, kind, skalar in [(1, Distribution.CYCLIC, 1), (2, Distribution.BLOCK, 1), (2, Distribution.CYCLIC, 3)]:
+            small, big = lowering(512, rank, kind, skalar), lowering(8192, rank, kind, skalar)
+            assert python_steps(big) == python_steps(small), (rank, kind, skalar)
 
     def test_window_maps(self):
         # two devices dealt alternate 32 KiB runs of one long period: the

@@ -41,33 +41,30 @@ def dist_array(n: int, kind: Distribution, k: int = 1, element=None, lower: int 
 
 class TestSizeof:
     def test_etype(self):
-        assert sizeof_type(EtypeDecl("CHAR", 1)).total_bytes == 1
+        assert sizeof_type(EtypeDecl("CHAR", 1)) == 1
 
     def test_array(self):
         arr = ArrayDecl(EtypeDecl("INT", 4), (DimensionDecl(upper=10),))
-        result = sizeof_type(arr)
-        assert result.total_bytes == 40
-        assert result.element_bytes == 4
-        assert result.element_count == 10
+        assert sizeof_type(arr) == 40
+        assert sizeof_type(arr.element) == 4
 
     def test_compound_sums(self):
         compound = CompoundDecl((EtypeDecl("INT", 4), EtypeDecl("DOUBLE", 8)))
-        result = sizeof_type(compound)
-        assert result.total_bytes == 12
-        assert result.element_count == 1
+        assert sizeof_type(compound) == 12
+        assert sizeof_type(ArrayDecl(compound, (DimensionDecl(upper=3),))) == 36
 
     def test_multi_dim_with_offset_lower(self):
         arr = ArrayDecl(
             EtypeDecl("INT", 4),
             (DimensionDecl(upper=4, lower=2), DimensionDecl(upper=5, lower=0)),
         )
-        assert sizeof_type(arr).total_bytes == 3 * 6 * 4
+        assert sizeof_type(arr) == 3 * 6 * 4
 
     def test_nested_array(self):
         inner = ArrayDecl(EtypeDecl("B", 1), (DimensionDecl(upper=3),))
         outer = ArrayDecl(inner, (DimensionDecl(upper=5),))
-        assert sizeof_type(outer).total_bytes == 15
-        assert sizeof_type(outer).element_bytes == 3
+        assert sizeof_type(outer) == 15
+        assert sizeof_type(outer.element) == 3
 
 
 class TestCompile:
@@ -210,13 +207,6 @@ class TestOwnerMapToViews:
                         self.assert_faithful(
                             compile_hpf_mapping(dist_array(n, Distribution.CYCLIC, k=k), procs(p)), e
                         )
-
-    def test_faithful_on_irregular_tables(self):
-        from xdgdl import OwnerMap
-
-        om = OwnerMap("x", 3, (2, 0, 0, 1, 2, 2, 0, 1, 1, 0))
-        self.assert_faithful(om, 1)
-        self.assert_faithful(om, 4)
 
     def test_multi_dim_faithful(self):
         arr = ArrayDecl(

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gen import entry_of, gather_bytes
+from reference import view_selecting
 from xdgdl import (
     DistributionMap,
     Extent,
@@ -20,7 +21,6 @@ from xdgdl import (
     gather,
     member_oracle,
     scatter,
-    view_selecting,
 )
 
 scatter_module = importlib.import_module("xdgdl.scatter")  # the package's ``scatter`` is the function

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from descriptors import CONFIG_TEMPLATE, MINIMAL_XML, THREE_SERVER_XML, TWO_SERVER_XML
 from gen import entry_of, gather_bytes, random_document, random_partition_views, random_view
-from reference import naive_coverage, naive_period, painted_report, painted_runs
+from reference import naive_coverage, naive_period, painted_report, painted_runs, view_selecting
 from strategies import view_decls
 from xdgdl import (
     ArrayDecl,
@@ -47,7 +47,6 @@ from xdgdl import (
     render_plan,
     scatter,
     validate_document,
-    view_selecting,
 )
 from xdgdl.cli import main
 from xdgdl.scatter import _copy_plan

@@ -5,6 +5,7 @@ import pytest
 
 from descriptors import CONFIG_TEMPLATE, TWO_SERVER_XML
 from gen import random_view
+from reference import view_selecting
 from xdgdl import (
     DuplicateTimestamp,
     EmptyDeviceList,
@@ -21,7 +22,6 @@ from xdgdl import (
     parse_config,
     parse_document,
     put_file,
-    view_selecting,
 )
 from xdgdl.vipfs import default_descriptor
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gen import entry_of, random_view
-from reference import naive_coverage, naive_period
+from reference import naive_coverage, naive_period, view_selecting
 from strategies import view_decls
 from test_selection import doc_of
 from xdgdl import (
@@ -27,7 +27,6 @@ from xdgdl import (
     member_oracle,
     render_plan,
     view_period,
-    view_selecting,
 )
 from descriptors import MINIMAL_XML
 from xdgdl import parse_document
