@@ -5,6 +5,8 @@ Builds the alternating 5:7 descriptor programmatically, prints the
 placement plan, scatters a text, and shows each server's fragment.
 """
 
+import io
+
 from xdgdl import (
     BlockDecl,
     ByteBlock,
@@ -62,8 +64,10 @@ def main() -> None:
     print()
 
     print(render_plan(dmap))
-    for srv, frag in zip(doc.island.servers, scatter(text, dmap)):
-        print(f"{srv.host}: {frag.payload!r}")
+    fragments = [io.BytesIO() for _ in dmap.entries]
+    scatter(io.BytesIO(text), dmap, fragments)
+    for srv, frag in zip(doc.island.servers, fragments):
+        print(f"{srv.host}: {frag.getvalue()!r}")
 
 
 if __name__ == "__main__":

@@ -20,7 +20,6 @@ from .errors import (
     NotAPartition,
     ParseError,
     RosterMismatch,
-    SizeMismatch,
     UnknownKey,
     UnresolvedProcessors,
     ValidationError,
@@ -50,7 +49,7 @@ from .model import (
     serialize_document,
     validate_document,
 )
-from .scatter import Fragment, gather, scatter
+from .scatter import gather, scatter
 from .store import GridLayout, LayoutDevice, StoredFile, get_file, init_store, put_file
 from .vipfs import SidecarResult, copy_in, copy_out, default_descriptor, locate_sidecar, timestamp_for_name
 from .views import (

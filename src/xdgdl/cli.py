@@ -39,10 +39,10 @@ from .model import (
     serialize_document,
     validate_document,
 )
-from .scatter import require_exact, scatter, windows, write_all
+from .scatter import require_exact, scatter, write_all
 from .store import committed, init_store, measured, rebuild
 from .vipfs import copy_in, copy_out
-from .views import build_distribution_map, render_plan
+from .views import INT64_MAX, build_distribution_map, render_plan
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -95,12 +95,12 @@ def _frag_name(index: int) -> str:
 
 
 def _size_arg(raw: str) -> int:
-    try:
-        if re.fullmatch(r"[0-9]+", raw):
-            return int(raw)
-    except ValueError:  # more digits than int() converts
-        pass
-    raise argparse.ArgumentTypeError(f"size must be a non-negative integer, got {raw!r}")
+    if not re.fullmatch(r"[0-9]+", raw):
+        raise argparse.ArgumentTypeError(f"size must be a non-negative integer, got {raw!r}")
+    digits = raw.lstrip("0") or "0"
+    if len(digits) > len(str(INT64_MAX)) or int(digits) > INT64_MAX:  # int() refuses more than 4300 digits
+        raise argparse.ArgumentTypeError(f"size must be at most {INT64_MAX}, got {raw!r}")
+    return int(digits)
 
 
 def cmd_validate(args) -> int:
@@ -135,9 +135,7 @@ def cmd_scatter(args) -> int:
         require_exact(dmap)  # before the output directory is made
         out.mkdir(parents=True, exist_ok=True)
         with committed([out / _frag_name(i) for i in range(len(dmap.entries))]) as sinks:
-            for data, wmap in windows(src, dmap):
-                for sink, frag in zip(sinks, scatter(data, wmap)):
-                    write_all(sink, frag.payload)
+            scatter(src, dmap, sinks)
     return EXIT_OK
 
 

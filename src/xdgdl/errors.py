@@ -52,10 +52,6 @@ class NotAPartition(XdgdlError):
         super().__init__(f"extents do not form an exact partition: {verdict.status.name}")
 
 
-class SizeMismatch(XdgdlError):
-    """Data length differs from the map's file size."""
-
-
 class MissingFragment(XdgdlError):
     """A device's fragment is absent."""
 

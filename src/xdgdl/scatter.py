@@ -2,12 +2,13 @@
 
 A fragment is the concatenation, in ascending logical offset, of the
 bytes a device owns under a distribution map.  Fragments are matched
-to devices by position: ``scatter`` returns one per map entry in entry
-order and ``gather`` reads them back from one stream per entry in that
-order, as the store and the CLI keep them (``000.frag``, ``001.frag``,
-...).
-Scatter and gather both insist on an exact partition: only then is
-every byte placed exactly once and the round trip an identity.
+to devices by position: ``scatter(src, dmap, sinks)`` writes one per
+map entry to the sink at the entry's position, and
+``gather(sources, dmap, dst)`` reads them back from one stream per entry
+in that order, as the store and the CLI keep them (``000.frag``,
+``001.frag``, ...).  Scatter and gather both insist on an exact
+partition: only then is every byte placed exactly once and the round
+trip an identity.
 
 Both directions share one copy plan per device, read off its compiled
 selection and built once per map.  The whole periods move either as
@@ -30,41 +31,36 @@ built from only the pieces that meet the window, so a window of a long
 period costs its own runs, not the period's.  A window whose map equals
 the previous one's reuses that map object, with its plans and slot
 table: past H the coverage repeats every L bytes, so every full window
-of whole periods there does, without being built.  ``windows`` reads a
-source into one reused buffer for ``scatter``.  ``gather`` reads each
-entry's share of a window straight into one reused window buffer, by
-one ``os.readv`` per entry into slots built once per window map: list
-I/O, as in ROMIO (Thakur, Gropp & Lusk, 1999).  Memory stays a few
-windows of ``WINDOW_BYTES`` bytes, plus the compiled selections.
+of whole periods there does, without being built.
+
+Each direction moves a window through one reused window buffer and one
+slot table per window map: per entry, its strided share's buffer and
+then the window's slice for each run, in fragment order.  ``scatter``
+reads the source into the window, fills each strided share from it and
+writes each entry's slots with one ``os.writev`` per entry per window;
+``gather`` reads each entry's slots with one ``os.readv``, assigns the
+strided shares into the window and writes it.  This is list I/O, as in
+ROMIO (Thakur, Gropp & Lusk, 1999): no byte is copied to join a share.
+Memory stays a window of ``WINDOW_BYTES`` bytes and its strided shares,
+plus the compiled selections.
 """
 
 from __future__ import annotations
 
 import io
 import os
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import BinaryIO, Iterator
 
-from .errors import ExtraFragment, IoFailure, LengthMismatch, MissingFragment, NotAPartition, SizeMismatch
-from .views import DistributionMap, MapEntry, PartitionStatus, Selection, check_partition
+from .errors import ExtraFragment, IoFailure, LengthMismatch, MissingFragment, NotAPartition
+from .views import DistributionMap, PartitionStatus, Selection, check_partition
 
-__all__ = ["Fragment", "scatter", "gather", "windows", "remaining", "require_exact", "WINDOW_BYTES"]
+__all__ = ["scatter", "gather", "remaining", "require_exact", "WINDOW_BYTES"]
 
-DeviceRef = tuple[str, str, str]  # (island, host, device_id)
 Plan = tuple[int, list[tuple[slice, slice]], list[tuple[int, int]]]
 
 WINDOW_BYTES = 1 << 20  # the most bytes one window holds: whole lcm periods, or this when a period is longer
-IOV_MAX = 1024  # most buffers one os.readv fills: the limit on Linux and the BSDs
-
-
-@dataclass(frozen=True)
-class Fragment:
-    device_ref: DeviceRef
-    payload: bytes
-
-
-def _ref(entry: MapEntry) -> DeviceRef:
-    return (entry.island, entry.host, entry.device_id)
+IOV_MAX = 1024  # most buffers one os.readv or os.writev takes: the limit on Linux and the BSDs
 
 
 def require_exact(dmap: DistributionMap) -> None:
@@ -144,23 +140,6 @@ def _fill(src: BinaryIO, buf) -> None:
         view = view[got:]
 
 
-def windows(src: BinaryIO, dmap: DistributionMap) -> Iterator[tuple[bytearray, DistributionMap]]:
-    """The next ``dmap.file_size`` bytes of ``src``, window by window:
-    each window's bytes with its map.  The bytes are read into one reused
-    buffer, so a window's bytes are overwritten by the next.  The source
-    must end there: a short source or one with bytes left raises
-    IoFailure."""
-    require_exact(dmap)
-    buf = bytearray()
-    for wmap in _window_maps(dmap):
-        if len(buf) != wmap.file_size:
-            buf = bytearray(wmap.file_size)
-        _fill(src, buf)
-        yield buf, wmap
-    if src.read(1):
-        raise _changed(src)
-
-
 def _read_slots(src: BinaryIO, slots: list[memoryview]) -> None:
     """Fill the slots in order from the stream: one ``os.readv`` per IOV_MAX
     slots on an unbuffered file, then, after a short read or for any other
@@ -175,15 +154,8 @@ def _read_slots(src: BinaryIO, slots: list[memoryview]) -> None:
                 got = max(0, got - len(slot))
 
 
-def _slot_table(wmap: DistributionMap, window: memoryview) -> list[tuple[bytearray, list[memoryview], list]]:
-    """Per entry of a window map: its strided share's buffer, the slots
-    its bytes are read into in fragment order (that buffer, then the
-    window's slice for each run), and the strided (window, share) pairs."""
-    table = []
-    for body, strided, runs in _plans(wmap):
-        share = bytearray(body)
-        table.append((share, [memoryview(share), *(window[start : start + n] for start, n in runs)], strided))
-    return table
+def _cannot_write(sink: BinaryIO, exc: OSError) -> IoFailure:
+    return IoFailure(getattr(sink, "name", "stream"), f"cannot write ({exc.strerror})")
 
 
 def write_all(sink: BinaryIO, data) -> None:
@@ -193,28 +165,67 @@ def write_all(sink: BinaryIO, data) -> None:
         while view:
             view = view[sink.write(view) :]
     except OSError as exc:
-        raise IoFailure(getattr(sink, "name", "stream"), f"cannot write ({exc.strerror})") from exc
+        raise _cannot_write(sink, exc) from exc
 
 
-def _split(data: bytes | bytearray, view: memoryview, plan: Plan) -> list:
-    """One entry's bytes, as the consecutive parts of its fragment."""
-    body, strided, runs = plan
-    head = bytearray(body)
-    for src, dst in strided:
-        head[dst] = data[src]  # a step slice of bytes copies faster than a strided memoryview
-    return [head, *(view[start : start + n] for start, n in runs)]
+def _write_slots(sink: BinaryIO, slots: list[memoryview]) -> None:
+    """Write the slots in order to the stream: one ``os.writev`` per
+    IOV_MAX slots on an unbuffered file, then, after a short write or for
+    any other stream, ``write_all`` slot by slot.  An OSError raises IoFailure."""
+    fd = sink.fileno() if isinstance(sink, io.FileIO) and hasattr(os, "writev") else None
+    for i in range(0, len(slots), IOV_MAX):
+        chunk = slots[i : i + IOV_MAX]
+        try:
+            put = 0 if fd is None else os.writev(fd, chunk)
+        except OSError as exc:
+            raise _cannot_write(sink, exc) from exc
+        if put < sum(map(len, chunk)):
+            for slot in chunk:
+                write_all(sink, slot[min(put, len(slot)) :])
+                put = max(0, put - len(slot))
 
 
-def scatter(data: bytes | bytearray, dmap: DistributionMap) -> list[Fragment]:
-    """One fragment per map entry, in entry order; empty payloads are
-    materialized."""
-    if len(data) != dmap.file_size:
-        raise SizeMismatch(f"data is {len(data)} bytes but the map addresses {dmap.file_size}")
-    plans = _plans(dmap)
-    if not isinstance(data, (bytes, bytearray)):
-        data = bytes(data)
-    view = memoryview(data)
-    return [Fragment(_ref(entry), b"".join(_split(data, view, plan))) for entry, plan in zip(dmap.entries, plans)]
+def _slot_table(wmap: DistributionMap, window: memoryview) -> list[tuple[bytearray, list[memoryview], list]]:
+    """Per entry of a window map: its strided share's buffer, the slots
+    of its fragment's part in this window, in fragment order (that
+    buffer, then the window's slice for each run), and the strided
+    (window, share) slice pairs."""
+    table = []
+    for body, strided, runs in _plans(wmap):
+        share = bytearray(body)
+        table.append((share, [memoryview(share), *(window[start : start + n] for start, n in runs)], strided))
+    return table
+
+
+def _tabled_windows(dmap: DistributionMap) -> Iterator[tuple[bytearray, memoryview, list]]:
+    """Per window of an exact map, in file order: one reused window
+    buffer, the window's part of it, and the slot table of the window's
+    map, built once per distinct window map."""
+    buf, tabled = bytearray(), None
+    for wmap in _window_maps(dmap):
+        if wmap is not tabled:  # the head, the steady and the last window map
+            if len(buf) < wmap.file_size:
+                buf = bytearray(wmap.file_size)
+            window = memoryview(buf)[: wmap.file_size]
+            table, tabled = _slot_table(wmap, window), wmap
+        yield buf, window, table
+
+
+def scatter(src: BinaryIO, dmap: DistributionMap, sinks: list[BinaryIO]) -> None:
+    """Split the next ``dmap.file_size`` bytes of ``src`` into one
+    fragment per map entry, written to the sink at the entry's position.
+    The map must be an exact partition (NotAPartition before a byte is
+    read) and the source must end there: a short source or one with bytes
+    left raises IoFailure."""
+    require_exact(dmap)
+    for buf, window, table in _tabled_windows(dmap):
+        _fill(src, window)
+        for sink, (share, slots, strided) in zip(sinks, table, strict=True):
+            for window_slice, share_slice in strided:
+                share[share_slice] = buf[window_slice]  # a step slice of bytes copies faster than a strided memoryview
+            _write_slots(sink, slots)
+    if src.read(1):
+        raise _changed(src)
 
 
 def gather(sources: list[BinaryIO], dmap: DistributionMap, dst: BinaryIO) -> None:
@@ -231,15 +242,9 @@ def gather(sources: list[BinaryIO], dmap: DistributionMap, dst: BinaryIO) -> Non
         expected, actual = entry.selection.total(dmap.file_size), remaining(src)
         if actual != expected:
             raise LengthMismatch(f"fragment for {entry.label} has {actual} bytes, extents total {expected}")
-    buf, tabled = bytearray(), None
-    for wmap in _window_maps(dmap):
-        n = wmap.file_size
-        if wmap is not tabled:  # the head, the steady and the last window map
-            if len(buf) < n:
-                buf = bytearray(n)
-            table, tabled = _slot_table(wmap, memoryview(buf)), wmap
+    for buf, window, table in _tabled_windows(dmap):
         for src, (share, slots, strided) in zip(sources, table):
             _read_slots(src, slots)
             for window_slice, share_slice in strided:
                 buf[window_slice] = share[share_slice]
-        write_all(dst, memoryview(buf)[:n])
+        write_all(dst, window)

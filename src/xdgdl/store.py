@@ -52,7 +52,7 @@ from .errors import (
     XdgdlError,
 )
 from .model import Document, parse_document, serialize_document, validate_document
-from .scatter import WINDOW_BYTES, gather, remaining, require_exact, scatter, windows, write_all
+from .scatter import WINDOW_BYTES, gather, remaining, require_exact, scatter, write_all
 from .views import DistributionMap, build_distribution_map
 
 __all__ = [
@@ -214,11 +214,8 @@ def put_file(
             layout.root / name: b"",  # the 0-byte stub, renamed last, marks the file as stored
         }
         with committed([*frag_paths, *metadata]) as sinks:
-            frag_sinks, meta_sinks = sinks[: len(frag_paths)], sinks[len(frag_paths) :]
-            for data, wmap in windows(src, dmap):
-                for sink, frag in zip(frag_sinks, scatter(data, wmap)):
-                    write_all(sink, frag.payload)
-            for sink, payload in zip(meta_sinks, metadata.values()):
+            scatter(src, dmap, sinks[: len(frag_paths)])
+            for sink, payload in zip(sinks[len(frag_paths) :], metadata.values()):
                 write_all(sink, payload)
         return StoredFile(timestamp_id=timestamp, manifest=manifest, fragment_paths=frag_paths)
 

@@ -28,6 +28,7 @@ from xdgdl import (
     ServerDecl,
     ViewDecl,
     gather,
+    scatter,
 )
 from xdgdl.views import INT64_MAX, MapEntry, Selection
 
@@ -204,9 +205,17 @@ def entry_of(island: str, host: str, device_id: str, extents) -> MapEntry:
     return MapEntry(island, host, device_id, selection, max((a + n for a, n in selection.pieces), default=0))
 
 
-def gather_bytes(fragments, dmap) -> bytes:
+def scatter_bytes(data: bytes, dmap) -> list[bytes]:
+    """The fragments ``scatter`` writes of in-memory bytes, one
+    ``io.BytesIO`` sink per map entry, in entry order."""
+    sinks = [io.BytesIO() for _ in dmap.entries]
+    scatter(io.BytesIO(data), dmap, sinks)
+    return [sink.getvalue() for sink in sinks]
+
+
+def gather_bytes(fragments: list[bytes], dmap) -> bytes:
     """The file ``gather`` rebuilds from in-memory fragments, one
     ``io.BytesIO`` source per fragment."""
     out = io.BytesIO()
-    gather([io.BytesIO(f.payload) for f in fragments], dmap, out)
+    gather([io.BytesIO(f) for f in fragments], dmap, out)
     return out.getvalue()

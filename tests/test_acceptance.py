@@ -16,7 +16,7 @@ from descriptors import (
     THREE_SERVER_XML,
     TWO_SERVER_XML,
 )
-from gen import entry_of, gather_bytes, random_document, random_view
+from gen import entry_of, gather_bytes, random_document, random_view, scatter_bytes
 from xdgdl import (
     Extent,
     ParseError,
@@ -29,7 +29,6 @@ from xdgdl import (
     member_oracle,
     ownermap_to_views,
     parse_document,
-    scatter,
     serialize_document,
     validate_document,
     view_period,
@@ -65,7 +64,7 @@ def test_criterion_2_two_server_round_trip(two_server_doc):
         verdict = check_partition(dmap)
         assert verdict.status is PartitionStatus.EXACT_PARTITION, size
         data = rng.randbytes(size)
-        assert gather_bytes(scatter(data, dmap), dmap) == data, size
+        assert gather_bytes(scatter_bytes(data, dmap), dmap) == data, size
     report("criterion 2 PASS: two-server scatter/gather identity at 72 and 75 bytes, both exact partitions")
 
 
@@ -85,7 +84,7 @@ def test_criterion_3_nested_three_server(three_server_doc, balanced_doc):
     dmap = build_distribution_map(balanced_doc, 82)
     assert check_partition(dmap).status is PartitionStatus.EXACT_PARTITION
     data = random.Random(3).randbytes(82)
-    assert gather_bytes(scatter(data, dmap), dmap) == data
+    assert gather_bytes(scatter_bytes(data, dmap), dmap) == data
     report(
         "criterion 3 PASS: periods 82/82, server-3 extents 29:12+70:12, "
         f"printed descriptor -> {printed.status.value}, balanced variant exact and round-trips"

@@ -97,6 +97,25 @@ class TestPlan:
         err = capsys.readouterr().err
         assert err.endswith(f"error: argument --size: size must be a non-negative integer, got '{size}'\n")
 
+    @pytest.mark.parametrize("size", ["9223372036854775808", "99999999999999999999999", "9" * 5000])
+    @pytest.mark.parametrize("command", ["plan", "gather"])
+    def test_size_past_int64_is_a_usage_error(self, two_server, tmp_path, capsys, command, size):
+        argv = {
+            "plan": ["plan", str(two_server), "--size", size],
+            "gather": ["gather", str(two_server), "--frags", str(tmp_path), "--size", size, "--out", str(tmp_path / "g")],
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f"error: argument --size: size must be at most 9223372036854775807, got '{size}'\n")
+        assert not (tmp_path / "g").exists()
+
+    def test_largest_size_passes_the_usage_check(self, two_server, tmp_path, capsys):
+        argv = ["gather", str(two_server), "--frags", str(tmp_path), "--size", "9223372036854775807", "--out", "g"]
+        assert main(argv) == 4
+        assert "has no fragment" in capsys.readouterr().err
+
     def test_empty_device_line_keeps_tab(self, tmp_path, capsys):
         conf_doc = TWO_SERVER_XML  # size 3 leaves server 2's first take beyond the region
         desc = tmp_path / "two.xml"

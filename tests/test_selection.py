@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from descriptors import CONFIG_TEMPLATE, MINIMAL_XML, THREE_SERVER_XML, TWO_SERVER_XML
-from gen import entry_of, gather_bytes, random_document, random_partition_views, random_view
+from gen import entry_of, gather_bytes, random_document, random_partition_views, random_view, scatter_bytes
 from reference import naive_coverage, naive_period, painted_report, painted_runs, view_selecting
 from strategies import view_decls
 from xdgdl import (
@@ -45,7 +45,6 @@ from xdgdl import (
     parse_config,
     parse_document,
     render_plan,
-    scatter,
     validate_document,
 )
 from xdgdl.cli import main
@@ -97,9 +96,9 @@ def assert_moves_like_the_painter(views, size: int, seed: int = 0):
     data = random.Random(seed).randbytes(size)
     dmap = build_distribution_map(doc_of(views), size)
     assert check_partition(dmap).status is EXACT
-    frags = scatter(data, dmap)
+    frags = scatter_bytes(data, dmap)
     expected = expected_payloads(views, data)
-    assert [f.payload for f in frags] == expected
+    assert frags == expected
     assert [e.selection.total(size) for e in dmap.entries] == [len(p) for p in expected]
     assert gather_bytes(frags, dmap) == data
     return dmap
@@ -452,8 +451,8 @@ class TestMapEntry:
         entry = entry_of("i", "h", "d", (Extent(0, 4), Extent(4, 4)))
         assert entry.extents == (Extent(0, 8),) and entry.selection.total(8) == 8
         dmap = DistributionMap(8, (entry,))
-        (frag,) = scatter(bytes(range(8)), dmap)
-        assert frag.payload == bytes(range(8))
+        (frag,) = scatter_bytes(bytes(range(8)), dmap)
+        assert frag == bytes(range(8))
         assert gather_bytes([frag], dmap) == bytes(range(8))
         for unsorted_or_overlapping in ((Extent(4, 4), Extent(0, 4)), (Extent(0, 4), Extent(3, 4))):
             with pytest.raises(ValueError):
@@ -463,8 +462,8 @@ class TestMapEntry:
         dmap = DistributionMap(8, (entry_of("i", "h", "d", (Extent(0, 8), Extent(12, 2))),))
         assert check_partition(dmap).status is EXACT
         assert render_plan(dmap) == "i/h/d\t0:8\npartition: exact\n"
-        frags = scatter(bytes(range(8)), dmap)
-        assert frags[0].payload == bytes(range(8))
+        frags = scatter_bytes(bytes(range(8)), dmap)
+        assert frags[0] == bytes(range(8))
         assert gather_bytes(frags, dmap) == bytes(range(8))
 
     def test_extents_or_selection_not_both(self):

@@ -1,10 +1,12 @@
 """The windowed data path: ``cp-in``, ``cp-out``, ``xdgdl scatter`` and
-``xdgdl gather`` move files window by window, ``scatter`` splitting each
-window that ``windows`` reads and ``gather`` reading each window's
-fragment shares straight into place.  Most tests shrink ``WINDOW_BYTES``
-to one to three lcm periods so that small files cross many windows."""
+``xdgdl gather`` move files window by window through one window buffer,
+``scatter`` writing each window's fragment shares straight from it by
+``os.writev`` and ``gather`` reading them straight into it by
+``os.readv``.  Most tests shrink ``WINDOW_BYTES`` to one to three lcm
+periods so that small files cross many windows."""
 
 import dataclasses
+import errno
 import importlib
 import io
 import math
@@ -16,7 +18,7 @@ import tracemalloc
 import pytest
 
 from descriptors import CONFIG_TEMPLATE, THREE_SERVER_BALANCED_XML
-from gen import random_partition_views
+from gen import gather_bytes, random_partition_views, scatter_bytes
 from test_selection import doc_of, expected_payloads
 from xdgdl import (
     BlockDecl,
@@ -26,13 +28,11 @@ from xdgdl import (
     build_distribution_map,
     copy_in,
     copy_out,
-    gather,
     get_file,
     init_store,
     parse_config,
     parse_document,
     put_file,
-    scatter,
     serialize_document,
 )
 from xdgdl import cli
@@ -41,6 +41,8 @@ from xdgdl.cli import main
 stream = importlib.import_module("xdgdl.scatter")  # the package's ``scatter`` is the function
 store = importlib.import_module("xdgdl.store")
 vipfs = importlib.import_module("xdgdl.vipfs")
+
+BALANCED_VIEWS = [d.view for s in parse_document(THREE_SERVER_BALANCED_XML).island.servers for d in s.devices]
 
 
 @pytest.fixture
@@ -74,29 +76,27 @@ def window_sizes(dmap) -> list[int]:
     return sorted({0, 1, 37, header, *(s for s in edges if 0 <= s <= 20_000)})
 
 
-def scatter_stream(data: bytes, dmap) -> list[bytes]:
-    """The fragments as the store and the CLI write them, window by window."""
-    sinks = [io.BytesIO() for _ in dmap.entries]
-    for window, wmap in stream.windows(io.BytesIO(data), dmap):
-        for sink, frag in zip(sinks, scatter(window, wmap)):
-            sink.write(frag.payload)
-    return [s.getvalue() for s in sinks]
-
-
-def gather_stream(payloads: list[bytes], dmap) -> bytes:
-    """The file ``gather`` rebuilds, window by window, from ``io.BytesIO``
-    sources, which it fills by ``readinto``."""
-    out = io.BytesIO()
-    gather([io.BytesIO(p) for p in payloads], dmap, out)
-    return out.getvalue()
-
-
-def counting_readv(monkeypatch) -> list[int]:
-    """The number of buffers of every ``os.readv`` call from now on."""
+def counting(monkeypatch, name: str) -> list[int]:
+    """The number of buffers of every ``os.readv`` or ``os.writev`` call
+    (``name``) from now on."""
     calls: list[int] = []
-    real = os.readv
-    monkeypatch.setattr(os, "readv", lambda fd, buffers: calls.append(len(buffers)) or real(fd, buffers))
+    real = getattr(os, name)
+    monkeypatch.setattr(os, name, lambda fd, buffers: calls.append(len(buffers)) or real(fd, buffers))
     return calls
+
+
+def counting_tables(monkeypatch) -> list:
+    """The window map of every slot table built from now on."""
+    tables = []
+    real = stream._slot_table
+    monkeypatch.setattr(stream, "_slot_table", lambda wmap, window: tables.append(wmap) or real(wmap, window))
+    return tables
+
+
+def short_by(real):
+    """An ``os.readv`` or ``os.writev`` that moves at most 7 bytes, to or
+    from the first buffer that takes any."""
+    return lambda fd, buffers: real(fd, [memoryview(next((b for b in buffers if len(b)), buffers[0]))[:7]])
 
 
 def get_bytes(layout, name) -> bytes:
@@ -105,12 +105,22 @@ def get_bytes(layout, name) -> bytes:
     return out.getvalue()
 
 
+def assert_stored_as_painted(cfg, name: str, data: bytes) -> None:
+    """The fragments stored for ``name`` are the painter's fragments of
+    ``data`` under the stored descriptor."""
+    layout = init_store(cfg)
+    doc = parse_document((layout.root / f".vd.{name}").read_bytes())
+    views = [d.view for s in doc.island.servers for d in s.devices]
+    frags = [(d.directory / f"{doc.timestamp}.frag").read_bytes() for d in layout.devices[: len(views)]]
+    assert frags == expected_payloads(views, data)
+
+
 def test_windowed_paths_match_the_painter_and_the_library(cfg, monkeypatch, tmp_path):
     rng = random.Random(2024)
     layout = init_store(cfg)
     seen = {"multi": 0, "strided": 0, "runs": 0, "wrapping": 0, "noview": 0, "readv": 0}
     seen |= {"shorter_than_the_period": 0, "starts_in_a_header": 0}
-    readv = counting_readv(monkeypatch)
+    readv = counting(monkeypatch, "readv")
     for case in range(60):
         devices = rng.randint(1, 3)
         if case % 15 == 0:  # all NOVIEW: the first device takes the whole file
@@ -127,10 +137,9 @@ def test_windowed_paths_match_the_painter_and_the_library(cfg, monkeypatch, tmp_
             data = rng.randbytes(size)
             dmap = build_distribution_map(doc, size)
             expected = expected_payloads(views, data)
-            assert [f.payload for f in scatter(data, dmap)] == expected
-            assert scatter_stream(data, dmap) == expected, (case, size)
+            assert scatter_bytes(data, dmap) == expected, (case, size)
             calls = len(readv)
-            assert gather_stream(expected, dmap) == data
+            assert gather_bytes(expected, dmap) == data
             assert len(readv) == calls  # io.BytesIO sources are read by readinto
 
             name = f"c{case}_{size}"
@@ -163,7 +172,7 @@ def test_cli_commands_cross_windows(store_env, monkeypatch, capsys):
         work.mkdir()
         (work / "f").write_bytes(data)
         (work / ".vd.f").write_text(THREE_SERVER_BALANCED_XML.replace("regular_multilevel", f"t{size}"))
-        expected = [f.payload for f in scatter(data, build_distribution_map(doc, size))]
+        expected = expected_payloads(BALANCED_VIEWS, data)
         assert main(["cp-in", str(work / "f")]) == 0
         assert main(["cp-out", "f", str(work / "back")]) == 0
         assert (work / "back").read_bytes() == data
@@ -188,11 +197,11 @@ def test_steady_window_plan_is_built_once(monkeypatch):
         built.clear()
         dmap = build_distribution_map(doc, size)
         data = random.Random(5).randbytes(size)
-        payloads = scatter_stream(data, dmap)
+        payloads = scatter_bytes(data, dmap)
         assert len(built) == windows * 3
-        assert gather_stream(payloads, dmap) == data
+        assert gather_bytes(payloads, dmap) == data
         assert len(built) == 2 * windows * 3  # as many again to gather
-        assert payloads == [f.payload for f in scatter(data, dmap)]
+        assert payloads == expected_payloads(BALANCED_VIEWS, data)
     # the one window plans the whole file, once per entry in each direction
     assert built[:3] == built[3:6] == [real(e.selection, period) for e in dmap.entries]
 
@@ -201,9 +210,8 @@ def test_cp_out_reads_each_window_with_one_readv_per_entry(store_env, monkeypatc
     src = store_env / "f"
     src.write_bytes(random.Random(9).randbytes(3 * (1 << 20) + 5000))  # default 3 x 4096 stripe: 4 windows
     assert main(["cp-in", str(src)]) == 0
-    readv, tables, written = counting_readv(monkeypatch), [], []
-    real_table, real_write = stream._slot_table, stream.write_all
-    monkeypatch.setattr(stream, "_slot_table", lambda wmap, window: tables.append(wmap) or real_table(wmap, window))
+    readv, tables, written = counting(monkeypatch, "readv"), counting_tables(monkeypatch), []
+    real_write = stream.write_all
     monkeypatch.setattr(stream, "write_all", lambda sink, data: written.append(data.obj) or real_write(sink, data))
     assert main(["cp-out", "f", str(store_env / "back")]) == 0
     assert (store_env / "back").read_bytes() == src.read_bytes()
@@ -213,6 +221,57 @@ def test_cp_out_reads_each_window_with_one_readv_per_entry(store_env, monkeypatc
     assert all(buf is written[0] for buf in written)  # one window buffer
 
 
+def test_cp_in_writes_each_window_with_one_writev_per_entry(store_env, cfg, monkeypatch):
+    src = store_env / "f"
+    data = random.Random(9).randbytes(3 * (1 << 20) + 5000)  # default 3 x 4096 stripe: 4 windows
+    src.write_bytes(data)
+    writev, tables = counting(monkeypatch, "writev"), counting_tables(monkeypatch)
+    assert main(["cp-in", str(src)]) == 0
+    assert len(writev) == 3 * 4 and max(writev) <= 1024  # 86 slots an entry a window
+    assert len(tables) <= 2  # every full window's map, then the clipped last one's
+    assert_stored_as_painted(cfg, "f", data)
+
+
+def test_short_writev_carries_on_where_it_stopped(store_env, cfg, monkeypatch):
+    monkeypatch.setattr(stream, "WINDOW_BYTES", 2 * 82)
+    src = store_env / "f"
+    data = random.Random(12).randbytes(5000)
+    src.write_bytes(data)
+    (store_env / ".vd.f").write_text(THREE_SERVER_BALANCED_XML)
+    monkeypatch.setattr(os, "writev", short_by(os.writev))
+    writev = counting(monkeypatch, "writev")
+    assert main(["cp-in", str(src)]) == 0
+    assert writev
+    assert_stored_as_painted(cfg, "f", data)
+
+
+def test_sinks_without_writev_take_the_plain_write_path(tmp_path, monkeypatch):
+    data = random.Random(13).randbytes(5000)
+    expected = expected_payloads(BALANCED_VIEWS, data)
+    writev = counting(monkeypatch, "writev")
+    assert scatter_bytes(data, build_distribution_map(parse_document(THREE_SERVER_BALANCED_XML), 5000)) == expected
+    assert writev == []  # io.BytesIO sinks are written by write
+    monkeypatch.delattr(os, "writev")
+    src, desc, frags = tmp_path / "f", tmp_path / "d.xml", tmp_path / "frags"
+    src.write_bytes(data)
+    desc.write_text(THREE_SERVER_BALANCED_XML)
+    assert main(["scatter", str(src), str(desc), "--out", str(frags)]) == 0
+    assert [(frags / f"00{i}.frag").read_bytes() for i in range(3)] == expected
+
+
+def test_cp_in_out_of_space_leaves_nothing(store_env, monkeypatch, capsys):
+    src = store_env / "full"
+    src.write_bytes(random.Random(14).randbytes(40_000))
+
+    def no_space(fd, buffers):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(os, "writev", no_space)
+    assert main(["cp-in", str(src)]) == 4
+    assert "cannot write (No space left on device)" in capsys.readouterr().err
+    assert [p.name for p in (store_env / "grid").rglob("*") if p.is_file()] == []
+
+
 def test_short_readv_carries_on_where_it_stopped(store_env, monkeypatch):
     monkeypatch.setattr(stream, "WINDOW_BYTES", 2 * 82)
     src = store_env / "f"
@@ -220,37 +279,52 @@ def test_short_readv_carries_on_where_it_stopped(store_env, monkeypatch):
     src.write_bytes(data)
     (store_env / ".vd.f").write_text(THREE_SERVER_BALANCED_XML)
     assert main(["cp-in", str(src)]) == 0
-    real = os.readv
-
-    def short(fd, buffers):  # at most 7 bytes, into the first buffer that takes any
-        return real(fd, [memoryview(next((b for b in buffers if len(b)), buffers[0]))[:7]])
-
-    monkeypatch.setattr(os, "readv", short)
+    monkeypatch.setattr(os, "readv", short_by(os.readv))
     assert main(["cp-out", "f", str(store_env / "back")]) == 0
     assert (store_env / "back").read_bytes() == data
 
 
-def test_windows_of_more_than_iov_max_runs_match_the_painter(tmp_path, monkeypatch):
-    # 2000 pieces of 256 bytes per device in a period of 1,024,000 bytes:
-    # every full window holds one period, 2000 runs per entry
+@pytest.fixture(scope="module")
+def many_runs():
+    """The views, the bytes and the painter's fragments of a file whose
+    windows hold more than IOV_MAX runs an entry.  2000 pieces of 256
+    bytes per device in a period of 1,024,000 bytes: every full window
+    holds one period, 2000 runs per entry.  Two full windows under one
+    map, then a clipped last one of 586 runs an entry."""
     views = [
         ViewDecl(0, 256, (BlockDecl(0, 2000, 256, 256, ByteBlock()),)),
         ViewDecl(0, 0, (BlockDecl(256, 2000, 256, 256, ByteBlock()),)),
     ]
-    size = 2 * 1_024_000 + 300_001  # two full windows under one map, a clipped last one
-    data = random.Random(10).randbytes(size)
-    expected = expected_payloads(views, data)
+    data = random.Random(10).randbytes(2 * 1_024_000 + 300_001)
+    return views, data, expected_payloads(views, data)
+
+
+def test_windows_of_more_than_iov_max_runs_match_the_painter(tmp_path, monkeypatch, many_runs):
+    views, data, expected = many_runs
+    size = len(data)
     desc, frags = tmp_path / "d.xml", tmp_path / "frags"
     desc.write_text(serialize_document(doc_of(views)))
     frags.mkdir()
     for i, payload in enumerate(expected):
         (frags / f"00{i}.frag").write_bytes(payload)
-    readv = counting_readv(monkeypatch)
+    readv = counting(monkeypatch, "readv")
     assert main(["gather", str(desc), "--frags", str(frags), "--size", str(size), "--out", str(tmp_path / "g")]) == 0
     assert (tmp_path / "g").read_bytes() == data
     # two calls per entry for each full window, one for the last window's 586 runs
     assert len(readv) == 2 * 2 * 2 + 2 and max(readv) == 1024
-    assert gather_stream(expected, build_distribution_map(doc_of(views), size)) == data
+    assert gather_bytes(expected, build_distribution_map(doc_of(views), size)) == data
+
+
+def test_scatter_of_more_than_iov_max_runs_matches_the_painter(tmp_path, monkeypatch, many_runs):
+    views, data, expected = many_runs
+    src, desc, frags = tmp_path / "f", tmp_path / "d.xml", tmp_path / "frags"
+    src.write_bytes(data)
+    desc.write_text(serialize_document(doc_of(views)))
+    writev = counting(monkeypatch, "writev")
+    assert main(["scatter", str(src), str(desc), "--out", str(frags)]) == 0
+    assert [(frags / f"00{i}.frag").read_bytes() for i in range(2)] == expected
+    # two calls per entry for each full window (its share's slot and 2000 runs), one for the last window's 586 runs
+    assert len(writev) == 2 * 2 * 2 + 2 and max(writev) == 1024
 
 
 def one_byte(offset: int, count: int, skip: int = 0, skip_header: int = 0) -> ViewDecl:
@@ -298,6 +372,29 @@ def test_memory_is_bounded_by_the_window(cfg, tmp_path):
             with open(work / copy, "rb") as rebuilt:
                 for i in range(0, len(data), 1 << 20):
                     assert rebuilt.read(1 << 20) == data[i : i + (1 << 20)], (layout, copy, i)
+
+
+def test_scatter_and_cp_in_hold_one_window_and_no_joined_share(cfg, tmp_path):
+    """Fragments are written straight from the window buffer: 16 MiB in
+    the default round-robin peaks under a 1 MiB window plus slack."""
+    data = bytes(range(256)) * 65536
+    src, desc = tmp_path / "big", tmp_path / "d.xml"
+    src.write_bytes(data)
+    desc.write_text(serialize_document(vipfs.default_descriptor(cfg, "big")))
+    ops = {
+        "cp-in": lambda: copy_in(cfg, src) and 0,
+        "scatter": lambda: main(["scatter", str(src), str(desc), "--out", str(tmp_path / "frags")]),
+    }
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for name, op in ops.items():
+            tracemalloc.reset_peak()
+            assert op() == 0, name
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert max(peaks.values()) < 2 << 20, peaks
 
 
 @pytest.mark.parametrize("layout, maps", [("all_noview", 2), ("skip_header", 7)])
@@ -440,7 +537,7 @@ def test_scatter_and_cp_in_spool_a_pipe(store_env, monkeypatch):
     assert main(["scatter", str(fifo), str(desc), "--out", str(store_env / "frags")]) == 0
     writer.join(10)
     assert not writer.is_alive()
-    expected = [f.payload for f in scatter(data, build_distribution_map(parse_document(THREE_SERVER_BALANCED_XML), 5000))]
+    expected = expected_payloads(BALANCED_VIEWS, data)
     assert [(store_env / "frags" / f"00{i}.frag").read_bytes() for i in range(3)] == expected
     writer = feeding(fifo, data)
     assert main(["cp-in", str(fifo)]) == 0
