@@ -42,7 +42,7 @@ from .model import (
 from .scatter import require_exact, scatter, write_all
 from .store import committed, init_store, measured, rebuild
 from .vipfs import copy_in, copy_out
-from .views import INT64_MAX, build_distribution_map, render_plan
+from .views import build_distribution_map, parse_size, render_plan
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -95,12 +95,10 @@ def _frag_name(index: int) -> str:
 
 
 def _size_arg(raw: str) -> int:
-    if not re.fullmatch(r"[0-9]+", raw):
-        raise argparse.ArgumentTypeError(f"size must be a non-negative integer, got {raw!r}")
-    digits = raw.lstrip("0") or "0"
-    if len(digits) > len(str(INT64_MAX)) or int(digits) > INT64_MAX:  # int() refuses more than 4300 digits
-        raise argparse.ArgumentTypeError(f"size must be at most {INT64_MAX}, got {raw!r}")
-    return int(digits)
+    try:
+        return parse_size(raw)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{exc}, got {raw!r}") from None
 
 
 def cmd_validate(args) -> int:

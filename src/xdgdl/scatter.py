@@ -6,36 +6,36 @@ to devices by position: ``scatter(src, dmap, sinks)`` writes one per
 map entry to the sink at the entry's position, and
 ``gather(sources, dmap, dst)`` reads them back from one stream per entry
 in that order, as the store and the CLI keep them (``000.frag``,
-``001.frag``, ...).  Scatter and gather both insist on an exact
-partition: only then is every byte placed exactly once and the round
-trip an identity.
+``001.frag``, ...).  Both want one stream per entry and a map whose
+``verdict`` is an exact partition, checked before a byte moves: only
+then is every byte placed exactly once and the round trip an identity.
 
-Both directions share one copy plan per device, read off its compiled
-selection and built once per map.  The whole periods move either as
-strided slices, one per selected byte offset of the period
-(``frag[off+j::per] = data[h+a+j:h+k*p:p]``), or as one contiguous
-``memoryview`` slice per piece per period, whichever takes fewer slice
-operations: bytes per period against pieces times full periods.  A
-coarse stripe thus moves run by run and a fine one (1-byte cyclic,
-nested views) byte offset by byte offset; a selection of every byte
-past its header is one run.  The clipped tail after the last whole
-period always moves as runs.
+Both directions move a device's bytes of a window by one plan
+(``_slots``), read off its selection as seen from the window's start.
+Its whole periods move either as strided slices, one per selected byte
+offset of the period (``frag[off+j::per] = data[h+a+j:h+k*p:p]``), or as
+one contiguous ``memoryview`` slice per piece per period, whichever
+takes fewer slice operations: bytes per period against pieces times
+full periods.  A coarse stripe thus moves run by run and a fine one
+(1-byte cyclic, nested views) byte offset by byte offset; a selection
+of every byte past its header is one run.  The clipped tail after the
+last whole period always moves as runs.
 
 Files move window by window, cut from byte 0 by one rule: with H and L
 the map's ``coverage_period``, every window but the clipped last one is
 the largest whole number of periods L within ``WINDOW_BYTES``, or
 ``WINDOW_BYTES`` itself when L is longer.  No window is larger than the
-budget, whatever the header or the period.  A window's map holds each
-selection as seen from the window's start (``Selection.shifted``),
-built from only the pieces that meet the window, so a window of a long
-period costs its own runs, not the period's.  A window whose map equals
-the previous one's reuses that map object, with its plans and slot
-table: past H the coverage repeats every L bytes, so every full window
-of whole periods there does, without being built.
+budget, whatever the header or the period.  A window is plain data: its
+length and each entry's selection as seen from its start
+(``Selection.shifted``), built from only the pieces that meet the
+window, so a window of a long period costs its own runs, not the
+period's.  A window equal to the previous one is that same tuple, and
+its slot table is reused: past H the coverage repeats every L bytes, so
+every full window of whole periods there does, without being built.
 
 Each direction moves a window through one reused window buffer and one
-slot table per window map: per entry, its strided share's buffer and
-then the window's slice for each run, in fragment order.  ``scatter``
+slot table per distinct window: per entry, its strided share's buffer
+and then the window's slice for each run, in fragment order.  ``scatter``
 reads the source into the window, fills each strided share from it and
 writes each entry's slots with one ``os.writev`` per entry per window;
 ``gather`` reads each entry's slots with one ``os.readv``, assigns the
@@ -49,73 +49,46 @@ from __future__ import annotations
 
 import io
 import os
-from dataclasses import replace
 from typing import BinaryIO, Iterator
 
 from .errors import ExtraFragment, IoFailure, LengthMismatch, MissingFragment, NotAPartition
-from .views import DistributionMap, PartitionStatus, Selection, check_partition
+from .views import DistributionMap, PartitionStatus, Selection
 
 __all__ = ["scatter", "gather", "remaining", "require_exact", "WINDOW_BYTES"]
-
-Plan = tuple[int, list[tuple[slice, slice]], list[tuple[int, int]]]
 
 WINDOW_BYTES = 1 << 20  # the most bytes one window holds: whole lcm periods, or this when a period is longer
 IOV_MAX = 1024  # most buffers one os.readv or os.writev takes: the limit on Linux and the BSDs
 
 
 def require_exact(dmap: DistributionMap) -> None:
-    """Raise NotAPartition unless the map covers its file exactly once;
-    a map found exact is not checked again."""
-    if not dmap.__dict__.get("_exact"):
-        verdict = check_partition(dmap)
-        if verdict.status is not PartitionStatus.EXACT_PARTITION:
-            raise NotAPartition(verdict)
-        dmap.__dict__["_exact"] = True  # the map is frozen, so the verdict holds
+    """Raise NotAPartition unless the map covers its file exactly once."""
+    if dmap.verdict.status is not PartitionStatus.EXACT_PARTITION:
+        raise NotAPartition(dmap.verdict)
 
 
-def _copy_plan(sel: Selection, size: int) -> Plan:
-    """How to move the selected bytes of [0, size): the fragment length
-    the strided pairs fill, the strided (file slice, fragment slice)
-    pairs, then the file runs ``(start, length)`` that follow in the
-    fragment."""
-    k = sel.full_periods(size)
-    if sel.per_period >= len(sel.pieces) * k or sel.per_period == sel.period:  # every byte is one run
-        return 0, [], list(sel.runs(size))
-    h, p, per = sel.header, sel.period, sel.per_period
-    end, body = h + k * p, k * per
-    picked = [a + j for a, n in sel.pieces for j in range(n)]  # selected offsets of a period
-    strided = [(slice(h + b, end, p), slice(i, body, per)) for i, b in enumerate(picked)]
-    return body, strided, sel.tail(size)
+def _require_one_per_entry(streams: list[BinaryIO], dmap: DistributionMap) -> None:
+    """Raise MissingFragment or ExtraFragment unless there is one stream per map entry."""
+    if len(streams) < len(dmap.entries):
+        raise MissingFragment(f"no fragment for device {dmap.entries[len(streams)].label}")
+    if len(streams) > len(dmap.entries):
+        raise ExtraFragment(f"{len(streams)} fragments for {len(dmap.entries)} map entries")
 
 
-def _plans(dmap: DistributionMap) -> list[Plan]:
-    """One copy plan per entry of an exact map, built on first use and
-    kept on the (frozen) map, so a window map reused for every window
-    plans once."""
-    plans = dmap.__dict__.get("_plans")
-    if plans is None:
-        require_exact(dmap)
-        plans = dmap.__dict__["_plans"] = [_copy_plan(e.selection, dmap.file_size) for e in dmap.entries]
-    return plans
-
-
-def _window_maps(dmap: DistributionMap) -> Iterator[DistributionMap]:
-    """The map of each window of the file, in file order: each entry's
-    selection as seen from the window's start.  A window whose map equals
-    the previous one's reuses that map object, plans and all."""
+def _windows(dmap: DistributionMap) -> Iterator[tuple[int, tuple[Selection, ...]]]:
+    """Each window of the file, in file order: its length and each
+    entry's selection as seen from its start.  A window equal to the
+    previous one is the same tuple object."""
     size, (header, period) = dmap.file_size, dmap.coverage_period()
     width = WINDOW_BYTES // period * period or WINDOW_BYTES
-    key = None
+    window = None
     for start in range(0, size, width):
         n = min(width, size - start)
         # past the headers, a full window of whole periods repeats the one before: nothing to build
         if n < width or start - width < header or width % period:
             sels = tuple(e.selection.shifted(start, n) for e in dmap.entries)
-            if (n, sels) != key:
-                key = n, sels
-                wmap = DistributionMap(n, tuple(replace(e, selection=s, size=n) for e, s in zip(dmap.entries, sels)))
-                wmap.__dict__["_exact"] = dmap.__dict__.get("_exact")  # a window of an exact map is exact
-        yield wmap
+            if window != (n, sels):
+                window = n, sels
+        yield window
 
 
 def _changed(stream: BinaryIO) -> IoFailure:
@@ -185,42 +158,50 @@ def _write_slots(sink: BinaryIO, slots: list[memoryview]) -> None:
                 put = max(0, put - len(slot))
 
 
-def _slot_table(wmap: DistributionMap, window: memoryview) -> list[tuple[bytearray, list[memoryview], list]]:
-    """Per entry of a window map: its strided share's buffer, the slots
-    of its fragment's part in this window, in fragment order (that
-    buffer, then the window's slice for each run), and the strided
-    (window, share) slice pairs."""
-    table = []
-    for body, strided, runs in _plans(wmap):
-        share = bytearray(body)
-        table.append((share, [memoryview(share), *(window[start : start + n] for start, n in runs)], strided))
-    return table
+def _slots(sel: Selection, window: memoryview) -> tuple[bytearray, list[memoryview], list[tuple[slice, slice]]]:
+    """How one selection moves through a window: its strided share's
+    buffer, the slots of its fragment's part in the window, in fragment
+    order (that buffer, then the window's slice for each run), and the
+    strided (window slice, share slice) pairs."""
+    size = len(window)
+    k = sel.full_periods(size)
+    if sel.per_period >= len(sel.pieces) * k or sel.per_period == sel.period:  # every byte is one run
+        body, strided, runs = 0, [], sel.runs(size)
+    else:
+        h, p, per = sel.header, sel.period, sel.per_period
+        end, body = h + k * p, k * per
+        picked = [a + j for a, n in sel.pieces for j in range(n)]  # selected offsets of a period
+        strided, runs = [(slice(h + b, end, p), slice(i, body, per)) for i, b in enumerate(picked)], sel.tail(size)
+    share = bytearray(body)
+    return share, [memoryview(share), *(window[start : start + n] for start, n in runs)], strided
 
 
 def _tabled_windows(dmap: DistributionMap) -> Iterator[tuple[bytearray, memoryview, list]]:
-    """Per window of an exact map, in file order: one reused window
-    buffer, the window's part of it, and the slot table of the window's
-    map, built once per distinct window map."""
+    """Per window of the map, in file order: one reused window buffer,
+    the window's part of it, and the window's slot table, one ``_slots``
+    per entry, built once per distinct window."""
     buf, tabled = bytearray(), None
-    for wmap in _window_maps(dmap):
-        if wmap is not tabled:  # the head, the steady and the last window map
-            if len(buf) < wmap.file_size:
-                buf = bytearray(wmap.file_size)
-            window = memoryview(buf)[: wmap.file_size]
-            table, tabled = _slot_table(wmap, window), wmap
-        yield buf, window, table
+    for window in _windows(dmap):
+        if window is not tabled:  # the head, the steady and the last window
+            n, sels = tabled = window
+            if len(buf) < n:
+                buf = bytearray(n)
+            view = memoryview(buf)[:n]
+            table = [_slots(sel, view) for sel in sels]
+        yield buf, view, table
 
 
 def scatter(src: BinaryIO, dmap: DistributionMap, sinks: list[BinaryIO]) -> None:
     """Split the next ``dmap.file_size`` bytes of ``src`` into one
     fragment per map entry, written to the sink at the entry's position.
-    The map must be an exact partition (NotAPartition before a byte is
-    read) and the source must end there: a short source or one with bytes
-    left raises IoFailure."""
+    The map must be an exact partition and the sinks one per entry
+    (checked before a byte is read) and the source must end there: a
+    short source or one with bytes left raises IoFailure."""
     require_exact(dmap)
+    _require_one_per_entry(sinks, dmap)
     for buf, window, table in _tabled_windows(dmap):
         _fill(src, window)
-        for sink, (share, slots, strided) in zip(sinks, table, strict=True):
+        for sink, (share, slots, strided) in zip(sinks, table):
             for window_slice, share_slice in strided:
                 share[share_slice] = buf[window_slice]  # a step slice of bytes copies faster than a strided memoryview
             _write_slots(sink, slots)
@@ -234,10 +215,7 @@ def gather(sources: list[BinaryIO], dmap: DistributionMap, dst: BinaryIO) -> Non
     its entry's fragment; inverse of scatter for exact partitions.  Every
     check passes before a buffer is allocated or a byte written."""
     require_exact(dmap)
-    if len(sources) < len(dmap.entries):
-        raise MissingFragment(f"no fragment for device {dmap.entries[len(sources)].label}")
-    if len(sources) > len(dmap.entries):
-        raise ExtraFragment(f"{len(sources)} fragments for {len(dmap.entries)} map entries")
+    _require_one_per_entry(sources, dmap)
     for entry, src in zip(dmap.entries, sources):
         expected, actual = entry.selection.total(dmap.file_size), remaining(src)
         if actual != expected:

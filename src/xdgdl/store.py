@@ -25,9 +25,8 @@ its fragments and its three metadata files in one block, renamed in
 order: the fragments, then ``.vd.<name>`` and its ``.size``, then the
 stub, so storing a name again with another TIMESTAMP reads back the new
 bytes (the old fragments stay on disk).  ``rebuild``, shared by
-``get_file`` and ``xdgdl gather``, rebuilds a file from fragment files:
-``read_fragments`` is the one place that opens them, and ``gather``
-checks every length before a byte is written.
+``get_file`` and ``xdgdl gather``, is the one place that opens fragment
+files, and ``gather`` checks every length before a byte is written.
 """
 
 from __future__ import annotations
@@ -53,11 +52,11 @@ from .errors import (
 )
 from .model import Document, parse_document, serialize_document, validate_document
 from .scatter import WINDOW_BYTES, gather, remaining, require_exact, scatter, write_all
-from .views import DistributionMap, build_distribution_map
+from .views import DistributionMap, build_distribution_map, parse_size
 
 __all__ = [
-    "LayoutDevice", "GridLayout", "StoredFile", "init_store", "put_file", "get_file", "rebuild", "read_fragments",
-    "committed", "measured",
+    "LayoutDevice", "GridLayout", "StoredFile", "init_store", "put_file", "get_file", "rebuild", "committed",
+    "measured",
 ]
 
 log = logging.getLogger(__name__)
@@ -238,26 +237,19 @@ def get_file(layout: GridLayout, name: str, dst: BinaryIO) -> None:
     size_path = layout.root / f".vd.{name}.size"
     if not size_path.exists():
         raise MissingManifest(f"no stored size for {name!r}")
-    raw_size = size_path.read_bytes().strip()
-    if not raw_size.isdigit():  # bytes.isdigit accepts ASCII digits only
-        raise MissingManifest(f"stored size for {name!r} is corrupt: {raw_size!r}")
-    dmap = build_distribution_map(manifest, int(raw_size))
+    try:
+        size = parse_size(size_path.read_bytes().strip().decode("latin-1"))
+    except ValueError as exc:
+        raise MissingManifest(f"stored size for {name!r} is corrupt: {exc}") from None
+    dmap = build_distribution_map(manifest, size)
     paths = [device.directory / f"{manifest.timestamp}.frag" for device in _devices_for(dmap, layout)]
     rebuild(dmap, paths, dst)
 
 
 def rebuild(dmap: DistributionMap, paths: list[Path], dst: BinaryIO) -> None:
     """Rebuild the file of the map from its entries' fragment files into
-    ``dst`` (``gather``), once the map is found an exact partition."""
+    ``dst`` (``gather``), once the map is exact and every file is open."""
     require_exact(dmap)
-    with read_fragments(dmap, paths) as sources:
-        gather(sources, dmap, dst)
-
-
-@contextmanager
-def read_fragments(dmap: DistributionMap, paths: list[Path]) -> Iterator[list[BinaryIO]]:
-    """Each entry's fragment file, open for reading, once every file is
-    there; ``gather`` checks their lengths."""
     with ExitStack() as stack:
         sources: list[BinaryIO] = []
         for entry, path in zip(dmap.entries, paths):
@@ -267,4 +259,4 @@ def read_fragments(dmap: DistributionMap, paths: list[Path]) -> Iterator[list[Bi
                 raise MissingFragment(f"device {entry.label} has no fragment at {path}") from None
             except OSError as exc:
                 raise IoFailure(path, f"cannot read fragment ({exc.strerror})") from exc
-        yield sources
+        gather(sources, dmap, dst)

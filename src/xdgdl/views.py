@@ -20,8 +20,8 @@ seen from any byte, over a window of any length.  A ``MapEntry`` is a
 plain selection and file size per device; extents are expanded only on
 demand (plans, tests) and byte totals are closed-form.  One sweep of one
 common period of the coverage (``coverage_period``) decides
-``check_partition``, and ``Selection`` tiles its gap and overlap report
-over the file.
+``check_partition``, which a map keeps as its ``verdict``, and
+``Selection`` tiles its gap and overlap report over the file.
 A view with a negative SKIP_HEADER, SKIP, OFFSET, STRIDE or COUNT, or a
 REPEAT below 1, which ``validate_document`` rejects, does not compile:
 ``_compile`` raises ValueError, so it never reaches the data path.
@@ -229,6 +229,11 @@ class DistributionMap:
         selections = [e.selection for e in self.entries if e.selection.pieces]
         return max((s.header for s in selections), default=0), math.lcm(*(s.period for s in selections))
 
+    @cached_property
+    def verdict(self) -> PartitionVerdict:
+        """The map's ``check_partition``, computed once: the map is frozen."""
+        return check_partition(self)
+
 
 class PartitionStatus(enum.Enum):
     EXACT_PARTITION = "exact"
@@ -242,6 +247,16 @@ class PartitionVerdict:
     status: PartitionStatus
     gaps: tuple[Extent, ...] = ()
     overlaps: tuple[tuple[Extent, tuple[str, ...]], ...] = ()
+
+
+def parse_size(raw: str) -> int:
+    """A file size written as ASCII digits, at most INT64_MAX, or ValueError."""
+    if not (raw.isascii() and raw.isdigit()):
+        raise ValueError("size must be a non-negative integer")
+    digits = raw.lstrip("0") or "0"
+    if len(digits) > len(str(INT64_MAX)) or int(digits) > INT64_MAX:  # int() refuses more than 4300 digits
+        raise ValueError(f"size must be at most {INT64_MAX}")
+    return int(digits)
 
 
 def _guard(value: int, what: str) -> int:
@@ -450,7 +465,7 @@ def _joined(before: tuple[tuple[int, int], ...], after: Iterator[tuple[int, int]
 
 def render_plan(dmap: DistributionMap) -> str:
     """Plan text: one tab-separated line per device plus a verdict line."""
-    verdict = check_partition(dmap)
+    verdict = dmap.verdict
     lines = [f"{entry.label}\t" + _format_runs(entry.selection.progressions(dmap.file_size)) for entry in dmap.entries]
     lines.append(f"partition: {verdict.status.value}")
     return "\n".join(lines) + "\n"

@@ -16,7 +16,7 @@ from descriptors import (
     TWO_SERVER_XML,
 )
 from reference import naive_coverage, naive_owners, painted_report
-from xdgdl import OwnerMap, parse_document, store
+from xdgdl import OwnerMap, parse_document, store, views
 from xdgdl.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -251,6 +251,18 @@ class TestCp:
         assert "is corrupt" in capsys.readouterr().err
         assert not (store_env / "back.bin").exists()
 
+    @pytest.mark.parametrize("raw", [b"9" * 5000, b"%d" % 2**63], ids=["5000-digits", "2-to-the-63"])
+    def test_cp_out_size_past_int64_is_corrupt(self, store_env, capsys, raw):
+        src = store_env / "data.bin"
+        src.write_bytes(b"0123456789")
+        assert main(["cp-in", str(src)]) == 0
+        (store_env / "grid" / "vipios" / ".vd.data.bin.size").write_bytes(raw + b"\n")
+        capsys.readouterr()
+        assert main(["cp-out", "data.bin", str(store_env / "back.bin")]) == 4
+        err = capsys.readouterr().err
+        assert err == "xdgdl: stored size for 'data.bin' is corrupt: size must be at most 9223372036854775807\n"
+        assert not (store_env / "back.bin").exists()
+
     @pytest.mark.parametrize(
         "name, content, message",
         [
@@ -377,6 +389,45 @@ class TestCp:
         src.write_bytes(b"1234")
         assert main(["cp-in", str(src)]) == 0
         assert "configuration wins" in capsys.readouterr().err
+
+
+class TestOnePartitionCheck:
+    """However many layers require an exact map, a command decides the
+    partition once: the map keeps its verdict."""
+
+    @pytest.fixture
+    def checks(self, monkeypatch) -> list:
+        calls = []
+        real = views.check_partition
+        monkeypatch.setattr(views, "check_partition", lambda dmap: calls.append(dmap) or real(dmap))
+        return calls
+
+    def test_each_command_of_an_exact_descriptor(self, store_env, checks):
+        src, desc = store_env / "f", store_env / ".vd.f"
+        src.write_bytes(random.Random(14).randbytes(5000))
+        desc.write_text(THREE_SERVER_BALANCED_XML)
+        commands = {
+            "plan": ["plan", str(desc), "--size", "5000"],
+            "scatter": ["scatter", str(src), str(desc), "--out", str(store_env / "frags")],
+            "gather": ["gather", str(desc), "--frags", str(store_env / "frags"), "--size", "5000", "--out", str(store_env / "g")],
+            "cp-in": ["cp-in", str(src)],
+            "cp-out": ["cp-out", "f", str(store_env / "back")],
+        }
+        counts = {}
+        for name, argv in commands.items():
+            checks.clear()
+            assert main(argv) == 0, name
+            counts[name] = len(checks)
+        assert counts == dict.fromkeys(commands, 1)
+        assert (store_env / "g").read_bytes() == (store_env / "back").read_bytes() == src.read_bytes()
+
+    def test_scatter_of_a_non_exact_descriptor(self, tmp_path, capsys, checks):
+        desc, src = tmp_path / "three.xml", tmp_path / "input.bin"
+        desc.write_text(THREE_SERVER_XML)
+        src.write_bytes(b"q" * 82)
+        assert main(["scatter", str(src), str(desc), "--out", str(tmp_path / "f")]) == 3
+        assert len(checks) == 1
+        assert capsys.readouterr().err.startswith("xdgdl: not an exact partition (gaps+overlaps)\n")
 
 
 class TestHpfCompile:

@@ -47,7 +47,7 @@ from xdgdl import (
     render_plan,
     view_period,
 )
-from xdgdl.scatter import WINDOW_BYTES, _window_maps
+from xdgdl.scatter import WINDOW_BYTES, _windows
 from xdgdl.views import Selection
 
 EXACT = PartitionStatus.EXACT_PARTITION
@@ -261,14 +261,12 @@ class TestCostGuard:
         # first 4 MiB are alike, and the longer period has 4 times the pieces
         chunk, size = 32 << 10, 4 << 20
 
-        def window_maps(period):
+        def windows(period):
             halves = [[Extent(a, chunk) for a in range(first, period, 2 * chunk)] for first in (0, chunk)]
             dmap = build_distribution_map(doc_of([view_selecting(runs, period) for runs in halves]), size)
-            return lambda: list(_window_maps(dmap))
+            return lambda: list(_windows(dmap))
 
-        short, long = window_maps(size), window_maps(4 * size)
-        assert [w.file_size for w in short()] == [WINDOW_BYTES] * 4
-        assert [[e.selection.pieces for e in w.entries] for w in short()] == [
-            [e.selection.pieces for e in w.entries] for w in long()
-        ]
+        short, long = windows(size), windows(4 * size)
+        assert [n for n, _ in short()] == [WINDOW_BYTES] * 4
+        assert [[s.pieces for s in sels] for _, sels in short()] == [[s.pieces for s in sels] for _, sels in long()]
         assert python_steps(long) == python_steps(short)

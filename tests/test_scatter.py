@@ -19,6 +19,7 @@ from xdgdl import (
     build_distribution_map,
     gather,
     member_oracle,
+    scatter,
 )
 
 scatter_module = importlib.import_module("xdgdl.scatter")  # the package's ``scatter`` is the function
@@ -84,6 +85,15 @@ class TestScatter:
         for data in (b"abc", b"abcde"):  # a source that ends early or goes on past the map
             with pytest.raises(IoFailure, match="size changed while copying"):
                 scatter_bytes(data, whole_file_map(4))
+
+    @pytest.mark.parametrize("count, error", [(2, MissingFragment), (4, ExtraFragment)])
+    def test_sink_count_is_checked_before_a_byte_moves(self, balanced_doc, count, error):
+        dmap = build_distribution_map(balanced_doc, 82)
+        src, sinks = io.BytesIO(pattern_bytes(82)), [io.BytesIO() for _ in range(count)]
+        with pytest.raises(error):
+            scatter(src, dmap, sinks)
+        assert src.tell() == 0
+        assert [sink.getvalue() for sink in sinks] == [b""] * count
 
     def test_empty_payloads_materialized(self, two_server_doc):
         dmap = build_distribution_map(two_server_doc, 0)

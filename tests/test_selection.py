@@ -48,7 +48,7 @@ from xdgdl import (
     validate_document,
 )
 from xdgdl.cli import main
-from xdgdl.scatter import _copy_plan
+from xdgdl.scatter import _slots
 from xdgdl.views import Selection
 
 EXACT = PartitionStatus.EXACT_PARTITION
@@ -105,7 +105,7 @@ def assert_moves_like_the_painter(views, size: int, seed: int = 0):
 
 
 def strided(dmap, device: int = 0) -> bool:
-    return bool(_copy_plan(dmap.entries[device].selection, dmap.file_size)[1])
+    return bool(_slots(dmap.entries[device].selection, memoryview(bytearray(dmap.file_size)))[2])
 
 
 def byte_view(offset, repeat, count, stride, skip=0, skip_header=0):

@@ -85,11 +85,13 @@ def counting(monkeypatch, name: str) -> list[int]:
     return calls
 
 
-def counting_tables(monkeypatch) -> list:
-    """The window map of every slot table built from now on."""
-    tables = []
-    real = stream._slot_table
-    monkeypatch.setattr(stream, "_slot_table", lambda wmap, window: tables.append(wmap) or real(wmap, window))
+def counting_tables(monkeypatch) -> set[int]:
+    """The ids of the window views of every slot table built from now on:
+    a table is one ``_slots`` per entry, all on one new window view.  The
+    views are held, so no id is handed on to a later one."""
+    tables, held = set(), []
+    real = stream._slots
+    monkeypatch.setattr(stream, "_slots", lambda sel, w: held.append(w) or tables.add(id(w)) or real(sel, w))
     return tables
 
 
@@ -148,15 +150,15 @@ def test_windowed_paths_match_the_painter_and_the_library(cfg, monkeypatch, tmp_
             assert get_bytes(layout, name) == data
             seen["readv"] += len(readv) > calls  # fragment files are read by os.readv
 
-            maps = list(stream._window_maps(dmap))
-            assert sum(w.file_size for w in maps) == size and all(w.file_size <= window for w in maps)
-            if len(maps) > 1:
+            windows = list(stream._windows(dmap))
+            assert sum(n for n, _ in windows) == size and all(n <= window for n, _ in windows)
+            if len(windows) > 1:
                 seen["multi"] += 1
-                for wmap in maps[1:]:
-                    for sel in (e.selection for e in wmap.entries if e.selection.pieces):
-                        seen["strided" if stream._copy_plan(sel, wmap.file_size)[1] else "runs"] += 1
+                for n, sels in windows[1:]:
+                    for sel in (s for s in sels if s.pieces):
+                        seen["strided" if stream._slots(sel, memoryview(bytearray(n)))[2] else "runs"] += 1
                         seen["wrapping"] += sel.pieces[0][0] == 0 and sum(sel.pieces[-1]) == sel.period
-                        seen["shorter_than_the_period"] += wmap.file_size < sel.period
+                        seen["shorter_than_the_period"] += n < sel.period
                         seen["starts_in_a_header"] += sel.header > 0
     assert all(seen.values()), seen
 
@@ -189,9 +191,9 @@ def test_steady_window_plan_is_built_once(monkeypatch):
     period = lcm_of(build_distribution_map(doc, 0))
     monkeypatch.setattr(stream, "WINDOW_BYTES", period)
     built = []
-    real = stream._copy_plan
-    monkeypatch.setattr(stream, "_copy_plan", lambda sel, n: built.append(real(sel, n)) or built[-1])
-    # one map for every full window and one for the clipped last window,
+    real = stream._slots
+    monkeypatch.setattr(stream, "_slots", lambda sel, window: built.append((sel, len(window))) or real(sel, window))
+    # one plan for every full window and one for the clipped last window,
     # per entry; then a file of one window
     for size, windows in ((50 * period + 7, 2), (period, 1)):
         built.clear()
@@ -203,7 +205,7 @@ def test_steady_window_plan_is_built_once(monkeypatch):
         assert len(built) == 2 * windows * 3  # as many again to gather
         assert payloads == expected_payloads(BALANCED_VIEWS, data)
     # the one window plans the whole file, once per entry in each direction
-    assert built[:3] == built[3:6] == [real(e.selection, period) for e in dmap.entries]
+    assert built[:3] == built[3:6] == [(e.selection, period) for e in dmap.entries]
 
 
 def test_cp_out_reads_each_window_with_one_readv_per_entry(store_env, monkeypatch):
@@ -217,7 +219,7 @@ def test_cp_out_reads_each_window_with_one_readv_per_entry(store_env, monkeypatc
     assert (store_env / "back").read_bytes() == src.read_bytes()
     assert len(written) == 4
     assert len(readv) == 3 * len(written) and max(readv) <= 1024  # 86 slots an entry a window
-    assert len(tables) <= 2  # every full window's map, then the clipped last one's
+    assert len(tables) <= 2  # every full window's, then the clipped last one's
     assert all(buf is written[0] for buf in written)  # one window buffer
 
 
@@ -228,7 +230,7 @@ def test_cp_in_writes_each_window_with_one_writev_per_entry(store_env, cfg, monk
     writev, tables = counting(monkeypatch, "writev"), counting_tables(monkeypatch)
     assert main(["cp-in", str(src)]) == 0
     assert len(writev) == 3 * 4 and max(writev) <= 1024  # 86 slots an entry a window
-    assert len(tables) <= 2  # every full window's map, then the clipped last one's
+    assert len(tables) <= 2  # every full window's, then the clipped last one's
     assert_stored_as_painted(cfg, "f", data)
 
 
@@ -400,16 +402,16 @@ def test_scatter_and_cp_in_hold_one_window_and_no_joined_share(cfg, tmp_path):
 @pytest.mark.parametrize("layout, maps", [("all_noview", 2), ("skip_header", 7)])
 def test_windows_of_a_long_period_share_equal_maps(monkeypatch, layout, maps):
     """A period longer than the budget cuts windows at changing phases;
-    a window whose runs are those of the window before still gets its
-    map object.  All-NOVIEW: one for every full window, then the last.
+    a window whose runs are those of the window before is still the same
+    tuple object.  All-NOVIEW: one for every full window, then the last.
     The SKIP_HEADER descriptor: one each for the five windows that start
     inside its 4096-byte header, one for every later full window, then
-    the last.  The maps are held while their ids are counted: a freed
-    map's id can be handed to the next one."""
+    the last.  The windows are held while their ids are counted: a freed
+    window's id can be handed to the next one."""
     monkeypatch.setattr(stream, "WINDOW_BYTES", 1000)
     dmap = build_distribution_map(LONG_PERIODS[layout], 10_500)
-    wmaps = list(stream._window_maps(dmap))
-    assert len({id(wmap) for wmap in wmaps}) == maps
+    windows = list(stream._windows(dmap))
+    assert len({id(window) for window in windows}) == maps
 
 
 class ShortReads(io.FileIO):
