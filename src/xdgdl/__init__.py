@@ -1,7 +1,7 @@
 """Toolkit for describing and executing byte distributions of logical
 files over a simulated grid of islands, servers and devices."""
 
-from .config import VipfsConfig, parse_config, serialize_config
+from .config import VipfsConfig, parse_config
 from .errors import (
     ArithmeticOverflow,
     ConfigError,
@@ -54,7 +54,6 @@ from .store import GridLayout, LayoutDevice, StoredFile, get_file, init_store, p
 from .vipfs import SidecarResult, copy_in, copy_out, default_descriptor, locate_sidecar, timestamp_for_name
 from .views import (
     DistributionMap,
-    Extent,
     MapEntry,
     PartitionStatus,
     PartitionVerdict,

@@ -36,13 +36,14 @@ from .model import (
     IslandDecl,
     ServerDecl,
     parse_document,
+    parse_size,
     serialize_document,
     validate_document,
 )
 from .scatter import require_exact, scatter, write_all
 from .store import committed, init_store, measured, rebuild
 from .vipfs import copy_in, copy_out
-from .views import build_distribution_map, parse_size, render_plan
+from .views import build_distribution_map, render_plan
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -69,10 +70,10 @@ def _fail(message: str, code: int) -> int:
 def _print_verdict(exc: NotAPartition) -> None:
     verdict = exc.verdict
     print(f"xdgdl: not an exact partition ({verdict.status.value})", file=sys.stderr)
-    for gap in verdict.gaps:
-        print(f"  gap {gap}", file=sys.stderr)
-    for extent, claimants in verdict.overlaps:
-        print(f"  overlap {extent} claimed by {', '.join(claimants)}", file=sys.stderr)
+    for start, length in verdict.gaps:
+        print(f"  gap {start}:{length}", file=sys.stderr)
+    for (start, length), claimants in verdict.overlaps:
+        print(f"  overlap {start}:{length} claimed by {', '.join(claimants)}", file=sys.stderr)
 
 
 def _load_document(path: str) -> Document:
@@ -198,8 +199,8 @@ def _config_from_env() -> VipfsConfig:
     if not conf_path:
         raise ConfigError("VIP_CONF must name the configuration file")
     try:
-        text = Path(conf_path).read_text()
-    except OSError as exc:
+        text = Path(conf_path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read VIP_CONF={conf_path}: {exc}") from exc
     cfg = parse_config(text)
     env_dir = os.environ.get("VIP_DIR")

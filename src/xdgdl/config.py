@@ -11,8 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConfigError, DeviceCountMismatch, MissingKey, UnknownKey
+from .model import parse_size
 
-__all__ = ["VipfsConfig", "parse_config", "serialize_config"]
+__all__ = ["VipfsConfig", "parse_config"]
 
 _KEYS = ("MAX_APP", "MAX_SRV_FILE", "DATA_BUFLEN", "SRV_GROUP_NAME", "SRVR_DEVICE_LIST", "VIP_DIR")
 _INT_KEYS = {"MAX_APP", "MAX_SRV_FILE", "DATA_BUFLEN"}
@@ -64,15 +65,11 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
-def _is_digits(text: str) -> bool:
-    """ASCII digits only: ``str.isdigit`` also accepts ``²``, which ``int`` rejects."""
-    return text.isascii() and text.isdigit()
-
-
 def _positive_int(tok: _Token, key: str) -> int:
-    if not _is_digits(tok.text):
-        raise ConfigError(f"{key} expects a positive integer, got {tok.text!r} (token {tok.ordinal})")
-    value = int(tok.text)
+    try:
+        value = parse_size(tok.text)
+    except ValueError:
+        raise ConfigError(f"{key} expects a positive integer, got {tok.text!r} (token {tok.ordinal})") from None
     if value < 1:
         raise ConfigError(f"{key} must be >= 1, got {value} (token {tok.ordinal})")
     return value
@@ -108,9 +105,10 @@ def parse_config(text: str) -> VipfsConfig:
             i += 1
         else:  # SRVR_DEVICE_LIST
             declared = tokens[i]
-            if not _is_digits(declared.text):
-                raise ConfigError(f"SRVR_DEVICE_LIST expects a count, got {declared.text!r} (token {declared.ordinal})")
-            count = int(declared.text)
+            try:
+                count = parse_size(declared.text)
+            except ValueError:
+                raise ConfigError(f"SRVR_DEVICE_LIST expects a count, got {declared.text!r} (token {declared.ordinal})") from None
             i += 1
             paths = []
             for _ in range(count):
@@ -133,14 +131,3 @@ def parse_config(text: str) -> VipfsConfig:
         device_paths=values["SRVR_DEVICE_LIST"],
         vip_dir=values["VIP_DIR"],
     )
-
-
-def serialize_config(cfg: VipfsConfig) -> str:
-    """Canonical token order; parse_config(serialize_config(c)) == c."""
-    lines = [
-        f"MAX_APP {cfg.max_app} MAX_SRV_FILE {cfg.max_srv_file} DATA_BUFLEN {cfg.data_buflen}",
-        f'SRV_GROUP_NAME "{cfg.srv_group_name}" SRVR_DEVICE_LIST {len(cfg.device_paths)}',
-        *cfg.device_paths,
-        f'VIP_DIR "{cfg.vip_dir}"',
-    ]
-    return "\n".join(lines) + "\n"

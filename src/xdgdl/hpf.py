@@ -29,6 +29,7 @@ from itertools import product
 
 from .errors import ArithmeticOverflow, DimensionMismatch, UnresolvedProcessors
 from .model import (
+    INT64_MAX,
     ArrayDecl,
     BlockDecl,
     ByteBlock,
@@ -40,7 +41,7 @@ from .model import (
     TypeDecl,
     ViewDecl,
 )
-from .views import INT64_MAX, round_robin_view, view_period
+from .views import round_robin_view, view_period
 
 __all__ = [
     "OwnerMap",

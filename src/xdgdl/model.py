@@ -270,8 +270,7 @@ _GRAMMAR: dict[str, tuple[frozenset[str], tuple[str, ...], frozenset[str]]] = {
     }.items()
 }
 
-# base-10 integers only; leading zeros accepted, leading '+' rejected
-_INT_RE = re.compile(r"-?[0-9]+\Z")
+INT64_MAX = 2**63 - 1  # the largest integer a descriptor, configuration or size may hold
 _DECL_ENCODING_RE = re.compile(rb"^\s*<\?xml[^>]*?encoding\s*=\s*[\"']([A-Za-z][A-Za-z0-9._-]*)[\"']")
 
 
@@ -296,7 +295,7 @@ def parse_document(xml_text: str | bytes) -> Document:
     encoding that cannot be read, and ValidationError for structure the
     model cannot represent: unknown or misplaced elements, unknown or
     missing attributes, and attribute values that are not base-10
-    integers where one is required.
+    integers of magnitude at most INT64_MAX where one is required.
     Representable rule breaks (an empty VIEW, a dangling reference, a
     negative stride) parse fine and are left for validate_document.
     """
@@ -346,14 +345,27 @@ def _check(elem: ET.Element, path: str, check_tags: bool = True) -> list[tuple[E
     return children
 
 
+def parse_size(raw: str) -> int:
+    """A size or count written as ASCII digits, at most INT64_MAX, or
+    ValueError: leading zeros accepted, a sign or '_' rejected."""
+    if not (raw.isascii() and raw.isdigit()):
+        raise ValueError("size must be a non-negative integer")
+    digits = raw.lstrip("0") or "0"
+    if len(digits) > len(str(INT64_MAX)) or int(digits) > INT64_MAX:  # int() refuses more than 4300 digits
+        raise ValueError(f"size must be at most {INT64_MAX}")
+    return int(digits)
+
+
 def _int_attr(elem: ET.Element, attr: str, path: str, default: int | None = None) -> int:
+    """A base-10 integer attribute: an optional '-', then ``parse_size``."""
     raw = elem.get(attr)
     if raw is None:
         assert default is not None, f"required integer attribute {attr} unchecked"
         return default
-    if not _INT_RE.match(raw):
-        raise ValidationError("bad-integer", path, f"attribute {attr} must be a base-10 integer, got {raw!r}")
-    return int(raw)
+    try:
+        return -parse_size(raw[1:]) if raw.startswith("-") else parse_size(raw)
+    except ValueError:
+        raise ValidationError("bad-integer", path, f"attribute {attr} must be a base-10 integer, got {raw!r}") from None
 
 
 def _enum_attr(elem: ET.Element, attr: str, path: str, default: enum.Enum, choices: tuple[str, ...]) -> enum.Enum:

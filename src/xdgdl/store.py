@@ -50,9 +50,9 @@ from .errors import (
     RosterMismatch,
     XdgdlError,
 )
-from .model import Document, parse_document, serialize_document, validate_document
+from .model import Document, parse_document, parse_size, serialize_document, validate_document
 from .scatter import WINDOW_BYTES, gather, remaining, require_exact, scatter, write_all
-from .views import DistributionMap, build_distribution_map, parse_size
+from .views import DistributionMap, build_distribution_map
 
 __all__ = [
     "LayoutDevice", "GridLayout", "StoredFile", "init_store", "put_file", "get_file", "rebuild", "committed",

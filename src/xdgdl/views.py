@@ -20,8 +20,8 @@ seen from any byte, over a window of any length.  A ``MapEntry`` is a
 plain selection and file size per device; extents are expanded only on
 demand (plans, tests) and byte totals are closed-form.  One sweep of one
 common period of the coverage (``coverage_period``) decides
-``check_partition``, which a map keeps as its ``verdict``, and
-``Selection`` tiles its gap and overlap report over the file.
+``check_partition``, which a map keeps as its ``verdict``; the verdict
+keeps that one period and tiles its gap and overlap report on demand.
 A view with a negative SKIP_HEADER, SKIP, OFFSET, STRIDE or COUNT, or a
 REPEAT below 1, which ``validate_document`` rejects, does not compile:
 ``_compile`` raises ValueError, so it never reaches the data path.
@@ -44,21 +44,18 @@ division).
 from __future__ import annotations
 
 import enum
-import heapq
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import chain, cycle, repeat, starmap
+from itertools import chain, cycle
 from operator import itemgetter
 from typing import Iterator, Sequence
 
 from .errors import ArithmeticOverflow, NoDevices
-from .model import BlockDecl, ByteBlock, Document, ViewDecl
+from .model import INT64_MAX, BlockDecl, ByteBlock, Document, ViewDecl
 
 __all__ = [
-    "INT64_MAX",
-    "Extent",
     "MapEntry",
     "DistributionMap",
     "PartitionStatus",
@@ -71,23 +68,7 @@ __all__ = [
     "render_plan",
 ]
 
-INT64_MAX = 2**63 - 1
 _START = itemgetter(0)  # a piece's start: sorted pieces bisect on it
-
-
-@dataclass(frozen=True)
-class Extent:
-    """Half-open byte range [start, start+length) of the logical file."""
-
-    start: int
-    length: int
-
-    @property
-    def end(self) -> int:
-        return self.start + self.length
-
-    def __str__(self) -> str:
-        return f"{self.start}:{self.length}"
 
 
 @dataclass(frozen=True)
@@ -99,8 +80,8 @@ class Selection:
     The header is non-negative and the pieces are sorted, disjoint and
     inside [0, period); the constructor raises ValueError otherwise,
     then stores the pieces merged, without empty ones.  The closed-form
-    totals, the run expansion, the strided copy, the one-period
-    partition verdict and its tiled report rely on it.
+    totals, the run expansion, the strided copy and the one-period
+    partition sweep rely on it.
     """
 
     header: int
@@ -211,9 +192,9 @@ class MapEntry:
         return f"{self.island}/{self.host}/{self.device_id}"
 
     @cached_property
-    def extents(self) -> tuple[Extent, ...]:
-        """The selection expanded to merged extents."""
-        return tuple(starmap(Extent, self.selection.runs(self.size)))
+    def extents(self) -> tuple[tuple[int, int], ...]:
+        """The selection expanded to merged ``(start, length)`` runs."""
+        return tuple(self.selection.runs(self.size))
 
 
 @dataclass(frozen=True)
@@ -244,19 +225,41 @@ class PartitionStatus(enum.Enum):
 
 @dataclass(frozen=True)
 class PartitionVerdict:
+    """``check_partition``'s sweep of [0, min(size, header + period)): the
+    ``stretches`` ``(start, end, claimants)`` that no entry or two or more
+    claim, cut at the header.  ``gaps`` and ``overlaps`` tile them anew."""
+
     status: PartitionStatus
-    gaps: tuple[Extent, ...] = ()
-    overlaps: tuple[tuple[Extent, tuple[str, ...]], ...] = ()
+    size: int
+    header: int
+    period: int
+    stretches: tuple[tuple[int, int, tuple[str, ...]], ...]
 
+    @property
+    def gaps(self) -> Iterator[tuple[int, int]]:
+        """The maximal unclaimed ``(start, length)`` runs, in file order."""
+        return (run for run, _ in self._tiled(claimed=False))
 
-def parse_size(raw: str) -> int:
-    """A file size written as ASCII digits, at most INT64_MAX, or ValueError."""
-    if not (raw.isascii() and raw.isdigit()):
-        raise ValueError("size must be a non-negative integer")
-    digits = raw.lstrip("0") or "0"
-    if len(digits) > len(str(INT64_MAX)) or int(digits) > INT64_MAX:  # int() refuses more than 4300 digits
-        raise ValueError(f"size must be at most {INT64_MAX}")
-    return int(digits)
+    @property
+    def overlaps(self) -> Iterator[tuple[tuple[int, int], tuple[str, ...]]]:
+        """``(run, claimants)`` of bytes claimed twice or more, split where the claimants change."""
+        return self._tiled(claimed=True)
+
+    def _tiled(self, claimed: bool) -> Iterator[tuple[tuple[int, int], tuple[str, ...]]]:
+        """One kind's stretches before the header, then past it every period,
+        clipped at the size and joined where they meet with equal claimants."""
+        h, size = self.header, self.size
+        kept = [s for s in self.stretches if bool(s[2]) is claimed]
+        after = [s for s in kept if s[0] >= h]
+        periods = range(0, size - h if after else 0, self.period)
+        tiled = chain(kept[: len(kept) - len(after)], ((a + k, min(b + k, size), c) for k in periods for a, b, c in after if a + k < size))
+        start = end = who = None
+        for lo, hi, claimants in chain(tiled, [(None, None, None)]):
+            if lo != end or claimants != who:
+                if start is not None:
+                    yield (start, end - start), who
+                start, who = lo, claimants
+            end = hi
 
 
 def _guard(value: int, what: str) -> int:
@@ -321,9 +324,9 @@ def _compile(view: ViewDecl) -> Selection:
     return cached
 
 
-def enumerate_extents(view: ViewDecl, region_size: int) -> tuple[Extent, ...]:
-    """Selected extents of [0, region_size), merged, sorted and disjoint."""
-    return tuple(starmap(Extent, _compile(view).runs(region_size)))
+def enumerate_extents(view: ViewDecl, region_size: int) -> tuple[tuple[int, int], ...]:
+    """Selected ``(start, length)`` runs of [0, region_size), merged and sorted."""
+    return tuple(_compile(view).runs(region_size))
 
 
 def _member_plan(view: ViewDecl) -> tuple[int, tuple[tuple[int, int, int, int, ViewDecl | None], ...]]:
@@ -403,36 +406,21 @@ def build_distribution_map(doc: Document, file_size: int) -> DistributionMap:
 def check_partition(dmap: DistributionMap) -> PartitionVerdict:
     """Classify coverage of [0, file_size) by the map's selections.
 
-    Exact means every byte is claimed exactly once.  Gaps and overlaps
-    are reported as maximal extents; overlap runs split where the
-    claimant set changes so each reported extent lists its exact owners.
+    Exact means every byte is claimed exactly once; the verdict's
+    ``gaps`` and ``overlaps`` report the bytes that are not.
 
     One sweep of one period decides: with H and L the map's
     ``coverage_period``, a byte's membership does not depend on the file
     size, and past its header each selection repeats with its period, so
     past H the claimants of every byte repeat with period L.  Only
-    [0, min(size, H + L)) is swept, cut at H.  Each claimant set found
-    there (a gap has none) becomes the runs of its stretches before H,
-    then a ``Selection`` of its stretches in one period from H, which
-    tiles, merges and clips them over the file.
+    [0, min(size, H + L)) is swept, cut at H; the verdict keeps that sweep
+    and tiles its report over the file when it is read.
     """
     size, (h, period) = dmap.file_size, dmap.coverage_period()
-    stretches: dict[tuple[str, ...], tuple[list, list]] = {}
-    for lo, hi, claimants in _stretches(dmap.entries, min(size, h + period), h):
-        before, after = stretches.setdefault(claimants, ([], []))
-        if hi <= h:
-            before.append((lo, hi - lo))
-        else:
-            after.append((lo - h, hi - lo))
-    runs = {
-        claimants: _joined(Selection(0, h, tuple(before)).pieces, Selection(h, period, tuple(after)).runs(size))
-        for claimants, (before, after) in stretches.items()
-    }
-    gaps = tuple(starmap(Extent, runs.pop((), ())))
-    merged = heapq.merge(*(zip(own, repeat(claimants)) for claimants, own in runs.items()))
-    overlaps = tuple((Extent(*run), claimants) for run, claimants in merged)
+    stretches = tuple(_stretches(dmap.entries, min(size, h + period), h))
+    kinds = {bool(claimants) for _, _, claimants in stretches}  # False for a gap, True for an overlap
     # the statuses in declaration order: exact, gaps, overlaps, both
-    return PartitionVerdict(list(PartitionStatus)[bool(gaps) + 2 * bool(overlaps)], gaps, overlaps)
+    return PartitionVerdict(list(PartitionStatus)[(False in kinds) + 2 * (True in kinds)], size, h, period, stretches)
 
 
 def _stretches(entries: Sequence[MapEntry], size: int, cut: int) -> Iterator[tuple[int, int, tuple[str, ...]]]:
@@ -453,14 +441,6 @@ def _stretches(entries: Sequence[MapEntry], size: int, cut: int) -> Iterator[tup
                 del active[label]
         if sum(active.values()) != 1:
             yield pos, nxt, tuple(sorted(active))
-
-
-def _joined(before: tuple[tuple[int, int], ...], after: Iterator[tuple[int, int]]) -> Iterator[tuple[int, int]]:
-    """The runs before H, then those from H on, joined where they meet at H."""
-    first = next(after, None)
-    if before and first and sum(before[-1]) == first[0]:
-        before, first = before[:-1], (before[-1][0], before[-1][1] + first[1])
-    return chain(before, [first] if first else (), after)
 
 
 def render_plan(dmap: DistributionMap) -> str:

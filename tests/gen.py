@@ -21,7 +21,6 @@ from xdgdl import (
     Distribution,
     Document,
     EtypeDecl,
-    Extent,
     IslandDecl,
     Major,
     ProcessorsDecl,
@@ -188,10 +187,10 @@ def random_partition_views(rng: random.Random, devices: int, period: int, run_ma
         runs = []
         for i, o in enumerate(rotated):
             if o == d:
-                if runs and runs[-1].end == i:
-                    runs[-1] = Extent(runs[-1].start, runs[-1].length + 1)
+                if runs and sum(runs[-1]) == i:
+                    runs[-1] = (runs[-1][0], runs[-1][1] + 1)
                 else:
-                    runs.append(Extent(i, 1))
+                    runs.append((i, 1))
         view = view_selecting(runs, len(rotated))
         views.append(ViewDecl(header, view.skip, view.blocks))
     return views
@@ -201,7 +200,7 @@ def entry_of(island: str, host: str, device_id: str, extents) -> MapEntry:
     """A hand-built map entry selecting exactly ``extents``, which must be
     sorted and disjoint (ValueError otherwise): one period longer than any
     file, merged, and clipped where the extents end."""
-    selection = Selection(0, INT64_MAX, tuple((e.start, e.length) for e in extents))
+    selection = Selection(0, INT64_MAX, tuple(extents))
     return MapEntry(island, host, device_id, selection, max((a + n for a, n in selection.pieces), default=0))
 
 

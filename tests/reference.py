@@ -12,7 +12,7 @@ one-period view, for tests that need a view of arbitrary runs.
 
 import math
 
-from xdgdl import ArrayDecl, BlockDecl, ByteBlock, Distribution, Extent, Major, ViewDecl
+from xdgdl import ArrayDecl, BlockDecl, ByteBlock, Distribution, Major, ViewDecl
 
 
 def naive_period(view: ViewDecl) -> int:
@@ -82,8 +82,8 @@ def painted_report(coverages: list[list[int]], labels: list[str], size: int):
             else:
                 overlaps.append([i, i + 1, who])
     return (
-        tuple(Extent(lo, hi - lo) for lo, hi in gaps),
-        tuple((Extent(lo, hi - lo), who) for lo, hi, who in overlaps),
+        tuple((lo, hi - lo) for lo, hi in gaps),
+        tuple(((lo, hi - lo), who) for lo, hi, who in overlaps),
     )
 
 
@@ -126,11 +126,11 @@ def view_selecting(extents, region_size: int) -> ViewDecl:
     region end, which clips to nothing."""
     blocks = []
     cursor = 0
-    for ext in extents:
-        if ext.start < cursor or ext.length < 1 or ext.end > region_size:
-            raise ValueError(f"extents must be sorted, disjoint and within [0, {region_size}): {ext}")
-        blocks.append(BlockDecl(ext.start - cursor, 1, ext.length, 0, ByteBlock()))
-        cursor = ext.end
+    for start, length in extents:
+        if start < cursor or length < 1 or start + length > region_size:
+            raise ValueError(f"extents must be sorted, disjoint and within [0, {region_size}): {start}:{length}")
+        blocks.append(BlockDecl(start - cursor, 1, length, 0, ByteBlock()))
+        cursor = start + length
     if not blocks:
         return ViewDecl(0, 0, (BlockDecl(region_size, 1, 1, 0, ByteBlock()),))
     return ViewDecl(0, region_size - cursor, tuple(blocks))

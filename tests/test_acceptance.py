@@ -18,7 +18,6 @@ from descriptors import (
 )
 from gen import entry_of, gather_bytes, random_document, random_view, scatter_bytes
 from xdgdl import (
-    Extent,
     ParseError,
     PartitionStatus,
     ValidationError,
@@ -75,11 +74,11 @@ def test_criterion_3_nested_three_server(three_server_doc, balanced_doc):
     views = [s.devices[0].view for s in three_server_doc.island.servers]
     assert view_period(views[0]) == 82
     assert view_period(views[2]) == 82
-    assert enumerate_extents(views[2], 82) == (Extent(29, 12), Extent(70, 12))
+    assert enumerate_extents(views[2], 82) == ((29, 12), (70, 12))
 
     printed = check_partition(build_distribution_map(three_server_doc, 82))
     assert printed.status is not PartitionStatus.EXACT_PARTITION
-    assert printed.gaps and printed.overlaps
+    assert next(printed.gaps, None) and next(printed.overlaps, None)
 
     dmap = build_distribution_map(balanced_doc, 82)
     assert check_partition(dmap).status is PartitionStatus.EXACT_PARTITION
@@ -101,8 +100,8 @@ def test_criterion_4_oracle_equivalence():
     for _ in range(trees):
         view = random_view(rng, max_depth=3, pmax=16)
         covered = bytearray(region)
-        for ext in enumerate_extents(view, region):
-            covered[ext.start : ext.end] = b"\x01" * ext.length
+        for start, length in enumerate_extents(view, region):
+            covered[start : start + length] = b"\x01" * length
         for i in range(region):
             if member_oracle(view, i) != bool(covered[i]):
                 pytest.fail(f"oracle mismatch at byte {i} of view {view}")

@@ -24,6 +24,9 @@ ROOT = Path(__file__).resolve().parent.parent
 UNUSABLE_ENCODINGS = ["NO-SUCH", "base64", "rot13", "UTF-7", "shift_jis", "utf-32", "idna"]
 
 
+_FIRST_BLOCK = "/PARSTORAGE/ISLAND[1]/SERVER[1]/DEVICE[1]/VIEW[1]/BLOCK[1]"
+
+
 @pytest.fixture
 def two_server(tmp_path):
     path = tmp_path / "two.xml"
@@ -63,6 +66,22 @@ class TestValidate:
         bad.write_bytes(MINIMAL_XML.replace("ISO-8859-1", encoding).encode("ascii"))
         assert main(["validate", str(bad)]) == 2
         assert capsys.readouterr().err.startswith("xdgdl: declared encoding is unusable: ")
+
+    @pytest.mark.parametrize("offset", ["9223372036854775808", "99999999999999999999999", "9" * 5000, "-" + "9" * 5000])
+    @pytest.mark.parametrize("command", ["validate", "plan"])
+    def test_integer_past_int64_is_a_bad_integer(self, tmp_path, capsys, command, offset):
+        bad = tmp_path / "bad.xml"
+        bad.write_text(TWO_SERVER_XML.replace('OFFSET="0"', f'OFFSET="{offset}"', 1))
+        assert main([command, str(bad), *(["--size", "72"] if command == "plan" else [])]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"xdgdl: [bad-integer] {_FIRST_BLOCK}: attribute OFFSET must be a base-10 integer, got '{offset}'\n"
+
+    def test_largest_integer_parses(self, tmp_path, capsys):
+        big = tmp_path / "big.xml"
+        big.write_text(TWO_SERVER_XML.replace('OFFSET="0"', 'OFFSET="9223372036854775807"', 1))
+        assert main(["validate", str(big)]) == 0
+        assert capsys.readouterr().out == "OK\n"
 
     def test_warnings_print_before_ok(self, tmp_path, capsys):
         lone = tmp_path / "lone.xml"
@@ -171,10 +190,10 @@ class TestScatterGather:
             [f"{doc.island.name}/{host}/{dev.device_id}" for host, dev in devices],
             size,
         )
-        assert len(gaps) > 10 and len(overlaps) > 10 and gaps[-1].end > 7 + 4 * 82
+        assert len(gaps) > 10 and len(overlaps) > 10 and sum(gaps[-1]) > 7 + 4 * 82
         expected = ["xdgdl: not an exact partition (gaps+overlaps)"]
-        expected += [f"  gap {gap}" for gap in gaps]
-        expected += [f"  overlap {extent} claimed by {', '.join(who)}" for extent, who in overlaps]
+        expected += [f"  gap {start}:{length}" for start, length in gaps]
+        expected += [f"  overlap {start}:{length} claimed by {', '.join(who)}" for (start, length), who in overlaps]
         assert capsys.readouterr().err == "\n".join(expected) + "\n"
         assert not (tmp_path / "f").exists()
 
@@ -240,6 +259,13 @@ class TestCp:
     def test_missing_conf_exits_2(self, monkeypatch, capsys):
         monkeypatch.delenv("VIP_CONF", raising=False)
         assert main(["cp-in", "whatever"]) == 2
+
+    def test_conf_that_is_not_utf8_exits_2(self, store_env, capsys):
+        conf = store_env / "ViPIOS.conf"
+        conf.write_bytes(b"\xff\xfe" + conf.read_bytes())
+        assert main(["init"]) == 2
+        assert capsys.readouterr().err.startswith(f"xdgdl: cannot read VIP_CONF={conf}: 'utf-8' codec can't decode")
+        assert not (store_env / "grid").exists()
 
     def test_cp_out_corrupt_size_exits_4(self, store_env, capsys):
         src = store_env / "data.bin"

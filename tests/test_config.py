@@ -10,7 +10,6 @@ from xdgdl import (
     UnknownKey,
     VipfsConfig,
     parse_config,
-    serialize_config,
 )
 from xdgdl.cli import main
 
@@ -89,9 +88,38 @@ def test_non_integer_count(tmp_path, monkeypatch, capsys):
         assert capsys.readouterr().err.startswith(f"xdgdl: {key} expects")
 
 
+@pytest.mark.parametrize("key, value", [("MAX_APP", "5"), ("DATA_BUFLEN", "4096"), ("SRVR_DEVICE_LIST", "3")])
+def test_integer_past_int64_is_a_config_error(tmp_path, monkeypatch, capsys, key, value):
+    for big in ("9223372036854775808", "9" * 5000):
+        text = FULL_CONFIG.replace(f"{key} {value}", f"{key} {big}")
+        with pytest.raises(ConfigError, match=key):
+            parse_config(text)
+        conf = tmp_path / f"{key}.conf"
+        conf.write_text(text, encoding="utf-8")
+        monkeypatch.setenv("VIP_CONF", str(conf))
+        assert main(["init"]) == 2
+        assert capsys.readouterr().err.startswith(f"xdgdl: {key} expects")
+
+
+def test_largest_integer_is_accepted():
+    cfg = parse_config(FULL_CONFIG.replace("DATA_BUFLEN 4096", "DATA_BUFLEN 9223372036854775807"))
+    assert cfg.data_buflen == 2**63 - 1
+
+
 def test_zero_buflen_rejected():
     with pytest.raises(ConfigError):
         parse_config(FULL_CONFIG.replace("DATA_BUFLEN 4096", "DATA_BUFLEN 0"))
+
+
+def serialize_config(cfg: VipfsConfig) -> str:
+    """Canonical token order; parse_config(serialize_config(c)) == c."""
+    lines = [
+        f"MAX_APP {cfg.max_app} MAX_SRV_FILE {cfg.max_srv_file} DATA_BUFLEN {cfg.data_buflen}",
+        f'SRV_GROUP_NAME "{cfg.srv_group_name}" SRVR_DEVICE_LIST {len(cfg.device_paths)}',
+        *cfg.device_paths,
+        f'VIP_DIR "{cfg.vip_dir}"',
+    ]
+    return "\n".join(lines) + "\n"
 
 
 def test_serialize_parse_fixpoint():

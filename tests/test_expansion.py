@@ -32,7 +32,6 @@ from xdgdl import (
     Distribution,
     DistributionMap,
     EtypeDecl,
-    Extent,
     Major,
     MapEntry,
     PartitionStatus,
@@ -74,7 +73,7 @@ def selection_coverage(sel: Selection, size: int) -> list[bool]:
 def assert_expands_like_the_painter(sel: Selection, size: int, expected: list[tuple[int, int]]):
     assert list(sel.runs(size)) == expected
     entry = MapEntry("i", "h", "d", selection=sel, size=size)
-    assert entry.extents == tuple(Extent(s, n) for s, n in expected)
+    assert entry.extents == tuple(expected)
     assert entry.selection.total(size) == sum(n for _, n in expected)
     assert plan_runs(render_plan(DistributionMap(size, (entry,)))) == [expected]
 
@@ -96,7 +95,7 @@ class TestRunsAgainstPainter:
     def test_random_views(self, view, periods, extra):
         size = view.skip_header + periods * view_period(view) + extra
         expected = painted_runs(naive_coverage(view, size))
-        assert enumerate_extents(view, size) == tuple(Extent(s, n) for s, n in expected)
+        assert enumerate_extents(view, size) == tuple(expected)
         dmap = build_distribution_map(doc_of([view]), size)
         assert dmap.entries[0].extents == enumerate_extents(view, size)
         assert plan_runs(render_plan(dmap)) == [expected]
@@ -120,10 +119,8 @@ class TestRunsAgainstPainter:
     def test_tail_clipped_inside_its_first_piece(self):
         view = byte_view(2, 2, 3, 1, skip=4, skip_header=5)  # period 13, pieces (2,3), (6,3)
         size = 5 + 2 * 13 + 2 + 1
-        assert enumerate_extents(view, size)[-1] == Extent(5 + 2 * 13 + 2, 1)
-        assert enumerate_extents(view, size) == tuple(
-            Extent(s, n) for s, n in painted_runs(naive_coverage(view, size))
-        )
+        assert enumerate_extents(view, size)[-1] == (5 + 2 * 13 + 2, 1)
+        assert enumerate_extents(view, size) == tuple(painted_runs(naive_coverage(view, size)))
 
     @pytest.mark.parametrize("size", [0, 1, 4095, 4096, 4097, 12289])
     def test_one_device_round_robin_is_one_run(self, size, tmp_path):
@@ -151,7 +148,7 @@ class TestPartitionReport:
             verdict = check_partition(dmap)
             labels = [e.label for e in dmap.entries]
             gaps, overlaps = painted_report([naive_coverage(v, size) for v in views], labels, size)
-            assert (verdict.gaps, verdict.overlaps) == (gaps, overlaps)
+            assert (tuple(verdict.gaps), tuple(verdict.overlaps)) == (gaps, overlaps)
             assert (verdict.status is EXACT) == (not gaps and not overlaps)
             inexact += verdict.status is not EXACT
         assert inexact > 150
@@ -190,7 +187,7 @@ class TestOwnerTable:
             assert len(views) == math.prod(procs.shape)
             for target, view in enumerate(views):
                 coverage = [o == target for o in owners for _ in range(element_bytes)]
-                assert [(e.start, e.length) for e in enumerate_extents(view, size)] == painted_runs(coverage), (
+                assert list(enumerate_extents(view, size)) == painted_runs(coverage), (
                     arr,
                     procs,
                     target,
@@ -229,8 +226,9 @@ def python_steps(fn) -> int:
 
 
 class TestCostGuard:
-    """Planning expands runs in bulk: the Python-level steps it takes
-    are the same for a file 16 times larger.  Lowering an HPF array
+    """Planning expands runs in bulk and the partition verdict sweeps one
+    period: the Python-level steps each takes are the same for a file 16
+    times larger.  Lowering an HPF array
     takes the same steps for extents 16 times larger.  A window's
     map is built from only the pieces that meet the window: the steps
     are the same for a period 4 times longer."""
@@ -243,6 +241,15 @@ class TestCostGuard:
         assert sum(len(e.extents) for e in big.entries) > 70_000
         render_plan(small), render_plan(big)  # memoized selections are built once
         assert python_steps(lambda: render_plan(big)) == python_steps(lambda: render_plan(small))
+
+    def test_check_partition(self, three_server_doc):
+        # about 64 KiB and 1 MiB, alike modulo the 3526-byte common period;
+        # the report is not exact, and it is tiled only when read
+        sizes = 64 << 10, (64 << 10) + 3526 * 279
+        small, big = (build_distribution_map(three_server_doc, size) for size in sizes)
+        assert big.coverage_period() == (0, 3526)
+        assert check_partition(small).status is check_partition(big).status is PartitionStatus.GAPS_AND_OVERLAPS
+        assert python_steps(lambda: check_partition(big)) == python_steps(lambda: check_partition(small))
 
     def test_compile_hpf_mapping(self):
         def lowering(extent, rank, kind, skalar):
@@ -262,7 +269,7 @@ class TestCostGuard:
         chunk, size = 32 << 10, 4 << 20
 
         def windows(period):
-            halves = [[Extent(a, chunk) for a in range(first, period, 2 * chunk)] for first in (0, chunk)]
+            halves = [[(a, chunk) for a in range(first, period, 2 * chunk)] for first in (0, chunk)]
             dmap = build_distribution_map(doc_of([view_selecting(runs, period) for runs in halves]), size)
             return lambda: list(_windows(dmap))
 

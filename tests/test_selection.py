@@ -11,6 +11,7 @@ command line alike.
 
 import dataclasses
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -29,7 +30,6 @@ from xdgdl import (
     Distribution,
     DistributionMap,
     EtypeDecl,
-    Extent,
     IslandDecl,
     MapEntry,
     NoDevices,
@@ -72,13 +72,13 @@ def doc_of(views):
 
 def complement(coverage) -> ViewDecl:
     """A view selecting exactly the bytes the coverage leaves unclaimed."""
-    runs: list[Extent] = []
+    runs: list[tuple[int, int]] = []
     for i, c in enumerate(coverage):
         if c == 0:
-            if runs and runs[-1].end == i:
-                runs[-1] = Extent(runs[-1].start, runs[-1].length + 1)
+            if runs and sum(runs[-1]) == i:
+                runs[-1] = (runs[-1][0], runs[-1][1] + 1)
             else:
-                runs.append(Extent(i, 1))
+                runs.append((i, 1))
     return view_selecting(runs, len(coverage))
 
 
@@ -166,17 +166,17 @@ def random_tiling(rng: random.Random) -> list[ViewDecl]:
     nudged or added so that gaps or overlaps appear somewhere, possibly
     only after a few periods."""
     period = rng.randint(1, 24)
-    owned: list[list[Extent]] = [[] for _ in range(rng.randint(1, 4))]
+    owned: list[list[tuple[int, int]]] = [[] for _ in range(rng.randint(1, 4))]
     pos = 0
     while pos < period:
         length = rng.randint(1, min(5, period - pos))
-        owned[rng.randrange(len(owned))].append(Extent(pos, length))
+        owned[rng.randrange(len(owned))].append((pos, length))
         pos += length
     views = []
     for extents in filter(None, owned):
         # the same bytes behind a header: the pieces move left by it
-        header = rng.randint(0, extents[0].start)
-        inner = view_selecting(tuple(Extent(e.start - header, e.length) for e in extents), period)
+        header = rng.randint(0, extents[0][0])
+        inner = view_selecting(tuple((a - header, n) for a, n in extents), period)
         # ... and over 1-3 periods, so the periods differ
         views.append(ViewDecl(header, 0, (BlockDecl(0, rng.randint(1, 3), 1, 0, inner),)))
     if rng.random() < 0.5:
@@ -210,7 +210,8 @@ class TestPartitionCertificate:
         else:
             coverages = [bytes(size) if v is None else naive_coverage(v, size) for v in views]
         gaps, overlaps = painted_report(coverages, [e.label for e in dmap.entries], size)
-        assert (verdict.gaps, verdict.overlaps) == (gaps, overlaps)
+        for _ in range(2):  # each read tiles the report afresh
+            assert (tuple(verdict.gaps), tuple(verdict.overlaps)) == (gaps, overlaps)
         assert verdict.status is STATUSES[bool(gaps), bool(overlaps)]
         return verdict
 
@@ -265,8 +266,24 @@ class TestPartitionCertificate:
 
         monkeypatch.setattr(Selection, "progressions", spy)
         verdict = check_partition(dmap)
-        assert verdict.status is PartitionStatus.GAPS_AND_OVERLAPS and verdict.gaps[-1].end > 1_000_000
+        assert verdict.status is PartitionStatus.GAPS_AND_OVERLAPS and sum(max(verdict.gaps)) > 1_000_000
         assert expanded and max(expanded) <= header + period
+
+    def test_a_tebibyte_verdict_holds_one_period(self):
+        """The verdict keeps only the swept period, so checking a 1 TiB
+        map that is not exact and reading its first gap and its first
+        overlap allocate less than 1 MiB."""
+        dmap = build_distribution_map(parse_document(THREE_SERVER_XML), 1 << 40)
+        tracemalloc.start()
+        try:
+            verdict = check_partition(dmap)
+            first = next(verdict.gaps), next(verdict.overlaps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdict.status is PartitionStatus.GAPS_AND_OVERLAPS and first[0] == (17, 7)
+        assert dmap.coverage_period() == (0, 3526) and len(verdict.stretches) < 3526
+        assert peak < 1 << 20
 
 
 def two_server_views():
@@ -448,18 +465,18 @@ class TestIrregularViews:
 
 class TestMapEntry:
     def test_hand_built_extents_are_merged_or_rejected(self):
-        entry = entry_of("i", "h", "d", (Extent(0, 4), Extent(4, 4)))
-        assert entry.extents == (Extent(0, 8),) and entry.selection.total(8) == 8
+        entry = entry_of("i", "h", "d", ((0, 4), (4, 4)))
+        assert entry.extents == ((0, 8),) and entry.selection.total(8) == 8
         dmap = DistributionMap(8, (entry,))
         (frag,) = scatter_bytes(bytes(range(8)), dmap)
         assert frag == bytes(range(8))
         assert gather_bytes([frag], dmap) == bytes(range(8))
-        for unsorted_or_overlapping in ((Extent(4, 4), Extent(0, 4)), (Extent(0, 4), Extent(3, 4))):
+        for unsorted_or_overlapping in (((4, 4), (0, 4)), ((0, 4), (3, 4))):
             with pytest.raises(ValueError):
                 entry_of("i", "h", "d", unsorted_or_overlapping)
         # an extent past the file end claims nothing: plan, scatter and
         # gather all clip the entry at the map's file size
-        dmap = DistributionMap(8, (entry_of("i", "h", "d", (Extent(0, 8), Extent(12, 2))),))
+        dmap = DistributionMap(8, (entry_of("i", "h", "d", ((0, 8), (12, 2))),))
         assert check_partition(dmap).status is EXACT
         assert render_plan(dmap) == "i/h/d\t0:8\npartition: exact\n"
         frags = scatter_bytes(bytes(range(8)), dmap)
@@ -469,10 +486,10 @@ class TestMapEntry:
     def test_extents_or_selection_not_both(self):
         """An entry is a selection and a size; there is no extents form."""
         with pytest.raises(TypeError):
-            MapEntry("i", "h", "d", (Extent(0, 1),))
+            MapEntry("i", "h", "d", ((0, 1),))
         with pytest.raises(TypeError):
             MapEntry("i", "h", "d")
         entry = MapEntry("i", "h", "d", Selection(0, 2, ((0, 1),)), 5)
         assert entry == MapEntry("i", "h", "d", selection=Selection(0, 2, ((0, 1),)), size=5)
-        assert entry.extents == (Extent(0, 1), Extent(2, 1), Extent(4, 1))
-        assert dataclasses.replace(entry, size=3).extents == (Extent(0, 1), Extent(2, 1))
+        assert entry.extents == ((0, 1), (2, 1), (4, 1))
+        assert dataclasses.replace(entry, size=3).extents == ((0, 1), (2, 1))

@@ -9,7 +9,6 @@ from reference import view_selecting
 from xdgdl import (
     DuplicateTimestamp,
     EmptyDeviceList,
-    Extent,
     LengthMismatch,
     MissingFragment,
     MissingManifest,
@@ -186,7 +185,7 @@ class TestRandomManifests:
         pos = 0
         while pos < size:
             length = min(rng.randint(1, 64 * 1024), size - pos)
-            owned[rng.randrange(len(owned))].append(Extent(pos, length))
+            owned[rng.randrange(len(owned))].append((pos, length))
             pos += length
         servers = tuple(
             ServerDecl(

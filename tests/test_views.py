@@ -15,7 +15,6 @@ from xdgdl import (
     ByteBlock,
     DeviceDecl,
     DistributionMap,
-    Extent,
     IslandDecl,
     NoDevices,
     PartitionStatus,
@@ -43,10 +42,6 @@ S2 = byte_view(5, 3, 7, 5, skip=0)
 def per_period(view) -> int:
     """Bytes one full period of the view places on its device."""
     return build_distribution_map(doc_of([view]), 0).entries[0].selection.per_period
-
-
-def extent_list(pairs):
-    return tuple(Extent(s, n) for s, n in pairs)
 
 
 class TestPeriod:
@@ -84,7 +79,7 @@ class TestPeriod:
 
 class TestEnumerate:
     def test_two_server_first_device(self):
-        assert enumerate_extents(S1, 72) == extent_list(
+        assert enumerate_extents(S1, 72) == tuple(
             [(0, 5), (12, 5), (24, 5), (36, 5), (48, 5), (60, 5)]
         )
 
@@ -93,20 +88,20 @@ class TestEnumerate:
 
     def test_three_server_third_device(self, three_server_doc):
         view = three_server_doc.island.servers[2].devices[0].view
-        assert enumerate_extents(view, 82) == extent_list([(29, 12), (70, 12)])
+        assert enumerate_extents(view, 82) == tuple([(29, 12), (70, 12)])
 
     def test_straddling_take_clipped(self):
-        assert enumerate_extents(S1, 75) == extent_list(
+        assert enumerate_extents(S1, 75) == tuple(
             [(0, 5), (12, 5), (24, 5), (36, 5), (48, 5), (60, 5), (72, 3)]
         )
 
     def test_adjacent_takes_merge(self):
         view = byte_view(0, 4, 3, 0)
-        assert enumerate_extents(view, 24) == (Extent(0, 24),)
+        assert enumerate_extents(view, 24) == ((0, 24),)
 
     def test_skip_header_consumed_once(self):
         view = byte_view(0, 1, 4, 0, skip=4, skip_header=10)
-        assert enumerate_extents(view, 26) == extent_list([(10, 4), (18, 4)])
+        assert enumerate_extents(view, 26) == tuple([(10, 4), (18, 4)])
 
     @settings(max_examples=200, deadline=None)
     @given(view_decls(), st.integers(0, 512))
@@ -120,13 +115,13 @@ class TestEnumerate:
                     expected[-1][1] = i + 1
                 else:
                     expected.append([i, i + 1])
-        assert enumerate_extents(view, region) == tuple(Extent(s, e - s) for s, e in expected)
+        assert enumerate_extents(view, region) == tuple((s, e - s) for s, e in expected)
 
     @settings(max_examples=150, deadline=None)
     @given(view_decls(), st.integers(0, 3))
     def test_period_consistency(self, view, k):
         region = view.skip_header + k * view_period(view)
-        selected = sum(e.length for e in enumerate_extents(view, region))
+        selected = sum(n for _, n in enumerate_extents(view, region))
         assert selected == k * per_period(view)
 
     @settings(max_examples=150, deadline=None)
@@ -136,10 +131,10 @@ class TestEnumerate:
         small = enumerate_extents(view, n)
         big = enumerate_extents(view, m)
         clipped = []
-        for ext in big:
-            if ext.start >= n:
+        for start, length in big:
+            if start >= n:
                 break
-            clipped.append(Extent(ext.start, min(ext.end, n) - ext.start))
+            clipped.append((start, min(start + length, n) - start))
         assert list(small) == clipped
 
 
@@ -158,8 +153,8 @@ class TestOracle:
     def test_agrees_with_enumeration(self, view):
         region = 512
         covered = bytearray(region)
-        for ext in enumerate_extents(view, region):
-            for i in range(ext.start, ext.end):
+        for start, length in enumerate_extents(view, region):
+            for i in range(start, start + length):
                 covered[i] = 1
         mismatches = [i for i in range(region) if member_oracle(view, i) != bool(covered[i])]
         assert mismatches == []
@@ -170,8 +165,8 @@ class TestOracle:
             view = random_view(rng)
             region = 512
             covered = bytearray(region)
-            for ext in enumerate_extents(view, region):
-                for i in range(ext.start, ext.end):
+            for start, length in enumerate_extents(view, region):
+                for i in range(start, start + length):
                     covered[i] = 1
             for i in range(region):
                 assert member_oracle(view, i) == bool(covered[i])
@@ -201,7 +196,7 @@ class TestDistributionMap:
             island=island,
         )
         dmap = build_distribution_map(doc, 64)
-        assert dmap.entries[0].extents == (Extent(0, 64),)
+        assert dmap.entries[0].extents == ((0, 64),)
 
     def test_noview_beside_views_gets_nothing(self, two_server_doc):
         island = two_server_doc.island
@@ -223,7 +218,7 @@ class TestDistributionMap:
 
 class TestPartition:
     def entry(self, device, pairs):
-        return entry_of("i", "h", device, extent_list(pairs))
+        return entry_of("i", "h", device, tuple(pairs))
 
     def test_two_server_exact(self, two_server_doc):
         for size in (0, 1, 36, 72, 75):
@@ -234,13 +229,13 @@ class TestPartition:
         dmap = DistributionMap(10, (self.entry("a", [(0, 10)]), self.entry("b", [(0, 10)])))
         verdict = check_partition(dmap)
         assert verdict.status is PartitionStatus.HAS_OVERLAPS
-        assert verdict.overlaps == ((Extent(0, 10), ("i/h/a", "i/h/b")),)
+        assert tuple(verdict.overlaps) == (((0, 10), ("i/h/a", "i/h/b")),)
 
     def test_gap_reported(self):
         dmap = DistributionMap(10, (self.entry("a", [(0, 3), (7, 3)]),))
         verdict = check_partition(dmap)
         assert verdict.status is PartitionStatus.HAS_GAPS
-        assert verdict.gaps == (Extent(3, 4),)
+        assert tuple(verdict.gaps) == ((3, 4),)
 
     def test_misaligned_three_server(self, three_server_doc):
         dmap = build_distribution_map(three_server_doc, 82)
@@ -254,8 +249,8 @@ class TestPartition:
                 coverage[i] += c
         gap_bytes = {i for i, c in enumerate(coverage) if c == 0}
         overlap_bytes = {i for i, c in enumerate(coverage) if c > 1}
-        assert gap_bytes == {i for g in verdict.gaps for i in range(g.start, g.end)}
-        assert overlap_bytes == {i for e, _ in verdict.overlaps for i in range(e.start, e.end)}
+        assert gap_bytes == {i for start, length in verdict.gaps for i in range(start, start + length)}
+        assert overlap_bytes == {i for (start, length), _ in verdict.overlaps for i in range(start, start + length)}
 
     def test_balanced_three_server_exact(self, balanced_doc):
         dmap = build_distribution_map(balanced_doc, 82)
@@ -278,7 +273,7 @@ class TestPartition:
 
 class TestViewSelecting:
     def test_rebuilds_extents(self):
-        extents = extent_list([(3, 4), (10, 1), (20, 12)])
+        extents = tuple([(3, 4), (10, 1), (20, 12)])
         view = view_selecting(extents, 40)
         assert enumerate_extents(view, 40) == extents
 
@@ -288,7 +283,7 @@ class TestViewSelecting:
 
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError):
-            view_selecting(extent_list([(5, 2), (0, 2)]), 10)
+            view_selecting(tuple([(5, 2), (0, 2)]), 10)
 
     def test_seeded_random_extent_sets(self):
         rng = random.Random(40)
@@ -300,15 +295,15 @@ class TestViewSelecting:
                 length = rng.randint(1, 9)
                 if pos + length > region:
                     break
-                extents.append(Extent(pos, length))
+                extents.append((pos, length))
                 pos += length
             view = view_selecting(tuple(extents), region)
             merged = []
-            for ext in extents:
-                if merged and merged[-1].end == ext.start:
-                    merged[-1] = Extent(merged[-1].start, merged[-1].length + ext.length)
+            for start, length in extents:
+                if merged and sum(merged[-1]) == start:
+                    merged[-1] = (merged[-1][0], merged[-1][1] + length)
                 else:
-                    merged.append(ext)
+                    merged.append((start, length))
             assert enumerate_extents(view, region) == tuple(merged)
 
 

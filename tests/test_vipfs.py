@@ -4,7 +4,6 @@ import pytest
 
 from descriptors import CONFIG_TEMPLATE, THREE_SERVER_BALANCED_XML, TWO_SERVER_XML
 from xdgdl import (
-    Extent,
     build_distribution_map,
     check_partition,
     copy_in,
@@ -72,9 +71,9 @@ class TestDefaultDescriptor:
         assert validate_document(doc).ok
         dmap = build_distribution_map(doc, 12288)
         assert [e.extents for e in dmap.entries] == [
-            (Extent(0, 4096),),
-            (Extent(4096, 4096),),
-            (Extent(8192, 4096),),
+            ((0, 4096),),
+            ((4096, 4096),),
+            ((8192, 4096),),
         ]
 
     def test_single_device_degenerate(self, cfg, tmp_path):
@@ -84,13 +83,13 @@ class TestDefaultDescriptor:
         )
         doc = default_descriptor(single, "t_y")
         dmap = build_distribution_map(doc, 10000)
-        assert dmap.entries[0].extents == (Extent(0, 10000),)
+        assert dmap.entries[0].extents == ((0, 10000),)
 
     def test_clipped_tail(self, cfg):
         doc = default_descriptor(cfg, "t_z")
         dmap = build_distribution_map(doc, 5000)
-        assert dmap.entries[0].extents == (Extent(0, 4096),)
-        assert dmap.entries[1].extents == (Extent(4096, 904),)
+        assert dmap.entries[0].extents == ((0, 4096),)
+        assert dmap.entries[1].extents == ((4096, 904),)
         assert dmap.entries[2].extents == ()
 
     def test_partitions_any_size(self, cfg):
