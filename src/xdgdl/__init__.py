@@ -3,25 +3,15 @@ files over a simulated grid of islands, servers and devices."""
 
 from .config import VipfsConfig, parse_config
 from .errors import (
-    ArithmeticOverflow,
     ConfigError,
+    DescriptorError,
     DeviceCountMismatch,
-    DimensionMismatch,
-    DuplicateTimestamp,
-    EmptyDeviceList,
-    ExtraFragment,
     InvalidDocument,
     IoFailure,
-    LengthMismatch,
-    MissingFragment,
     MissingKey,
-    MissingManifest,
-    NoDevices,
     NotAPartition,
     ParseError,
-    RosterMismatch,
     UnknownKey,
-    UnresolvedProcessors,
     ValidationError,
     XdgdlError,
 )

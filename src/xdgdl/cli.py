@@ -1,7 +1,12 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 descriptor/config validation failure,
-3 partition failure, 4 I/O or store failure.
+A command exits 0 on success; otherwise with the ``exit_code`` of the
+error that ended it (see ``errors``):
+
+2  a descriptor or configuration it cannot use (``DescriptorError``,
+   ``ConfigError``);
+3  a layout that is not an exact partition (``NotAPartition``);
+4  a store or I/O failure (``XdgdlError``, ``OSError``, ``MemoryError``).
 """
 
 from __future__ import annotations
@@ -14,19 +19,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .config import VipfsConfig, parse_config
-from .errors import (
-    ArithmeticOverflow,
-    ConfigError,
-    DimensionMismatch,
-    ExtraFragment,
-    InvalidDocument,
-    NoDevices,
-    NotAPartition,
-    ParseError,
-    UnresolvedProcessors,
-    ValidationError,
-    XdgdlError,
-)
+from .errors import ConfigError, DescriptorError, InvalidDocument, NotAPartition, XdgdlError
 from .hpf import compile_hpf_mapping, ownermap_to_views, sizeof_type
 from .model import (
     ArrayDecl,
@@ -47,19 +40,7 @@ from .views import build_distribution_map, render_plan
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
-EXIT_PARTITION = 3
 EXIT_IO = 4
-
-_VALIDATION_ERRORS = (
-    ParseError,
-    ValidationError,
-    InvalidDocument,
-    ConfigError,
-    ArithmeticOverflow,
-    DimensionMismatch,
-    UnresolvedProcessors,
-    NoDevices,
-)
 
 
 def _fail(message: str, code: int) -> int:
@@ -80,15 +61,13 @@ def _load_document(path: str) -> Document:
     return parse_document(Path(path).read_bytes())
 
 
-def _load_valid_document(path: str) -> Document | None:
-    """The parsed descriptor, or None once its violations are on stderr."""
+def _load_valid_document(path: str) -> Document:
+    """The parsed descriptor; InvalidDocument if it breaks a rule."""
     doc = _load_document(path)
     report = validate_document(doc)
-    if report.ok:
-        return doc
-    for violation in report.violations:
-        print(str(violation), file=sys.stderr)
-    return None
+    if not report.ok:
+        raise InvalidDocument(report)
+    return doc
 
 
 def _frag_name(index: int) -> str:
@@ -117,8 +96,6 @@ def cmd_validate(args) -> int:
 
 def cmd_plan(args) -> int:
     doc = _load_valid_document(args.descriptor)
-    if doc is None:
-        return EXIT_VALIDATION
     dmap = build_distribution_map(doc, args.size)
     print(render_plan(dmap), end="")
     return EXIT_OK
@@ -126,8 +103,6 @@ def cmd_plan(args) -> int:
 
 def cmd_scatter(args) -> int:
     doc = _load_valid_document(args.descriptor)
-    if doc is None:
-        return EXIT_VALIDATION
     out = Path(args.out)
     with open(args.file, "rb", buffering=0) as stream, measured(stream) as (src, size):
         dmap = build_distribution_map(doc, size)
@@ -140,15 +115,13 @@ def cmd_scatter(args) -> int:
 
 def cmd_gather(args) -> int:
     doc = _load_valid_document(args.descriptor)
-    if doc is None:
-        return EXIT_VALIDATION
     dmap = build_distribution_map(doc, args.size)
     require_exact(dmap)
     frags, count = Path(args.frags), len(dmap.entries)
     names = os.listdir(frags) if frags.is_dir() else ()
     extra = sorted(n for n in names if re.fullmatch(r"[0-9]+\.frag", n) and int(n[:-5]) >= count)
     if extra:
-        raise ExtraFragment(f"{frags / extra[0]} is past the map's {count} entries")
+        raise XdgdlError(f"{frags / extra[0]} is past the map's {count} entries")
     with committed([Path(args.out)]) as (sink,):
         rebuild(dmap, [frags / _frag_name(i) for i in range(count)], sink)
     return EXIT_OK
@@ -156,8 +129,6 @@ def cmd_gather(args) -> int:
 
 def cmd_hpf_compile(args) -> int:
     doc = _load_valid_document(args.descriptor)
-    if doc is None:
-        return EXIT_VALIDATION
 
     def arrays(t) -> list[ArrayDecl]:
         if isinstance(t, ArrayDecl):
@@ -169,16 +140,13 @@ def cmd_hpf_compile(args) -> int:
 
     distributed = [a for t in doc.types for a in arrays(t)]
     if len(distributed) != 1:
-        return _fail(f"expected exactly one distributed ARRAY, found {len(distributed)}", EXIT_VALIDATION)
+        raise DescriptorError(f"expected exactly one distributed ARRAY, found {len(distributed)}")
     arr = distributed[0]
     procs = next(p for p in doc.processors if p.name == arr.distribute_onto)  # validated to exist
     hosts = [h for h in args.servers.split(",") if h]
     owner_map = compile_hpf_mapping(arr, procs)
     if len(hosts) != owner_map.num_targets:
-        return _fail(
-            f"mapping needs {owner_map.num_targets} servers, --servers lists {len(hosts)}",
-            EXIT_VALIDATION,
-        )
+        raise DescriptorError(f"mapping needs {owner_map.num_targets} servers, --servers lists {len(hosts)}")
     views = ownermap_to_views(owner_map, sizeof_type(arr.element))
     servers = tuple(
         ServerDecl(host=host, devices=(DeviceDecl(device_id=f"disk{i}", view=view),))
@@ -292,13 +260,17 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except NotAPartition as exc:
         _print_verdict(exc)
-        return EXIT_PARTITION
-    except _VALIDATION_ERRORS as exc:
-        return _fail(str(exc), EXIT_VALIDATION)
+        return exc.exit_code
+    except InvalidDocument as exc:
+        for violation in exc.report.violations:
+            print(str(violation), file=sys.stderr)
+        return exc.exit_code
     except XdgdlError as exc:
-        return _fail(str(exc), EXIT_IO)
+        return _fail(str(exc), exc.exit_code)
     except OSError as exc:
         return _fail(str(exc), EXIT_IO)
+    except MemoryError:
+        return _fail("out of memory", EXIT_IO)
 
 
 def entry() -> None:

@@ -1,13 +1,37 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit.
+
+Each error carries the exit code the command line ends with
+(``exit_code``):
+
+2  ``DescriptorError`` (``ParseError``, ``ValidationError``,
+   ``InvalidDocument``) and ``ConfigError`` (``MissingKey``,
+   ``UnknownKey``, ``DeviceCountMismatch``): a descriptor or a
+   configuration it cannot use;
+3  ``NotAPartition``: a layout that is not an exact partition;
+4  ``XdgdlError`` itself and ``IoFailure``: a store or I/O failure.
+
+A subclass exists only where it carries data beyond its message; any
+other failure is raised as the class of its exit code.
+"""
 
 from __future__ import annotations
 
 
 class XdgdlError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package: a store or I/O
+    failure unless a subclass says otherwise."""
+
+    exit_code = 4
 
 
-class ParseError(XdgdlError):
+class DescriptorError(XdgdlError):
+    """A descriptor that cannot be used: malformed, invalid, or naming a
+    quantity or mapping the toolkit cannot evaluate."""
+
+    exit_code = 2
+
+
+class ParseError(DescriptorError):
     """Malformed XML input."""
 
     def __init__(self, message: str, line: int | None = None, column: int | None = None):
@@ -18,7 +42,7 @@ class ParseError(XdgdlError):
         super().__init__(message)
 
 
-class ValidationError(XdgdlError):
+class ValidationError(DescriptorError):
     """A structural rule was broken while building a document from XML."""
 
     def __init__(self, rule: str, path: str, message: str):
@@ -27,7 +51,7 @@ class ValidationError(XdgdlError):
         super().__init__(f"[{rule}] {path}: {message}")
 
 
-class InvalidDocument(XdgdlError):
+class InvalidDocument(DescriptorError):
     """A document failed validation where a clean report is required."""
 
     def __init__(self, report):
@@ -36,32 +60,14 @@ class InvalidDocument(XdgdlError):
         super().__init__(f"document has {len(report.violations)} violation(s): {lines}")
 
 
-class ArithmeticOverflow(XdgdlError):
-    """A descriptor quantity exceeds the supported 64-bit range."""
-
-
-class NoDevices(XdgdlError):
-    """The island declares no server or no device to place bytes on."""
-
-
 class NotAPartition(XdgdlError):
     """A distribution map does not cover the file exactly once."""
+
+    exit_code = 3
 
     def __init__(self, verdict):
         self.verdict = verdict
         super().__init__(f"extents do not form an exact partition: {verdict.status.name}")
-
-
-class MissingFragment(XdgdlError):
-    """A device's fragment is absent."""
-
-
-class ExtraFragment(XdgdlError):
-    """A fragment does not correspond to any map entry."""
-
-
-class LengthMismatch(XdgdlError):
-    """A fragment's payload length differs from its extent total."""
 
 
 class IoFailure(XdgdlError):
@@ -72,24 +78,10 @@ class IoFailure(XdgdlError):
         super().__init__(f"{message}: {path}")
 
 
-class EmptyDeviceList(XdgdlError):
-    """The configuration declares zero storage devices."""
-
-
-class DuplicateTimestamp(XdgdlError):
-    """A fragment with this timestamp id is already stored."""
-
-
-class MissingManifest(XdgdlError):
-    """No stored descriptor exists for the requested name."""
-
-
-class RosterMismatch(XdgdlError):
-    """A descriptor references more devices than the store provides."""
-
-
 class ConfigError(XdgdlError):
     """Invalid server configuration text."""
+
+    exit_code = 2
 
 
 class MissingKey(ConfigError):
@@ -110,11 +102,3 @@ class DeviceCountMismatch(ConfigError):
         self.token = token
         self.ordinal = ordinal
         super().__init__(f"{message}: {token!r} (token {ordinal})")
-
-
-class DimensionMismatch(XdgdlError):
-    """Array and processor dimensionalities cannot be mapped."""
-
-
-class UnresolvedProcessors(XdgdlError):
-    """An array is distributed onto an undeclared processor array."""

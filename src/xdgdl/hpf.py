@@ -22,12 +22,11 @@ past the array.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 
-from .errors import ArithmeticOverflow, DimensionMismatch, UnresolvedProcessors
+from .errors import DescriptorError
 from .model import (
     INT64_MAX,
     ArrayDecl,
@@ -85,7 +84,7 @@ def sizeof_type(t: TypeDecl) -> int:
         for child in t.children:
             total += sizeof_type(child)
             if total > INT64_MAX:
-                raise ArithmeticOverflow(f"type size exceeds the 64-bit range: {total}")
+                raise DescriptorError(f"type size exceeds the 64-bit range: {total}")
         if total < 1:
             raise ValueError("empty TYPE has no storage size")
         return total
@@ -95,7 +94,7 @@ def sizeof_type(t: TypeDecl) -> int:
             raise ValueError(f"dimension extent must be >= 1, got {dim.extent}")
         total *= dim.extent
         if total > INT64_MAX:
-            raise ArithmeticOverflow(f"array size exceeds the 64-bit range: {total}")
+            raise DescriptorError(f"array size exceeds the 64-bit range: {total}")
     return total
 
 
@@ -110,29 +109,25 @@ def compile_hpf_mapping(arr: ArrayDecl, procs: ProcessorsDecl) -> OwnerMap:
     target.
     """
     if arr.distribute_onto is None or arr.distribute_onto != procs.name:
-        raise UnresolvedProcessors(
+        raise DescriptorError(
             f"array {arr.name or '<anonymous>'} is distributed onto "
             f"{arr.distribute_onto!r}, not {procs.name!r}"
         )
     proc_shape = procs.shape
     if not proc_shape or any(p < 1 for p in proc_shape):
-        raise DimensionMismatch(f"processor array {procs.name!r} has an empty shape: {proc_shape}")
+        raise DescriptorError(f"processor array {procs.name!r} has an empty shape: {proc_shape}")
     extents = tuple(d.extent for d in arr.dims)
     if not extents or any(n < 1 for n in extents):
-        raise DimensionMismatch(f"array {arr.name or '<anonymous>'} has an empty shape: {extents}")
+        raise DescriptorError(f"array {arr.name or '<anonymous>'} has an empty shape: {extents}")
     dist_dims = [i for i, d in enumerate(arr.dims) if d.distribute in (Distribution.BLOCK, Distribution.CYCLIC)]
     if len(dist_dims) > len(proc_shape):
-        raise DimensionMismatch(
+        raise DescriptorError(
             f"{len(dist_dims)} distributed dimensions cannot map onto "
             f"{len(proc_shape)} processor dimensions"
         )
-    for i in dist_dims:
-        if arr.dims[i].distribute is Distribution.BLOCK and arr.dims[i].dist_skalar != 1:
-            warnings.warn("DIST_SKALAR has no effect on BLOCK distribution", stacklevel=2)
-
     total = math.prod(extents)
     if total > INT64_MAX:
-        raise ArithmeticOverflow(f"element count exceeds the 64-bit range: {total}")
+        raise DescriptorError(f"element count exceeds the 64-bit range: {total}")
     dims = [(n, n, 1, 0) for n in extents]
     for axis, i in enumerate(dist_dims):
         n, p = extents[i], proc_shape[axis]

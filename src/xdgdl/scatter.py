@@ -51,7 +51,7 @@ import io
 import os
 from typing import BinaryIO, Iterator
 
-from .errors import ExtraFragment, IoFailure, LengthMismatch, MissingFragment, NotAPartition
+from .errors import IoFailure, NotAPartition, XdgdlError
 from .views import DistributionMap, PartitionStatus, Selection
 
 __all__ = ["scatter", "gather", "remaining", "require_exact", "WINDOW_BYTES"]
@@ -67,11 +67,11 @@ def require_exact(dmap: DistributionMap) -> None:
 
 
 def _require_one_per_entry(streams: list[BinaryIO], dmap: DistributionMap) -> None:
-    """Raise MissingFragment or ExtraFragment unless there is one stream per map entry."""
+    """Raise XdgdlError unless there is one stream per map entry."""
     if len(streams) < len(dmap.entries):
-        raise MissingFragment(f"no fragment for device {dmap.entries[len(streams)].label}")
+        raise XdgdlError(f"no fragment for device {dmap.entries[len(streams)].label}")
     if len(streams) > len(dmap.entries):
-        raise ExtraFragment(f"{len(streams)} fragments for {len(dmap.entries)} map entries")
+        raise XdgdlError(f"{len(streams)} fragments for {len(dmap.entries)} map entries")
 
 
 def _windows(dmap: DistributionMap) -> Iterator[tuple[int, tuple[Selection, ...]]]:
@@ -219,7 +219,7 @@ def gather(sources: list[BinaryIO], dmap: DistributionMap, dst: BinaryIO) -> Non
     for entry, src in zip(dmap.entries, sources):
         expected, actual = entry.selection.total(dmap.file_size), remaining(src)
         if actual != expected:
-            raise LengthMismatch(f"fragment for {entry.label} has {actual} bytes, extents total {expected}")
+            raise XdgdlError(f"fragment for {entry.label} has {actual} bytes, extents total {expected}")
     for buf, window, table in _tabled_windows(dmap):
         for src, (share, slots, strided) in zip(sources, table):
             _read_slots(src, slots)

@@ -41,15 +41,7 @@ from pathlib import Path
 from typing import BinaryIO, Iterator
 
 from .config import VipfsConfig
-from .errors import (
-    DuplicateTimestamp,
-    EmptyDeviceList,
-    IoFailure,
-    MissingFragment,
-    MissingManifest,
-    RosterMismatch,
-    XdgdlError,
-)
+from .errors import IoFailure, XdgdlError
 from .model import Document, parse_document, parse_size, serialize_document, validate_document
 from .scatter import WINDOW_BYTES, gather, remaining, require_exact, scatter, write_all
 from .views import DistributionMap, build_distribution_map
@@ -88,7 +80,7 @@ class StoredFile:
 def init_store(cfg: VipfsConfig) -> GridLayout:
     """Create device directories and the user-visible root; idempotent."""
     if not cfg.device_paths:
-        raise EmptyDeviceList("configuration declares zero devices")
+        raise XdgdlError("configuration declares zero devices")
     seen: set[Path] = set()
     devices = []
     for i, raw in enumerate(cfg.device_paths):
@@ -165,7 +157,7 @@ def measured(src: BinaryIO) -> Iterator[tuple[BinaryIO, int]]:
 def _devices_for(dmap: DistributionMap, layout: GridLayout) -> tuple[LayoutDevice, ...]:
     """The layout devices the map's entries resolve to, positionally."""
     if len(dmap.entries) > len(layout.devices):
-        raise RosterMismatch(
+        raise XdgdlError(
             f"descriptor references {len(dmap.entries)} devices, layout provides {len(layout.devices)}"
         )
     return layout.devices[: len(dmap.entries)]
@@ -203,7 +195,7 @@ def put_file(
         frag_paths = tuple(device.directory / f"{timestamp}.frag" for device in devices)
         for path in frag_paths:
             if path.exists():
-                raise DuplicateTimestamp(f"fragment {path} already exists")
+                raise XdgdlError(f"fragment {path} already exists")
 
         if manifest_text is None:
             manifest_text = serialize_document(manifest).encode("iso-8859-1", "xmlcharrefreplace")
@@ -224,23 +216,23 @@ def get_file(layout: GridLayout, name: str, dst: BinaryIO) -> None:
     every check passes before the first byte is written."""
     manifest_path = layout.root / f".vd.{name}"
     if not manifest_path.exists():
-        raise MissingManifest(f"no stored descriptor for {name!r}")
+        raise XdgdlError(f"no stored descriptor for {name!r}")
     try:
         manifest = parse_document(manifest_path.read_bytes())
     except OSError as exc:
         raise IoFailure(manifest_path, f"cannot read manifest ({exc})") from exc
     except XdgdlError as exc:
-        raise MissingManifest(f"stored descriptor for {name!r} is unreadable: {exc}") from exc
+        raise XdgdlError(f"stored descriptor for {name!r} is unreadable: {exc}") from exc
     report = validate_document(manifest)
     if not report.ok:
-        raise MissingManifest(f"stored descriptor for {name!r} is invalid: {report.violations[0]}")
+        raise XdgdlError(f"stored descriptor for {name!r} is invalid: {report.violations[0]}")
     size_path = layout.root / f".vd.{name}.size"
     if not size_path.exists():
-        raise MissingManifest(f"no stored size for {name!r}")
+        raise XdgdlError(f"no stored size for {name!r}")
     try:
         size = parse_size(size_path.read_bytes().strip().decode("latin-1"))
     except ValueError as exc:
-        raise MissingManifest(f"stored size for {name!r} is corrupt: {exc}") from None
+        raise XdgdlError(f"stored size for {name!r} is corrupt: {exc}") from None
     dmap = build_distribution_map(manifest, size)
     paths = [device.directory / f"{manifest.timestamp}.frag" for device in _devices_for(dmap, layout)]
     rebuild(dmap, paths, dst)
@@ -256,7 +248,7 @@ def rebuild(dmap: DistributionMap, paths: list[Path], dst: BinaryIO) -> None:
             try:
                 sources.append(stack.enter_context(open(path, "rb", buffering=0)))
             except FileNotFoundError:
-                raise MissingFragment(f"device {entry.label} has no fragment at {path}") from None
+                raise XdgdlError(f"device {entry.label} has no fragment at {path}") from None
             except OSError as exc:
                 raise IoFailure(path, f"cannot read fragment ({exc.strerror})") from exc
         gather(sources, dmap, dst)

@@ -52,7 +52,7 @@ from itertools import chain, cycle
 from operator import itemgetter
 from typing import Iterator, Sequence
 
-from .errors import ArithmeticOverflow, NoDevices
+from .errors import DescriptorError
 from .model import INT64_MAX, BlockDecl, ByteBlock, Document, ViewDecl
 
 __all__ = [
@@ -264,7 +264,7 @@ class PartitionVerdict:
 
 def _guard(value: int, what: str) -> int:
     if value > INT64_MAX:
-        raise ArithmeticOverflow(f"{what} exceeds the 64-bit range: {value}")
+        raise DescriptorError(f"{what} exceeds the 64-bit range: {value}")
     return value
 
 
@@ -389,7 +389,7 @@ def build_distribution_map(doc: Document, file_size: int) -> DistributionMap:
         for dev in srv.devices
     ]
     if not devices:
-        raise NoDevices(f"island {doc.island.name!r} declares no device to place bytes on")
+        raise DescriptorError(f"island {doc.island.name!r} declares no device to place bytes on")
     all_noview = all(dev.view is None for _, _, dev in devices)
     entries = []
     for i, (island, host, dev) in enumerate(devices):
@@ -426,21 +426,23 @@ def check_partition(dmap: DistributionMap) -> PartitionVerdict:
 def _stretches(entries: Sequence[MapEntry], size: int, cut: int) -> Iterator[tuple[int, int, tuple[str, ...]]]:
     """The stretches ``(start, end, claimants)`` of [0, size) claimed by no
     entry or by two or more, split where the claimants change and at
-    ``cut``, by an event sweep over the entries' runs of [0, size)."""
-    deltas: dict[int, list[tuple[int, str]]] = {}
-    for entry in entries:
+    ``cut``, by an event sweep over the entries' runs of [0, size).
+    Claimants are the entries' labels, sorted; two entries with one label
+    (a device listed twice) are both named."""
+    deltas: dict[int, list[tuple[int, int]]] = {}
+    for i, entry in enumerate(entries):
         for start, length in entry.selection.runs(size):
-            deltas.setdefault(start, []).append((1, entry.label))
-            deltas.setdefault(start + length, []).append((-1, entry.label))
+            deltas.setdefault(start, []).append((1, i))
+            deltas.setdefault(start + length, []).append((-1, i))
     cuts = sorted(set(deltas) | {0, min(cut, size), size})
-    active: dict[str, int] = {}
+    active: dict[int, int] = {}
     for pos, nxt in zip(cuts, cuts[1:]):
-        for delta, label in deltas.get(pos, ()):
-            active[label] = active.get(label, 0) + delta
-            if active[label] == 0:
-                del active[label]
+        for delta, i in deltas.get(pos, ()):
+            active[i] = active.get(i, 0) + delta
+            if active[i] == 0:
+                del active[i]
         if sum(active.values()) != 1:
-            yield pos, nxt, tuple(sorted(active))
+            yield pos, nxt, tuple(sorted(entries[i].label for i in active))
 
 
 def render_plan(dmap: DistributionMap) -> str:

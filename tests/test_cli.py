@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from descriptors import (
     TWO_SERVER_XML,
 )
 from reference import naive_coverage, naive_owners, painted_report
+import xdgdl
 from xdgdl import OwnerMap, parse_document, store, views
 from xdgdl.cli import main
 
@@ -25,6 +27,26 @@ UNUSABLE_ENCODINGS = ["NO-SUCH", "base64", "rot13", "UTF-7", "shift_jis", "utf-3
 
 
 _FIRST_BLOCK = "/PARSTORAGE/ISLAND[1]/SERVER[1]/DEVICE[1]/VIEW[1]/BLOCK[1]"
+
+# the exit code each exported error ends a command with
+EXIT_CODES = {
+    "XdgdlError": 4,
+    "IoFailure": 4,
+    "DescriptorError": 2,
+    "ParseError": 2,
+    "ValidationError": 2,
+    "InvalidDocument": 2,
+    "ConfigError": 2,
+    "MissingKey": 2,
+    "UnknownKey": 2,
+    "DeviceCountMismatch": 2,
+    "NotAPartition": 3,
+}
+
+
+def test_every_exported_error_carries_its_exit_code():
+    exported = {n: c for n, c in vars(xdgdl).items() if isinstance(c, type) and issubclass(c, Exception)}
+    assert {name: cls.exit_code for name, cls in exported.items()} == EXIT_CODES
 
 
 @pytest.fixture
@@ -134,6 +156,17 @@ class TestPlan:
         argv = ["gather", str(two_server), "--frags", str(tmp_path), "--size", "9223372036854775807", "--out", "g"]
         assert main(argv) == 4
         assert "has no fragment" in capsys.readouterr().err
+
+    def test_missing_descriptor_exits_4(self, tmp_path, capsys):
+        missing = tmp_path / "missing.xml"
+        assert main(["plan", str(missing), "--size", "4"]) == 4
+        assert capsys.readouterr() == ("", f"xdgdl: [Errno 2] No such file or directory: '{missing}'\n")
+
+    def test_plan_past_memory_is_one_line_exit_4(self, two_server, capsys):
+        """The plan of a 10**15-byte file would need hundreds of TB, past
+        any address space, so the allocation fails at once."""
+        assert main(["plan", str(two_server), "--size", str(10**15)]) == 4
+        assert capsys.readouterr() == ("", "xdgdl: out of memory\n")
 
     def test_empty_device_line_keeps_tab(self, tmp_path, capsys):
         conf_doc = TWO_SERVER_XML  # size 3 leaves server 2's first take beyond the region
@@ -266,6 +299,17 @@ class TestCp:
         assert main(["init"]) == 2
         assert capsys.readouterr().err.startswith(f"xdgdl: cannot read VIP_CONF={conf}: 'utf-8' codec can't decode")
         assert not (store_env / "grid").exists()
+
+    def test_default_descriptor_that_breaks_a_rule_exits_2(self, store_env, capsys):
+        """An empty SRV_GROUP_NAME names the default descriptor's island:
+        its violation is printed as plan prints one, and nothing is stored."""
+        conf = store_env / "ViPIOS.conf"
+        conf.write_text(conf.read_text().replace('"vipios_server"', '""'))
+        src = store_env / "data"
+        src.write_bytes(b"x" * 10)
+        assert main(["cp-in", str(src)]) == 2
+        assert capsys.readouterr().err == "[required-nonempty] /PARSTORAGE/ISLAND[1]: NAME must be nonempty\n"
+        assert not (store_env / "grid" / "vipios" / "data").exists()
 
     def test_cp_out_corrupt_size_exits_4(self, store_env, capsys):
         src = store_env / "data.bin"
@@ -490,6 +534,25 @@ class TestHpfCompile:
         desc = tmp_path / "logical.xml"
         desc.write_text(self.DESC)
         assert main(["hpf-compile", str(desc), "--servers", "h1,h2"]) == 2
+        assert capsys.readouterr() == ("", "xdgdl: mapping needs 3 servers, --servers lists 2\n")
+
+    def test_block_with_group_size_is_a_validate_warning(self, tmp_path, capsys):
+        """DIST_SKALAR on a BLOCK dimension is the validation rule's
+        warning; hpf-compile compiles it without a word."""
+        desc = tmp_path / "logical.xml"
+        desc.write_text(self.DESC.replace('DISTRIBUTE="CYCLIC"', 'DISTRIBUTE="BLOCK"'))
+        assert main(["validate", str(desc)]) == 0
+        assert capsys.readouterr().out == (
+            "warning: [block-dist-skalar] /PARSTORAGE/TYPE[1]/ARRAY[1]/DIMENSION[1]: "
+            "DIST_SKALAR has no effect on BLOCK distribution\n"
+            "warning: [island-empty] /PARSTORAGE/ISLAND[1]: island declares no servers; nothing can be placed\nOK\n"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["hpf-compile", str(desc), "--servers", "h1,h2,h3"]) == 0
+        compiled, err = capsys.readouterr()
+        assert err == ""
+        assert [s.host for s in parse_document(compiled).island.servers] == ["h1", "h2", "h3"]
 
     @pytest.mark.parametrize(
         "field, bad, path",
@@ -530,6 +593,7 @@ class TestHpfCompile:
 
     def test_no_distributed_array_exits_2(self, two_server, capsys):
         assert main(["hpf-compile", str(two_server), "--servers", "h1"]) == 2
+        assert capsys.readouterr() == ("", "xdgdl: expected exactly one distributed ARRAY, found 0\n")
 
     def test_failed_write_leaves_the_old_out_file(self, tmp_path, capsys, monkeypatch):
         desc, out = tmp_path / "logical.xml", tmp_path / "compiled.xml"

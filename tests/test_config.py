@@ -49,6 +49,20 @@ def test_declared_count_higher_than_paths():
     assert err.value.token == "VIP_DIR"
 
 
+def test_key_at_the_end_is_missing_its_value():
+    text = FULL_CONFIG.replace('VIP_DIR "/home/felder/vipios"', "VIP_DIR")
+    with pytest.raises(ConfigError, match=r"^VIP_DIR is missing its value \(token 14\)$"):
+        parse_config(text)
+
+
+def test_device_list_at_the_end_ends_early():
+    text = FULL_CONFIG.replace("SRVR_DEVICE_LIST 3", "SRVR_DEVICE_LIST 4").replace('VIP_DIR "/home/felder/vipios"', "")
+    text = 'VIP_DIR "/home/felder/vipios" ' + text
+    with pytest.raises(DeviceCountMismatch, match=r"^SRVR_DEVICE_LIST declares 4 devices but the list ends early: '4' \(token 12\)$") as err:
+        parse_config(text)
+    assert (err.value.token, err.value.ordinal) == ("4", 12)
+
+
 def test_missing_key():
     text = FULL_CONFIG.replace("DATA_BUFLEN 4096", "")
     with pytest.raises(MissingKey) as err:

@@ -6,15 +6,14 @@ from gen import entry_of
 from xdgdl import (
     ArrayDecl,
     CompoundDecl,
+    DescriptorError,
     DimensionDecl,
-    DimensionMismatch,
     Distribution,
     DistributionMap,
     EtypeDecl,
     Major,
     PartitionStatus,
     ProcessorsDecl,
-    UnresolvedProcessors,
     check_partition,
     compile_hpf_mapping,
     enumerate_extents,
@@ -85,7 +84,7 @@ class TestCompile:
         assert om.owners == (0, 0, 1, 1, 2, 2, 0, 0, 1, 1, 2, 2)
 
     def test_wrong_processors_name(self):
-        with pytest.raises(UnresolvedProcessors):
+        with pytest.raises(DescriptorError, match="array a is distributed onto 'P', not 'Q'"):
             compile_hpf_mapping(dist_array(8, Distribution.BLOCK), procs(2, name="Q"))
 
     def test_too_many_distributed_dims(self):
@@ -97,12 +96,8 @@ class TestCompile:
             ),
             distribute_onto="P",
         )
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DescriptorError, match="2 distributed dimensions cannot map onto 1 processor dimensions"):
             compile_hpf_mapping(arr, procs(2))
-
-    def test_block_with_group_size_warns(self):
-        with pytest.warns(UserWarning):
-            compile_hpf_mapping(dist_array(8, Distribution.BLOCK, k=2), procs(2))
 
     def test_no_distribution_single_owner(self):
         om = compile_hpf_mapping(dist_array(6, Distribution.NO), procs(4))

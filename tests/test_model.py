@@ -358,6 +358,12 @@ class TestSerialize:
         assert '<ISLAND NAME="lonely"' in text
         assert "<SERVER" not in text
 
+    def test_server_without_devices_round_trips(self):
+        doc = small_doc(island=IslandDecl("isle", (ServerDecl("h"),)))
+        text = serialize_document(doc)
+        assert '    <SERVER HOST="h"/>' in text.splitlines()
+        assert parse_document(text) == doc
+
     def test_invalid_document_refused(self):
         doc = small_doc(types=())
         with pytest.raises(InvalidDocument):

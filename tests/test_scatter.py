@@ -10,11 +10,9 @@ from gen import entry_of, gather_bytes, scatter_bytes
 from reference import view_selecting
 from xdgdl import (
     DistributionMap,
-    ExtraFragment,
     IoFailure,
-    LengthMismatch,
-    MissingFragment,
     NotAPartition,
+    XdgdlError,
     build_distribution_map,
     gather,
     member_oracle,
@@ -85,11 +83,15 @@ class TestScatter:
             with pytest.raises(IoFailure, match="size changed while copying"):
                 scatter_bytes(data, whole_file_map(4))
 
-    @pytest.mark.parametrize("count, error", [(2, MissingFragment), (4, ExtraFragment)])
-    def test_sink_count_is_checked_before_a_byte_moves(self, balanced_doc, count, error):
+    @pytest.mark.parametrize(
+        "count, message",
+        [(2, "no fragment for device .*/vipclus10"), (4, "4 fragments for 3 map entries")],
+        ids=["2-MissingFragment", "4-ExtraFragment"],
+    )
+    def test_sink_count_is_checked_before_a_byte_moves(self, balanced_doc, count, message):
         dmap = build_distribution_map(balanced_doc, 82)
         src, sinks = io.BytesIO(pattern_bytes(82)), [io.BytesIO() for _ in range(count)]
-        with pytest.raises(error):
+        with pytest.raises(XdgdlError, match=message):
             scatter(src, dmap, sinks)
         assert src.tell() == 0
         assert [sink.getvalue() for sink in sinks] == [b""] * count
@@ -117,7 +119,7 @@ class TestGather:
     def test_missing_fragment(self, two_server_doc):
         dmap = build_distribution_map(two_server_doc, 72)
         frags = scatter_bytes(pattern_bytes(72), dmap)
-        with pytest.raises(MissingFragment) as err:
+        with pytest.raises(XdgdlError, match="no fragment for device") as err:
             gather_bytes(frags[:1], dmap)
         assert "vipclus9" in str(err.value)
 
@@ -125,21 +127,26 @@ class TestGather:
         dmap = build_distribution_map(two_server_doc, 72)
         frags = scatter_bytes(pattern_bytes(72), dmap)
         broken = [frags[0] + b"!", frags[1]]
-        with pytest.raises(LengthMismatch) as err:
+        with pytest.raises(XdgdlError, match="has 31 bytes, extents total 30") as err:
             gather_bytes(broken, dmap)
         assert "vipios.pri" in str(err.value)
 
     def test_extra_fragment(self):
         dmap = whole_file_map(4)
         frags = scatter_bytes(b"abcd", dmap)
-        with pytest.raises(ExtraFragment):
+        with pytest.raises(XdgdlError, match="2 fragments for 1 map entries"):
             gather_bytes(frags + [b""], dmap)
 
     @pytest.mark.parametrize(
-        "damage, error",
-        [(lambda p: p[:1], MissingFragment), (lambda p: p + [b""], ExtraFragment), (lambda p: [p[0][1:], p[1]], LengthMismatch)],
+        "damage, message",
+        [
+            (lambda p: p[:1], "no fragment for device .*/vipclus9"),
+            (lambda p: p + [b""], "3 fragments for 2 map entries"),
+            (lambda p: [p[0][1:], p[1]], "fragment for .*/vipios.* has 29 bytes, extents total 30"),
+        ],
+        ids=["<lambda>-MissingFragment", "<lambda>-ExtraFragment", "<lambda>-LengthMismatch"],
     )
-    def test_checks_come_before_any_allocation_or_write(self, two_server_doc, monkeypatch, damage, error):
+    def test_checks_come_before_any_allocation_or_write(self, two_server_doc, monkeypatch, damage, message):
         dmap = build_distribution_map(two_server_doc, 72)
         payloads = damage(scatter_bytes(pattern_bytes(72), dmap))
 
@@ -151,7 +158,7 @@ class TestGather:
             raise AssertionError("allocated before the checks passed")
 
         monkeypatch.setattr(scatter_module, "bytearray", no_buffer, raising=False)
-        with pytest.raises(error):
+        with pytest.raises(XdgdlError, match=message):
             gather([io.BytesIO(p) for p in payloads], dmap, Untouched())
 
 

@@ -25,6 +25,7 @@ from xdgdl import (
     ArrayDecl,
     BlockDecl,
     ByteBlock,
+    DescriptorError,
     DeviceDecl,
     DimensionDecl,
     Distribution,
@@ -32,7 +33,6 @@ from xdgdl import (
     EtypeDecl,
     IslandDecl,
     MapEntry,
-    NoDevices,
     PartitionStatus,
     ProcessorsDecl,
     ServerDecl,
@@ -223,7 +223,8 @@ class TestPartitionCertificate:
             for size in (rng.randint(0, 50), rng.randint(0, 1500)):
                 try:
                     self.agree(doc, size)
-                except NoDevices:
+                except DescriptorError as exc:  # only a document with no device to place bytes on
+                    assert "declares no device to place bytes on" in str(exc)
                     continue
                 checked += 1
         assert checked > 400
@@ -236,6 +237,20 @@ class TestPartitionCertificate:
             for size in (rng.randint(0, 40), rng.randint(0, 400), rng.randint(0, 2000)):
                 statuses.add(self.agree(doc, size).status)
         assert statuses == set(PartitionStatus)
+
+    def test_a_device_listed_twice_claims_its_bytes_twice(self):
+        """Two entries with one label overlap everywhere they select, and
+        the report names the label once per entry."""
+        doc = parse_document(TWO_SERVER_XML)
+        first = doc.island.servers[0]
+        doubled = dataclasses.replace(first, devices=first.devices * 2)
+        doc = dataclasses.replace(doc, island=dataclasses.replace(doc.island, servers=(doubled, *doc.island.servers[1:])))
+        assert validate_document(doc).ok
+        for size in (0, 5, 36, 100):
+            verdict = self.agree(doc, size)
+        label = build_distribution_map(doc, 0).entries[0].label
+        assert verdict.status is PartitionStatus.HAS_OVERLAPS
+        assert next(verdict.overlaps) == ((0, 5), (label, label))
 
     def test_near_misses_with_a_header_three_periods_on(self):
         """The report past the swept period is tiled: near misses whose

@@ -10,13 +10,12 @@ from reference import naive_coverage, naive_period, view_selecting
 from strategies import view_decls
 from test_selection import doc_of
 from xdgdl import (
-    ArithmeticOverflow,
     BlockDecl,
     ByteBlock,
+    DescriptorError,
     DeviceDecl,
     DistributionMap,
     IslandDecl,
-    NoDevices,
     PartitionStatus,
     ServerDecl,
     ViewDecl,
@@ -68,7 +67,7 @@ class TestPeriod:
 
     def test_overflow(self):
         huge = byte_view(0, 2**40, 2**40, 0)
-        with pytest.raises(ArithmeticOverflow):
+        with pytest.raises(DescriptorError, match="exceeds the 64-bit range"):
             view_period(huge)
 
     @settings(max_examples=200, deadline=None)
@@ -212,7 +211,7 @@ class TestDistributionMap:
 
     def test_no_devices(self):
         doc = parse_document(MINIMAL_XML)
-        with pytest.raises(NoDevices):
+        with pytest.raises(DescriptorError, match="island 'lonely' declares no device to place bytes on"):
             build_distribution_map(doc, 10)
 
 
