@@ -12,6 +12,7 @@ error that ended it (see ``errors``):
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import re
 import sys
@@ -57,13 +58,9 @@ def _print_verdict(exc: NotAPartition) -> None:
         print(f"  overlap {start}:{length} claimed by {', '.join(claimants)}", file=sys.stderr)
 
 
-def _load_document(path: str) -> Document:
-    return parse_document(Path(path).read_bytes())
-
-
 def _load_valid_document(path: str) -> Document:
     """The parsed descriptor; InvalidDocument if it breaks a rule."""
-    doc = _load_document(path)
+    doc = parse_document(Path(path).read_bytes())
     report = validate_document(doc)
     if not report.ok:
         raise InvalidDocument(report)
@@ -82,7 +79,7 @@ def _size_arg(raw: str) -> int:
 
 
 def cmd_validate(args) -> int:
-    doc = _load_document(args.descriptor)
+    doc = parse_document(Path(args.descriptor).read_bytes())
     report = validate_document(doc)
     for warning in report.warnings:
         print(f"warning: {warning}")
@@ -204,7 +201,9 @@ def cmd_init(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every ``main`` call."""
     parser = argparse.ArgumentParser(
         prog="xdgdl",
         description="Validate, plan and execute grid data-distribution descriptors.",

@@ -75,8 +75,15 @@ def _positive_int(tok: _Token, key: str) -> int:
     return value
 
 
+def _nonempty(tok: _Token, key: str) -> str:
+    if not tok.text:
+        raise ConfigError(f"{key} must be nonempty, got '' (token {tok.ordinal})")
+    return tok.text
+
+
 def parse_config(text: str) -> VipfsConfig:
-    """Parse configuration text; all six keys are required.
+    """Parse configuration text; all six keys are required, the device
+    list declares at least one device, and no name or path is empty.
 
     A token in key position that is not a known key is rejected: paths
     there point at a device-list count shorter than the paths supplied,
@@ -101,14 +108,11 @@ def parse_config(text: str) -> VipfsConfig:
             values[key] = _positive_int(tokens[i], key)
             i += 1
         elif key in ("SRV_GROUP_NAME", "VIP_DIR"):
-            values[key] = tokens[i].text
+            values[key] = _nonempty(tokens[i], key)
             i += 1
         else:  # SRVR_DEVICE_LIST
             declared = tokens[i]
-            try:
-                count = parse_size(declared.text)
-            except ValueError:
-                raise ConfigError(f"SRVR_DEVICE_LIST expects a count, got {declared.text!r} (token {declared.ordinal})") from None
+            count = _positive_int(declared, key)
             i += 1
             paths = []
             for _ in range(count):
@@ -117,7 +121,7 @@ def parse_config(text: str) -> VipfsConfig:
                 path_tok = tokens[i]
                 if not path_tok.quoted and path_tok.text in _KEYS:
                     raise DeviceCountMismatch(path_tok.text, path_tok.ordinal, f"SRVR_DEVICE_LIST declares {count} devices but fewer paths follow")
-                paths.append(path_tok.text)
+                paths.append(_nonempty(path_tok, "SRVR_DEVICE_LIST path"))
                 i += 1
             values[key] = tuple(paths)
     for key in _KEYS:

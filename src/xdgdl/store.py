@@ -47,7 +47,7 @@ from .scatter import WINDOW_BYTES, gather, remaining, require_exact, scatter, wr
 from .views import DistributionMap, build_distribution_map
 
 __all__ = [
-    "LayoutDevice", "GridLayout", "StoredFile", "init_store", "put_file", "get_file", "rebuild", "committed",
+    "LayoutDevice", "GridLayout", "StoredFile", "grid_layout", "init_store", "put_file", "get_file", "rebuild", "committed",
     "measured",
 ]
 
@@ -64,7 +64,7 @@ class LayoutDevice:
 
 @dataclass(frozen=True)
 class GridLayout:
-    """Materialized store: user-visible root plus ordered device dirs."""
+    """The store's paths: user-visible root plus ordered device dirs."""
 
     root: Path
     devices: tuple[LayoutDevice, ...]
@@ -77,35 +77,32 @@ class StoredFile:
     fragment_paths: tuple[Path, ...]
 
 
-def init_store(cfg: VipfsConfig) -> GridLayout:
-    """Create device directories and the user-visible root; idempotent."""
+def grid_layout(cfg: VipfsConfig) -> GridLayout:
+    """The store's paths and host names under ``cfg``; creates nothing."""
     if not cfg.device_paths:
         raise XdgdlError("configuration declares zero devices")
-    seen: set[Path] = set()
-    devices = []
-    for i, raw in enumerate(cfg.device_paths):
-        directory = Path(raw)
-        if directory in seen:
+    directories = [Path(raw) for raw in cfg.device_paths]
+    for i, directory in enumerate(directories):
+        if directory in directories[:i]:
             raise IoFailure(directory, "device directories must be distinct")
-        seen.add(directory)
+    devices = tuple(
+        LayoutDevice(island=cfg.srv_group_name, host=f"{cfg.srv_group_name}.{i + 1}", device_id=raw, directory=directory)
+        for i, (raw, directory) in enumerate(zip(cfg.device_paths, directories))
+    )
+    return GridLayout(root=Path(cfg.vip_dir), devices=devices)
+
+
+def init_store(cfg: VipfsConfig) -> GridLayout:
+    """The layout (``grid_layout``), with its device directories and
+    user-visible root created; idempotent."""
+    layout = grid_layout(cfg)
+    targets = [(d.directory, "device directory") for d in layout.devices] + [(layout.root, "store root")]
+    for directory, what in targets:
         try:
             directory.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
-            raise IoFailure(directory, f"cannot create device directory ({exc})") from exc
-        devices.append(
-            LayoutDevice(
-                island=cfg.srv_group_name,
-                host=f"{cfg.srv_group_name}.{i + 1}",
-                device_id=raw,
-                directory=directory,
-            )
-        )
-    root = Path(cfg.vip_dir)
-    try:
-        root.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise IoFailure(root, f"cannot create store root ({exc})") from exc
-    return GridLayout(root=root, devices=tuple(devices))
+            raise IoFailure(directory, f"cannot create {what} ({exc})") from exc
+    return layout
 
 
 @contextmanager

@@ -9,6 +9,7 @@ total: bad sidecar content downgrades to a diagnostic, never a failure.
 
 from __future__ import annotations
 
+import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,7 +26,7 @@ from .model import (
     parse_document,
     validate_document,
 )
-from .store import StoredFile, committed, get_file, init_store, put_file
+from .store import StoredFile, committed, get_file, grid_layout, init_store, put_file
 from .views import round_robin_view
 
 __all__ = [
@@ -108,7 +109,9 @@ def copy_in(cfg: VipfsConfig, src: Path) -> tuple[StoredFile, str | None]:
     """Distribute a local file into the store under its base name.
 
     Returns the stored record plus the sidecar diagnostic when the
-    default distribution was used.
+    default distribution was used.  A source that is itself the stub the
+    store would write (the store root is its directory) raises IoFailure
+    before anything is written.
     """
     layout = init_store(cfg)
     try:
@@ -120,15 +123,19 @@ def copy_in(cfg: VipfsConfig, src: Path) -> tuple[StoredFile, str | None]:
         descriptor = sidecar.document
     else:
         descriptor = default_descriptor(cfg, timestamp_for_name(src.name))
+    stub = layout.root / src.name
     with stream:
+        if stub.exists() and os.path.samestat(os.fstat(stream.fileno()), stub.stat()):
+            raise IoFailure(src, "cannot store a file over itself, the store root holds it")
         stored = put_file(layout, src.name, stream, descriptor, manifest_text=sidecar.text)
     return stored, sidecar.diagnostic
 
 
 def copy_out(cfg: VipfsConfig, name: str, dst: Path) -> Path:
     """Rebuild a stored file into dst (or into dst if a dir).  The bytes
-    go to ``<target>.tmp`` first, so a failed copy leaves no target."""
-    layout = init_store(cfg)
+    go to ``<target>.tmp`` first, so a failed copy leaves no target; no
+    store directory is created."""
+    layout = grid_layout(cfg)
     target = dst / name if dst.is_dir() else dst
     with committed([target]) as (sink,):
         get_file(layout, name, sink)

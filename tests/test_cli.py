@@ -1,3 +1,4 @@
+import argparse
 import io
 import logging
 import os
@@ -301,15 +302,36 @@ class TestCp:
         assert not (store_env / "grid").exists()
 
     def test_default_descriptor_that_breaks_a_rule_exits_2(self, store_env, capsys):
-        """An empty SRV_GROUP_NAME names the default descriptor's island:
-        its violation is printed as plan prints one, and nothing is stored."""
+        """An empty SRV_GROUP_NAME would name the default descriptor's
+        island; the configuration is refused first, naming the key, and
+        nothing is stored."""
         conf = store_env / "ViPIOS.conf"
         conf.write_text(conf.read_text().replace('"vipios_server"', '""'))
         src = store_env / "data"
         src.write_bytes(b"x" * 10)
         assert main(["cp-in", str(src)]) == 2
-        assert capsys.readouterr().err == "[required-nonempty] /PARSTORAGE/ISLAND[1]: NAME must be nonempty\n"
-        assert not (store_env / "grid" / "vipios" / "data").exists()
+        assert capsys.readouterr().err == "xdgdl: SRV_GROUP_NAME must be nonempty, got '' (token 8)\n"
+        assert not (store_env / "grid").exists()
+
+    def test_cp_in_of_a_file_in_the_store_root_is_refused(self, tmp_path, monkeypatch, capsys):
+        """With the store root the source's own directory, the stub the
+        store renames into place is the source itself."""
+        conf = tmp_path / "ViPIOS.conf"
+        conf.write_text('MAX_APP 5 MAX_SRV_FILE 32 DATA_BUFLEN 16 SRV_GROUP_NAME "g" SRVR_DEVICE_LIST 2 d1 d2 VIP_DIR "."')
+        monkeypatch.setenv("VIP_CONF", str(conf))
+        monkeypatch.delenv("VIP_DIR", raising=False)
+        monkeypatch.chdir(tmp_path)
+        data = random.Random(5).randbytes(100)
+        (tmp_path / "x.bin").write_bytes(data)
+        assert main(["cp-in", "x.bin"]) == 4
+        assert capsys.readouterr().err == "xdgdl: cannot store a file over itself, the store root holds it: x.bin\n"
+        assert (tmp_path / "x.bin").read_bytes() == data
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["ViPIOS.conf", "d1", "d2", "x.bin"]
+
+    def test_cp_out_creates_no_directories(self, store_env, capsys):
+        assert main(["cp-out", "nothing", str(store_env / "out.bin")]) == 4
+        assert capsys.readouterr().err == "xdgdl: no stored descriptor for 'nothing'\n"
+        assert sorted(p.name for p in store_env.iterdir()) == ["ViPIOS.conf"]
 
     def test_cp_out_corrupt_size_exits_4(self, store_env, capsys):
         src = store_env / "data.bin"
@@ -650,3 +672,61 @@ class TestInit:
         out = capsys.readouterr().out
         assert out.count("vipios_server.") == 3
         assert "root\t" in out
+
+
+class TestOneParser:
+    """``main`` builds its parser once per process and reuses it on every
+    later call; nothing carries over from one call to the next."""
+
+    def test_later_calls_construct_no_parser(self, two_server, monkeypatch, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        argparse.ArgumentParser(prog="probe")
+        assert built == ["probe"]  # the wrapper sees every construction
+        argv = ["plan", str(two_server), "--size", "72"]
+        assert main(argv) == 0  # warm-up
+        built.clear()
+        for _ in range(3):
+            assert main(argv) == 0
+        assert built == []
+
+    def test_out_then_stdout(self, tmp_path, capsys):
+        desc, out = tmp_path / "logical.xml", tmp_path / "compiled.xml"
+        desc.write_text(TestHpfCompile.DESC)
+        assert main(["hpf-compile", str(desc), "--servers", "h1,h2,h3", "--out", str(out)]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert main(["hpf-compile", str(desc), "--servers", "h1,h2,h3"]) == 0
+        assert capsys.readouterr() == (out.read_text(encoding="iso-8859-1"), "")
+
+    def test_usage_error_then_valid_call(self, two_server, capsys):
+        argv = ["plan", str(two_server), "--size", "72"]
+        assert main(argv) == 0
+        expected = capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["plan", str(two_server), "--size", "-1"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr() == expected
+
+    @pytest.mark.parametrize("argv", [["--help"], ["plan", "--help"]], ids=["top", "plan"])
+    def test_help_is_the_same_on_a_later_call(self, two_server, monkeypatch, capsys, argv):
+        """The first call of a fresh process and two later calls here
+        print the same bytes."""
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), COLUMNS="80")
+        proc = subprocess.run([sys.executable, "-m", "xdgdl.cli", *argv], env=env, capture_output=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        monkeypatch.setenv("COLUMNS", "80")
+        assert main(["plan", str(two_server), "--size", "72"]) == 0
+        capsys.readouterr()
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 0
+            assert capsys.readouterr() == (proc.stdout.decode(), "")

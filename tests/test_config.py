@@ -125,6 +125,43 @@ def test_zero_buflen_rejected():
         parse_config(FULL_CONFIG.replace("DATA_BUFLEN 4096", "DATA_BUFLEN 0"))
 
 
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ('"vipios_server"', '""', "SRV_GROUP_NAME must be nonempty, got '' (token 8)"),
+        ('"/home/felder/vipios"', '""', "VIP_DIR must be nonempty, got '' (token 15)"),
+        ("/home/felder/ViPIOS/dev2/", '""', "SRVR_DEVICE_LIST path must be nonempty, got '' (token 12)"),
+    ],
+    ids=["SRV_GROUP_NAME", "VIP_DIR", "device-path"],
+)
+def test_empty_quoted_value_is_a_config_error(tmp_path, monkeypatch, capsys, old, new, message):
+    text = FULL_CONFIG.replace(old, new)
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert str(err.value) == message
+    conf = tmp_path / "empty.conf"
+    conf.write_text(text, encoding="utf-8")
+    monkeypatch.setenv("VIP_CONF", str(conf))
+    assert main(["init"]) == 2
+    assert capsys.readouterr() == ("", f"xdgdl: {message}\n")
+
+
+def test_empty_device_list_is_a_config_error(tmp_path, monkeypatch, capsys):
+    """Zero devices is refused where the count is read, not later by the
+    store; the store keeps its own check for configurations built directly."""
+    text = 'MAX_APP 5 MAX_SRV_FILE 32 DATA_BUFLEN 4096 SRV_GROUP_NAME "g" SRVR_DEVICE_LIST 0 VIP_DIR "v"'
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert str(err.value) == "SRVR_DEVICE_LIST must be >= 1, got 0 (token 10)"
+    conf = tmp_path / "empty.conf"
+    conf.write_text(text, encoding="utf-8")
+    monkeypatch.setenv("VIP_CONF", str(conf))
+    monkeypatch.chdir(tmp_path)
+    assert main(["init"]) == 2
+    assert capsys.readouterr() == ("", f"xdgdl: {err.value}\n")
+    assert not (tmp_path / "v").exists()
+
+
 def serialize_config(cfg: VipfsConfig) -> str:
     """Canonical token order; parse_config(serialize_config(c)) == c."""
     lines = [

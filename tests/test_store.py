@@ -17,6 +17,7 @@ from xdgdl import (
     parse_document,
     put_file,
 )
+from xdgdl.store import grid_layout
 from xdgdl.vipfs import default_descriptor
 
 
@@ -56,6 +57,11 @@ class TestInit:
         first = init_store(cfg)
         again = init_store(cfg)
         assert first == again
+
+    def test_layout_alone_creates_nothing(self, cfg, tmp_path):
+        layout = grid_layout(cfg)
+        assert list(tmp_path.iterdir()) == []
+        assert init_store(cfg) == layout
 
     def test_zero_devices(self, cfg):
         empty = VipfsConfig(
@@ -224,3 +230,4 @@ class TestDistinctDevices:
         )
         with pytest.raises(IoFailure):
             init_store(dup)
+        assert not (tmp_path / "same").exists()  # refused before anything is created
