@@ -8,6 +8,7 @@ count must match the number of path tokens that follow it.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import ConfigError, DeviceCountMismatch, MissingKey, UnknownKey
@@ -39,29 +40,17 @@ class _Token:
     quoted: bool
 
 
+# a quoted value, a quote that never closes, or a bare token up to whitespace
+_TOKEN = re.compile(r'"([^"]*)"|(")|(\S+)')
+
+
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    i = 0
-    ordinal = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        ordinal += 1
-        if c == '"':
-            end = text.find('"', i + 1)
-            if end < 0:
-                raise ConfigError(f"unterminated quote at token {ordinal}")
-            tokens.append(_Token(text[i + 1 : end], ordinal, True))
-            i = end + 1
-        else:
-            j = i
-            while j < n and not text[j].isspace():
-                j += 1
-            tokens.append(_Token(text[i:j], ordinal, False))
-            i = j
+    for ordinal, match in enumerate(_TOKEN.finditer(text), 1):
+        quoted, stray, bare = match.groups()
+        if stray:
+            raise ConfigError(f"unterminated quote at token {ordinal}")
+        tokens.append(_Token(bare if quoted is None else quoted, ordinal, quoted is not None))
     return tokens
 
 

@@ -57,7 +57,6 @@ class OwnerMap:
     Coordinate c goes to processor coordinate (c // group) % targets,
     which adds that times target_stride to the target index."""
 
-    array_name: str
     num_targets: int
     dims: tuple[tuple[int, int, int, int], ...]
 
@@ -137,7 +136,7 @@ def compile_hpf_mapping(arr: ArrayDecl, procs: ProcessorsDecl) -> OwnerMap:
         dims[i] = (n, n if p == 1 else min(group, n), p, math.prod(proc_shape[axis + 1 :]))
     if arr.major is Major.COLUMN:
         dims.reverse()
-    return OwnerMap(arr.name or "", math.prod(proc_shape), tuple(dims))
+    return OwnerMap(math.prod(proc_shape), tuple(dims))
 
 
 def ownermap_to_views(om: OwnerMap, element_bytes: int) -> list[ViewDecl]:

@@ -39,8 +39,10 @@ and then the window's slice for each run, in fragment order.  ``scatter``
 reads the source into the window, fills each strided share from it and
 writes each entry's slots with one ``os.writev`` per entry per window;
 ``gather`` reads each entry's slots with one ``os.readv``, assigns the
-strided shares into the window and writes it.  This is list I/O, as in
-ROMIO (Thakur, Gropp & Lusk, 1999): no byte is copied to join a share.
+strided shares into the window and writes it, both by one vectored
+transfer (``_vectored``).  This is list I/O, as in ROMIO (Thakur, Gropp
+& Lusk, 1999): no byte is copied to join a share.  A failed write, here
+or in the store, raises IoFailure by one rule (``writing``).
 Memory stays a window of ``WINDOW_BYTES`` bytes and its strided shares,
 plus the compiled selections.
 """
@@ -113,49 +115,35 @@ def _fill(src: BinaryIO, buf) -> None:
         view = view[got:]
 
 
-def _read_slots(src: BinaryIO, slots: list[memoryview]) -> None:
-    """Fill the slots in order from the stream: one ``os.readv`` per IOV_MAX
-    slots on an unbuffered file, then, after a short read or for any other
-    stream, ``readinto`` slot by slot.  A stream that ends first raises IoFailure."""
-    fd = src.fileno() if isinstance(src, io.FileIO) and hasattr(os, "readv") else None
-    for i in range(0, len(slots), IOV_MAX):
-        chunk = slots[i : i + IOV_MAX]
-        got = 0 if fd is None else os.readv(fd, chunk)
-        if got < sum(map(len, chunk)):
-            for slot in chunk:
-                _fill(src, slot[min(got, len(slot)) :])
-                got = max(0, got - len(slot))
-
-
-def _cannot_write(sink: BinaryIO, exc: OSError) -> IoFailure:
-    return IoFailure(getattr(sink, "name", "stream"), f"cannot write ({exc.strerror})")
+def writing(path, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``, an OSError raised as IoFailure on ``path``."""
+    try:
+        return fn(*args, **kwargs)
+    except OSError as exc:
+        raise IoFailure(path, f"cannot write ({exc.strerror})") from exc
 
 
 def write_all(sink: BinaryIO, data) -> None:
     """Write every byte, however many calls an unbuffered sink takes."""
-    view = memoryview(data)
-    try:
-        while view:
-            view = view[sink.write(view) :]
-    except OSError as exc:
-        raise _cannot_write(sink, exc) from exc
+    view, name = memoryview(data), getattr(sink, "name", "stream")
+    while view:
+        view = view[writing(name, sink.write, view) :]
 
 
-def _write_slots(sink: BinaryIO, slots: list[memoryview]) -> None:
-    """Write the slots in order to the stream: one ``os.writev`` per
-    IOV_MAX slots on an unbuffered file, then, after a short write or for
-    any other stream, ``write_all`` slot by slot.  An OSError raises IoFailure."""
-    fd = sink.fileno() if isinstance(sink, io.FileIO) and hasattr(os, "writev") else None
+def _vectored(stream: BinaryIO, slots: list[memoryview], syscall: str, fallback) -> None:
+    """Move the slots in order between the stream and memory: one
+    ``syscall`` (``os.readv`` or ``os.writev``) per IOV_MAX slots on an
+    unbuffered file, then, after a short transfer or for any other
+    stream, ``fallback(stream, rest)`` (``_fill`` or ``write_all``) for
+    what is left of each slot."""
+    call = getattr(os, syscall, None) if isinstance(stream, io.FileIO) else None
     for i in range(0, len(slots), IOV_MAX):
         chunk = slots[i : i + IOV_MAX]
-        try:
-            put = 0 if fd is None else os.writev(fd, chunk)
-        except OSError as exc:
-            raise _cannot_write(sink, exc) from exc
-        if put < sum(map(len, chunk)):
+        done = 0 if call is None else call(stream.fileno(), chunk)
+        if done < sum(map(len, chunk)):
             for slot in chunk:
-                write_all(sink, slot[min(put, len(slot)) :])
-                put = max(0, put - len(slot))
+                fallback(stream, slot[min(done, len(slot)) :])
+                done = max(0, done - len(slot))
 
 
 def _slots(sel: Selection, window: memoryview) -> tuple[bytearray, list[memoryview], list[tuple[slice, slice]]]:
@@ -204,7 +192,7 @@ def scatter(src: BinaryIO, dmap: DistributionMap, sinks: list[BinaryIO]) -> None
         for sink, (share, slots, strided) in zip(sinks, table):
             for window_slice, share_slice in strided:
                 share[share_slice] = buf[window_slice]  # a step slice of bytes copies faster than a strided memoryview
-            _write_slots(sink, slots)
+            writing(getattr(sink, "name", "stream"), _vectored, sink, slots, "writev", write_all)
     if src.read(1):
         raise _changed(src)
 
@@ -222,7 +210,7 @@ def gather(sources: list[BinaryIO], dmap: DistributionMap, dst: BinaryIO) -> Non
             raise XdgdlError(f"fragment for {entry.label} has {actual} bytes, extents total {expected}")
     for buf, window, table in _tabled_windows(dmap):
         for src, (share, slots, strided) in zip(sources, table):
-            _read_slots(src, slots)
+            _vectored(src, slots, "readv", _fill)
             for window_slice, share_slice in strided:
                 buf[window_slice] = share[share_slice]
         write_all(dst, window)

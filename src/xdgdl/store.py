@@ -10,7 +10,10 @@ of its own).  ``put_file`` refuses names that begin with ``.vd.``.
 Descriptor devices are resolved against layout devices positionally: the
 descriptors in circulation happily reuse one device id on every server,
 so ids are advisory and order is authoritative.  Fragments stay in
-map-entry order throughout.
+map-entry order throughout, and ``_fragment_paths`` is the one rule for
+where they live: ``<timestamp>.frag`` in the directory of the layout
+device at the entry's position.  No two devices share a directory,
+however it is spelled (``grid_layout`` compares resolved paths).
 
 ``put_file`` and ``get_file`` are the store's only write and read path,
 and they stream: ``put_file`` reads a binary stream and ``get_file``
@@ -43,7 +46,7 @@ from typing import BinaryIO, Iterator
 from .config import VipfsConfig
 from .errors import IoFailure, XdgdlError
 from .model import Document, parse_document, parse_size, serialize_document, validate_document
-from .scatter import WINDOW_BYTES, gather, remaining, require_exact, scatter, write_all
+from .scatter import WINDOW_BYTES, gather, remaining, require_exact, scatter, write_all, writing
 from .views import DistributionMap, build_distribution_map
 
 __all__ = [
@@ -56,7 +59,6 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class LayoutDevice:
-    island: str
     host: str
     device_id: str
     directory: Path
@@ -82,11 +84,12 @@ def grid_layout(cfg: VipfsConfig) -> GridLayout:
     if not cfg.device_paths:
         raise XdgdlError("configuration declares zero devices")
     directories = [Path(raw) for raw in cfg.device_paths]
+    resolved = [os.path.realpath(directory) for directory in directories]  # one directory however it is spelled
     for i, directory in enumerate(directories):
-        if directory in directories[:i]:
+        if resolved[i] in resolved[:i]:
             raise IoFailure(directory, "device directories must be distinct")
     devices = tuple(
-        LayoutDevice(island=cfg.srv_group_name, host=f"{cfg.srv_group_name}.{i + 1}", device_id=raw, directory=directory)
+        LayoutDevice(host=f"{cfg.srv_group_name}.{i + 1}", device_id=raw, directory=directory)
         for i, (raw, directory) in enumerate(zip(cfg.device_paths, directories))
     )
     return GridLayout(root=Path(cfg.vip_dir), devices=devices)
@@ -115,26 +118,18 @@ def committed(paths: list[Path]) -> Iterator[list[BinaryIO]]:
     try:
         try:
             for tmp in tmps:
-                sinks.append(_writing(tmp, open, tmp, "wb", buffering=0))
+                sinks.append(writing(tmp, open, tmp, "wb", buffering=0))
             yield sinks
         finally:
             for sink in sinks:
                 sink.close()
         for tmp, path in zip(tmps, paths):
-            _writing(path, os.replace, tmp, path)
+            writing(path, os.replace, tmp, path)
     except BaseException:
         for tmp in tmps:
             with suppress(OSError):  # a failed removal must not hide the failure being raised
                 tmp.unlink(missing_ok=True)
         raise
-
-
-def _writing(path: Path, fn, *args, **kwargs):
-    """``fn(*args, **kwargs)``, an OSError raised as IoFailure on ``path``."""
-    try:
-        return fn(*args, **kwargs)
-    except OSError as exc:
-        raise IoFailure(path, f"cannot write ({exc.strerror})") from exc
 
 
 @contextmanager
@@ -151,13 +146,15 @@ def measured(src: BinaryIO) -> Iterator[tuple[BinaryIO, int]]:
         yield spool, remaining(spool)
 
 
-def _devices_for(dmap: DistributionMap, layout: GridLayout) -> tuple[LayoutDevice, ...]:
-    """The layout devices the map's entries resolve to, positionally."""
+def _fragment_paths(dmap: DistributionMap, layout: GridLayout, timestamp: str) -> tuple[Path, ...]:
+    """Each map entry's fragment file, ``<timestamp>.frag`` in the
+    directory of the layout device the entry resolves to, positionally."""
     if len(dmap.entries) > len(layout.devices):
-        raise XdgdlError(
-            f"descriptor references {len(dmap.entries)} devices, layout provides {len(layout.devices)}"
-        )
-    return layout.devices[: len(dmap.entries)]
+        raise XdgdlError(f"descriptor references {len(dmap.entries)} devices, layout provides {len(layout.devices)}")
+    for entry, device in zip(dmap.entries, layout.devices):
+        if entry.device_id != device.device_id:
+            log.debug("descriptor device %s resolved positionally to %s", entry.device_id, device.directory)
+    return tuple(device.directory / f"{timestamp}.frag" for device in layout.devices[: len(dmap.entries)])
 
 
 def put_file(
@@ -182,14 +179,8 @@ def put_file(
         raise IoFailure(layout.root / name, "cannot store a name that begins with the reserved '.vd.' prefix")
     with measured(src) as (src, size):
         dmap = build_distribution_map(manifest, size)
-        devices = _devices_for(dmap, layout)
-        for entry, device in zip(dmap.entries, devices):
-            if entry.device_id != device.device_id:
-                log.debug("descriptor device %s resolved positionally to %s", entry.device_id, device.directory)
+        frag_paths = _fragment_paths(dmap, layout, manifest.timestamp)
         require_exact(dmap)  # raises NotAPartition before anything is written
-
-        timestamp = manifest.timestamp
-        frag_paths = tuple(device.directory / f"{timestamp}.frag" for device in devices)
         for path in frag_paths:
             if path.exists():
                 raise XdgdlError(f"fragment {path} already exists")
@@ -205,7 +196,7 @@ def put_file(
             scatter(src, dmap, sinks[: len(frag_paths)])
             for sink, payload in zip(sinks[len(frag_paths) :], metadata.values()):
                 write_all(sink, payload)
-        return StoredFile(timestamp_id=timestamp, manifest=manifest, fragment_paths=frag_paths)
+        return StoredFile(timestamp_id=manifest.timestamp, manifest=manifest, fragment_paths=frag_paths)
 
 
 def get_file(layout: GridLayout, name: str, dst: BinaryIO) -> None:
@@ -231,8 +222,7 @@ def get_file(layout: GridLayout, name: str, dst: BinaryIO) -> None:
     except ValueError as exc:
         raise XdgdlError(f"stored size for {name!r} is corrupt: {exc}") from None
     dmap = build_distribution_map(manifest, size)
-    paths = [device.directory / f"{manifest.timestamp}.frag" for device in _devices_for(dmap, layout)]
-    rebuild(dmap, paths, dst)
+    rebuild(dmap, _fragment_paths(dmap, layout, manifest.timestamp), dst)
 
 
 def rebuild(dmap: DistributionMap, paths: list[Path], dst: BinaryIO) -> None:

@@ -12,8 +12,8 @@ once per take).  The pattern tiles until the region is exhausted; takes
 straddling the region end are clipped, never dropped.
 
 The data path works on each view's compiled ``Selection``: its header,
-its period and the merged pieces of one period, walked once and
-memoized on the (frozen) view, in the manner of FALLS nested strided
+its period and the merged pieces of one period, walked once and kept
+in the view's block table, in the manner of FALLS nested strided
 segments or an MPI-IO vector file view.  ``Selection`` owns the piece
 arithmetic, including ``shifted``, the one builder of a selection as
 seen from any byte, over a window of any length.  A ``MapEntry`` is a
@@ -34,11 +34,16 @@ shifted to start at its second piece, where the last piece absorbs
 the next period's first.  Plans, extents, the sweep and scatter read
 these runs.
 
-Two independent evaluators are kept deliberately separate so they can
-check each other: ``enumerate_extents`` expands the compiled selection
-period by period, while ``member_oracle`` answers per-byte membership
-purely arithmetically (modulo the period, then span subtraction and
-division).
+A view's constants are worked out once, in one block table memoized on
+the (frozen) view (``_blocks``): the period (the blocks' spans plus the
+trailing skip, without the one-time skip_header) and, per block, the
+bytes of a take, of a take and its stride, and of the block.  The two
+evaluators share that table and nothing else, so they check each other's
+use of it: ``enumerate_extents`` expands the selection a cursor walk of
+the rows compiles, and ``member_oracle`` answers per-byte membership
+arithmetically (modulo the period, then span subtraction and division).
+A wrong table constant would fool both; the test suite's naive painter
+derives its own and catches it.
 """
 
 from __future__ import annotations
@@ -268,60 +273,56 @@ def _guard(value: int, what: str) -> int:
     return value
 
 
+class _Blocks:
+    """A view's block table (module notes): its ``period`` and, per block,
+    ``(offset, repeat, take, step, span, nested)``, with take = count*unit
+    (one byte, or the nested view's period) and step = take + stride."""
+
+    def __init__(self, view: ViewDecl):
+        self.header, rows, period = view.skip_header, [], view.skip
+        for b in view.blocks:
+            nested = b.child if isinstance(b.child, ViewDecl) else None
+            take = b.count * (1 if nested is None else view_period(nested))
+            span = b.offset + b.repeat * take + (b.repeat - 1) * b.stride
+            rows.append((b.offset, b.repeat, take, take + b.stride, span, nested))
+            period += span
+        self.rows = tuple(rows)
+        self.period = _guard(period, "view period")
+
+    @cached_property
+    def selection(self) -> Selection:
+        """The rows cursor-walked over one period; ValueError for a
+        negative parameter or a REPEAT below 1 (module notes)."""
+        pieces: list[tuple[int, int]] = []
+        cursor = 0
+        for offset, repeat, take, step, span, nested in self.rows:
+            if repeat < 1:
+                raise ValueError(f"block REPEAT {repeat} is not positive")
+            child = None if nested is None else _compile(nested)
+            # the child's runs, the same in every take; a negative take
+            # stays one piece, for the Selection check to reject
+            inner = tuple(child.runs(take)) if child is not None and take >= 0 else [(0, take)]
+            pieces.extend((cursor + offset + r * step + a, n) for r in range(repeat) for a, n in inner)
+            cursor = _guard(cursor + span, "view cursor")
+        return Selection(self.header, self.period, tuple(pieces))
+
+
+def _blocks(view: ViewDecl) -> _Blocks:
+    """The view's block table, memoized on the (frozen) view."""
+    table = view.__dict__.get("_blocks")
+    if table is None:
+        table = view.__dict__["_blocks"] = _Blocks(view)
+    return table
+
+
 def view_period(view: ViewDecl) -> int:
-    """Bytes one pattern instance spans before it repeats.
-
-    Closed form: sum over blocks of offset + repeat*count*unit +
-    (repeat-1)*stride, plus the trailing skip.  The one-time skip_header
-    is not part of the period.
-    """
-    # views are frozen, so the period is memoized on the instance
-    cached = view.__dict__.get("_period")
-    if cached is not None:
-        return cached
-    total = view.skip
-    for b in view.blocks:
-        unit = 1 if isinstance(b.child, ByteBlock) else view_period(b.child)
-        total += b.offset + b.repeat * b.count * unit + (b.repeat - 1) * b.stride
-    _guard(total, "view period")
-    view.__dict__["_period"] = total
-    return total
-
-
-def _walk_one_period(view: ViewDecl) -> list[tuple[int, int]]:
-    """Cursor-walk a single period; pieces are (start, length) relative
-    to the period origin, in walk order and unmerged."""
-    pieces: list[tuple[int, int]] = []
-    cursor = 0
-    for b in view.blocks:
-        if b.repeat < 1:
-            raise ValueError(f"block REPEAT {b.repeat} is not positive")
-        cursor += b.offset
-        if isinstance(b.child, ByteBlock):
-            take = b.count
-            inner = [(0, take)]
-        else:
-            child = _compile(b.child)
-            take = b.count * child.period
-            # the same selection in every take; a negative take stays one
-            # piece, for the Selection check to reject
-            inner = tuple(child.runs(take)) if take >= 0 else [(0, take)]
-        for r in range(b.repeat):
-            at = cursor + r * (take + b.stride)
-            pieces.extend((at + start, length) for start, length in inner)
-        cursor = _guard(cursor + b.repeat * take + (b.repeat - 1) * b.stride, "view cursor")
-    return pieces
+    """Bytes one pattern instance spans before it repeats (module notes)."""
+    return _blocks(view).period
 
 
 def _compile(view: ViewDecl) -> Selection:
-    """The view's selection: one walked period, memoized on the view.
-    A view with a negative parameter or a REPEAT below 1 raises
-    ValueError here.  A block-less view selects nothing."""
-    cached = view.__dict__.get("_selection")
-    if cached is None:
-        cached = Selection(view.skip_header, view_period(view), tuple(_walk_one_period(view)))
-        view.__dict__["_selection"] = cached
-    return cached
+    """The view's selection: its block table's rows walked over one period."""
+    return _blocks(view).selection
 
 
 def enumerate_extents(view: ViewDecl, region_size: int) -> tuple[tuple[int, int], ...]:
@@ -329,38 +330,20 @@ def enumerate_extents(view: ViewDecl, region_size: int) -> tuple[tuple[int, int]
     return tuple(_compile(view).runs(region_size))
 
 
-def _member_plan(view: ViewDecl) -> tuple[int, tuple[tuple[int, int, int, int, ViewDecl | None], ...]]:
-    """Per-block constants for the membership arithmetic, memoized on the
-    (frozen) view: (offset, take, take+stride, span, nested view or None)."""
-    cached = view.__dict__.get("_member_plan")
-    if cached is not None:
-        return cached
-    rows = []
-    for b in view.blocks:
-        unit = 1 if isinstance(b.child, ByteBlock) else view_period(b.child)
-        take = b.count * unit
-        span = b.offset + b.repeat * take + (b.repeat - 1) * b.stride
-        nested = b.child if isinstance(b.child, ViewDecl) else None
-        rows.append((b.offset, take, take + b.stride, span, nested))
-    plan = (view_period(view), tuple(rows))
-    view.__dict__["_member_plan"] = plan
-    return plan
-
-
 def member_oracle(view: ViewDecl, byte_index: int) -> bool:
     """Arithmetic membership test: does the view select this byte?
 
     Equivalent to membership in enumerate_extents over an unbounded
-    region, but computed by modular reduction and span subtraction with
-    no cursor walk, so the two implementations can cross-check.
+    region, but computed from the same block table by modular reduction
+    and span subtraction with no cursor walk, so the two can cross-check.
     """
     if byte_index < view.skip_header:
         return False
-    period, rows = _member_plan(view)
-    if period < 1:  # block-less views select nothing
+    table = _blocks(view)
+    if table.period < 1:  # block-less views select nothing
         return False
-    r = (byte_index - view.skip_header) % period
-    for offset, take, step, span, nested in rows:
+    r = (byte_index - view.skip_header) % table.period
+    for offset, _, take, step, span, nested in table.rows:
         if r < span:
             if r < offset:
                 return False

@@ -328,6 +328,27 @@ class TestCp:
         assert (tmp_path / "x.bin").read_bytes() == data
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["ViPIOS.conf", "d1", "d2", "x.bin"]
 
+    @pytest.mark.parametrize("alias", ["absolute", "symlink"])
+    def test_device_directories_spelled_twice_are_refused(self, tmp_path, monkeypatch, capsys, alias):
+        """One directory listed under two spellings would get both of its
+        devices' fragments: the layout is refused before anything is written."""
+        monkeypatch.chdir(tmp_path)
+        if alias == "absolute":
+            first, second = "d1", f"{tmp_path}/d1"
+        else:
+            (tmp_path / "real").mkdir()
+            (tmp_path / "link").symlink_to("real")
+            first, second = "real", "link"
+        conf = tmp_path / "ViPIOS.conf"
+        conf.write_text(f'MAX_APP 5 MAX_SRV_FILE 32 DATA_BUFLEN 16 SRV_GROUP_NAME "g" SRVR_DEVICE_LIST 2 {first} {second} VIP_DIR "vip"')
+        monkeypatch.setenv("VIP_CONF", str(conf))
+        monkeypatch.delenv("VIP_DIR", raising=False)
+        (tmp_path / "x.bin").write_bytes(random.Random(6).randbytes(48))
+        before = sorted(p.name for p in tmp_path.rglob("*"))
+        assert main(["cp-in", "x.bin"]) == 4
+        assert capsys.readouterr().err == f"xdgdl: device directories must be distinct: {second}\n"
+        assert sorted(p.name for p in tmp_path.rglob("*")) == before
+
     def test_cp_out_creates_no_directories(self, store_env, capsys):
         assert main(["cp-out", "nothing", str(store_env / "out.bin")]) == 4
         assert capsys.readouterr().err == "xdgdl: no stored descriptor for 'nothing'\n"

@@ -12,6 +12,7 @@ from xdgdl import (
     parse_config,
 )
 from xdgdl.cli import main
+from xdgdl.config import _tokenize
 
 FULL_CONFIG = CONFIG_TEMPLATE.format(root="/home/felder")
 
@@ -85,6 +86,28 @@ def test_duplicate_key_rejected():
 def test_unterminated_quote():
     with pytest.raises(ConfigError):
         parse_config('MAX_APP 5 SRV_GROUP_NAME "oops')
+
+
+@pytest.mark.parametrize(
+    "text, tokens",
+    [
+        ('"a"b', [("a", 1, True), ("b", 2, False)]),
+        ('ab"c', [('ab"c', 1, False)]),
+        ('x "" y', [("x", 1, False), ("", 2, True), ("y", 3, False)]),
+        ('"a b"\xa0c\u2003d\x1ce\u3000f', [("a b", 1, True), ("c", 2, False), ("d", 3, False), ("e", 4, False), ("f", 5, False)]),
+    ],
+    ids=["quote-then-bare", "quote-inside-bare", "empty-quoted", "unicode-whitespace"],
+)
+def test_tokens(text, tokens):
+    """A quoted value runs to the next quote; a bare token runs to the next
+    whitespace, quotes and all; any Unicode whitespace separates tokens."""
+    assert [(t.text, t.ordinal, t.quoted) for t in _tokenize(text)] == tokens
+
+
+@pytest.mark.parametrize("text, ordinal", [('"', 1), ('a "', 2), ('a "b c', 2), ('ab"c "d', 2), ('"a" b "c', 3)])
+def test_a_lone_quote_is_unterminated(text, ordinal):
+    with pytest.raises(ConfigError, match=rf"^unterminated quote at token {ordinal}$"):
+        _tokenize(text)
 
 
 def test_non_integer_count(tmp_path, monkeypatch, capsys):

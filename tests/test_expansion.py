@@ -13,6 +13,7 @@ window maps, which must not grow with the period.
 """
 
 import dataclasses
+import gc
 import math
 import random
 import sys
@@ -208,7 +209,10 @@ class TestOwnerTable:
 def python_steps(fn) -> int:
     """Trace events (Python-level calls, returns and executed lines) of
     fn(): a loop in Python code adds at least one per iteration, a loop
-    inside a builtin adds none."""
+    inside a builtin adds none.  The garbage collector is paused while
+    tracing: a collection would run the Python ``gc.callbacks`` that
+    other libraries install (hypothesis times collections) and count
+    their steps too."""
     steps = 0
 
     def trace(frame, event, arg):
@@ -216,12 +220,15 @@ def python_steps(fn) -> int:
         steps += 1
         return trace
 
-    previous = sys.gettrace()
+    previous, collecting = sys.gettrace(), gc.isenabled()
+    gc.disable()
     sys.settrace(trace)
     try:
         fn()
     finally:
         sys.settrace(previous)
+        if collecting:
+            gc.enable()
     return steps
 
 
