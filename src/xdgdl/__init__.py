@@ -5,13 +5,10 @@ from .config import VipfsConfig, parse_config
 from .errors import (
     ConfigError,
     DescriptorError,
-    DeviceCountMismatch,
     InvalidDocument,
     IoFailure,
-    MissingKey,
     NotAPartition,
     ParseError,
-    UnknownKey,
     ValidationError,
     XdgdlError,
 )

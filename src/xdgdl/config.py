@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import ConfigError, DeviceCountMismatch, MissingKey, UnknownKey
+from .errors import ConfigError
 from .model import parse_size
 
 __all__ = ["VipfsConfig", "parse_config"]
@@ -85,8 +85,8 @@ def parse_config(text: str) -> VipfsConfig:
         tok = tokens[i]
         if tok.quoted or tok.text not in _KEYS:
             if "/" in tok.text:
-                raise DeviceCountMismatch(tok.text, tok.ordinal, "device path outside the declared SRVR_DEVICE_LIST count")
-            raise UnknownKey(tok.text, tok.ordinal)
+                raise ConfigError(f"device path outside the declared SRVR_DEVICE_LIST count: {tok.text!r} (token {tok.ordinal})")
+            raise ConfigError(f"unknown configuration key {tok.text!r} (token {tok.ordinal})")
         key = tok.text
         if key in values:
             raise ConfigError(f"duplicate key {key} (token {tok.ordinal})")
@@ -106,16 +106,16 @@ def parse_config(text: str) -> VipfsConfig:
             paths = []
             for _ in range(count):
                 if i >= len(tokens):
-                    raise DeviceCountMismatch(declared.text, declared.ordinal, f"SRVR_DEVICE_LIST declares {count} devices but the list ends early")
+                    raise ConfigError(f"SRVR_DEVICE_LIST declares {count} devices but the list ends early: {declared.text!r} (token {declared.ordinal})")
                 path_tok = tokens[i]
                 if not path_tok.quoted and path_tok.text in _KEYS:
-                    raise DeviceCountMismatch(path_tok.text, path_tok.ordinal, f"SRVR_DEVICE_LIST declares {count} devices but fewer paths follow")
+                    raise ConfigError(f"SRVR_DEVICE_LIST declares {count} devices but fewer paths follow: {path_tok.text!r} (token {path_tok.ordinal})")
                 paths.append(_nonempty(path_tok, "SRVR_DEVICE_LIST path"))
                 i += 1
             values[key] = tuple(paths)
     for key in _KEYS:
         if key not in values:
-            raise MissingKey(key)
+            raise ConfigError(f"missing required configuration key {key}")
     return VipfsConfig(
         max_app=values["MAX_APP"],
         max_srv_file=values["MAX_SRV_FILE"],

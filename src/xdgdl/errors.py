@@ -4,8 +4,7 @@ Each error carries the exit code the command line ends with
 (``exit_code``):
 
 2  ``DescriptorError`` (``ParseError``, ``ValidationError``,
-   ``InvalidDocument``) and ``ConfigError`` (``MissingKey``,
-   ``UnknownKey``, ``DeviceCountMismatch``): a descriptor or a
+   ``InvalidDocument``) and ``ConfigError``: a descriptor or a
    configuration it cannot use;
 3  ``NotAPartition``: a layout that is not an exact partition;
 4  ``XdgdlError`` itself and ``IoFailure``: a store or I/O failure.
@@ -82,23 +81,3 @@ class ConfigError(XdgdlError):
     """Invalid server configuration text."""
 
     exit_code = 2
-
-
-class MissingKey(ConfigError):
-    def __init__(self, key: str):
-        self.key = key
-        super().__init__(f"missing required configuration key {key}")
-
-
-class UnknownKey(ConfigError):
-    def __init__(self, token: str, ordinal: int):
-        self.token = token
-        self.ordinal = ordinal
-        super().__init__(f"unknown configuration key {token!r} (token {ordinal})")
-
-
-class DeviceCountMismatch(ConfigError):
-    def __init__(self, token: str, ordinal: int, message: str):
-        self.token = token
-        self.ordinal = ordinal
-        super().__init__(f"{message}: {token!r} (token {ordinal})")

@@ -19,7 +19,6 @@ import enum
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
-from xml.sax.saxutils import quoteattr
 
 from .errors import InvalidDocument, ParseError, ValidationError
 
@@ -673,6 +672,21 @@ _DECLARATION = '<?xml version="1.0" encoding="ISO-8859-1"?>'
 _DOCTYPE = '<!DOCTYPE PARSTORAGE SYSTEM "XDGDL.dtd">'
 
 
+_ATTR_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", "\n": "&#10;", "\r": "&#13;", "\t": "&#9;"})
+
+
+def _quoteattr(value: str) -> str:
+    """``value`` escaped and quoted as ``xml.sax.saxutils.quoteattr`` does,
+    whose module imports ``urllib`` and ``http``: in double quotes unless
+    it holds a double quote and no single one."""
+    value = value.translate(_ATTR_ESCAPES)
+    if '"' not in value:
+        return f'"{value}"'
+    if "'" not in value:
+        return f"'{value}'"
+    return '"%s"' % value.replace('"', "&quot;")
+
+
 def serialize_document(doc: Document) -> str:
     """Emit canonical XML text for a valid document.
 
@@ -683,26 +697,26 @@ def serialize_document(doc: Document) -> str:
     if not report.ok:
         raise InvalidDocument(report)
     lines = [_DECLARATION, _DOCTYPE]
-    attrs = f'VERSION={quoteattr(doc.version)} TIMESTAMP={quoteattr(doc.timestamp)}'
+    attrs = f'VERSION={_quoteattr(doc.version)} TIMESTAMP={_quoteattr(doc.timestamp)}'
     lines.append(f"<PARSTORAGE {attrs}>")
     for p in doc.processors:
-        lines.append(f"  <PROCESSORS NAME={quoteattr(p.name)}>")
+        lines.append(f"  <PROCESSORS NAME={_quoteattr(p.name)}>")
         for lo, up in p.dims:
             lines.append(f'    <PROC_DIMENSION LOWER="{lo}" UPPER="{up}"/>')
         lines.append("  </PROCESSORS>")
     for t in doc.types:
         _emit_type(t, lines, "  ")
     for a in doc.aligns:
-        lines.append(f"  <ALIGN WHAT={quoteattr(a.what)} WITH={quoteattr(a.with_target)}/>")
-    lines.append(f"  <ISLAND NAME={quoteattr(doc.island.name)}>")
+        lines.append(f"  <ALIGN WHAT={_quoteattr(a.what)} WITH={_quoteattr(a.with_target)}/>")
+    lines.append(f"  <ISLAND NAME={_quoteattr(doc.island.name)}>")
     for srv in doc.island.servers:
         if srv.devices:
-            lines.append(f"    <SERVER HOST={quoteattr(srv.host)}>")
+            lines.append(f"    <SERVER HOST={_quoteattr(srv.host)}>")
             for dev in srv.devices:
                 _emit_device(dev, lines, "      ")
             lines.append("    </SERVER>")
         else:
-            lines.append(f"    <SERVER HOST={quoteattr(srv.host)}/>")
+            lines.append(f"    <SERVER HOST={_quoteattr(srv.host)}/>")
     lines.append("  </ISLAND>")
     lines.append("</PARSTORAGE>")
     return "\n".join(lines) + "\n"
@@ -710,14 +724,14 @@ def serialize_document(doc: Document) -> str:
 
 def _emit_type(t: TypeDecl, lines: list[str], indent: str) -> None:
     if isinstance(t, EtypeDecl):
-        extra = f" NAME={quoteattr(t.name)}" if t.name is not None else ""
-        lines.append(f'{indent}<ETYPE TYPE={quoteattr(t.base)} LENGTH="{t.length_bytes}"{extra}/>')
+        extra = f" NAME={_quoteattr(t.name)}" if t.name is not None else ""
+        lines.append(f'{indent}<ETYPE TYPE={_quoteattr(t.base)} LENGTH="{t.length_bytes}"{extra}/>')
     elif isinstance(t, CompoundDecl):
         attrs = ""
         if t.typename is not None:
-            attrs += f" TYPENAME={quoteattr(t.typename)}"
+            attrs += f" TYPENAME={_quoteattr(t.typename)}"
         if t.name is not None:
-            attrs += f" NAME={quoteattr(t.name)}"
+            attrs += f" NAME={_quoteattr(t.name)}"
         lines.append(f"{indent}<TYPE{attrs}>")
         for c in t.children:
             _emit_type(c, lines, indent + "  ")
@@ -725,10 +739,10 @@ def _emit_type(t: TypeDecl, lines: list[str], indent: str) -> None:
     else:
         attrs = ""
         if t.name is not None:
-            attrs += f" NAME={quoteattr(t.name)}"
+            attrs += f" NAME={_quoteattr(t.name)}"
         attrs += f' MAJOR="{t.major.value}"'
         if t.distribute_onto is not None:
-            attrs += f" DISTRIBUTE_ONTO={quoteattr(t.distribute_onto)}"
+            attrs += f" DISTRIBUTE_ONTO={_quoteattr(t.distribute_onto)}"
         lines.append(f"{indent}<ARRAY{attrs}>")
         _emit_type(t.element, lines, indent + "  ")
         for d in t.dims:
@@ -738,7 +752,7 @@ def _emit_type(t: TypeDecl, lines: list[str], indent: str) -> None:
 
 
 def _emit_device(dev: DeviceDecl, lines: list[str], indent: str) -> None:
-    lines.append(f"{indent}<DEVICE DEVICE_ID={quoteattr(dev.device_id)}>")
+    lines.append(f"{indent}<DEVICE DEVICE_ID={_quoteattr(dev.device_id)}>")
     if dev.view is not None:
         _emit_view(dev.view, lines, indent + "  ")
     else:

@@ -13,7 +13,8 @@ so ids are advisory and order is authoritative.  Fragments stay in
 map-entry order throughout, and ``_fragment_paths`` is the one rule for
 where they live: ``<timestamp>.frag`` in the directory of the layout
 device at the entry's position.  No two devices share a directory,
-however it is spelled (``grid_layout`` compares resolved paths).
+and the user-visible directory is none of theirs, however they are
+spelled (``grid_layout`` compares resolved paths).
 
 ``put_file`` and ``get_file`` are the store's only write and read path,
 and they stream: ``put_file`` reads a binary stream and ``get_file``
@@ -88,6 +89,8 @@ def grid_layout(cfg: VipfsConfig) -> GridLayout:
     for i, directory in enumerate(directories):
         if resolved[i] in resolved[:i]:
             raise IoFailure(directory, "device directories must be distinct")
+    if os.path.realpath(cfg.vip_dir) in resolved:  # a stub could be renamed over a fragment there
+        raise IoFailure(cfg.vip_dir, "store root must not be a device directory")
     devices = tuple(
         LayoutDevice(host=f"{cfg.srv_group_name}.{i + 1}", device_id=raw, directory=directory)
         for i, (raw, directory) in enumerate(zip(cfg.device_paths, directories))

@@ -27,12 +27,22 @@ REPEAT below 1, which ``validate_document`` rejects, does not compile:
 ``_compile`` raises ValueError, so it never reaches the data path.
 
 Runs are expanded in bulk, with no Python step per run: the whole
-periods' starts interleave one ``range(h + a, h + k*p, p)`` per piece.
-A wrapping selection (first piece at 0, last one ending at the period)
-merges runs across periods: they are its head run, then the runs of it
-shifted to start at its second piece, where the last piece absorbs
-the next period's first.  Plans, extents, the sweep and scatter read
-these runs.
+periods' starts interleave one ``range(h + a, h + k*p, p)`` per piece,
+and a selection of one piece keeps its ``range``.  A wrapping selection
+(first piece at 0, last one ending at the period) merges runs across
+periods: they are its head run, then the runs of it shifted to start at
+its second piece, where the last piece absorbs the next period's first.
+Plans, extents, the sweep and scatter read these runs.
+
+Plan text is one ``%`` per progression or per distinct block phase, so
+its Python steps grow with the phases, not with the file size.  A start
+s in the decimal block [H*10**d, (H+1)*10**d), H >= 1, prints as H, then
+s % 10**d in d digits.  In a progression of period p, block H + phases
+holds block H's runs moved by phases*10**d, a multiple of p, where
+phases = p / gcd(p, 10**d).  So each whole block inside the progression
+is one of ``phases`` texts, formatted once with a placeholder for H, and
+every whole block is written by C-level ``str.replace``.  The runs before
+the first whole block and after the last are formatted as they are.
 
 A view's constants are worked out once, in one block table memoized on
 the (frozen) view (``_blocks``): the period (the blocks' spans plus the
@@ -53,8 +63,8 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import chain, cycle
-from operator import itemgetter
+from itertools import chain, cycle, repeat
+from operator import itemgetter, sub
 from typing import Iterator, Sequence
 
 from .errors import DescriptorError
@@ -74,6 +84,7 @@ __all__ = [
 ]
 
 _START = itemgetter(0)  # a piece's start: sorted pieces bisect on it
+_BLOCK_RUNS = 128  # plan text tiles decimal blocks of about this many runs or more
 
 
 @dataclass(frozen=True)
@@ -132,9 +143,12 @@ class Selection:
                 return [([h], (size - h,))]
             return [([h], (min(pieces[0][1], size - h),)), *self._past_head.progressions(size)]
         m, k = len(pieces), self.full_periods(size)
-        starts = [0] * (m * k)
-        for i, (a, _) in enumerate(pieces):
-            starts[i::m] = range(h + a, h + k * p, p)
+        if m == 1:
+            starts: Sequence[int] = range(h + pieces[0][0], h + k * p, p)
+        else:
+            starts = [0] * (m * k)
+            for i, (a, _) in enumerate(pieces):
+                starts[i::m] = range(h + a, h + k * p, p)
         whole = (starts, [n for _, n in pieces])
         tail = tuple(zip(*self.tail(size))) or ((), ())  # (starts, lengths)
         return [progression for progression in (whole, tail) if progression[0]]
@@ -437,11 +451,47 @@ def render_plan(dmap: DistributionMap) -> str:
 
 
 def _format_runs(progressions: list[tuple[Sequence[int], Sequence[int]]]) -> str:
-    """Comma-joined ``start:length`` runs, one ``%`` per progression."""
-    return ",".join(
-        ",".join([",".join(f"%d:{n}" for n in lengths)] * (len(starts) // len(lengths))) % tuple(starts)
-        for starts, lengths in progressions
-    )
+    """Comma-joined ``start:length`` runs, one progression at a time."""
+    return ",".join(_format_progression(starts, lengths) for starts, lengths in progressions)
+
+
+def _format(starts: Sequence[int], lengths: Sequence[int], first: int = 0, cell: str = "%d") -> str:
+    """The runs ``start:length`` with ``lengths`` cycled from ``lengths[first]``,
+    each start written by ``cell``, all with one ``%``."""
+    cells = [f"{cell}:{n}" for n in (*lengths[first:], *lengths[:first])]
+    whole, rest = divmod(len(starts), len(cells))
+    return ",".join([",".join(cells)] * whole + cells[:rest]) % tuple(starts)
+
+
+def _format_progression(starts: Sequence[int], lengths: Sequence[int]) -> str:
+    """One progression's runs (module notes): its whole decimal blocks of
+    10**d bytes repeat ``phases`` texts, each formatted once with its
+    leading digits left out; the runs before and after them take one
+    ``%`` each side."""
+    m = len(lengths)
+    if len(starts) <= m:
+        return _format(starts, lengths)
+    period = starts[m] - starts[0]
+    # the fewest digits d whose block holds a period and about _BLOCK_RUNS runs or more
+    digits = len(str(-(-_BLOCK_RUNS * period // min(m, _BLOCK_RUNS)) - 1))
+    block = 10**digits
+    phases = period // math.gcd(period, block)
+    # blocks lo..hi-1 lie wholly inside the progression; block 0 has no leading digits
+    lo, hi = max(1, -(-starts[0] // block)), (starts[0] + len(starts) // m * period) // block
+    if hi - lo < 4 * phases:
+        return _format(starts, lengths)
+    bounds = [bisect_left(starts, (lo + q) * block) for q in range(phases + 1)]
+    texts = [
+        _format(tuple(map(sub, starts[i:j], repeat((lo + q) * block))), lengths, i % m, f"\0%0{digits}d")
+        for q, (i, j) in enumerate(zip(bounds, bounds[1:]))
+    ]
+    # ask for the whole blocks' text length at once: a plan past memory
+    # then fails here, not once the blocks have filled it
+    bytes(len(",".join(texts)) * ((hi - lo) // phases))
+    tiled = ",".join(map(str.replace, cycle(texts), repeat("\0"), map(str, range(lo, hi))))
+    end = bisect_left(starts, hi * block)
+    head, tail = _format(starts[: bounds[0]], lengths), _format(starts[end:], lengths, end % m)
+    return ",".join(text for text in (head, tiled, tail) if text)
 
 
 def round_robin_view(device: int, devices: int, chunk: int, child: ViewDecl | ByteBlock = ByteBlock()) -> ViewDecl:

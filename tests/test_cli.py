@@ -38,9 +38,6 @@ EXIT_CODES = {
     "ValidationError": 2,
     "InvalidDocument": 2,
     "ConfigError": 2,
-    "MissingKey": 2,
-    "UnknownKey": 2,
-    "DeviceCountMismatch": 2,
     "NotAPartition": 3,
 }
 
@@ -168,6 +165,36 @@ class TestPlan:
         any address space, so the allocation fails at once."""
         assert main(["plan", str(two_server), "--size", str(10**15)]) == 4
         assert capsys.readouterr() == ("", "xdgdl: out of memory\n")
+
+    def test_tiled_plan_past_memory_fails_before_filling_it(self, tmp_path):
+        """A 1 B x 2 plan formats whole decimal blocks; at 10**15 bytes
+        their text is asked for at once, so the plan fails at once.  The
+        child's address space is capped at 1 GiB: a plan that filled memory
+        first would peak near the cap, not at a few MiB."""
+        one_byte = (
+            TWO_SERVER_XML.replace('SKIP="7"', 'SKIP="1"')
+            .replace('OFFSET="0" REPEAT="3"\n            COUNT="5" STRIDE="7"', 'OFFSET="0" REPEAT="1" COUNT="1" STRIDE="0"')
+            .replace('OFFSET="5" REPEAT="3"\n            COUNT="7" STRIDE="5"', 'OFFSET="1" REPEAT="1" COUNT="1" STRIDE="0"')
+        )
+        desc = tmp_path / "one.xml"
+        desc.write_text(one_byte)
+        code = (
+            "import resource, sys, tracemalloc\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from xdgdl.cli import main\n"
+            "tracemalloc.start()\n"
+            "status = main(sys.argv[1:])\n"
+            "print(status, tracemalloc.get_traced_memory()[1] >> 20, file=sys.stderr)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        for size, status in (10**5, 0), (10**15, 4):
+            argv = [sys.executable, "-c", code, "plan", str(desc), "--size", str(size)]
+            proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+            *lines, last = proc.stderr.splitlines()
+            assert lines == ([] if status == 0 else ["xdgdl: out of memory"])
+            exited, peak_mib = map(int, last.split())
+            assert exited == status and peak_mib < 16, proc.stderr
+        assert proc.stdout == ""
 
     def test_empty_device_line_keeps_tab(self, tmp_path, capsys):
         conf_doc = TWO_SERVER_XML  # size 3 leaves server 2's first take beyond the region
@@ -347,6 +374,32 @@ class TestCp:
         before = sorted(p.name for p in tmp_path.rglob("*"))
         assert main(["cp-in", "x.bin"]) == 4
         assert capsys.readouterr().err == f"xdgdl: device directories must be distinct: {second}\n"
+        assert sorted(p.name for p in tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("alias", ["plain", "symlink"])
+    def test_store_root_that_is_a_device_directory_is_refused(self, tmp_path, monkeypatch, capsys, alias):
+        """A stub in a device directory could be renamed over a fragment
+        (``a.frag`` is both the stub of ``a.frag`` and a fragment of
+        ``a``): the layout is refused before anything is written, in
+        either ``cp-in`` order."""
+        monkeypatch.chdir(tmp_path)
+        if alias == "plain":
+            root = "d1"
+        else:
+            (tmp_path / "d1").mkdir()
+            (tmp_path / "root").symlink_to("d1")
+            root = "root"
+        conf = tmp_path / "ViPIOS.conf"
+        conf.write_text(f'MAX_APP 5 MAX_SRV_FILE 32 DATA_BUFLEN 16 SRV_GROUP_NAME "g" SRVR_DEVICE_LIST 2 d1 d2 VIP_DIR "{root}"')
+        monkeypatch.setenv("VIP_CONF", str(conf))
+        monkeypatch.delenv("VIP_DIR", raising=False)
+        (tmp_path / "in").mkdir()
+        for name in ("a", "a.frag"):
+            (tmp_path / "in" / name).write_bytes(random.Random(name).randbytes(64))
+        before = sorted(p.name for p in tmp_path.rglob("*"))
+        for argv in (["init"], ["cp-in", "in/a"], ["cp-in", "in/a.frag"], ["cp-in", "in/a"]):
+            assert main(argv) == 4, argv
+            assert capsys.readouterr() == ("", f"xdgdl: store root must not be a device directory: {root}\n")
         assert sorted(p.name for p in tmp_path.rglob("*")) == before
 
     def test_cp_out_creates_no_directories(self, store_env, capsys):

@@ -26,7 +26,7 @@ from descriptors import CONFIG_TEMPLATE
 from gen import random_view
 from reference import naive_coverage, naive_owners, painted_report, painted_runs, view_selecting
 from strategies import view_decls
-from test_selection import byte_view, doc_of
+from test_selection import byte_view, doc_of, round_robin
 from xdgdl import (
     ArrayDecl,
     DimensionDecl,
@@ -47,6 +47,7 @@ from xdgdl import (
     render_plan,
     view_period,
 )
+from xdgdl import views
 from xdgdl.scatter import WINDOW_BYTES, _windows
 from xdgdl.views import Selection
 
@@ -136,6 +137,60 @@ class TestRunsAgainstPainter:
         dmap = build_distribution_map(doc_of([None, None]), size)
         assert plan_runs(render_plan(dmap)) == [[(0, size)] if size else [], []]
         assert [len(e.extents) for e in dmap.entries] == [1 if size else 0, 0]
+
+
+class TestTiledPlan:
+    """Plans that take the tiled path (whole decimal blocks formatted once
+    per phase) equal a naive ``start:length`` join of the painter's runs:
+    round robins of 1 B x 2 and 8 B x 3, pieces of uneven lengths whose
+    period does not divide the block, a wrapping selection and the
+    nested three-server layout, behind headers of 0, 999 and 10**d, and
+    10**d + 1 for the block sizes d they tile with (10**3 and 10**4).
+    A header of 0 or 10**d starts a run on a block boundary."""
+
+    @pytest.fixture
+    def cells(self, monkeypatch):
+        """The start formats ``views._format`` is called with."""
+        cells, real = [], views._format
+
+        def spy(starts, lengths, first=0, cell="%d"):
+            cells.append(cell)
+            return real(starts, lengths, first, cell)
+
+        monkeypatch.setattr(views, "_format", spy)
+        return cells
+
+    @staticmethod
+    def assert_plans_like_the_painter(layout, size):
+        dmap = build_distribution_map(doc_of(layout), size)
+        lines = [
+            f"{entry.label}\t" + ",".join(f"{start}:{length}" for start, length in painted_runs(naive_coverage(view, size)))
+            for entry, view in zip(dmap.entries, layout)
+        ]
+        assert render_plan(dmap) == "\n".join([*lines, f"partition: {dmap.verdict.status.value}"]) + "\n"
+
+    @pytest.mark.parametrize(
+        "layout, least, most",
+        [
+            (round_robin(1, 2), 20_000, 60_000),
+            (round_robin(8, 3), 130_000, 200_000),
+            ([view_selecting([(1, 2), (6, 3)], 14)], 30_000, 50_000),
+            ([view_selecting([(0, 2), (5, 1), (9, 3)], 12)], 15_000, 30_000),
+        ],
+        ids=["1B-x-2", "8B-x-3", "uneven", "wrapping"],
+    )
+    def test_round_robins_and_irregular_selections(self, cells, layout, least, most):
+        rng = random.Random(21)
+        for header in (0, 999, 1000, 1001, 10_000, 10_001):
+            cells.clear()
+            headed = [dataclasses.replace(view, skip_header=header) for view in layout]
+            self.assert_plans_like_the_painter(headed, header + rng.randint(least, most))
+            assert any("\0" in cell for cell in cells), header
+
+    def test_nested_three_servers_at_2_mib(self, cells, balanced_doc):
+        layout = [device.view for server in balanced_doc.island.servers for device in server.devices]
+        self.assert_plans_like_the_painter(layout, (2 << 20) + random.Random(21).randrange(82))
+        assert sum("\0" in cell for cell in cells) == 3 * 41  # every device tiles its 41 phases
 
 
 class TestPartitionReport:
@@ -247,6 +302,10 @@ class TestCostGuard:
         small, big = (build_distribution_map(balanced_doc, size) for size in sizes)
         assert sum(len(e.extents) for e in big.entries) > 70_000
         render_plan(small), render_plan(big)  # memoized selections are built once
+        assert python_steps(lambda: render_plan(big)) == python_steps(lambda: render_plan(small))
+        # 1 B x 2 formats whole blocks once per phase: 64 KiB and 1 MiB alike
+        small, big = (build_distribution_map(doc_of(round_robin(1, 2)), size) for size in (64 << 10, 1 << 20))
+        render_plan(small), render_plan(big)
         assert python_steps(lambda: render_plan(big)) == python_steps(lambda: render_plan(small))
 
     def test_check_partition(self, three_server_doc):

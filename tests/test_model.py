@@ -33,6 +33,7 @@ from xdgdl import (
     serialize_document,
     validate_document,
 )
+from xdgdl.model import _quoteattr
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -372,6 +373,37 @@ class TestSerialize:
     def test_attribute_escaping_round_trips(self):
         doc = small_doc(island=IslandDecl('isle "<&>é\nx'))
         assert parse_document(serialize_document(doc)) == doc
+
+    @pytest.mark.parametrize(
+        "value, quoted",
+        [
+            ("plain", '"plain"'),
+            ('say "hi"', "'say \"hi\"'"),
+            ("it's", '"it\'s"'),
+            ("it's \"both\"", '"it\'s &quot;both&quot;"'),
+            ("a&b<c>d", '"a&amp;b&lt;c&gt;d"'),
+            ("l1\nl2\rl3\tl4", '"l1&#10;l2&#13;l3&#9;l4"'),
+            ("&amp; \"<'\n'>\"", '"&amp;amp; &quot;&lt;\'&#10;\'&gt;&quot;"'),
+            ("", '""'),
+        ],
+    )
+    def test_attribute_values_quote_as_saxutils_does(self, value, quoted):
+        """The serializer's attribute quoting matches ``xml.sax.saxutils.quoteattr``."""
+        from xml.sax.saxutils import quoteattr
+
+        assert _quoteattr(value) == quoted == quoteattr(value)
+        doc = small_doc(island=IslandDecl(value or "x"))
+        assert f"<ISLAND NAME={_quoteattr(value or 'x')}>" in serialize_document(doc)
+        assert parse_document(serialize_document(doc)) == doc
+
+    def test_importing_the_command_line_leaves_out_urllib_request_and_http(self):
+        """The serializer does not import ``xml.sax.saxutils``, which pulls
+        in ``urllib.request`` and ``http.client``; ``urllib`` itself comes
+        with ``pathlib`` (``urllib.parse``)."""
+        code = "import sys, xdgdl.cli; print(sorted(m for m in sys.modules if m.startswith(('urllib.request', 'http', 'xml.sax'))))"
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True)
+        assert proc.stdout == "[]\n"
 
     def test_seeded_random_round_trips(self):
         rng = random.Random(20260809)
