@@ -24,25 +24,19 @@ from .errors import ConfigError, DescriptorError, InvalidDocument, NotAPartition
 from .hpf import compile_hpf_mapping, ownermap_to_views, sizeof_type
 from .model import (
     ArrayDecl,
-    CompoundDecl,
-    DeviceDecl,
     Document,
-    IslandDecl,
-    ServerDecl,
+    one_device_island,
     parse_document,
     parse_size,
+    require_valid,
     serialize_document,
+    type_decls,
     validate_document,
 )
 from .scatter import require_exact, scatter, write_all
 from .store import committed, init_store, measured, rebuild
 from .vipfs import copy_in, copy_out
 from .views import build_distribution_map, render_plan
-
-EXIT_OK = 0
-EXIT_VALIDATION = 2
-EXIT_IO = 4
-
 
 def _fail(message: str, code: int) -> int:
     print(f"xdgdl: {message}", file=sys.stderr)
@@ -60,11 +54,7 @@ def _print_verdict(exc: NotAPartition) -> None:
 
 def _load_valid_document(path: str) -> Document:
     """The parsed descriptor; InvalidDocument if it breaks a rule."""
-    doc = parse_document(Path(path).read_bytes())
-    report = validate_document(doc)
-    if not report.ok:
-        raise InvalidDocument(report)
-    return doc
+    return require_valid(parse_document(Path(path).read_bytes()))
 
 
 def _frag_name(index: int) -> str:
@@ -85,17 +75,17 @@ def cmd_validate(args) -> int:
         print(f"warning: {warning}")
     if report.ok:
         print("OK")
-        return EXIT_OK
+        return 0
     for violation in report.violations:
         print(str(violation))
-    return EXIT_VALIDATION
+    return DescriptorError.exit_code
 
 
 def cmd_plan(args) -> int:
     doc = _load_valid_document(args.descriptor)
     dmap = build_distribution_map(doc, args.size)
     print(render_plan(dmap), end="")
-    return EXIT_OK
+    return 0
 
 
 def cmd_scatter(args) -> int:
@@ -107,7 +97,7 @@ def cmd_scatter(args) -> int:
         out.mkdir(parents=True, exist_ok=True)
         with committed([out / _frag_name(i) for i in range(len(dmap.entries))]) as sinks:
             scatter(src, dmap, sinks)
-    return EXIT_OK
+    return 0
 
 
 def cmd_gather(args) -> int:
@@ -121,21 +111,12 @@ def cmd_gather(args) -> int:
         raise XdgdlError(f"{frags / extra[0]} is past the map's {count} entries")
     with committed([Path(args.out)]) as (sink,):
         rebuild(dmap, [frags / _frag_name(i) for i in range(count)], sink)
-    return EXIT_OK
+    return 0
 
 
 def cmd_hpf_compile(args) -> int:
     doc = _load_valid_document(args.descriptor)
-
-    def arrays(t) -> list[ArrayDecl]:
-        if isinstance(t, ArrayDecl):
-            found = [t] if t.distribute_onto is not None else []
-            return found + arrays(t.element)
-        if isinstance(t, CompoundDecl):
-            return [a for c in t.children for a in arrays(c)]
-        return []
-
-    distributed = [a for t in doc.types for a in arrays(t)]
+    distributed = [t for t in type_decls(doc) if isinstance(t, ArrayDecl) and t.distribute_onto is not None]
     if len(distributed) != 1:
         raise DescriptorError(f"expected exactly one distributed ARRAY, found {len(distributed)}")
     arr = distributed[0]
@@ -145,18 +126,14 @@ def cmd_hpf_compile(args) -> int:
     if len(hosts) != owner_map.num_targets:
         raise DescriptorError(f"mapping needs {owner_map.num_targets} servers, --servers lists {len(hosts)}")
     views = ownermap_to_views(owner_map, sizeof_type(arr.element))
-    servers = tuple(
-        ServerDecl(host=host, devices=(DeviceDecl(device_id=f"disk{i}", view=view),))
-        for i, (host, view) in enumerate(zip(hosts, views))
-    )
-    compiled = replace(doc, island=IslandDecl(name=doc.island.name, servers=servers))
-    text = serialize_document(compiled)
+    placements = ((host, f"disk{i}", view) for i, (host, view) in enumerate(zip(hosts, views)))
+    text = serialize_document(replace(doc, island=one_device_island(doc.island.name, placements)))
     if args.out:
         with committed([Path(args.out)]) as (sink,):
-            write_all(sink, text.encode("iso-8859-1", errors="xmlcharrefreplace"))
+            write_all(sink, text.encode("ascii"))
     else:
         print(text, end="")
-    return EXIT_OK
+    return 0
 
 
 def _config_from_env() -> VipfsConfig:
@@ -183,13 +160,13 @@ def cmd_cp_in(args) -> int:
     _, diagnostic = copy_in(cfg, Path(args.file))
     if diagnostic:
         print(f"xdgdl: {diagnostic}; using default cyclic distribution", file=sys.stderr)
-    return EXIT_OK
+    return 0
 
 
 def cmd_cp_out(args) -> int:
     cfg = _config_from_env()
     copy_out(cfg, args.name, Path(args.dst))
-    return EXIT_OK
+    return 0
 
 
 def cmd_init(args) -> int:
@@ -198,7 +175,7 @@ def cmd_init(args) -> int:
     for device in layout.devices:
         print(f"{device.host}\t{device.directory}")
     print(f"root\t{layout.root}")
-    return EXIT_OK
+    return 0
 
 
 @functools.cache
@@ -267,9 +244,9 @@ def main(argv: list[str] | None = None) -> int:
     except XdgdlError as exc:
         return _fail(str(exc), exc.exit_code)
     except OSError as exc:
-        return _fail(str(exc), EXIT_IO)
+        return _fail(str(exc), XdgdlError.exit_code)
     except MemoryError:
-        return _fail("out of memory", EXIT_IO)
+        return _fail("out of memory", XdgdlError.exit_code)
 
 
 def entry() -> None:

@@ -17,6 +17,11 @@ while none is; an undistributed dimension only multiplies the units
 per element.  The slowest dimension tiles with period P*g units
 (``round_robin_view``).  A target owning no element selects one byte
 past the array.
+
+Sizes, counts and the lowered views' periods are checked against the
+64-bit range as they are formed (``guard_int64``).  Every attribute of a
+lowered view is at most its period, so a lowering that passes the check
+writes only integers that a descriptor may hold.
 """
 
 from __future__ import annotations
@@ -28,7 +33,6 @@ from itertools import product
 
 from .errors import DescriptorError
 from .model import (
-    INT64_MAX,
     ArrayDecl,
     BlockDecl,
     ByteBlock,
@@ -39,6 +43,7 @@ from .model import (
     ProcessorsDecl,
     TypeDecl,
     ViewDecl,
+    guard_int64,
 )
 from .views import round_robin_view, view_period
 
@@ -81,9 +86,7 @@ def sizeof_type(t: TypeDecl) -> int:
     if isinstance(t, CompoundDecl):
         total = 0
         for child in t.children:
-            total += sizeof_type(child)
-            if total > INT64_MAX:
-                raise DescriptorError(f"type size exceeds the 64-bit range: {total}")
+            total = guard_int64(total + sizeof_type(child), "type size")
         if total < 1:
             raise ValueError("empty TYPE has no storage size")
         return total
@@ -91,9 +94,7 @@ def sizeof_type(t: TypeDecl) -> int:
     for dim in t.dims:
         if dim.extent < 1:
             raise ValueError(f"dimension extent must be >= 1, got {dim.extent}")
-        total *= dim.extent
-        if total > INT64_MAX:
-            raise DescriptorError(f"array size exceeds the 64-bit range: {total}")
+        total = guard_int64(total * dim.extent, "array size")
     return total
 
 
@@ -124,9 +125,7 @@ def compile_hpf_mapping(arr: ArrayDecl, procs: ProcessorsDecl) -> OwnerMap:
             f"{len(dist_dims)} distributed dimensions cannot map onto "
             f"{len(proc_shape)} processor dimensions"
         )
-    total = math.prod(extents)
-    if total > INT64_MAX:
-        raise DescriptorError(f"element count exceeds the 64-bit range: {total}")
+    guard_int64(math.prod(extents), "element count")
     dims = [(n, n, 1, 0) for n in extents]
     for axis, i in enumerate(dist_dims):
         n, p = extents[i], proc_shape[axis]
@@ -142,11 +141,17 @@ def compile_hpf_mapping(arr: ArrayDecl, procs: ProcessorsDecl) -> OwnerMap:
 def ownermap_to_views(om: OwnerMap, element_bytes: int) -> list[ViewDecl]:
     """Per-target views selecting exactly the owned bytes, each built
     from the per-dimension formula with no step per element (module
-    notes).  Element i occupies bytes [i*element_bytes, (i+1)*element_bytes)."""
+    notes).  Element i occupies bytes [i*element_bytes, (i+1)*element_bytes).
+    DescriptorError when a view's period exceeds INT64_MAX."""
     if element_bytes < 1:
         raise ValueError(f"element_bytes must be >= 1, got {element_bytes}")
-    nothing = ViewDecl(0, 0, (BlockDecl(om.element_count * element_bytes, 1, 1, 0, ByteBlock()),))
-    return [_target_view(om.dims, t, element_bytes) or nothing for t in range(om.num_targets)]
+    views = [_target_view(om.dims, t, element_bytes) for t in range(om.num_targets)]
+    if not all(views):
+        nothing = ViewDecl(0, 0, (BlockDecl(om.element_count * element_bytes, 1, 1, 0, ByteBlock()),))
+        views = [view or nothing for view in views]
+    for view in views:
+        view_period(view)  # the 64-bit check, which bounds every attribute (module notes)
+    return views
 
 
 def _target_view(dims: tuple[tuple[int, int, int, int], ...], target: int, element_bytes: int) -> ViewDecl | None:
@@ -171,7 +176,7 @@ def _slab_view(n: int, g: int, p: int, d: int, child: ViewDecl | ByteBlock) -> V
     """Coordinate d's part of a slab of n units of child, dealt in groups
     of g units over p coordinates: the whole turns, then its part of the
     last partial turn.  None when that part is empty."""
-    unit = 1 if isinstance(child, ByteBlock) else view_period(child)
+    unit = view_period(child)
     turns, rest = divmod(n, p * g)
     blocks, end = [], 0  # end: the units laid down so far
     if turns:

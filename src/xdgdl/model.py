@@ -11,6 +11,13 @@ text, structural validation, and canonical serialization.  The parser checks
 every element against one grammar table (attributes, child tags); paths index
 siblings per tag, in parser and validator alike.  The emitted ``XDGDL.dtd``
 doctype reference is never fetched, so parsing stays hermetic.
+
+It also holds the rules the other modules build descriptors by: the 64-bit
+range of every integer (``INT64_MAX``, ``parse_size``, ``guard_int64``),
+the walk over type declarations (``type_decls``), the island of one-device
+servers (``one_device_island``) and the one output text: serialization
+writes ASCII, every other character as a character reference, so the text
+is valid under its ISO-8859-1 declaration and the same bytes on any sink.
 """
 
 from __future__ import annotations
@@ -19,8 +26,9 @@ import enum
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
-from .errors import InvalidDocument, ParseError, ValidationError
+from .errors import DescriptorError, InvalidDocument, ParseError, ValidationError
 
 __all__ = [
     "Major",
@@ -202,6 +210,11 @@ class IslandDecl:
         _freeze(self, "servers")
 
 
+def one_device_island(name: str, devices: Iterable[tuple[str, str, ViewDecl]]) -> IslandDecl:
+    """An island of one-device servers, one per ``(host, device_id, view)``."""
+    return IslandDecl(name, tuple(ServerDecl(host, (DeviceDecl(device_id, view),)) for host, device_id, view in devices))
+
+
 @dataclass(frozen=True)
 class Document:
     """Parsed descriptor: logical types plus the island placement tree."""
@@ -353,6 +366,13 @@ def parse_size(raw: str) -> int:
     if len(digits) > len(str(INT64_MAX)) or int(digits) > INT64_MAX:  # int() refuses more than 4300 digits
         raise ValueError(f"size must be at most {INT64_MAX}")
     return int(digits)
+
+
+def guard_int64(value: int, what: str) -> int:
+    """``value``, or DescriptorError when it exceeds INT64_MAX."""
+    if value > INT64_MAX:
+        raise DescriptorError(f"{what} exceeds the 64-bit range: {value}")
+    return value
 
 
 def _int_attr(elem: ET.Element, attr: str, path: str, default: int | None = None) -> int:
@@ -521,21 +541,23 @@ def _is_xml_id(value: str) -> bool:
     return all(c.isalnum() or c in "._-:" for c in value)
 
 
+def type_decls(doc: Document) -> Iterator[TypeDecl]:
+    """Every type declaration of the document, in document order, each
+    before its children (an array's child is its element type)."""
+    stack = list(reversed(doc.types))
+    while stack:
+        t = stack.pop()
+        yield t
+        if isinstance(t, CompoundDecl):
+            stack.extend(reversed(t.children))
+        elif isinstance(t, ArrayDecl):
+            stack.append(t.element)
+
+
 def declared_names(doc: Document) -> set[str]:
     """All NAME attributes resolvable by ALIGN and DISTRIBUTE_ONTO."""
     names = {p.name for p in doc.processors if p.name}
-
-    def walk(t: TypeDecl) -> None:
-        if t.name:
-            names.add(t.name)
-        if isinstance(t, CompoundDecl):
-            for c in t.children:
-                walk(c)
-        elif isinstance(t, ArrayDecl):
-            walk(t.element)
-
-    for t in doc.types:
-        walk(t)
+    names.update(t.name for t in type_decls(doc) if t.name)
     return names
 
 
@@ -554,7 +576,7 @@ class _Collector:
 def validate_document(doc: Document) -> ValidationReport:
     """Check every structural rule; violations are data, not exceptions."""
     out = _Collector()
-    names = declared_names(doc)
+    names = declared_names(doc) if doc.aligns else set()  # only ALIGN resolves names
     proc_names = {p.name for p in doc.processors if p.name}
 
     if not doc.version:
@@ -610,6 +632,14 @@ def validate_document(doc: Document) -> ValidationReport:
                 _validate_view(dev.view, f"{dpath}/VIEW[1]", out)
 
     return ValidationReport(tuple(out.violations), tuple(out.warnings))
+
+
+def require_valid(doc: Document) -> Document:
+    """The document, or InvalidDocument carrying its report if it breaks a rule."""
+    report = validate_document(doc)
+    if not report.ok:
+        raise InvalidDocument(report)
+    return doc
 
 
 def _validate_type(t: TypeDecl, parent: str, seen: dict[str, int], proc_names: set[str], out: _Collector) -> None:
@@ -688,14 +718,15 @@ def _quoteattr(value: str) -> str:
 
 
 def serialize_document(doc: Document) -> str:
-    """Emit canonical XML text for a valid document.
+    """Emit canonical XML text for a valid document; InvalidDocument otherwise.
 
     Attribute defaults are written explicitly; parse_document on the
-    result rebuilds a structurally equal Document.
+    result rebuilds a structurally equal Document.  The text is ASCII:
+    every other character is written as a character reference, so it is
+    valid under its ISO-8859-1 declaration and encodes to the same bytes
+    on every sink.
     """
-    report = validate_document(doc)
-    if not report.ok:
-        raise InvalidDocument(report)
+    require_valid(doc)
     lines = [_DECLARATION, _DOCTYPE]
     attrs = f'VERSION={_quoteattr(doc.version)} TIMESTAMP={_quoteattr(doc.timestamp)}'
     lines.append(f"<PARSTORAGE {attrs}>")
@@ -719,7 +750,7 @@ def serialize_document(doc: Document) -> str:
             lines.append(f"    <SERVER HOST={_quoteattr(srv.host)}/>")
     lines.append("  </ISLAND>")
     lines.append("</PARSTORAGE>")
-    return "\n".join(lines) + "\n"
+    return ("\n".join(lines) + "\n").encode("ascii", "xmlcharrefreplace").decode("ascii")
 
 
 def _emit_type(t: TypeDecl, lines: list[str], indent: str) -> None:

@@ -189,7 +189,7 @@ def put_file(
                 raise XdgdlError(f"fragment {path} already exists")
 
         if manifest_text is None:
-            manifest_text = serialize_document(manifest).encode("iso-8859-1", "xmlcharrefreplace")
+            manifest_text = serialize_document(manifest).encode("ascii")
         metadata = {
             layout.root / f".vd.{name}": manifest_text,
             layout.root / f".vd.{name}.size": f"{dmap.file_size}\n".encode("ascii"),

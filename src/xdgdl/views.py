@@ -68,7 +68,7 @@ from operator import itemgetter, sub
 from typing import Iterator, Sequence
 
 from .errors import DescriptorError
-from .model import INT64_MAX, BlockDecl, ByteBlock, Document, ViewDecl
+from .model import INT64_MAX, BlockDecl, ByteBlock, Document, ViewDecl, guard_int64
 
 __all__ = [
     "MapEntry",
@@ -281,12 +281,6 @@ class PartitionVerdict:
             end = hi
 
 
-def _guard(value: int, what: str) -> int:
-    if value > INT64_MAX:
-        raise DescriptorError(f"{what} exceeds the 64-bit range: {value}")
-    return value
-
-
 class _Blocks:
     """A view's block table (module notes): its ``period`` and, per block,
     ``(offset, repeat, take, step, span, nested)``, with take = count*unit
@@ -296,12 +290,12 @@ class _Blocks:
         self.header, rows, period = view.skip_header, [], view.skip
         for b in view.blocks:
             nested = b.child if isinstance(b.child, ViewDecl) else None
-            take = b.count * (1 if nested is None else view_period(nested))
+            take = b.count * view_period(b.child)
             span = b.offset + b.repeat * take + (b.repeat - 1) * b.stride
             rows.append((b.offset, b.repeat, take, take + b.stride, span, nested))
             period += span
         self.rows = tuple(rows)
-        self.period = _guard(period, "view period")
+        self.period = guard_int64(period, "view period")
 
     @cached_property
     def selection(self) -> Selection:
@@ -317,7 +311,7 @@ class _Blocks:
             # stays one piece, for the Selection check to reject
             inner = tuple(child.runs(take)) if child is not None and take >= 0 else [(0, take)]
             pieces.extend((cursor + offset + r * step + a, n) for r in range(repeat) for a, n in inner)
-            cursor = _guard(cursor + span, "view cursor")
+            cursor = guard_int64(cursor + span, "view cursor")
         return Selection(self.header, self.period, tuple(pieces))
 
 
@@ -329,9 +323,11 @@ def _blocks(view: ViewDecl) -> _Blocks:
     return table
 
 
-def view_period(view: ViewDecl) -> int:
-    """Bytes one pattern instance spans before it repeats (module notes)."""
-    return _blocks(view).period
+def view_period(view: ViewDecl | ByteBlock) -> int:
+    """Bytes one pattern instance spans before it repeats (module notes):
+    a BYTEBLOCK's is 1, so it is the unit of a take of either child.
+    DescriptorError when it exceeds INT64_MAX."""
+    return 1 if isinstance(view, ByteBlock) else _blocks(view).period
 
 
 def _compile(view: ViewDecl) -> Selection:
@@ -498,7 +494,7 @@ def round_robin_view(device: int, devices: int, chunk: int, child: ViewDecl | By
     """Device ``device`` of ``devices`` takes chunk number ``device`` of
     every ``devices`` chunks of ``chunk`` units of ``child``: bytes under
     a BYTEBLOCK, the child's periods under a VIEW."""
-    unit = 1 if isinstance(child, ByteBlock) else view_period(child)
+    unit = view_period(child)
     return ViewDecl(
         skip_header=0,
         skip=(devices - 1 - device) * chunk * unit,

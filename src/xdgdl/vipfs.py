@@ -16,16 +16,7 @@ from pathlib import Path
 
 from .config import VipfsConfig
 from .errors import IoFailure, XdgdlError
-from .model import (
-    CompoundDecl,
-    DeviceDecl,
-    Document,
-    EtypeDecl,
-    IslandDecl,
-    ServerDecl,
-    parse_document,
-    validate_document,
-)
+from .model import CompoundDecl, Document, EtypeDecl, one_device_island, parse_document, validate_document
 from .store import StoredFile, committed, get_file, grid_layout, init_store, put_file
 from .views import round_robin_view
 
@@ -87,21 +78,13 @@ def default_descriptor(cfg: VipfsConfig, timestamp: str) -> Document:
     bytes.  The pattern is size-independent (it tiles and clips), so it
     partitions a file of any size.
     """
-    total = len(cfg.device_paths)
-    servers = []
-    for d, raw in enumerate(cfg.device_paths):
-        view = round_robin_view(d, total, cfg.data_buflen)
-        servers.append(
-            ServerDecl(
-                host=f"{cfg.srv_group_name}.{d + 1}",
-                devices=(DeviceDecl(device_id=raw, view=view),),
-            )
-        )
+    group, total = cfg.srv_group_name, len(cfg.device_paths)
+    placements = ((f"{group}.{d + 1}", raw, round_robin_view(d, total, cfg.data_buflen)) for d, raw in enumerate(cfg.device_paths))
     return Document(
         version="1.0",
         timestamp=timestamp,
         types=(CompoundDecl(children=(EtypeDecl("CHAR", 1),)),),
-        island=IslandDecl(name=cfg.srv_group_name, servers=tuple(servers)),
+        island=one_device_island(group, placements),
     )
 
 

@@ -407,6 +407,43 @@ class TestCp:
         assert capsys.readouterr().err == "xdgdl: no stored descriptor for 'nothing'\n"
         assert sorted(p.name for p in store_env.iterdir()) == ["ViPIOS.conf"]
 
+    def test_cp_out_of_a_manifest_that_is_a_directory_exits_4(self, store_env, capsys):
+        src = store_env / "m"
+        src.write_bytes(b"x" * 72)
+        assert main(["cp-in", str(src)]) == 0
+        manifest = store_env / "grid" / "vipios" / ".vd.m"
+        manifest.unlink()
+        manifest.mkdir()
+        capsys.readouterr()
+        assert main(["cp-out", "m", str(store_env / "back")]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("xdgdl: cannot read manifest (") and err.endswith(f"): {manifest}\n")
+        assert not (store_env / "back").exists()
+
+    def test_sidecar_that_is_a_directory_falls_back(self, store_env, capsys):
+        src, sidecar = store_env / "d", store_env / ".vd.d"
+        src.write_bytes(b"d" * 100)
+        sidecar.mkdir()
+        assert main(["cp-in", str(src)]) == 0
+        err = capsys.readouterr().err
+        assert err.startswith(f"xdgdl: sidecar {sidecar} is unreadable: ")
+        assert err.endswith("; using default cyclic distribution\n")
+        cfg = xdgdl.parse_config((store_env / "ViPIOS.conf").read_text())
+        stored = (store_env / "grid" / "vipios" / ".vd.d").read_bytes()
+        assert stored == xdgdl.serialize_document(xdgdl.default_descriptor(cfg, "d")).encode("ascii")
+        assert main(["cp-out", "d", str(store_env / "back")]) == 0
+        assert (store_env / "back").read_bytes() == b"d" * 100
+
+    def test_cp_in_of_a_directory_exits_4(self, store_env, capsys):
+        src = store_env / "folder"
+        src.mkdir()
+        assert main(["cp-in", str(src)]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("xdgdl: cannot read source file (") and err.endswith(f"): {src}\n")
+        assert list((store_env / "grid" / "vipios").iterdir()) == []
+
     def test_cp_out_corrupt_size_exits_4(self, store_env, capsys):
         src = store_env / "data.bin"
         src.write_bytes(b"0123456789")
@@ -612,6 +649,20 @@ class TestHpfCompile:
 </PARSTORAGE>
 """
 
+    # one distributed array of CHAR records
+    ARRAY = """<?xml version="1.0" encoding="ISO-8859-1"?>
+<PARSTORAGE VERSION="1.0" TIMESTAMP="{timestamp}">
+  <PROCESSORS NAME="P"><PROC_DIMENSION LOWER="1" UPPER="2"/></PROCESSORS>
+  <TYPE>
+    <ARRAY NAME="a" DISTRIBUTE_ONTO="P">
+      <TYPE><ETYPE TYPE="CHAR" LENGTH="{record}"/></TYPE>
+      <DIMENSION LOWER="1" UPPER="{records}" DISTRIBUTE="{distribute}"/>
+    </ARRAY>
+  </TYPE>
+  <ISLAND NAME="lab"/>
+</PARSTORAGE>
+"""
+
     def test_emits_partitioning_descriptor(self, tmp_path, capsys):
         desc = tmp_path / "logical.xml"
         desc.write_text(self.DESC)
@@ -707,6 +758,46 @@ class TestHpfCompile:
         assert out.read_bytes() == b"<previous/>\n"
         assert list(tmp_path.glob("*.tmp")) == []
 
+    @pytest.mark.parametrize(
+        "record, records, period",
+        [(4, 2**62, 2**64), (1, 2**63 - 1, 2**63)],
+        ids=["2-to-the-62-of-4-bytes", "int64-max-of-1-byte"],
+    )
+    def test_lowering_past_int64_exits_2_and_writes_nothing(self, tmp_path, capsys, record, records, period):
+        """A BLOCK half of the array is one take: its view's period passes
+        INT64_MAX, so the output would fail its own validate or plan."""
+        desc, out = tmp_path / "logical.xml", tmp_path / "compiled.xml"
+        desc.write_text(self.ARRAY.format(timestamp="huge", record=record, records=records, distribute="BLOCK"))
+        expected = ("", f"xdgdl: view period exceeds the 64-bit range: {period}\n")
+        assert main(["hpf-compile", str(desc), "--servers", "h1,h2", "--out", str(out)]) == 2
+        assert capsys.readouterr() == expected
+        assert list(tmp_path.iterdir()) == [desc]
+        assert main(["hpf-compile", str(desc), "--servers", "h1,h2"]) == 2
+        assert capsys.readouterr() == expected
+
+    def test_stdout_is_the_out_file_under_any_stdout_encoding(self, tmp_path, capsys):
+        """A non-ASCII TIMESTAMP is written as character references, so
+        stdout carries the ``--out`` bytes, which validate, whatever
+        encoding stdout has."""
+        desc, out, saved = tmp_path / "logical.xml", tmp_path / "compiled.xml", tmp_path / "stdout.xml"
+        desc.write_text(self.ARRAY.format(timestamp="t&#233;&#322;", record=1, records=10, distribute="CYCLIC"))
+
+        def compile_(*argv, encoding="utf-8"):
+            env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONIOENCODING=encoding)
+            argv = [sys.executable, "-m", "xdgdl.cli", "hpf-compile", str(desc), "--servers", "s1,s2", *argv]
+            return subprocess.run(argv, env=env, capture_output=True, timeout=60)
+
+        proc = compile_("--out", str(out))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+        assert b'TIMESTAMP="t&#233;&#322;"' in out.read_bytes()
+        for encoding in ("utf-8", "latin-1"):
+            proc = compile_(encoding=encoding)
+            assert (proc.returncode, proc.stderr) == (0, b""), encoding
+            assert proc.stdout == out.read_bytes(), encoding
+        saved.write_bytes(proc.stdout)
+        assert main(["validate", str(saved)]) == 0
+        assert capsys.readouterr() == ("OK\n", "")
+
     # 7 rows dealt in pairs over 2 leave a ragged last turn; the COLUMN
     # array stores its rows fastest
     RAGGED = DESC.replace('UPPER="3"/>', 'UPPER="2"/>\n    <PROC_DIMENSION LOWER="1" UPPER="2"/>').replace(
@@ -746,6 +837,16 @@ class TestInit:
         out = capsys.readouterr().out
         assert out.count("vipios_server.") == 3
         assert "root\t" in out
+
+
+    def test_device_path_under_a_regular_file_exits_4(self, store_env, capsys):
+        (store_env / "grid").write_bytes(b"")
+        assert main(["init"]) == 4
+        device = store_env / "grid" / "ViPIOS" / "dev1"
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("xdgdl: cannot create device directory (") and err.endswith(f"): {device}\n")
+        assert (store_env / "grid").read_bytes() == b""
 
 
 class TestOneParser:

@@ -65,6 +65,27 @@ class TestSizeof:
         assert sizeof_type(outer.element) == 3
 
 
+    @pytest.mark.parametrize(
+        "t, message",
+        [
+            # the check runs as the total grows: it names the first total past the range
+            (
+                CompoundDecl((EtypeDecl("A", 2**62), EtypeDecl("B", 2**62), EtypeDecl("C", 5))),
+                f"type size exceeds the 64-bit range: {2**63}",
+            ),
+            (
+                ArrayDecl(EtypeDecl("INT", 4), (DimensionDecl(upper=2**62), DimensionDecl(upper=3))),
+                f"array size exceeds the 64-bit range: {2**64}",
+            ),
+        ],
+        ids=["type", "array"],
+    )
+    def test_size_past_int64(self, t, message):
+        with pytest.raises(DescriptorError) as exc:
+            sizeof_type(t)
+        assert str(exc.value) == message
+
+
 class TestCompile:
     def test_block_8_over_2(self):
         om = compile_hpf_mapping(dist_array(8, Distribution.BLOCK), procs(2))
@@ -98,6 +119,16 @@ class TestCompile:
         )
         with pytest.raises(DescriptorError, match="2 distributed dimensions cannot map onto 1 processor dimensions"):
             compile_hpf_mapping(arr, procs(2))
+
+    def test_element_count_past_int64(self):
+        arr = ArrayDecl(
+            EtypeDecl("C", 1),
+            (DimensionDecl(upper=2**62, distribute=Distribution.BLOCK), DimensionDecl(upper=2)),
+            distribute_onto="P",
+        )
+        with pytest.raises(DescriptorError) as exc:
+            compile_hpf_mapping(arr, procs(2))
+        assert str(exc.value) == f"element count exceeds the 64-bit range: {2**63}"
 
     def test_no_distribution_single_owner(self):
         om = compile_hpf_mapping(dist_array(6, Distribution.NO), procs(4))

@@ -374,6 +374,16 @@ class TestSerialize:
         doc = small_doc(island=IslandDecl('isle "<&>é\nx'))
         assert parse_document(serialize_document(doc)) == doc
 
+    def test_non_ascii_is_written_as_character_references(self):
+        """The text is ASCII, so it is valid under its ISO-8859-1
+        declaration and the same bytes on every sink."""
+        doc = small_doc(island=IslandDecl("t\u00e9\u0142"), timestamp="t\u00e9\u0142")
+        text = serialize_document(doc)
+        assert text.isascii()
+        assert '<PARSTORAGE VERSION="1.0" TIMESTAMP="t&#233;&#322;">' in text.splitlines()
+        assert '  <ISLAND NAME="t&#233;&#322;">' in text.splitlines()
+        assert parse_document(text) == parse_document(text.encode("ascii")) == doc
+
     @pytest.mark.parametrize(
         "value, quoted",
         [
