@@ -9,15 +9,18 @@ selection pattern or an explicit ``NOVIEW`` marker.
 This module owns the in-memory tree (frozen dataclasses), parsing from XML
 text, structural validation, and canonical serialization.  The parser checks
 every element against one grammar table (attributes, child tags); paths index
-siblings per tag, in parser and validator alike.  The emitted ``XDGDL.dtd``
-doctype reference is never fetched, so parsing stays hermetic.
+siblings per tag, in parser and validator alike.  The writer applies one
+element rule (``_write``) to one table of each node type's tag, attribute
+text and children (``_ELEMENTS``).  The emitted ``XDGDL.dtd`` doctype
+reference is never fetched, so parsing stays hermetic.
 
 It also holds the rules the other modules build descriptors by: the 64-bit
 range of every integer (``INT64_MAX``, ``parse_size``, ``guard_int64``),
 the walk over type declarations (``type_decls``), the island of one-device
 servers (``one_device_island``) and the one output text: serialization
 writes ASCII, every other character as a character reference, so the text
-is valid under its ISO-8859-1 declaration and the same bytes on any sink.
+is valid under its ISO-8859-1 declaration and the same bytes on any sink,
+and refuses a character XML 1.0 cannot carry, so the text reads back.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import enum
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from .errors import DescriptorError, InvalidDocument, ParseError, ValidationError
 
@@ -698,18 +701,21 @@ def _validate_view(v: ViewDecl, path: str, out: _Collector) -> None:
 # --------------------------------------------------------------------------
 # serialization
 
-_DECLARATION = '<?xml version="1.0" encoding="ISO-8859-1"?>'
-_DOCTYPE = '<!DOCTYPE PARSTORAGE SYSTEM "XDGDL.dtd">'
-
-
 _ATTR_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", "\n": "&#10;", "\r": "&#13;", "\t": "&#9;"})
+_UNWRITABLE_RE = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")  # XML 1.0 allows these in no form
+_DISTRIBUTE = {d: None if d is Distribution.UNSPECIFIED else d.value for d in Distribution}  # UNSPECIFIED is not written
 
 
 def _quoteattr(value: str) -> str:
     """``value`` escaped and quoted as ``xml.sax.saxutils.quoteattr`` does,
     whose module imports ``urllib`` and ``http``: in double quotes unless
-    it holds a double quote and no single one."""
-    value = value.translate(_ATTR_ESCAPES)
+    it holds a double quote and no single one.  DescriptorError for a
+    character XML 1.0 cannot carry, so the text always reads back."""
+    printable = value.isprintable()  # then it holds nothing to refuse and no newline or tab to escape
+    if not printable and (bad := _UNWRITABLE_RE.search(value)):
+        raise DescriptorError(f"cannot write {value!r}: XML 1.0 cannot carry U+{ord(bad.group()):04X}")
+    if not printable or "&" in value or "<" in value or ">" in value:
+        value = value.translate(_ATTR_ESCAPES)
     if '"' not in value:
         return f'"{value}"'
     if "'" not in value:
@@ -717,87 +723,54 @@ def _quoteattr(value: str) -> str:
     return '"%s"' % value.replace('"', "&quot;")
 
 
+def _optional(name: str, value: str | None) -> str:
+    return "" if value is None else f" {name}={_quoteattr(value)}"
+
+
+# Each node type's tag, attribute text and children in document order.  A processor
+# dimension is a (lower, upper) pair; a device without a view holds None, written NOVIEW.
+_ELEMENTS: dict[type, Callable[[Any], tuple[str, str, tuple]]] = {
+    Document: lambda d: ("PARSTORAGE", f" VERSION={_quoteattr(d.version)} TIMESTAMP={_quoteattr(d.timestamp)}", (*d.processors, *d.types, *d.aligns, d.island)),
+    ProcessorsDecl: lambda p: ("PROCESSORS", f" NAME={_quoteattr(p.name)}", p.dims),
+    tuple: lambda d: ("PROC_DIMENSION", f' LOWER="{d[0]}" UPPER="{d[1]}"', ()),
+    CompoundDecl: lambda t: ("TYPE", f'{_optional("TYPENAME", t.typename)}{_optional("NAME", t.name)}', t.children),
+    EtypeDecl: lambda t: ("ETYPE", f' TYPE={_quoteattr(t.base)} LENGTH="{t.length_bytes}"{_optional("NAME", t.name)}', ()),
+    ArrayDecl: lambda t: ("ARRAY", f'{_optional("NAME", t.name)} MAJOR="{t.major.value}"{_optional("DISTRIBUTE_ONTO", t.distribute_onto)}', (t.element, *t.dims)),
+    DimensionDecl: lambda d: ("DIMENSION", f' LOWER="{d.lower}" UPPER="{d.upper}"{_optional("DISTRIBUTE", _DISTRIBUTE[d.distribute])} DIST_SKALAR="{d.dist_skalar}"', ()),
+    AlignDecl: lambda a: ("ALIGN", f" WHAT={_quoteattr(a.what)} WITH={_quoteattr(a.with_target)}", ()),
+    IslandDecl: lambda i: ("ISLAND", f" NAME={_quoteattr(i.name)}", i.servers),
+    ServerDecl: lambda s: ("SERVER", f" HOST={_quoteattr(s.host)}", s.devices),
+    DeviceDecl: lambda d: ("DEVICE", f" DEVICE_ID={_quoteattr(d.device_id)}", (d.view,)),
+    type(None): lambda _: ("NOVIEW", "", ()),
+    ViewDecl: lambda v: ("VIEW", f' SKIP_HEADER="{v.skip_header}" SKIP="{v.skip}"', v.blocks),
+    BlockDecl: lambda b: ("BLOCK", f' OFFSET="{b.offset}" REPEAT="{b.repeat}" COUNT="{b.count}" STRIDE="{b.stride}"', (b.child,)),
+    ByteBlock: lambda _: ("BYTEBLOCK", "", ()),
+}
+
+
+def _write(node: object, lines: list[str], indent: str) -> None:
+    """The element rule: open tag, children indented, close tag; a self-closed
+    tag when there are no children, except an ISLAND's, kept as written before."""
+    tag, attrs, children = _ELEMENTS[type(node)](node)
+    if not children and tag != "ISLAND":
+        lines.append(f"{indent}<{tag}{attrs}/>")
+        return
+    lines.append(f"{indent}<{tag}{attrs}>")
+    inner = indent + "  "
+    for child in children:
+        _write(child, lines, inner)
+    lines.append(f"{indent}</{tag}>")
+
+
 def serialize_document(doc: Document) -> str:
-    """Emit canonical XML text for a valid document; InvalidDocument otherwise.
+    """Canonical XML text of a valid document: InvalidDocument otherwise,
+    DescriptorError for a value XML 1.0 cannot carry (``_quoteattr``).
 
     Attribute defaults are written explicitly; parse_document on the
-    result rebuilds a structurally equal Document.  The text is ASCII:
-    every other character is written as a character reference, so it is
-    valid under its ISO-8859-1 declaration and encodes to the same bytes
-    on every sink.
+    result rebuilds a structurally equal Document.  The text is ASCII,
+    every other character a character reference (module notes).
     """
     require_valid(doc)
-    lines = [_DECLARATION, _DOCTYPE]
-    attrs = f'VERSION={_quoteattr(doc.version)} TIMESTAMP={_quoteattr(doc.timestamp)}'
-    lines.append(f"<PARSTORAGE {attrs}>")
-    for p in doc.processors:
-        lines.append(f"  <PROCESSORS NAME={_quoteattr(p.name)}>")
-        for lo, up in p.dims:
-            lines.append(f'    <PROC_DIMENSION LOWER="{lo}" UPPER="{up}"/>')
-        lines.append("  </PROCESSORS>")
-    for t in doc.types:
-        _emit_type(t, lines, "  ")
-    for a in doc.aligns:
-        lines.append(f"  <ALIGN WHAT={_quoteattr(a.what)} WITH={_quoteattr(a.with_target)}/>")
-    lines.append(f"  <ISLAND NAME={_quoteattr(doc.island.name)}>")
-    for srv in doc.island.servers:
-        if srv.devices:
-            lines.append(f"    <SERVER HOST={_quoteattr(srv.host)}>")
-            for dev in srv.devices:
-                _emit_device(dev, lines, "      ")
-            lines.append("    </SERVER>")
-        else:
-            lines.append(f"    <SERVER HOST={_quoteattr(srv.host)}/>")
-    lines.append("  </ISLAND>")
-    lines.append("</PARSTORAGE>")
+    lines = ['<?xml version="1.0" encoding="ISO-8859-1"?>', '<!DOCTYPE PARSTORAGE SYSTEM "XDGDL.dtd">']
+    _write(doc, lines, "")
     return ("\n".join(lines) + "\n").encode("ascii", "xmlcharrefreplace").decode("ascii")
-
-
-def _emit_type(t: TypeDecl, lines: list[str], indent: str) -> None:
-    if isinstance(t, EtypeDecl):
-        extra = f" NAME={_quoteattr(t.name)}" if t.name is not None else ""
-        lines.append(f'{indent}<ETYPE TYPE={_quoteattr(t.base)} LENGTH="{t.length_bytes}"{extra}/>')
-    elif isinstance(t, CompoundDecl):
-        attrs = ""
-        if t.typename is not None:
-            attrs += f" TYPENAME={_quoteattr(t.typename)}"
-        if t.name is not None:
-            attrs += f" NAME={_quoteattr(t.name)}"
-        lines.append(f"{indent}<TYPE{attrs}>")
-        for c in t.children:
-            _emit_type(c, lines, indent + "  ")
-        lines.append(f"{indent}</TYPE>")
-    else:
-        attrs = ""
-        if t.name is not None:
-            attrs += f" NAME={_quoteattr(t.name)}"
-        attrs += f' MAJOR="{t.major.value}"'
-        if t.distribute_onto is not None:
-            attrs += f" DISTRIBUTE_ONTO={_quoteattr(t.distribute_onto)}"
-        lines.append(f"{indent}<ARRAY{attrs}>")
-        _emit_type(t.element, lines, indent + "  ")
-        for d in t.dims:
-            dist = f' DISTRIBUTE="{d.distribute.value}"' if d.distribute is not Distribution.UNSPECIFIED else ""
-            lines.append(f'{indent}  <DIMENSION LOWER="{d.lower}" UPPER="{d.upper}"{dist} DIST_SKALAR="{d.dist_skalar}"/>')
-        lines.append(f"{indent}</ARRAY>")
-
-
-def _emit_device(dev: DeviceDecl, lines: list[str], indent: str) -> None:
-    lines.append(f"{indent}<DEVICE DEVICE_ID={_quoteattr(dev.device_id)}>")
-    if dev.view is not None:
-        _emit_view(dev.view, lines, indent + "  ")
-    else:
-        lines.append(f"{indent}  <NOVIEW/>")
-    lines.append(f"{indent}</DEVICE>")
-
-
-def _emit_view(v: ViewDecl, lines: list[str], indent: str) -> None:
-    lines.append(f'{indent}<VIEW SKIP_HEADER="{v.skip_header}" SKIP="{v.skip}">')
-    for b in v.blocks:
-        lines.append(f'{indent}  <BLOCK OFFSET="{b.offset}" REPEAT="{b.repeat}" COUNT="{b.count}" STRIDE="{b.stride}">')
-        if isinstance(b.child, ByteBlock):
-            lines.append(f"{indent}    <BYTEBLOCK/>")
-        else:
-            _emit_view(b.child, lines, indent + "    ")
-        lines.append(f"{indent}  </BLOCK>")
-    lines.append(f"{indent}</VIEW>")

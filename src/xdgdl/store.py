@@ -5,7 +5,9 @@ files named ``<timestamp>.frag``.  The user-visible directory holds a
 0-byte stub per stored file, the descriptor under ``.vd.<name>``, and the
 byte count under ``.vd.<name>.size`` (the descriptor file itself stays
 byte-identical to what the user supplied, so the size rides in a sidecar
-of its own).  ``put_file`` refuses names that begin with ``.vd.``.
+of its own).  ``put_file`` refuses names that begin with ``.vd.`` and
+names whose metadata file exists without their stub: ``.vd.a.size`` is
+the size of ``a`` and the manifest of ``a.size``.
 
 Descriptor devices are resolved against layout devices positionally: the
 descriptors in circulation happily reuse one device id on every server,
@@ -23,14 +25,15 @@ by the window, at most ``WINDOW_BYTES`` whatever the descriptor's
 header or period, not by the file.  Callers holding bytes pass
 ``io.BytesIO``; a stream that cannot seek, such as a pipe, is spooled
 to a temporary file first (``measured``).  Every output file is written
-to ``<path>.tmp`` through an unbuffered handle and renamed into place
-(``committed``), so no reader sees a half-written file.  A put commits
-its fragments and its three metadata files in one block, renamed in
-order: the fragments, then ``.vd.<name>`` and its ``.size``, then the
-stub, so storing a name again with another TIMESTAMP reads back the new
-bytes (the old fragments stay on disk).  ``rebuild``, shared by
-``get_file`` and ``xdgdl gather``, is the one place that opens fragment
-files, and ``gather`` checks every length before a byte is written.
+to a new ``<path>.tmp`` (one that exists is refused) through an
+unbuffered handle and renamed into place (``committed``), so no reader
+sees a half-written file.  A put commits its fragments and its three
+metadata files in one block, renamed in order: the fragments, then
+``.vd.<name>`` and its ``.size``, then the stub, so storing a name again
+with another TIMESTAMP reads back the new bytes (the old fragments stay
+on disk).  ``rebuild``, shared by ``get_file`` and ``xdgdl gather``, is
+the one place that opens fragment files, and ``gather`` checks every
+length before a byte is written.
 """
 
 from __future__ import annotations
@@ -113,15 +116,16 @@ def init_store(cfg: VipfsConfig) -> GridLayout:
 
 @contextmanager
 def committed(paths: list[Path]) -> Iterator[list[BinaryIO]]:
-    """Unbuffered handles on ``<path>.tmp``, one per path, each renamed
-    over its path once the block succeeds.  If the block fails, the
-    ``.tmp`` files are removed and no path is touched."""
+    """Unbuffered handles on new ``<path>.tmp`` files (IoFailure if one
+    exists), one per path, each renamed over its path once the block
+    succeeds.  If the block fails, the ``.tmp`` files it created are
+    removed and no path is touched."""
     tmps = [path.with_name(path.name + ".tmp") for path in paths]
     sinks: list[BinaryIO] = []
     try:
         try:
             for tmp in tmps:
-                sinks.append(writing(tmp, open, tmp, "wb", buffering=0))
+                sinks.append(writing(tmp, open, tmp, "xb", buffering=0))
             yield sinks
         finally:
             for sink in sinks:
@@ -129,7 +133,7 @@ def committed(paths: list[Path]) -> Iterator[list[BinaryIO]]:
         for tmp, path in zip(tmps, paths):
             writing(path, os.replace, tmp, path)
     except BaseException:
-        for tmp in tmps:
+        for tmp in tmps[: len(sinks)]:
             with suppress(OSError):  # a failed removal must not hide the failure being raised
                 tmp.unlink(missing_ok=True)
         raise
@@ -175,11 +179,15 @@ def put_file(
     When the caller holds the descriptor's original text (a user-supplied
     sidecar), passing it keeps the stored ``.vd.`` file byte-identical to
     it; otherwise the manifest is serialized canonically.  A name that
-    begins with ``.vd.``, the prefix of the metadata files, raises
-    IoFailure before anything is written.
+    begins with ``.vd.``, the prefix of the metadata files, or whose
+    metadata file exists without its stub raises IoFailure before
+    anything is written.
     """
     if name.startswith(".vd."):
         raise IoFailure(layout.root / name, "cannot store a name that begins with the reserved '.vd.' prefix")
+    manifest_path, size_path, stub = layout.root / f".vd.{name}", layout.root / f".vd.{name}.size", layout.root / name
+    if not stub.exists() and (manifest_path.exists() or size_path.exists()):
+        raise IoFailure(stub, "cannot store a name whose metadata file exists without its stub")
     with measured(src) as (src, size):
         dmap = build_distribution_map(manifest, size)
         frag_paths = _fragment_paths(dmap, layout, manifest.timestamp)
@@ -191,9 +199,9 @@ def put_file(
         if manifest_text is None:
             manifest_text = serialize_document(manifest).encode("ascii")
         metadata = {
-            layout.root / f".vd.{name}": manifest_text,
-            layout.root / f".vd.{name}.size": f"{dmap.file_size}\n".encode("ascii"),
-            layout.root / name: b"",  # the 0-byte stub, renamed last, marks the file as stored
+            manifest_path: manifest_text,
+            size_path: f"{dmap.file_size}\n".encode("ascii"),
+            stub: b"",  # the 0-byte stub, renamed last, marks the file as stored
         }
         with committed([*frag_paths, *metadata]) as sinks:
             scatter(src, dmap, sinks[: len(frag_paths)])

@@ -78,13 +78,13 @@ def default_descriptor(cfg: VipfsConfig, timestamp: str) -> Document:
     bytes.  The pattern is size-independent (it tiles and clips), so it
     partitions a file of any size.
     """
-    group, total = cfg.srv_group_name, len(cfg.device_paths)
-    placements = ((f"{group}.{d + 1}", raw, round_robin_view(d, total, cfg.data_buflen)) for d, raw in enumerate(cfg.device_paths))
+    devices = grid_layout(cfg).devices
+    placements = ((d.host, d.device_id, round_robin_view(i, len(devices), cfg.data_buflen)) for i, d in enumerate(devices))
     return Document(
         version="1.0",
         timestamp=timestamp,
         types=(CompoundDecl(children=(EtypeDecl("CHAR", 1),)),),
-        island=one_device_island(group, placements),
+        island=one_device_island(cfg.srv_group_name, placements),
     )
 
 

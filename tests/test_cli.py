@@ -583,6 +583,52 @@ class TestCp:
         assert main(["cp-out", "foo", str(store_env / "back")]) == 0
         assert (store_env / "back").read_bytes() == b"0123456789" * 50
 
+    @pytest.mark.parametrize(
+        "first, second, message",
+        [
+            ("a.tmp", "a", "cannot write (File exists)"),  # a's temporary stub and manifest are a.tmp's files
+            ("a", "a.size", "metadata file exists without its stub"),  # .vd.a.size is a's size
+            ("a.size", "a", "metadata file exists without its stub"),  # .vd.a.size is a.size's manifest
+        ],
+    )
+    def test_a_name_whose_files_are_another_stored_files_is_refused(self, store_env, capsys, first, second, message):
+        src, grid = store_env / "src", store_env / "grid"
+        src.mkdir()
+        rng = random.Random(17)
+        for name in (first, second):
+            (src / name).write_bytes(rng.randbytes(9000))
+        assert main(["cp-in", str(src / first)]) == 0
+        stored = {p: p.read_bytes() for p in grid.rglob("*") if p.is_file()}
+        capsys.readouterr()
+        assert main(["cp-in", str(src / second)]) == 4
+        assert message in capsys.readouterr().err
+        assert {p: p.read_bytes() for p in grid.rglob("*") if p.is_file()} == stored
+        assert main(["cp-out", first, str(store_env / "back")]) == 0
+        assert (store_env / "back").read_bytes() == (src / first).read_bytes()
+
+    def test_a_tmp_name_stored_after_its_base_name_keeps_both(self, store_env, capsys):
+        src = store_env / "src"
+        src.mkdir()
+        rng = random.Random(19)
+        for name in ("a", "a.tmp"):
+            (src / name).write_bytes(rng.randbytes(9000))
+            assert main(["cp-in", str(src / name)]) == 0
+        for name in ("a", "a.tmp"):
+            assert main(["cp-out", name, str(store_env / "back")]) == 0
+            assert (store_env / "back").read_bytes() == (src / name).read_bytes()
+
+    def test_a_users_tmp_file_beside_the_target_is_left_alone(self, store_env, capsys):
+        (store_env / "foo").write_bytes(b"0123456789" * 50)
+        assert main(["cp-in", str(store_env / "foo")]) == 0
+        report, mine = store_env / "report", store_env / "report.tmp"
+        mine.write_bytes(b"mine")
+        for name in ("nothing", "foo"):
+            capsys.readouterr()
+            assert main(["cp-out", name, str(report)]) == 4
+            assert f"cannot write (File exists): {mine}" in capsys.readouterr().err
+            assert mine.read_bytes() == b"mine"
+            assert not report.exists()
+
     def test_cp_out_unknown_name_exits_4(self, store_env, capsys):
         assert main(["cp-out", "ghost", str(store_env / "g")]) == 4
 
@@ -774,6 +820,28 @@ class TestHpfCompile:
         assert list(tmp_path.iterdir()) == [desc]
         assert main(["hpf-compile", str(desc), "--servers", "h1,h2"]) == 2
         assert capsys.readouterr() == expected
+
+    def test_a_host_xml_cannot_carry_exits_2_and_writes_nothing(self, tmp_path):
+        """A control character has no form in XML 1.0, so the descriptor
+        would not read back: refused before stdout or ``--out``."""
+        desc, out = tmp_path / "logical.xml", tmp_path / "compiled.xml"
+        desc.write_text(self.ARRAY.format(timestamp="t", record=1, records=10, distribute="CYCLIC"))
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        for extra in ((), ("--out", str(out))):
+            argv = [sys.executable, "-m", "xdgdl.cli", "hpf-compile", str(desc), "--servers", "h\x01,h2", *extra]
+            proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+            assert (proc.returncode, proc.stdout) == (2, ""), extra
+            assert proc.stderr == "xdgdl: cannot write 'h\\x01': XML 1.0 cannot carry U+0001\n", extra
+            assert list(tmp_path.iterdir()) == [desc], extra
+
+    def test_an_out_tmp_that_exists_is_refused_and_left_alone(self, tmp_path, capsys):
+        desc, out, mine = tmp_path / "logical.xml", tmp_path / "compiled.xml", tmp_path / "compiled.xml.tmp"
+        desc.write_text(self.DESC)
+        mine.write_bytes(b"mine")
+        assert main(["hpf-compile", str(desc), "--servers", "h1,h2,h3", "--out", str(out)]) == 4
+        assert capsys.readouterr().err == f"xdgdl: cannot write (File exists): {mine}\n"
+        assert mine.read_bytes() == b"mine"
+        assert not out.exists()
 
     def test_stdout_is_the_out_file_under_any_stdout_encoding(self, tmp_path, capsys):
         """A non-ASCII TIMESTAMP is written as character references, so

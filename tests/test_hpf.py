@@ -68,6 +68,20 @@ class TestSizeof:
     @pytest.mark.parametrize(
         "t, message",
         [
+            (EtypeDecl("CHAR", 0), "element length must be >= 1, got 0"),
+            (CompoundDecl(()), "empty TYPE has no storage size"),
+            (ArrayDecl(EtypeDecl("INT", 4), (DimensionDecl(upper=3), DimensionDecl(upper=0))), "dimension extent must be >= 1, got 0"),
+        ],
+        ids=["zero-length", "empty-type", "empty-dimension"],
+    )
+    def test_a_type_without_storage_is_refused(self, t, message):
+        with pytest.raises(ValueError) as exc:
+            sizeof_type(t)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "t, message",
+        [
             # the check runs as the total grows: it names the first total past the range
             (
                 CompoundDecl((EtypeDecl("A", 2**62), EtypeDecl("B", 2**62), EtypeDecl("C", 5))),
@@ -119,6 +133,21 @@ class TestCompile:
         )
         with pytest.raises(DescriptorError, match="2 distributed dimensions cannot map onto 1 processor dimensions"):
             compile_hpf_mapping(arr, procs(2))
+
+    @pytest.mark.parametrize(
+        "arr, processors, message",
+        [
+            (dist_array(4, Distribution.BLOCK), ProcessorsDecl("P", ()), "processor array 'P' has an empty shape: ()"),
+            (dist_array(4, Distribution.BLOCK), ProcessorsDecl("P", ((2, 1),)), "processor array 'P' has an empty shape: (0,)"),
+            (ArrayDecl(EtypeDecl("C", 1), (), distribute_onto="P", name="a"), procs(2), "array a has an empty shape: ()"),
+            (dist_array(0, Distribution.CYCLIC), procs(2), "array a has an empty shape: (0,)"),
+        ],
+        ids=["no-processor-dimension", "empty-processor-dimension", "no-array-dimension", "empty-array-dimension"],
+    )
+    def test_an_empty_shape_is_refused(self, arr, processors, message):
+        with pytest.raises(DescriptorError) as exc:
+            compile_hpf_mapping(arr, processors)
+        assert str(exc.value) == message
 
     def test_element_count_past_int64(self):
         arr = ArrayDecl(
@@ -196,6 +225,11 @@ class TestOwnerMapToViews:
             entries.append(entry_of("i", f"h{d}", f"d{d}", extents))
         verdict = check_partition(DistributionMap(total, tuple(entries)))
         assert verdict.status is PartitionStatus.EXACT_PARTITION
+
+    def test_an_element_without_bytes_is_refused(self):
+        om = compile_hpf_mapping(dist_array(4, Distribution.CYCLIC), procs(2))
+        with pytest.raises(ValueError, match="element_bytes must be >= 1, got 0"):
+            ownermap_to_views(om, 0)
 
     def test_block_single_take(self):
         om = compile_hpf_mapping(dist_array(8, Distribution.BLOCK), procs(2))

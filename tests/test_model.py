@@ -14,8 +14,10 @@ from gen import random_document
 from xdgdl import (
     AlignDecl,
     ArrayDecl,
+    BlockDecl,
     ByteBlock,
     CompoundDecl,
+    DescriptorError,
     DeviceDecl,
     DimensionDecl,
     Distribution,
@@ -414,6 +416,128 @@ class TestSerialize:
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True)
         assert proc.stdout == "[]\n"
+
+    # every element kind; every optional attribute present and absent; a
+    # nested view, a NOVIEW device and a server with no devices
+    EVERY_ELEMENT = Document(
+        version="1.0",
+        timestamp="t_all",
+        processors=(ProcessorsDecl("P", ((1, 2), (0, 3))),),
+        types=(
+            CompoundDecl((EtypeDecl("CHAR", 1), EtypeDecl("INT", 4, name="i")), name="rec", typename="record"),
+            CompoundDecl(
+                (
+                    ArrayDecl(
+                        element=CompoundDecl((EtypeDecl("CHAR", 1),)),
+                        dims=(DimensionDecl(4, 1, Distribution.CYCLIC, 2), DimensionDecl(3)),
+                        major=Major.COLUMN,
+                        distribute_onto="P",
+                        name="a",
+                    ),
+                    ArrayDecl(element=EtypeDecl("CHAR", 2), dims=(DimensionDecl(5, 0, Distribution.NO),)),
+                ),
+                typename="pair",
+            ),
+        ),
+        aligns=(AlignDecl("a", "P"),),
+        island=IslandDecl(
+            "isle",
+            (
+                ServerDecl(
+                    "h1",
+                    (
+                        DeviceDecl(
+                            "d1",
+                            ViewDecl(
+                                2,
+                                3,
+                                (
+                                    BlockDecl(0, 2, 1, 4, ByteBlock()),
+                                    BlockDecl(1, 1, 2, 0, ViewDecl(0, 1, (BlockDecl(0, 1, 2, 0, ByteBlock()),))),
+                                ),
+                            ),
+                        ),
+                        DeviceDecl("d2", noview=True),
+                    ),
+                ),
+                ServerDecl("h2"),
+            ),
+        ),
+    )
+    EVERY_ELEMENT_TEXT = """\
+<?xml version="1.0" encoding="ISO-8859-1"?>
+<!DOCTYPE PARSTORAGE SYSTEM "XDGDL.dtd">
+<PARSTORAGE VERSION="1.0" TIMESTAMP="t_all">
+  <PROCESSORS NAME="P">
+    <PROC_DIMENSION LOWER="1" UPPER="2"/>
+    <PROC_DIMENSION LOWER="0" UPPER="3"/>
+  </PROCESSORS>
+  <TYPE TYPENAME="record" NAME="rec">
+    <ETYPE TYPE="CHAR" LENGTH="1"/>
+    <ETYPE TYPE="INT" LENGTH="4" NAME="i"/>
+  </TYPE>
+  <TYPE TYPENAME="pair">
+    <ARRAY NAME="a" MAJOR="COLUMN" DISTRIBUTE_ONTO="P">
+      <TYPE>
+        <ETYPE TYPE="CHAR" LENGTH="1"/>
+      </TYPE>
+      <DIMENSION LOWER="1" UPPER="4" DISTRIBUTE="CYCLIC" DIST_SKALAR="2"/>
+      <DIMENSION LOWER="1" UPPER="3" DIST_SKALAR="1"/>
+    </ARRAY>
+    <ARRAY MAJOR="ROW">
+      <ETYPE TYPE="CHAR" LENGTH="2"/>
+      <DIMENSION LOWER="0" UPPER="5" DISTRIBUTE="NO" DIST_SKALAR="1"/>
+    </ARRAY>
+  </TYPE>
+  <ALIGN WHAT="a" WITH="P"/>
+  <ISLAND NAME="isle">
+    <SERVER HOST="h1">
+      <DEVICE DEVICE_ID="d1">
+        <VIEW SKIP_HEADER="2" SKIP="3">
+          <BLOCK OFFSET="0" REPEAT="2" COUNT="1" STRIDE="4">
+            <BYTEBLOCK/>
+          </BLOCK>
+          <BLOCK OFFSET="1" REPEAT="1" COUNT="2" STRIDE="0">
+            <VIEW SKIP_HEADER="0" SKIP="1">
+              <BLOCK OFFSET="0" REPEAT="1" COUNT="2" STRIDE="0">
+                <BYTEBLOCK/>
+              </BLOCK>
+            </VIEW>
+          </BLOCK>
+        </VIEW>
+      </DEVICE>
+      <DEVICE DEVICE_ID="d2">
+        <NOVIEW/>
+      </DEVICE>
+    </SERVER>
+    <SERVER HOST="h2"/>
+  </ISLAND>
+</PARSTORAGE>
+"""
+
+    def test_canonical_text_of_every_element_kind(self):
+        assert serialize_document(self.EVERY_ELEMENT) == self.EVERY_ELEMENT_TEXT
+        assert parse_document(self.EVERY_ELEMENT_TEXT) == self.EVERY_ELEMENT
+
+    def test_an_empty_island_keeps_its_close_tag(self):
+        text = serialize_document(small_doc(island=IslandDecl("lonely")))
+        assert text.splitlines()[-3:] == ['  <ISLAND NAME="lonely">', "  </ISLAND>", "</PARSTORAGE>"]
+
+    @pytest.mark.parametrize("char", ["\x00", "\x01", "\x08", "\x0b", "\x1f", "\ud800", "\udfff", "\ufffe", "\uffff"])
+    def test_a_character_xml_cannot_carry_is_refused(self, char):
+        """XML 1.0 allows these neither raw nor as a character reference,
+        so no text holding them reads back."""
+        doc = small_doc(island=IslandDecl("isle", (ServerDecl(f"h{char}x"),)))
+        assert validate_document(doc).ok
+        with pytest.raises(DescriptorError, match=f"XML 1.0 cannot carry U\\+{ord(char):04X}$"):
+            serialize_document(doc)
+
+    @pytest.mark.parametrize("value", ["t\u00e9\u0142", "\u20ac\U0001f600", "\u00a0", "a\tb\nc\rd", "\x7f\x85", "\ufffd", "\U0010ffff"])
+    def test_every_character_xml_can_carry_round_trips(self, value):
+        doc = small_doc(island=IslandDecl(value, (ServerDecl(value),)))
+        text = serialize_document(doc)
+        assert text.isascii()
+        assert parse_document(text) == parse_document(text.encode("ascii")) == doc
 
     def test_seeded_random_round_trips(self):
         rng = random.Random(20260809)

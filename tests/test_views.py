@@ -147,6 +147,12 @@ class TestOracle:
         assert member_oracle(view, 8) is False
         assert member_oracle(view, 9) is True
 
+    @pytest.mark.parametrize("skip", [0, 4])
+    def test_a_view_without_blocks_selects_nothing(self, skip):
+        view = ViewDecl(0, skip, ())
+        assert [member_oracle(view, i) for i in range(9)] == [False] * 9
+        assert enumerate_extents(view, 9) == ()
+
     @settings(max_examples=150, deadline=None)
     @given(view_decls())
     def test_agrees_with_enumeration(self, view):
@@ -208,6 +214,10 @@ class TestDistributionMap:
         )
         dmap = build_distribution_map(doc, 72)
         assert dmap.entries[2].extents == ()
+
+    def test_negative_file_size_is_refused(self, two_server_doc):
+        with pytest.raises(ValueError, match="file_size must be >= 0, got -1"):
+            build_distribution_map(two_server_doc, -1)
 
     def test_no_devices(self):
         doc = parse_document(MINIMAL_XML)
