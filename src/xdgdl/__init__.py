@@ -35,6 +35,7 @@ from .model import (
     parse_document,
     serialize_document,
     validate_document,
+    view_period,
 )
 from .scatter import gather, scatter
 from .store import GridLayout, LayoutDevice, StoredFile, get_file, init_store, put_file
@@ -49,7 +50,6 @@ from .views import (
     enumerate_extents,
     member_oracle,
     render_plan,
-    view_period,
 )
 
 __version__ = "0.1.0"

@@ -186,47 +186,26 @@ def build_parser() -> argparse.ArgumentParser:
         description="Validate, plan and execute grid data-distribution descriptors.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="check a descriptor against the grammar rules")
-    p.add_argument("descriptor")
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("plan", help="print per-device extents and the partition verdict")
-    p.add_argument("descriptor")
-    p.add_argument("--size", type=_size_arg, required=True, help="logical file size in bytes")
-    p.set_defaults(func=cmd_plan)
-
-    p = sub.add_parser("scatter", help="split a file into per-device fragments")
-    p.add_argument("file")
-    p.add_argument("descriptor")
-    p.add_argument("--out", required=True, help="directory for fragment files")
-    p.set_defaults(func=cmd_scatter)
-
-    p = sub.add_parser("gather", help="rebuild a file from fragments")
-    p.add_argument("descriptor")
-    p.add_argument("--frags", required=True, help="directory holding fragment files")
-    p.add_argument("--size", type=_size_arg, required=True, help="logical file size in bytes")
-    p.add_argument("--out", required=True, help="output file")
-    p.set_defaults(func=cmd_gather)
-
-    p = sub.add_parser("cp-in", help="copy a file into the store (VIP_CONF)")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_cp_in)
-
-    p = sub.add_parser("cp-out", help="copy a stored file out (VIP_CONF)")
-    p.add_argument("name")
-    p.add_argument("dst")
-    p.set_defaults(func=cmd_cp_out)
-
-    p = sub.add_parser("hpf-compile", help="compile an array distribution into a device descriptor")
-    p.add_argument("descriptor")
-    p.add_argument("--servers", required=True, help="comma-separated target host names")
-    p.add_argument("--out", help="write the compiled descriptor here instead of stdout")
-    p.set_defaults(func=cmd_hpf_compile)
-
-    p = sub.add_parser("init", help="create the store directories (VIP_CONF)")
-    p.set_defaults(func=cmd_init)
-
+    size = ("--size", {"type": _size_arg, "required": True, "help": "logical file size in bytes"})
+    commands = [  # name, help, handler, then each argument's name and options
+        ("validate", "check a descriptor against the grammar rules", cmd_validate, ("descriptor", {})),
+        ("plan", "print per-device extents and the partition verdict", cmd_plan, ("descriptor", {}), size),
+        ("scatter", "split a file into per-device fragments", cmd_scatter, ("file", {}), ("descriptor", {}),
+         ("--out", {"required": True, "help": "directory for fragment files"})),
+        ("gather", "rebuild a file from fragments", cmd_gather, ("descriptor", {}),
+         ("--frags", {"required": True, "help": "directory holding fragment files"}), size, ("--out", {"required": True, "help": "output file"})),
+        ("cp-in", "copy a file into the store (VIP_CONF)", cmd_cp_in, ("file", {})),
+        ("cp-out", "copy a stored file out (VIP_CONF)", cmd_cp_out, ("name", {}), ("dst", {})),
+        ("hpf-compile", "compile an array distribution into a device descriptor", cmd_hpf_compile, ("descriptor", {}),
+         ("--servers", {"required": True, "help": "comma-separated target host names"}),
+         ("--out", {"help": "write the compiled descriptor here instead of stdout"})),
+        ("init", "create the store directories (VIP_CONF)", cmd_init),
+    ]
+    for name, help_text, func, *arguments in commands:
+        p = sub.add_parser(name, help=help_text)
+        for argument, options in arguments:
+            p.add_argument(argument, **options)
+        p.set_defaults(func=func)
     return parser
 
 

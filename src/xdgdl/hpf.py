@@ -44,8 +44,9 @@ from .model import (
     TypeDecl,
     ViewDecl,
     guard_int64,
+    view_period,
 )
-from .views import round_robin_view, view_period
+from .views import round_robin_view
 
 __all__ = [
     "OwnerMap",

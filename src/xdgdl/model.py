@@ -16,6 +16,7 @@ reference is never fetched, so parsing stays hermetic.
 
 It also holds the rules the other modules build descriptors by: the 64-bit
 range of every integer (``INT64_MAX``, ``parse_size``, ``guard_int64``),
+a view's period (``view_period``, which validation checks against it),
 the walk over type declarations (``type_decls``), the island of one-device
 servers (``one_device_island``) and the one output text: serialization
 writes ASCII, every other character as a character reference, so the text
@@ -56,6 +57,7 @@ __all__ = [
     "validate_document",
     "serialize_document",
     "declared_names",
+    "view_period",
 ]
 
 
@@ -71,8 +73,9 @@ class Distribution(enum.Enum):
     UNSPECIFIED = "UNSPECIFIED"
 
 
-def _freeze(obj, name: str) -> None:
-    object.__setattr__(obj, name, tuple(getattr(obj, name)))
+def _freeze(obj, *names: str) -> None:
+    for name in names:
+        object.__setattr__(obj, name, tuple(getattr(obj, name)))
 
 
 @dataclass(frozen=True)
@@ -230,9 +233,7 @@ class Document:
     aligns: tuple[AlignDecl, ...] = ()
 
     def __post_init__(self):
-        _freeze(self, "types")
-        _freeze(self, "processors")
-        _freeze(self, "aligns")
+        _freeze(self, "types", "processors", "aligns")
 
 
 @dataclass(frozen=True)
@@ -251,8 +252,7 @@ class ValidationReport:
     warnings: tuple[Violation, ...] = ()
 
     def __post_init__(self):
-        _freeze(self, "violations")
-        _freeze(self, "warnings")
+        _freeze(self, "violations", "warnings")
 
     @property
     def ok(self) -> bool:
@@ -376,6 +376,25 @@ def guard_int64(value: int, what: str) -> int:
     if value > INT64_MAX:
         raise DescriptorError(f"{what} exceeds the 64-bit range: {value}")
     return value
+
+
+def block_take_span(b: BlockDecl) -> tuple[int, int]:
+    """A block's take, COUNT units of its child's period, and its span:
+    OFFSET, then REPEAT takes with STRIDE bytes between them."""
+    take = b.count * view_period(b.child)
+    return take, b.offset + b.repeat * take + (b.repeat - 1) * b.stride
+
+
+def view_period(view: ViewDecl | ByteBlock) -> int:
+    """Bytes one pattern instance spans before it repeats: a BYTEBLOCK's
+    is 1, the unit of a take of either child; a view's is its blocks' spans
+    plus its trailing SKIP, without the one-time SKIP_HEADER, kept on the
+    (frozen) view once worked out.  DescriptorError past INT64_MAX."""
+    if isinstance(view, ByteBlock):
+        return 1
+    if "_period" not in view.__dict__:
+        view.__dict__["_period"] = guard_int64(view.skip + sum(block_take_span(b)[1] for b in view.blocks), "view period")
+    return view.__dict__["_period"]
 
 
 def _int_attr(elem: ET.Element, attr: str, path: str, default: int | None = None) -> int:
@@ -575,6 +594,11 @@ class _Collector:
     def warn(self, rule: str, path: str, message: str) -> None:
         self.warnings.append(Violation(rule, path, message))
 
+    def at_least(self, path: str, attr: str, value: int, least: int) -> None:
+        """The ``nonnegative-int`` (least 0) or ``positive-int`` (least 1) rule."""
+        if value < least:
+            self.bad("positive-int" if least else "nonnegative-int", path, f"{attr} must be >= {least}, got {value}")
+
 
 def validate_document(doc: Document) -> ValidationReport:
     """Check every structural rule; violations are data, not exceptions."""
@@ -651,8 +675,7 @@ def _validate_type(t: TypeDecl, parent: str, seen: dict[str, int], proc_names: s
         path = _step(parent, "ETYPE", seen)
         if not t.base:
             out.bad("required-nonempty", path, "TYPE attribute must be nonempty")
-        if t.length_bytes < 1:
-            out.bad("positive-int", path, f"LENGTH must be >= 1, got {t.length_bytes}")
+        out.at_least(path, "LENGTH", t.length_bytes, 1)
     elif isinstance(t, CompoundDecl):
         path = _step(parent, "TYPE", seen)
         if not t.children:
@@ -668,8 +691,7 @@ def _validate_type(t: TypeDecl, parent: str, seen: dict[str, int], proc_names: s
             dpath = f"{path}/DIMENSION[{i}]"
             if d.lower > d.upper:
                 out.bad("dimension-range", dpath, f"LOWER {d.lower} exceeds UPPER {d.upper}")
-            if d.dist_skalar < 1:
-                out.bad("positive-int", dpath, f"DIST_SKALAR must be >= 1, got {d.dist_skalar}")
+            out.at_least(dpath, "DIST_SKALAR", d.dist_skalar, 1)
             if d.distribute is Distribution.BLOCK and d.dist_skalar != 1:
                 out.warn("block-dist-skalar", dpath, "DIST_SKALAR has no effect on BLOCK distribution")
         if t.distribute_onto is not None and t.distribute_onto not in proc_names:
@@ -677,25 +699,29 @@ def _validate_type(t: TypeDecl, parent: str, seen: dict[str, int], proc_names: s
         _validate_type(t.element, path, {}, proc_names, out)
 
 
-def _validate_view(v: ViewDecl, path: str, out: _Collector) -> None:
-    if v.skip_header < 0:
-        out.bad("nonnegative-int", path, f"SKIP_HEADER must be >= 0, got {v.skip_header}")
-    if v.skip < 0:
-        out.bad("nonnegative-int", path, f"SKIP must be >= 0, got {v.skip}")
+def _validate_view(v: ViewDecl, path: str, out: _Collector) -> bool:
+    """Check a view and its nested views; False when a period in it
+    exceeds the 64-bit range, reported at the innermost such view."""
+    out.at_least(path, "SKIP_HEADER", v.skip_header, 0)
+    out.at_least(path, "SKIP", v.skip, 0)
     if not v.blocks:
         out.bad("view-blocks", path, "VIEW requires at least one BLOCK")
+    spans = True
     for i, b in enumerate(v.blocks, 1):
         bpath = f"{path}/BLOCK[{i}]"
-        if b.offset < 0:
-            out.bad("nonnegative-int", bpath, f"OFFSET must be >= 0, got {b.offset}")
-        if b.stride < 0:
-            out.bad("nonnegative-int", bpath, f"STRIDE must be >= 0, got {b.stride}")
-        if b.repeat < 1:
-            out.bad("positive-int", bpath, f"REPEAT must be >= 1, got {b.repeat}")
-        if b.count < 1:
-            out.bad("positive-int", bpath, f"COUNT must be >= 1, got {b.count}")
+        out.at_least(bpath, "OFFSET", b.offset, 0)
+        out.at_least(bpath, "STRIDE", b.stride, 0)
+        out.at_least(bpath, "REPEAT", b.repeat, 1)
+        out.at_least(bpath, "COUNT", b.count, 1)
         if isinstance(b.child, ViewDecl):
-            _validate_view(b.child, f"{bpath}/VIEW[1]", out)
+            spans = _validate_view(b.child, f"{bpath}/VIEW[1]", out) and spans
+    if spans:
+        try:
+            view_period(v)
+        except DescriptorError as exc:
+            out.bad("view-period", path, str(exc))
+            return False
+    return spans
 
 
 # --------------------------------------------------------------------------

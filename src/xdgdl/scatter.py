@@ -33,18 +33,18 @@ period's.  A window equal to the previous one is that same tuple, and
 its slot table is reused: past H the coverage repeats every L bytes, so
 every full window of whole periods there does, without being built.
 
-Each direction moves a window through one reused window buffer and one
-slot table per distinct window: per entry, its strided share's buffer
-and then the window's slice for each run, in fragment order.  ``scatter``
-reads the source into the window, fills each strided share from it and
-writes each entry's slots with one ``os.writev`` per entry per window;
-``gather`` reads each entry's slots with one ``os.readv``, assigns the
-strided shares into the window and writes it, both by one vectored
-transfer (``_vectored``).  This is list I/O, as in ROMIO (Thakur, Gropp
-& Lusk, 1999): no byte is copied to join a share.  A failed write, here
-or in the store, raises IoFailure by one rule (``writing``).
-Memory stays a window of ``WINDOW_BYTES`` bytes and its strided shares,
-plus the compiled selections.
+Each direction moves a window through one reused window buffer, one
+reused share that entries take in turn, as ROMIO's data sieving reuses
+one buffer (Thakur, Gropp & Lusk, 1999), and one slot table per distinct
+window: per entry, the head of the share for its strided body, then the
+window's slice for each run, in fragment order.  ``scatter`` reads the
+window, then per entry fills the share and writes its slots with one
+``os.writev``; ``gather`` per entry reads its slots with one ``os.readv``
+and assigns the share into the window, then writes it (``_vectored``).
+This is list I/O: no byte is copied to join a share.  A failed write,
+here or in the store, raises IoFailure by one rule (``writing``).
+Memory stays one window of ``WINDOW_BYTES`` bytes, one share no longer
+than the largest entry's part of a window, and the compiled selections.
 """
 
 from __future__ import annotations
@@ -146,10 +146,10 @@ def _vectored(stream: BinaryIO, slots: list[memoryview], syscall: str, fallback)
                 done = max(0, done - len(slot))
 
 
-def _slots(sel: Selection, window: memoryview) -> tuple[bytearray, list[memoryview], list[tuple[slice, slice]]]:
-    """How one selection moves through a window: its strided share's
-    buffer, the slots of its fragment's part in the window, in fragment
-    order (that buffer, then the window's slice for each run), and the
+def _slots(sel: Selection, window: memoryview) -> tuple[int, list[memoryview], list[tuple[slice, slice]]]:
+    """How one selection moves through a window, allocating no buffer:
+    the length of its strided body, which the head of the one share all
+    entries take in turn holds, the window's slice for each run, and the
     strided (window slice, share slice) pairs."""
     size = len(window)
     k = sel.full_periods(size)
@@ -160,23 +160,27 @@ def _slots(sel: Selection, window: memoryview) -> tuple[bytearray, list[memoryvi
         end, body = h + k * p, k * per
         picked = [a + j for a, n in sel.pieces for j in range(n)]  # selected offsets of a period
         strided, runs = [(slice(h + b, end, p), slice(i, body, per)) for i, b in enumerate(picked)], sel.tail(size)
-    share = bytearray(body)
-    return share, [memoryview(share), *(window[start : start + n] for start, n in runs)], strided
+    return body, [window[start : start + n] for start, n in runs], strided
 
 
-def _tabled_windows(dmap: DistributionMap) -> Iterator[tuple[bytearray, memoryview, list]]:
-    """Per window of the map, in file order: one reused window buffer,
-    the window's part of it, and the window's slot table, one ``_slots``
-    per entry, built once per distinct window."""
-    buf, tabled = bytearray(), None
+def _tabled_windows(dmap: DistributionMap) -> Iterator[tuple[bytearray, memoryview, bytearray, list]]:
+    """Per window of the map, in file order: the window buffer, the
+    window's part of it, the share, as long as the largest body yet, and
+    the slot table, per entry its slots (body, then runs) and strided
+    pairs.  Buffers are reused; a table is built once per distinct window."""
+    buf, share, tabled = bytearray(), bytearray(), None
     for window in _windows(dmap):
         if window is not tabled:  # the head, the steady and the last window
             n, sels = tabled = window
             if len(buf) < n:
                 buf = bytearray(n)
             view = memoryview(buf)[:n]
-            table = [_slots(sel, view) for sel in sels]
-        yield buf, view, table
+            plans = [_slots(sel, view) for sel in sels]
+            longest = max((body for body, _, _ in plans), default=0)
+            if len(share) < longest:
+                share = bytearray(longest)
+            table = [([memoryview(share)[:body], *runs], strided) for body, runs, strided in plans]
+        yield buf, view, share, table
 
 
 def scatter(src: BinaryIO, dmap: DistributionMap, sinks: list[BinaryIO]) -> None:
@@ -184,12 +188,14 @@ def scatter(src: BinaryIO, dmap: DistributionMap, sinks: list[BinaryIO]) -> None
     fragment per map entry, written to the sink at the entry's position.
     The map must be an exact partition and the sinks one per entry
     (checked before a byte is read) and the source must end there: a
-    short source or one with bytes left raises IoFailure."""
+    short source or one with bytes left raises IoFailure.  Entries share
+    one buffer, so a sink's ``write`` must not keep the buffer after it
+    returns (the ``io.RawIOBase.write`` contract)."""
     require_exact(dmap)
     _require_one_per_entry(sinks, dmap)
-    for buf, window, table in _tabled_windows(dmap):
+    for buf, window, share, table in _tabled_windows(dmap):
         _fill(src, window)
-        for sink, (share, slots, strided) in zip(sinks, table):
+        for sink, (slots, strided) in zip(sinks, table):
             for window_slice, share_slice in strided:
                 share[share_slice] = buf[window_slice]  # a step slice of bytes copies faster than a strided memoryview
             writing(getattr(sink, "name", "stream"), _vectored, sink, slots, "writev", write_all)
@@ -208,8 +214,8 @@ def gather(sources: list[BinaryIO], dmap: DistributionMap, dst: BinaryIO) -> Non
         expected, actual = entry.selection.total(dmap.file_size), remaining(src)
         if actual != expected:
             raise XdgdlError(f"fragment for {entry.label} has {actual} bytes, extents total {expected}")
-    for buf, window, table in _tabled_windows(dmap):
-        for src, (share, slots, strided) in zip(sources, table):
+    for buf, window, share, table in _tabled_windows(dmap):
+        for src, (slots, strided) in zip(sources, table):
             _vectored(src, slots, "readv", _fill)
             for window_slice, share_slice in strided:
                 buf[window_slice] = share[share_slice]

@@ -45,9 +45,9 @@ every whole block is written by C-level ``str.replace``.  The runs before
 the first whole block and after the last are formatted as they are.
 
 A view's constants are worked out once, in one block table memoized on
-the (frozen) view (``_blocks``): the period (the blocks' spans plus the
-trailing skip, without the one-time skip_header) and, per block, the
-bytes of a take, of a take and its stride, and of the block.  The two
+the (frozen) view (``_blocks``): the period and, per block, the bytes of
+a take, of a take and its stride, and of the block, by the rule
+validation checks the period with (``model.view_period``).  The two
 evaluators share that table and nothing else, so they check each other's
 use of it: ``enumerate_extents`` expands the selection a cursor walk of
 the rows compiles, and ``member_oracle`` answers per-byte membership
@@ -68,14 +68,13 @@ from operator import itemgetter, sub
 from typing import Iterator, Sequence
 
 from .errors import DescriptorError
-from .model import INT64_MAX, BlockDecl, ByteBlock, Document, ViewDecl, guard_int64
+from .model import INT64_MAX, BlockDecl, ByteBlock, Document, ViewDecl, block_take_span, guard_int64, view_period
 
 __all__ = [
     "MapEntry",
     "DistributionMap",
     "PartitionStatus",
     "PartitionVerdict",
-    "view_period",
     "enumerate_extents",
     "member_oracle",
     "build_distribution_map",
@@ -287,15 +286,11 @@ class _Blocks:
     (one byte, or the nested view's period) and step = take + stride."""
 
     def __init__(self, view: ViewDecl):
-        self.header, rows, period = view.skip_header, [], view.skip
+        self.header, self.period, rows = view.skip_header, view_period(view), []
         for b in view.blocks:
-            nested = b.child if isinstance(b.child, ViewDecl) else None
-            take = b.count * view_period(b.child)
-            span = b.offset + b.repeat * take + (b.repeat - 1) * b.stride
-            rows.append((b.offset, b.repeat, take, take + b.stride, span, nested))
-            period += span
+            take, span = block_take_span(b)
+            rows.append((b.offset, b.repeat, take, take + b.stride, span, b.child if isinstance(b.child, ViewDecl) else None))
         self.rows = tuple(rows)
-        self.period = guard_int64(period, "view period")
 
     @cached_property
     def selection(self) -> Selection:
@@ -321,13 +316,6 @@ def _blocks(view: ViewDecl) -> _Blocks:
     if table is None:
         table = view.__dict__["_blocks"] = _Blocks(view)
     return table
-
-
-def view_period(view: ViewDecl | ByteBlock) -> int:
-    """Bytes one pattern instance spans before it repeats (module notes):
-    a BYTEBLOCK's is 1, so it is the unit of a take of either child.
-    DescriptorError when it exceeds INT64_MAX."""
-    return 1 if isinstance(view, ByteBlock) else _blocks(view).period
 
 
 def _compile(view: ViewDecl) -> Selection:

@@ -98,10 +98,42 @@ class TestValidate:
         assert err == f"xdgdl: [bad-integer] {_FIRST_BLOCK}: attribute OFFSET must be a base-10 integer, got '{offset}'\n"
 
     def test_largest_integer_parses(self, tmp_path, capsys):
+        # SKIP_HEADER is taken once, outside the period; in a BLOCK it would pass the period's range
         big = tmp_path / "big.xml"
-        big.write_text(TWO_SERVER_XML.replace('OFFSET="0"', 'OFFSET="9223372036854775807"', 1))
+        big.write_text(TWO_SERVER_XML.replace('SKIP_HEADER="0"', 'SKIP_HEADER="9223372036854775807"', 1))
         assert main(["validate", str(big)]) == 0
         assert capsys.readouterr().out == "OK\n"
+
+    @pytest.mark.parametrize(
+        "text, old, new, path, period",
+        [
+            (TWO_SERVER_XML, 'OFFSET="0"', 'OFFSET="9223372036854775807"', "", 2**63 - 1 + 36),
+            (
+                TWO_SERVER_XML,
+                'REPEAT="3"\n            COUNT="5" STRIDE="7"',
+                'REPEAT="4" COUNT="4611686018427387904" STRIDE="0"',
+                "",
+                2**64 + 7,
+            ),
+            # the inner view's period passes the range: reported there, not again at the outer view
+            (THREE_SERVER_BALANCED_XML, 'REPEAT="3"\n                COUNT="5"', 'REPEAT="4" COUNT="4611686018427387904"', "/BLOCK[1]/VIEW[1]", 2**64 + 21),
+            # the inner view's period of 29 is in range, two takes of 2**62 of it are not
+            (THREE_SERVER_BALANCED_XML, 'REPEAT="2"\n            COUNT="1"', 'REPEAT="2" COUNT="4611686018427387904"', "", 2 * 29 * 2**62 + 24),
+        ],
+        ids=["offset", "count", "nested-inner", "nested-outer"],
+    )
+    def test_period_past_int64_is_a_violation(self, tmp_path, capsys, text, old, new, path, period):
+        """A view whose period passes the 64-bit range breaks the
+        ``view-period`` rule, at the innermost such VIEW's path, so
+        ``validate`` refuses what ``plan`` would, with the same words."""
+        assert old in text
+        bad = tmp_path / "bad.xml"
+        bad.write_text(text.replace(old, new, 1))
+        message = f"[view-period] /PARSTORAGE/ISLAND[1]/SERVER[1]/DEVICE[1]/VIEW[1]{path}: view period exceeds the 64-bit range: {period}"
+        assert main(["validate", str(bad)]) == 2
+        assert capsys.readouterr().out == message + "\n"
+        assert main(["plan", str(bad), "--size", "10"]) == 2
+        assert message in capsys.readouterr().err
 
     def test_warnings_print_before_ok(self, tmp_path, capsys):
         lone = tmp_path / "lone.xml"
@@ -307,6 +339,17 @@ class TestCp:
         assert "default cyclic distribution" in capsys.readouterr().err
         assert main(["cp-out", "loner", str(store_env / "loner.back")]) == 0
         assert (store_env / "loner.back").read_bytes() == b"* " * 700
+
+    def test_sidecar_with_a_period_past_int64_falls_back(self, store_env, capsys):
+        src = store_env / "vast"
+        src.write_bytes(b"v" * 5000)
+        vast = TWO_SERVER_XML.replace('REPEAT="3"\n            COUNT="5" STRIDE="7"', 'REPEAT="4" COUNT="4611686018427387904" STRIDE="0"')
+        (store_env / ".vd.vast").write_text(vast)
+        assert main(["cp-in", str(src)]) == 0
+        err = capsys.readouterr().err
+        assert "is invalid: [view-period]" in err and "default cyclic distribution" in err
+        assert main(["cp-out", "vast", str(store_env / "vast.back")]) == 0
+        assert (store_env / "vast.back").read_bytes() == b"v" * 5000
 
     def test_overlapping_sidecar_exits_3_with_extents(self, store_env, capsys):
         src = store_env / "clash"

@@ -19,7 +19,7 @@ import pytest
 
 from descriptors import CONFIG_TEMPLATE, THREE_SERVER_BALANCED_XML
 from gen import gather_bytes, random_partition_views, scatter_bytes
-from test_selection import doc_of, expected_payloads
+from test_selection import byte_view, doc_of, expected_payloads, round_robin
 from xdgdl import (
     BlockDecl,
     ByteBlock,
@@ -412,6 +412,98 @@ def test_windows_of_a_long_period_share_equal_maps(monkeypatch, layout, maps):
     dmap = build_distribution_map(LONG_PERIODS[layout], 10_500)
     windows = list(stream._windows(dmap))
     assert len({id(window) for window in windows}) == maps
+
+
+@pytest.mark.parametrize("chunk, goes_strided", [(1, True), (8, True), (256, True), (4096, False)])
+def test_slots_choose_strided_or_runs_and_one_share_serves_every_entry(chunk, goes_strided):
+    """Round-robin stripes on 3 devices over a full 1 MiB window: 1 B,
+    8 B and 256 B stripes move strided, 4 KiB ones by runs.  This pins
+    the choice; a rule that counts bytes moved (ROADMAP item 2) may move
+    the 256 B row.  The table's share is as long as the largest entry's
+    body, not the sum of the bodies."""
+    dmap = build_distribution_map(doc_of(round_robin(chunk, 3)), 2 << 20)
+    n, sels = next(stream._windows(dmap))
+    assert n > stream.WINDOW_BYTES - 3 * 4096
+    plans = [stream._slots(sel, memoryview(bytearray(n))) for sel in sels]
+    assert [bool(strided) for _, _, strided in plans] == [goes_strided] * 3
+    bodies = [body for body, _, _ in plans]
+    _, _, share, table = next(stream._tabled_windows(dmap))
+    assert len(share) == max(bodies) and (len(share) < sum(bodies) if goes_strided else bodies == [0, 0, 0])
+    assert [len(slots[0]) for slots, _ in table] == bodies  # each entry's body is the head of the one share
+
+
+def headed_cyclic(header: int) -> list[ViewDecl]:
+    """The first device takes the first ``header`` bytes once (its SKIP
+    is far past any test file); past that SKIP_HEADER the other two share
+    the file byte by byte."""
+    return [byte_view(0, 1, header, 0, skip=1 << 40), byte_view(0, 1, 1, 0, skip=1, skip_header=header), byte_view(1, 1, 1, 0, skip_header=header)]
+
+
+@pytest.mark.parametrize("size", [5 * 64 + 21, 5 * 64])
+def test_tables_of_different_share_lengths_match_the_painter(tmp_path, monkeypatch, size):
+    """A 40-byte header in 64-byte windows: the head window's strided
+    bodies (12 bytes) are shorter than a steady window's (32), so the
+    share grows once, and the clipped last window's (10) reuse it.
+    Scatter and gather agree with the painter to real files, by
+    ``os.writev`` and ``os.readv``, and to ``io.BytesIO``, by ``write``
+    and ``readinto``."""
+    monkeypatch.setattr(stream, "WINDOW_BYTES", 64)
+    views = headed_cyclic(40)
+    dmap = build_distribution_map(doc_of(views), size)
+    tables = []  # (share length, table) per table built, each held so the next is told apart by identity
+    for _, _, share, table in stream._tabled_windows(dmap):
+        if not tables or table is not tables[-1][1]:
+            tables.append((len(share), table))
+    assert [max(len(slots[0]) for slots, _ in table) for _, table in tables] == ([12, 32, 10] if size % 64 else [12, 32])
+    assert [share for share, _ in tables] == ([12, 32, 32] if size % 64 else [12, 32])
+    data = random.Random(size).randbytes(size)
+    expected = expected_payloads(views, data)
+    assert scatter_bytes(data, dmap) == expected
+    assert gather_bytes(expected, dmap) == data
+    writev, readv = counting(monkeypatch, "writev"), counting(monkeypatch, "readv")
+    src, back, frags = tmp_path / "src", tmp_path / "back", [tmp_path / f"{i}.frag" for i in range(3)]
+    src.write_bytes(data)
+    with open(src, "rb", buffering=0) as source:
+        sinks = [open(frag, "wb", buffering=0) for frag in frags]
+        with sinks[0], sinks[1], sinks[2]:
+            stream.scatter(source, dmap, sinks)
+    assert [frag.read_bytes() for frag in frags] == expected
+    with open(back, "wb", buffering=0) as dst:
+        sources = [open(frag, "rb", buffering=0) for frag in frags]
+        with sources[0], sources[1], sources[2]:
+            stream.gather(sources, dmap, dst)
+    assert back.read_bytes() == data
+    assert len(writev) == len(readv) == 3 * -(-size // 64)  # one call per entry per window
+
+
+def test_nested_layout_holds_one_window_and_one_share(cfg, tmp_path):
+    """8 MiB in the nested three-server layout (that of
+    ``bench/nested_3srv.xml``), every entry strided: ``cp-in``,
+    ``cp-out``, ``xdgdl scatter`` and ``xdgdl gather`` each peak under a
+    1 MiB window plus one share of its largest entry's part, not a second
+    window of per-entry shares."""
+    data = random.Random(15).randbytes(8 << 20)
+    src, desc, frags = tmp_path / "nested", tmp_path / "d.xml", tmp_path / "frags"
+    src.write_bytes(data)
+    desc.write_text(THREE_SERVER_BALANCED_XML)
+    (tmp_path / ".vd.nested").write_text(THREE_SERVER_BALANCED_XML)
+    ops = {
+        "cp-in": lambda: copy_in(cfg, src)[1] or 0,  # no sidecar diagnostic: the nested layout is used
+        "cp-out": lambda: copy_out(cfg, "nested", tmp_path / "back") and 0,
+        "scatter": lambda: main(["scatter", str(src), str(desc), "--out", str(frags)]),
+        "gather": lambda: main(["gather", str(desc), "--frags", str(frags), "--size", str(len(data)), "--out", str(tmp_path / "g")]),
+    }
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for name, op in ops.items():
+            tracemalloc.reset_peak()
+            assert op() == 0, name
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert max(peaks.values()) < 1.75 * (1 << 20), peaks
+    assert (tmp_path / "back").read_bytes() == (tmp_path / "g").read_bytes() == data
 
 
 class ShortReads(io.FileIO):
