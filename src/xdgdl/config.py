@@ -22,8 +22,6 @@ _INT_KEYS = {"MAX_APP", "MAX_SRV_FILE", "DATA_BUFLEN"}
 
 @dataclass(frozen=True)
 class VipfsConfig:
-    max_app: int
-    max_srv_file: int
     data_buflen: int
     srv_group_name: str
     device_paths: tuple[str, ...]
@@ -73,6 +71,8 @@ def _nonempty(tok: _Token, key: str) -> str:
 def parse_config(text: str) -> VipfsConfig:
     """Parse configuration text; all six keys are required, the device
     list declares at least one device, and no name or path is empty.
+    MAX_APP and MAX_SRV_FILE are checked like DATA_BUFLEN, but nothing
+    reads them, so the config does not keep them.
 
     A token in key position that is not a known key is rejected: paths
     there point at a device-list count shorter than the paths supplied,
@@ -117,8 +117,6 @@ def parse_config(text: str) -> VipfsConfig:
         if key not in values:
             raise ConfigError(f"missing required configuration key {key}")
     return VipfsConfig(
-        max_app=values["MAX_APP"],
-        max_srv_file=values["MAX_SRV_FILE"],
         data_buflen=values["DATA_BUFLEN"],
         srv_group_name=values["SRV_GROUP_NAME"],
         device_paths=values["SRVR_DEVICE_LIST"],

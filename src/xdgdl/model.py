@@ -7,12 +7,14 @@ devices).  Every device either holds a recursive ``VIEW``/``BLOCK``
 selection pattern or an explicit ``NOVIEW`` marker.
 
 This module owns the in-memory tree (frozen dataclasses), parsing from XML
-text, structural validation, and canonical serialization.  The parser checks
-every element against one grammar table (attributes, child tags); paths index
-siblings per tag, in parser and validator alike.  The writer applies one
-element rule (``_write``) to one table of each node type's tag, attribute
-text and children (``_ELEMENTS``).  The emitted ``XDGDL.dtd`` doctype
-reference is never fetched, so parsing stays hermetic.
+text, structural validation, and canonical serialization.  The reader applies
+one element rule (``_read``) to one grammar table keyed by tag (``_GRAMMAR``:
+attributes, child tags, node builder): it refuses an element nested deeper
+than ``MAX_DEPTH``, checks the element, reads its children by the same rule,
+then builds its node; paths index siblings per tag, in reader and validator
+alike.  The writer applies one element rule (``_write``) to one table of each
+node type's tag, attribute text and children (``_ELEMENTS``).  The emitted
+``XDGDL.dtd`` doctype reference is never fetched, so parsing stays hermetic.
 
 It also holds the rules the other modules build descriptors by: the 64-bit
 range of every integer (``INT64_MAX``, ``parse_size``, ``guard_int64``),
@@ -262,30 +264,13 @@ class ValidationReport:
 # --------------------------------------------------------------------------
 # parsing
 
-# The grammar: tag -> (attributes, required attributes, child tags), built from
-# (optional attributes, required ones in the order a missing one is named, child tags).
-_GRAMMAR: dict[str, tuple[frozenset[str], tuple[str, ...], frozenset[str]]] = {
-    tag: (frozenset(optional + required), required, frozenset(children))
-    for tag, (optional, required, children) in {
-        "PARSTORAGE": ((), ("VERSION", "TIMESTAMP"), ("PROCESSORS", "TYPE", "ALIGN", "ISLAND")),
-        "PROCESSORS": ((), ("NAME",), ("PROC_DIMENSION",)),
-        "PROC_DIMENSION": (("LOWER",), ("UPPER",), ()),
-        "TYPE": (("TYPENAME", "NAME"), (), ("ETYPE", "ARRAY", "TYPE")),
-        "ETYPE": (("NAME",), ("TYPE", "LENGTH"), ()),
-        "ARRAY": (("NAME", "MAJOR", "DISTRIBUTE_ONTO"), (), ("DIMENSION", "ETYPE", "ARRAY", "TYPE")),
-        "DIMENSION": (("LOWER", "DISTRIBUTE", "DIST_SKALAR"), ("UPPER",), ()),
-        "ALIGN": ((), ("WHAT", "WITH"), ()),
-        "ISLAND": ((), ("NAME",), ("SERVER",)),
-        "SERVER": ((), ("HOST",), ("DEVICE",)),
-        "DEVICE": ((), ("DEVICE_ID",), ("VIEW", "NOVIEW")),
-        "VIEW": ((), ("SKIP_HEADER", "SKIP"), ("BLOCK",)),
-        "NOVIEW": ((), (), ()),
-        "BLOCK": ((), ("OFFSET", "REPEAT", "COUNT", "STRIDE"), ("VIEW", "BYTEBLOCK")),
-        "BYTEBLOCK": ((), (), ()),
-    }.items()
-}
-
 INT64_MAX = 2**63 - 1  # the largest integer a descriptor, configuration or size may hold
+MAX_DEPTH = 256
+"""The deepest an element may nest, PARSTORAGE being depth 1: 256.  A deeper
+element is refused (``nesting-depth``) before it is read, so no rule that walks
+the tree by recursion comes near Python's recursion limit of 1000 frames; the
+deepest is a view's block table, about 3 frames per nested VIEW, and 256
+elements hold at most 125 nested VIEWs."""
 _DECL_ENCODING_RE = re.compile(rb"^\s*<\?xml[^>]*?encoding\s*=\s*[\"']([A-Za-z][A-Za-z0-9._-]*)[\"']")
 
 
@@ -308,9 +293,10 @@ def parse_document(xml_text: str | bytes) -> Document:
 
     Raises ParseError (with line/column) for malformed XML or a declared
     encoding that cannot be read, and ValidationError for structure the
-    model cannot represent: unknown or misplaced elements, unknown or
-    missing attributes, and attribute values that are not base-10
-    integers of magnitude at most INT64_MAX where one is required.
+    model cannot represent: unknown or misplaced elements, an element
+    nested deeper than MAX_DEPTH, unknown or missing attributes, and
+    attribute values that are not base-10 integers of magnitude at most
+    INT64_MAX where one is required.
     Representable rule breaks (an empty VIEW, a dangling reference, a
     negative stride) parse fine and are left for validate_document.
     """
@@ -324,7 +310,7 @@ def parse_document(xml_text: str | bytes) -> Document:
         raise ParseError(f"declared encoding is unusable: {exc}", 1, 0) from None
     if root.tag != "PARSTORAGE":
         raise ValidationError("unexpected-element", f"/{root.tag}", "document root must be PARSTORAGE")
-    return _build_document(root, "/PARSTORAGE")
+    return _read(root, "/PARSTORAGE")
 
 
 def _step(parent: str, tag: str, seen: dict[str, int]) -> str:
@@ -333,30 +319,38 @@ def _step(parent: str, tag: str, seen: dict[str, int]) -> str:
     return f"{parent}/{tag}[{n}]"
 
 
-def _check(elem: ET.Element, path: str, check_tags: bool = True) -> list[tuple[ET.Element, str]]:
-    """Check an element's attributes, text and (unless its builder does) child
-    tags against the grammar; return the children with their paths."""
+def _check(elem: ET.Element, path: str) -> list[tuple[ET.Element, str]]:
+    """Check an element's attributes, text and child tags against the grammar;
+    return the children with their paths.  A BLOCK's child count is checked
+    before its child's tag, both under ``block-child``."""
     tag = elem.tag
-    attributes, required, child_tags = _GRAMMAR[tag]
+    optional, required, child_tags, _ = _GRAMMAR[tag]
     for attr in elem.attrib:
-        if attr not in attributes:
+        if attr not in required and attr not in optional:
             raise ValidationError("unknown-attribute", path, f"unknown attribute {attr!r} on {tag}")
     for attr in required:
         if attr not in elem.attrib:
             raise ValidationError("required-attribute", path, f"{tag} requires attribute {attr}")
     if elem.text and elem.text.strip():
         raise ValidationError("unexpected-text", path, f"{tag} must not contain text")
+    block = tag == "BLOCK"
     seen: dict[str, int] = {}
     children = []
     for child in elem:
         if child.tail and child.tail.strip():
             raise ValidationError("unexpected-text", path, f"{tag} must not contain text")
         cpath = _step(path, child.tag, seen)
-        if check_tags and child.tag not in child_tags:
+        if child.tag not in child_tags and not block:
             if child.tag not in _GRAMMAR:
                 raise ValidationError("unknown-element", cpath, f"unknown element {child.tag}")
             raise ValidationError("unexpected-element", cpath, f"{child.tag} is not allowed under {tag}")
         children.append((child, cpath))
+    if block:
+        if len(children) != 1:
+            raise ValidationError("block-child", path, f"BLOCK requires exactly one VIEW or BYTEBLOCK child, found {len(children)}")
+        ((child, cpath),) = children
+        if child.tag not in child_tags:
+            raise ValidationError("block-child", cpath, f"{child.tag} is not allowed under BLOCK")
     return children
 
 
@@ -418,136 +412,88 @@ def _enum_attr(elem: ET.Element, attr: str, path: str, default: enum.Enum, choic
     return type(default)(raw)
 
 
-def _build_document(elem: ET.Element, path: str) -> Document:
-    processors: list[ProcessorsDecl] = []
-    types: list[TypeDecl] = []
-    aligns: list[AlignDecl] = []
-    islands: list[IslandDecl] = []
-    for child, cpath in _check(elem, path):
-        tag = child.tag
-        if tag == "PROCESSORS":
-            processors.append(_build_processors(child, cpath))
-        elif tag == "TYPE":
-            types.append(_build_type(child, cpath))
-        elif tag == "ALIGN":
-            _check(child, cpath)
-            aligns.append(AlignDecl(what=child.get("WHAT", ""), with_target=child.get("WITH", "")))
-        else:
-            islands.append(_build_island(child, cpath))
+def _of(nodes: list, kind) -> tuple:
+    """The nodes of one kind, in document order."""
+    return tuple(n for n in nodes if isinstance(n, kind))
+
+
+def _document(elem: ET.Element, path: str, nodes: list) -> Document:
+    islands = _of(nodes, IslandDecl)
     if len(islands) != 1:
         raise ValidationError("parstorage-structure", path, f"PARSTORAGE requires exactly one ISLAND, found {len(islands)}")
-    return Document(
-        version=elem.get("VERSION", ""),
-        timestamp=elem.get("TIMESTAMP", ""),
-        types=tuple(types),
-        island=islands[0],
-        processors=tuple(processors),
-        aligns=tuple(aligns),
-    )
+    return Document(elem.get("VERSION"), elem.get("TIMESTAMP"), _of(nodes, TypeDecl), islands[0], _of(nodes, ProcessorsDecl), _of(nodes, AlignDecl))
 
 
-def _build_processors(elem: ET.Element, path: str) -> ProcessorsDecl:
-    dims = []
-    for child, cpath in _check(elem, path):
-        _check(child, cpath)
-        dims.append((_int_attr(child, "LOWER", cpath, default=1), _int_attr(child, "UPPER", cpath)))
-    return ProcessorsDecl(name=elem.get("NAME", ""), dims=tuple(dims))
-
-
-def _build_type(elem: ET.Element, path: str) -> TypeDecl:
-    if elem.tag == "ETYPE":
-        _check(elem, path)
-        return EtypeDecl(base=elem.get("TYPE", ""), length_bytes=_int_attr(elem, "LENGTH", path), name=elem.get("NAME"))
-    if elem.tag == "ARRAY":
-        return _build_array(elem, path)
-    children = [_build_type(child, cpath) for child, cpath in _check(elem, path)]
-    return CompoundDecl(children=tuple(children), name=elem.get("NAME"), typename=elem.get("TYPENAME"))
-
-
-def _build_array(elem: ET.Element, path: str) -> ArrayDecl:
-    element: TypeDecl | None = None
-    dims: list[DimensionDecl] = []
-    for child, cpath in _check(elem, path):
-        if child.tag == "DIMENSION":
-            _check(child, cpath)
-            dist = _enum_attr(child, "DISTRIBUTE", cpath, Distribution.UNSPECIFIED, ("BLOCK", "CYCLIC", "NO"))
-            dims.append(
-                DimensionDecl(
-                    upper=_int_attr(child, "UPPER", cpath),
-                    lower=_int_attr(child, "LOWER", cpath, default=1),
-                    distribute=dist,
-                    dist_skalar=_int_attr(child, "DIST_SKALAR", cpath, default=1),
-                )
-            )
-        elif element is not None:
-            raise ValidationError("array-structure", cpath, "ARRAY allows a single element type")
-        else:
-            element = _build_type(child, cpath)
-    if element is None:
+def _array(elem: ET.Element, path: str, nodes: list) -> ArrayDecl:
+    element = _of(nodes, TypeDecl)
+    if not element:
         raise ValidationError("array-structure", path, "ARRAY requires an element type child")
-    return ArrayDecl(
-        element=element,
-        dims=tuple(dims),
-        major=_enum_attr(elem, "MAJOR", path, Major.ROW, ("ROW", "COLUMN")),
-        distribute_onto=elem.get("DISTRIBUTE_ONTO"),
-        name=elem.get("NAME"),
-    )
+    major = _enum_attr(elem, "MAJOR", path, Major.ROW, ("ROW", "COLUMN"))
+    return ArrayDecl(element[0], _of(nodes, DimensionDecl), major, elem.get("DISTRIBUTE_ONTO"), elem.get("NAME"))
 
 
-def _build_island(elem: ET.Element, path: str) -> IslandDecl:
-    servers = [_build_server(child, cpath) for child, cpath in _check(elem, path)]
-    return IslandDecl(name=elem.get("NAME", ""), servers=tuple(servers))
+# The grammar: tag -> (optional attributes, required ones in the order a missing one is
+# named, child tags, node builder).  A builder takes the element, its path and its
+# children's nodes in document order, and reads the attributes, in the order a bad one
+# is named.  A processor dimension reads as a (lower, upper) pair, a NOVIEW as None.
+_GRAMMAR: dict[str, tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...], Callable[[ET.Element, str, list], Any]]] = {
+    "PARSTORAGE": ((), ("VERSION", "TIMESTAMP"), ("PROCESSORS", "TYPE", "ALIGN", "ISLAND"), _document),
+    "PROCESSORS": ((), ("NAME",), ("PROC_DIMENSION",), lambda e, p, nodes: ProcessorsDecl(e.get("NAME"), nodes)),
+    "PROC_DIMENSION": (("LOWER",), ("UPPER",), (), lambda e, p, _: (_int_attr(e, "LOWER", p, 1), _int_attr(e, "UPPER", p))),
+    "TYPE": (("TYPENAME", "NAME"), (), ("ETYPE", "ARRAY", "TYPE"), lambda e, p, nodes: CompoundDecl(nodes, e.get("NAME"), e.get("TYPENAME"))),
+    "ETYPE": (("NAME",), ("TYPE", "LENGTH"), (), lambda e, p, _: EtypeDecl(e.get("TYPE"), _int_attr(e, "LENGTH", p), e.get("NAME"))),
+    "ARRAY": (("NAME", "MAJOR", "DISTRIBUTE_ONTO"), (), ("DIMENSION", "ETYPE", "ARRAY", "TYPE"), _array),
+    "DIMENSION": (
+        ("LOWER", "DISTRIBUTE", "DIST_SKALAR"),
+        ("UPPER",),
+        (),
+        lambda e, p, _: DimensionDecl(
+            distribute=_enum_attr(e, "DISTRIBUTE", p, Distribution.UNSPECIFIED, ("BLOCK", "CYCLIC", "NO")),
+            upper=_int_attr(e, "UPPER", p),
+            lower=_int_attr(e, "LOWER", p, 1),
+            dist_skalar=_int_attr(e, "DIST_SKALAR", p, 1),
+        ),
+    ),
+    "ALIGN": ((), ("WHAT", "WITH"), (), lambda e, p, _: AlignDecl(e.get("WHAT"), e.get("WITH"))),
+    "ISLAND": ((), ("NAME",), ("SERVER",), lambda e, p, nodes: IslandDecl(e.get("NAME"), nodes)),
+    "SERVER": ((), ("HOST",), ("DEVICE",), lambda e, p, nodes: ServerDecl(e.get("HOST"), nodes)),
+    "DEVICE": ((), ("DEVICE_ID",), ("VIEW", "NOVIEW"), lambda e, p, nodes: DeviceDecl(e.get("DEVICE_ID"), next(filter(None, nodes), None), None in nodes)),
+    "VIEW": ((), ("SKIP_HEADER", "SKIP"), ("BLOCK",), lambda e, p, nodes: ViewDecl(_int_attr(e, "SKIP_HEADER", p), _int_attr(e, "SKIP", p), nodes)),
+    "NOVIEW": ((), (), (), lambda e, p, _: None),
+    "BLOCK": (
+        (),
+        ("OFFSET", "REPEAT", "COUNT", "STRIDE"),
+        ("VIEW", "BYTEBLOCK"),
+        lambda e, p, nodes: BlockDecl(_int_attr(e, "OFFSET", p), _int_attr(e, "REPEAT", p), _int_attr(e, "COUNT", p), _int_attr(e, "STRIDE", p), nodes[0]),
+    ),
+    "BYTEBLOCK": ((), (), (), lambda e, p, _: ByteBlock()),
+}
+
+# Child tags a parent allows once: the rule and the name a second one is refused by.
+_ONCE = {
+    "ARRAY": dict.fromkeys(("ETYPE", "ARRAY", "TYPE"), ("array-structure", "element type")),
+    "DEVICE": {"VIEW": ("device-access", "VIEW"), "NOVIEW": ("device-access", "NOVIEW")},
+}
 
 
-def _build_server(elem: ET.Element, path: str) -> ServerDecl:
-    devices = [_build_device(child, cpath) for child, cpath in _check(elem, path)]
-    return ServerDecl(host=elem.get("HOST", ""), devices=tuple(devices))
-
-
-def _build_device(elem: ET.Element, path: str) -> DeviceDecl:
-    view: ViewDecl | None = None
-    noview = False
+def _read(elem: ET.Element, path: str, depth: int = 1) -> Any:
+    """The element rule: refuse an element nested past MAX_DEPTH, check it
+    against the grammar, read its children in document order by this rule
+    (refusing a second child its parent allows once, before reading it),
+    then build its node."""
+    if depth > MAX_DEPTH:
+        raise ValidationError("nesting-depth", path, f"{elem.tag} is nested deeper than {MAX_DEPTH} elements")
+    once = _ONCE.get(elem.tag)
+    seen: set[str] = set()
+    nodes = []
     for child, cpath in _check(elem, path):
-        if child.tag == "VIEW":
-            if view is not None:
-                raise ValidationError("device-access", cpath, "DEVICE allows a single VIEW")
-            view = _build_view(child, cpath)
-        else:
-            _check(child, cpath)
-            if noview:
-                raise ValidationError("device-access", cpath, "DEVICE allows a single NOVIEW")
-            noview = True
-    return DeviceDecl(device_id=elem.get("DEVICE_ID", ""), view=view, noview=noview)
-
-
-def _build_view(elem: ET.Element, path: str) -> ViewDecl:
-    blocks = [_build_block(child, cpath) for child, cpath in _check(elem, path)]
-    return ViewDecl(
-        skip_header=_int_attr(elem, "SKIP_HEADER", path),
-        skip=_int_attr(elem, "SKIP", path),
-        blocks=tuple(blocks),
-    )
-
-
-def _build_block(elem: ET.Element, path: str) -> BlockDecl:
-    kids = _check(elem, path, check_tags=False)
-    if len(kids) != 1:
-        raise ValidationError("block-child", path, f"BLOCK requires exactly one VIEW or BYTEBLOCK child, found {len(kids)}")
-    ((child, cpath),) = kids
-    if child.tag == "BYTEBLOCK":
-        _check(child, cpath)
-        body: ViewDecl | ByteBlock = ByteBlock()
-    elif child.tag == "VIEW":
-        body = _build_view(child, cpath)
-    else:
-        raise ValidationError("block-child", cpath, f"{child.tag} is not allowed under BLOCK")
-    return BlockDecl(
-        offset=_int_attr(elem, "OFFSET", path),
-        repeat=_int_attr(elem, "REPEAT", path),
-        count=_int_attr(elem, "COUNT", path),
-        stride=_int_attr(elem, "STRIDE", path),
-        child=body,
-    )
+        if once and child.tag in once:
+            rule, name = once[child.tag]
+            if name in seen:
+                raise ValidationError(rule, cpath, f"{elem.tag} allows a single {name}")
+            seen.add(name)
+        nodes.append(_read(child, cpath, depth + 1))
+    return _GRAMMAR[elem.tag][3](elem, path, nodes)
 
 
 # --------------------------------------------------------------------------

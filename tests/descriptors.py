@@ -108,6 +108,23 @@ MINIMAL_XML = """<?xml version="1.0" encoding="ISO-8859-1"?>
 </PARSTORAGE>
 """
 
+# the path of the first device of the first server
+FIRST_DEVICE = "/PARSTORAGE/ISLAND[1]/SERVER[1]/DEVICE[1]"
+
+
+def deep_xml(views: int, types: int = 1) -> str:
+    """A descriptor of one device whose view nests ``views`` VIEWs, each of
+    one BLOCK taking one byte, and of one TYPE nesting ``types`` TYPEs in
+    all around an ETYPE.  PARSTORAGE being depth 1, the innermost BYTEBLOCK
+    is at depth 2 * views + 5 and the ETYPE at types + 2."""
+    view = '<VIEW SKIP_HEADER="0" SKIP="0"><BLOCK OFFSET="0" REPEAT="1" COUNT="1" STRIDE="0">' * views + "<BYTEBLOCK/>" + "</BLOCK></VIEW>" * views
+    types_xml = "<TYPE>" * types + '<ETYPE TYPE="CHAR" LENGTH="1"/>' + "</TYPE>" * types
+    return (
+        f'<?xml version="1.0" encoding="ISO-8859-1"?>\n<PARSTORAGE VERSION="1.0" TIMESTAMP="deep">{types_xml}'
+        f'<ISLAND NAME="i"><SERVER HOST="h"><DEVICE DEVICE_ID="d">{view}</DEVICE></SERVER></ISLAND></PARSTORAGE>\n'
+    )
+
+
 # reference server configuration; {root} replaces the home prefix
 CONFIG_TEMPLATE = """MAX_APP 5 MAX_SRV_FILE 32 DATA_BUFLEN 4096
 SRV_GROUP_NAME "vipios_server" SRVR_DEVICE_LIST 3

@@ -12,10 +12,12 @@ import pytest
 
 from descriptors import (
     CONFIG_TEMPLATE,
+    FIRST_DEVICE,
     MINIMAL_XML,
     THREE_SERVER_BALANCED_XML,
     THREE_SERVER_XML,
     TWO_SERVER_XML,
+    deep_xml,
 )
 from reference import naive_coverage, naive_owners, painted_report
 import xdgdl
@@ -314,6 +316,67 @@ class TestScatterGather:
             ["gather", str(two_server), "--frags", str(frag_dir), "--size", "8", "--out", str(tmp_path / "o")]
         )
         assert code == 4
+
+
+class TestNestingDepth:
+    """An element nested deeper than MAX_DEPTH (256, PARSTORAGE being 1) is
+    refused at its path before it is read, however deep the text goes."""
+
+    COMMANDS = ("validate", "plan", "scatter", "gather")
+
+    @staticmethod
+    def run(command, desc, tmp_path):
+        data = tmp_path / "data.bin"
+        data.write_bytes(b"0123456789")
+        frags = tmp_path / "frags"
+        argv = {
+            "validate": ["validate", str(desc)],
+            "plan": ["plan", str(desc), "--size", "10"],
+            "scatter": ["scatter", str(data), str(desc), "--out", str(frags)],
+            "gather": ["gather", str(desc), "--frags", str(frags), "--size", "10", "--out", str(tmp_path / "back.bin")],
+        }[command]
+        return main(argv)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_at_the_bound_every_command_runs(self, tmp_path, capsys, command):
+        """125 nested VIEWs put the BYTEBLOCK at depth 255; 254 TYPEs put
+        the ETYPE at 256."""
+        desc = tmp_path / "deep.xml"
+        desc.write_text(deep_xml(views=125, types=254))
+        if command == "gather":
+            assert self.run("scatter", desc, tmp_path) == 0
+        assert self.run(command, desc, tmp_path) == 0
+        if command == "gather":
+            assert (tmp_path / "back.bin").read_bytes() == b"0123456789"
+
+    @pytest.mark.parametrize("views", [126, 5000])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_past_the_bound_every_command_exits_2(self, tmp_path, capsys, command, views):
+        desc = tmp_path / "deep.xml"
+        desc.write_text(deep_xml(views=views))
+        (tmp_path / "frags").mkdir()
+        (tmp_path / "frags" / "000.frag").write_bytes(b"0123456789")
+        assert self.run(command, desc, tmp_path) == 2
+        tag = "BYTEBLOCK" if views == 126 else "VIEW"  # at depth 257, below 126 VIEW/BLOCK pairs
+        path = f"{FIRST_DEVICE}{'/VIEW[1]/BLOCK[1]' * 126}/{tag}[1]"
+        assert capsys.readouterr() == ("", f"xdgdl: [nesting-depth] {path}: {tag} is nested deeper than 256 elements\n")
+
+    def test_types_past_the_bound_exit_2(self, tmp_path, capsys):
+        desc = tmp_path / "deep.xml"
+        desc.write_text(deep_xml(views=1, types=255))
+        assert main(["validate", str(desc)]) == 2
+        path = "/PARSTORAGE" + "/TYPE[1]" * 255 + "/ETYPE[1]"
+        assert capsys.readouterr() == ("", f"xdgdl: [nesting-depth] {path}: ETYPE is nested deeper than 256 elements\n")
+
+    def test_a_sidecar_past_the_bound_falls_back(self, store_env, capsys):
+        src = store_env / "deep"
+        src.write_bytes(b"d" * 5000)
+        (store_env / ".vd.deep").write_text(deep_xml(views=400))
+        assert main(["cp-in", str(src)]) == 0
+        err = capsys.readouterr().err
+        assert "does not parse: [nesting-depth] " in err and err.endswith("; using default cyclic distribution\n")
+        assert main(["cp-out", "deep", str(store_env / "deep.back")]) == 0
+        assert (store_env / "deep.back").read_bytes() == b"d" * 5000
 
 
 class TestCp:

@@ -12,8 +12,6 @@ FULL_CONFIG = CONFIG_TEMPLATE.format(root="/home/felder")
 
 def test_full_config():
     cfg = parse_config(FULL_CONFIG)
-    assert cfg.max_app == 5
-    assert cfg.max_srv_file == 32
     assert cfg.data_buflen == 4096
     assert cfg.srv_group_name == "vipios_server"
     assert cfg.device_paths == (
@@ -172,10 +170,11 @@ def test_empty_device_list_is_a_config_error(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "v").exists()
 
 
-def serialize_config(cfg: VipfsConfig) -> str:
-    """Canonical token order; parse_config(serialize_config(c)) == c."""
+def serialize_config(cfg: VipfsConfig, max_app: int = 5, max_srv_file: int = 32) -> str:
+    """Canonical token order; parse_config(serialize_config(c)) == c.  The
+    config keeps neither MAX_APP nor MAX_SRV_FILE, so their values are given."""
     lines = [
-        f"MAX_APP {cfg.max_app} MAX_SRV_FILE {cfg.max_srv_file} DATA_BUFLEN {cfg.data_buflen}",
+        f"MAX_APP {max_app} MAX_SRV_FILE {max_srv_file} DATA_BUFLEN {cfg.data_buflen}",
         f'SRV_GROUP_NAME "{cfg.srv_group_name}" SRVR_DEVICE_LIST {len(cfg.device_paths)}',
         *cfg.device_paths,
         f'VIP_DIR "{cfg.vip_dir}"',
@@ -198,11 +197,9 @@ def test_serialize_parse_fixpoint():
 )
 def test_fixpoint_property(max_app, max_srv, buflen, group, devs):
     cfg = VipfsConfig(
-        max_app=max_app,
-        max_srv_file=max_srv,
         data_buflen=buflen,
         srv_group_name=group,
         device_paths=tuple(f"/grid/dev{i}/{n}" for i, n in enumerate(devs)),
         vip_dir="/grid/vipios",
     )
-    assert parse_config(serialize_config(cfg)) == cfg
+    assert parse_config(serialize_config(cfg, max_app, max_srv)) == cfg

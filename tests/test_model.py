@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from descriptors import MINIMAL_XML, TWO_SERVER_XML
+from descriptors import FIRST_DEVICE, MINIMAL_XML, TWO_SERVER_XML
 from gen import random_document
 from xdgdl import (
     AlignDecl,
@@ -218,6 +218,15 @@ class TestParse:
         dim = arr.dims[0]
         assert dim == DimensionDecl(upper=9, lower=1, distribute=Distribution.UNSPECIFIED, dist_skalar=1)
         assert arr.major is Major.ROW
+
+    @pytest.mark.parametrize("second", ['<NOVIEW NAME="x"/>', "<NOVIEW>junk</NOVIEW>", "<NOVIEW><GIZMO/></NOVIEW>", "<NOVIEW><ISLAND/></NOVIEW>"])
+    def test_a_second_noview_is_refused_before_it_is_read(self, second):
+        """A child its parent allows once is refused at its path before its
+        own attributes, text and children are checked."""
+        xml = MINIMAL_XML.replace('<ISLAND NAME="lonely"/>', f'<ISLAND NAME="i"><SERVER HOST="h"><DEVICE DEVICE_ID="d"><NOVIEW/>{second}</DEVICE></SERVER></ISLAND>')
+        with pytest.raises(ValidationError) as err:
+            parse_document(xml)
+        assert str(err.value) == f"[device-access] {FIRST_DEVICE}/NOVIEW[2]: DEVICE allows a single NOVIEW"
 
     def test_comments_are_ignored(self):
         xml = MINIMAL_XML.replace("<TYPE>", "<!-- note --><TYPE>")

@@ -1,5 +1,6 @@
 import io
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -8,7 +9,6 @@ from gen import random_view
 from reference import view_selecting
 from xdgdl import (
     NotAPartition,
-    VipfsConfig,
     XdgdlError,
     enumerate_extents,
     get_file,
@@ -64,14 +64,7 @@ class TestInit:
         assert init_store(cfg) == layout
 
     def test_zero_devices(self, cfg):
-        empty = VipfsConfig(
-            max_app=cfg.max_app,
-            max_srv_file=cfg.max_srv_file,
-            data_buflen=cfg.data_buflen,
-            srv_group_name=cfg.srv_group_name,
-            device_paths=(),
-            vip_dir=cfg.vip_dir,
-        )
+        empty = replace(cfg, device_paths=())
         with pytest.raises(XdgdlError, match="configuration declares zero devices"):
             init_store(empty)
 
@@ -105,14 +98,7 @@ class TestPutFile:
             put(layout, "bad", b"c" * 72, overlapping)
 
     def test_manifest_with_more_devices_than_layout(self, cfg, tmp_path):
-        single = VipfsConfig(
-            max_app=cfg.max_app,
-            max_srv_file=cfg.max_srv_file,
-            data_buflen=cfg.data_buflen,
-            srv_group_name=cfg.srv_group_name,
-            device_paths=(str(tmp_path / "only"),),
-            vip_dir=str(tmp_path / "vip2"),
-        )
+        single = replace(cfg, device_paths=(str(tmp_path / "only"),), vip_dir=str(tmp_path / "vip2"))
         layout = init_store(single)
         with pytest.raises(XdgdlError, match="descriptor references 2 devices, layout provides 1"):
             put(layout, "f", b"d" * 72, two_server_manifest())
@@ -220,14 +206,7 @@ class TestDistinctDevices:
     def test_duplicate_device_paths_rejected(self, cfg, tmp_path):
         from xdgdl import IoFailure
 
-        dup = VipfsConfig(
-            max_app=cfg.max_app,
-            max_srv_file=cfg.max_srv_file,
-            data_buflen=cfg.data_buflen,
-            srv_group_name=cfg.srv_group_name,
-            device_paths=(str(tmp_path / "same"), str(tmp_path / "same")),
-            vip_dir=cfg.vip_dir,
-        )
+        dup = replace(cfg, device_paths=(str(tmp_path / "same"), str(tmp_path / "same")))
         with pytest.raises(IoFailure):
             init_store(dup)
         assert not (tmp_path / "same").exists()  # refused before anything is created
