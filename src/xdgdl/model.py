@@ -7,14 +7,17 @@ devices).  Every device either holds a recursive ``VIEW``/``BLOCK``
 selection pattern or an explicit ``NOVIEW`` marker.
 
 This module owns the in-memory tree (frozen dataclasses), parsing from XML
-text, structural validation, and canonical serialization.  The reader applies
-one element rule (``_read``) to one grammar table keyed by tag (``_GRAMMAR``:
-attributes, child tags, node builder): it refuses an element nested deeper
-than ``MAX_DEPTH``, checks the element, reads its children by the same rule,
-then builds its node; paths index siblings per tag, in reader and validator
-alike.  The writer applies one element rule (``_write``) to one table of each
-node type's tag, attribute text and children (``_ELEMENTS``).  The emitted
-``XDGDL.dtd`` doctype reference is never fetched, so parsing stays hermetic.
+text, validation, and canonical serialization, each one element rule over one
+table.  The reader (``_read``) walks the grammar keyed by tag (``_GRAMMAR``:
+attributes, child tags, node builder).  The writer (``_write``) and the
+validator (``_validate``) walk one table of each node type's tag, attribute
+text and children (``_ELEMENTS``).  The validator refuses what the reader
+refuses, at the same rule id and path (siblings indexed per tag): an element
+nested past ``MAX_DEPTH``, a child tag the grammar does not allow under its
+parent, an integer past INT64_MAX in magnitude; it also runs each type's own
+rules (``_RULES``).  So the contract: the text of a document that
+``validate_document`` passes reads back equal.  The emitted ``XDGDL.dtd``
+doctype reference is never fetched, so parsing stays hermetic.
 
 It also holds the rules the other modules build descriptors by: the 64-bit
 range of every integer (``INT64_MAX``, ``parse_size``, ``guard_int64``),
@@ -58,7 +61,6 @@ __all__ = [
     "parse_document",
     "validate_document",
     "serialize_document",
-    "declared_names",
     "view_period",
 ]
 
@@ -267,10 +269,11 @@ class ValidationReport:
 INT64_MAX = 2**63 - 1  # the largest integer a descriptor, configuration or size may hold
 MAX_DEPTH = 256
 """The deepest an element may nest, PARSTORAGE being depth 1: 256.  A deeper
-element is refused (``nesting-depth``) before it is read, so no rule that walks
-the tree by recursion comes near Python's recursion limit of 1000 frames; the
-deepest is a view's block table, about 3 frames per nested VIEW, and 256
-elements hold at most 125 nested VIEWs."""
+element is refused (``nesting-depth``) by reading before it is read and by
+validation before it is walked, so no rule that walks the tree by recursion
+comes near Python's recursion limit of 1000 frames; the deepest is a view's
+block table, about 3 frames per nested VIEW, and 256 elements hold at most
+125 nested VIEWs."""
 _DECL_ENCODING_RE = re.compile(rb"^\s*<\?xml[^>]*?encoding\s*=\s*[\"']([A-Za-z][A-Za-z0-9._-]*)[\"']")
 
 
@@ -500,15 +503,6 @@ def _read(elem: ET.Element, path: str, depth: int = 1) -> Any:
 # validation
 
 
-def _is_xml_id(value: str) -> bool:
-    if not value:
-        return False
-    first = value[0]
-    if not (first.isalpha() or first == "_"):
-        return False
-    return all(c.isalnum() or c in "._-:" for c in value)
-
-
 def type_decls(doc: Document) -> Iterator[TypeDecl]:
     """Every type declaration of the document, in document order, each
     before its children (an array's child is its element type)."""
@@ -522,17 +516,16 @@ def type_decls(doc: Document) -> Iterator[TypeDecl]:
             stack.append(t.element)
 
 
-def declared_names(doc: Document) -> set[str]:
-    """All NAME attributes resolvable by ALIGN and DISTRIBUTE_ONTO."""
-    names = {p.name for p in doc.processors if p.name}
-    names.update(t.name for t in type_decls(doc) if t.name)
-    return names
+class _Validator:
+    """One walk's violations and warnings, the names a reference resolves to
+    (DISTRIBUTE_ONTO a PROCESSORS NAME; ALIGN, only then collected, any NAME),
+    and each node type's own rules, which ``_RULES`` lists."""
 
-
-class _Collector:
-    def __init__(self):
+    def __init__(self, doc: Document):
         self.violations: list[Violation] = []
         self.warnings: list[Violation] = []
+        self.proc_names = {p.name for p in doc.processors if p.name}
+        self.names = self.proc_names.union(t.name for t in type_decls(doc) if t.name) if doc.aligns else set()
 
     def bad(self, rule: str, path: str, message: str) -> None:
         self.violations.append(Violation(rule, path, message))
@@ -540,70 +533,132 @@ class _Collector:
     def warn(self, rule: str, path: str, message: str) -> None:
         self.warnings.append(Violation(rule, path, message))
 
-    def at_least(self, path: str, attr: str, value: int, least: int) -> None:
-        """The ``nonnegative-int`` (least 0) or ``positive-int`` (least 1) rule."""
-        if value < least:
+    def nonempty(self, path: str, what: str, value: str) -> None:
+        if not value:
+            self.bad("required-nonempty", path, f"{what} must be nonempty")
+
+    def integer(self, path: str, attr: str, value: int, least: int | None = None) -> None:
+        """The one integer rule: ``bad-integer`` past INT64_MAX in magnitude, as the
+        reader has it, else ``nonnegative-int`` (least 0) or ``positive-int`` (1)."""
+        if abs(value) > INT64_MAX:
+            self.bad("bad-integer", path, f"attribute {attr} must be a base-10 integer, got {str(value)!r}")
+        elif least is not None and value < least:
             self.bad("positive-int" if least else "nonnegative-int", path, f"{attr} must be >= {least}, got {value}")
+
+    def parstorage(self, d: Document, path: str) -> None:
+        self.nonempty(path, "VERSION", d.version)
+        ts = d.timestamp  # an XML ID: a letter or underscore, then letters, digits and ._-:
+        if not (ts[:1].isalpha() or ts[:1] == "_") or not all(c.isalnum() or c in "._-:" for c in ts):
+            self.bad("timestamp-id", path, f"TIMESTAMP must be an XML ID (letter or underscore first, no spaces), got {d.timestamp!r}")
+        if not d.types:
+            self.bad("parstorage-types", path, "at least one TYPE declaration is required")
+
+    def processors(self, p: ProcessorsDecl, path: str) -> None:
+        self.nonempty(path, "NAME", p.name)
+        if not p.dims:
+            self.bad("processors-dimensions", path, "PROCESSORS requires at least one PROC_DIMENSION")
+
+    def bounds(self, pair: tuple[int, int], path: str) -> None:  # a PROC_DIMENSION's or DIMENSION's
+        lower, upper = pair
+        self.integer(path, "LOWER", lower)
+        self.integer(path, "UPPER", upper)
+        if lower > upper:
+            self.bad("dimension-range", path, f"LOWER {lower} exceeds UPPER {upper}")
+
+    def compound(self, t: CompoundDecl, path: str) -> None:
+        if not t.children:
+            self.bad("type-children", path, "TYPE requires at least one ETYPE, ARRAY or TYPE child")
+
+    def etype(self, t: EtypeDecl, path: str) -> None:
+        self.nonempty(path, "TYPE attribute", t.base)
+        self.integer(path, "LENGTH", t.length_bytes, 1)
+
+    def array(self, t: ArrayDecl, path: str) -> None:
+        if not t.dims:
+            self.bad("array-dimensions", path, "ARRAY requires at least one DIMENSION")
+        if t.distribute_onto is not None and t.distribute_onto not in self.proc_names:
+            self.bad("unresolved-processors", path, f"DISTRIBUTE_ONTO={t.distribute_onto!r} names no declared PROCESSORS")
+
+    def dimension(self, d: DimensionDecl, path: str) -> None:
+        self.bounds((d.lower, d.upper), path)
+        self.integer(path, "DIST_SKALAR", d.dist_skalar, 1)
+        if d.distribute is Distribution.BLOCK and d.dist_skalar != 1:
+            self.warn("block-dist-skalar", path, "DIST_SKALAR has no effect on BLOCK distribution")
+
+    def align(self, a: AlignDecl, path: str) -> None:
+        for attr, value in (("WHAT", a.what), ("WITH", a.with_target)):
+            self.nonempty(path, attr, value)
+            if value and value not in self.names:
+                self.bad("unresolved-align", path, f"{attr}={value!r} names no declared TYPE, ARRAY or PROCESSORS")
+
+    def island(self, i: IslandDecl, path: str) -> None:
+        self.nonempty(path, "NAME", i.name)
+        if not i.servers:
+            self.warn("island-empty", path, "island declares no servers; nothing can be placed")
+
+    def server(self, s: ServerDecl, path: str) -> None:
+        self.nonempty(path, "HOST", s.host)
+        if not s.devices:
+            self.warn("server-empty", path, "server declares no devices")
+
+    def device(self, d: DeviceDecl, path: str) -> None:
+        self.nonempty(path, "DEVICE_ID", d.device_id)
+        if (d.view is None) == (not d.noview):
+            self.bad("device-access", path, "DEVICE requires exactly one of VIEW or NOVIEW")
+
+    def view(self, v: ViewDecl, path: str) -> None:
+        self.integer(path, "SKIP_HEADER", v.skip_header, 0)
+        self.integer(path, "SKIP", v.skip, 0)
+        if not v.blocks:
+            self.bad("view-blocks", path, "VIEW requires at least one BLOCK")
+
+    def block(self, b: BlockDecl, path: str) -> None:
+        for attr, value, least in (("OFFSET", b.offset, 0), ("STRIDE", b.stride, 0), ("REPEAT", b.repeat, 1), ("COUNT", b.count, 1)):
+            self.integer(path, attr, value, least)
+
+
+# Each node type's own rules; NOVIEW and BYTEBLOCK have none.
+_RULES: dict[type, Callable[[_Validator, Any, str], None]] = {
+    Document: _Validator.parstorage, ProcessorsDecl: _Validator.processors, tuple: _Validator.bounds, CompoundDecl: _Validator.compound,
+    EtypeDecl: _Validator.etype, ArrayDecl: _Validator.array, DimensionDecl: _Validator.dimension, AlignDecl: _Validator.align,
+    IslandDecl: _Validator.island, ServerDecl: _Validator.server, DeviceDecl: _Validator.device, type(None): lambda *_: None,
+    ViewDecl: _Validator.view, BlockDecl: _Validator.block, ByteBlock: lambda *_: None,
+}
+
+
+def _validate(node: Any, path: str, depth: int, out: _Validator) -> bool:
+    """The element rule of validation, over the writer's table: past MAX_DEPTH
+    report ``nesting-depth`` and stop; run the node's own rules; check each
+    child's tag against the grammar, at the path the reader gives it, and walk
+    it; then check a view's period.  False when a period in the element
+    cannot be worked out, so that only the innermost such view reports one."""
+    tag, _, children = _ELEMENTS[type(node)]
+    if depth > MAX_DEPTH:
+        out.bad("nesting-depth", path, f"{tag} is nested deeper than {MAX_DEPTH} elements")
+        return False
+    _RULES[type(node)](out, node, path)
+    allowed = _GRAMMAR[tag][2]
+    seen: dict[str, int] = {}
+    sound = True
+    for child in children(node):
+        child_tag = _ELEMENTS[type(child)][0]
+        child_path = _step(path, child_tag, seen)
+        if child_tag not in allowed:
+            out.bad("block-child" if tag == "BLOCK" else "unexpected-element", child_path, f"{child_tag} is not allowed under {tag}")
+        sound = _validate(child, child_path, depth + 1, out) and sound
+    if sound and tag == "VIEW":
+        try:
+            view_period(node)
+        except DescriptorError as exc:
+            out.bad("view-period", path, str(exc))
+            return False
+    return sound
 
 
 def validate_document(doc: Document) -> ValidationReport:
-    """Check every structural rule; violations are data, not exceptions."""
-    out = _Collector()
-    names = declared_names(doc) if doc.aligns else set()  # only ALIGN resolves names
-    proc_names = {p.name for p in doc.processors if p.name}
-
-    if not doc.version:
-        out.bad("required-nonempty", "/PARSTORAGE", "VERSION must be nonempty")
-    if not _is_xml_id(doc.timestamp):
-        out.bad("timestamp-id", "/PARSTORAGE", f"TIMESTAMP must be an XML ID (letter or underscore first, no spaces), got {doc.timestamp!r}")
-    if not doc.types:
-        out.bad("parstorage-types", "/PARSTORAGE", "at least one TYPE declaration is required")
-
-    for i, p in enumerate(doc.processors, 1):
-        path = f"/PARSTORAGE/PROCESSORS[{i}]"
-        if not p.name:
-            out.bad("required-nonempty", path, "NAME must be nonempty")
-        if not p.dims:
-            out.bad("processors-dimensions", path, "PROCESSORS requires at least one PROC_DIMENSION")
-        for j, (lo, up) in enumerate(p.dims, 1):
-            if lo > up:
-                out.bad("dimension-range", f"{path}/PROC_DIMENSION[{j}]", f"LOWER {lo} exceeds UPPER {up}")
-
-    seen: dict[str, int] = {}
-    for t in doc.types:
-        _validate_type(t, "/PARSTORAGE", seen, proc_names, out)
-
-    for i, a in enumerate(doc.aligns, 1):
-        path = f"/PARSTORAGE/ALIGN[{i}]"
-        if not a.what:
-            out.bad("required-nonempty", path, "WHAT must be nonempty")
-        elif a.what not in names:
-            out.bad("unresolved-align", path, f"WHAT={a.what!r} names no declared TYPE, ARRAY or PROCESSORS")
-        if not a.with_target:
-            out.bad("required-nonempty", path, "WITH must be nonempty")
-        elif a.with_target not in names:
-            out.bad("unresolved-align", path, f"WITH={a.with_target!r} names no declared TYPE, ARRAY or PROCESSORS")
-
-    ipath = "/PARSTORAGE/ISLAND[1]"
-    if not doc.island.name:
-        out.bad("required-nonempty", ipath, "NAME must be nonempty")
-    if not doc.island.servers:
-        out.warn("island-empty", ipath, "island declares no servers; nothing can be placed")
-    for i, srv in enumerate(doc.island.servers, 1):
-        spath = f"{ipath}/SERVER[{i}]"
-        if not srv.host:
-            out.bad("required-nonempty", spath, "HOST must be nonempty")
-        if not srv.devices:
-            out.warn("server-empty", spath, "server declares no devices")
-        for j, dev in enumerate(srv.devices, 1):
-            dpath = f"{spath}/DEVICE[{j}]"
-            if not dev.device_id:
-                out.bad("required-nonempty", dpath, "DEVICE_ID must be nonempty")
-            if (dev.view is None) == (not dev.noview):
-                out.bad("device-access", dpath, "DEVICE requires exactly one of VIEW or NOVIEW")
-            if dev.view is not None:
-                _validate_view(dev.view, f"{dpath}/VIEW[1]", out)
-
+    """Check every rule by one walk (module notes); violations are data, not exceptions."""
+    out = _Validator(doc)
+    _validate(doc, "/PARSTORAGE", 1, out)
     return ValidationReport(tuple(out.violations), tuple(out.warnings))
 
 
@@ -613,61 +668,6 @@ def require_valid(doc: Document) -> Document:
     if not report.ok:
         raise InvalidDocument(report)
     return doc
-
-
-def _validate_type(t: TypeDecl, parent: str, seen: dict[str, int], proc_names: set[str], out: _Collector) -> None:
-    """Check a type declaration, the child of ``parent`` after the ``seen`` ones."""
-    if isinstance(t, EtypeDecl):
-        path = _step(parent, "ETYPE", seen)
-        if not t.base:
-            out.bad("required-nonempty", path, "TYPE attribute must be nonempty")
-        out.at_least(path, "LENGTH", t.length_bytes, 1)
-    elif isinstance(t, CompoundDecl):
-        path = _step(parent, "TYPE", seen)
-        if not t.children:
-            out.bad("type-children", path, "TYPE requires at least one ETYPE, ARRAY or TYPE child")
-        children_seen: dict[str, int] = {}
-        for c in t.children:
-            _validate_type(c, path, children_seen, proc_names, out)
-    else:
-        path = _step(parent, "ARRAY", seen)
-        if not t.dims:
-            out.bad("array-dimensions", path, "ARRAY requires at least one DIMENSION")
-        for i, d in enumerate(t.dims, 1):
-            dpath = f"{path}/DIMENSION[{i}]"
-            if d.lower > d.upper:
-                out.bad("dimension-range", dpath, f"LOWER {d.lower} exceeds UPPER {d.upper}")
-            out.at_least(dpath, "DIST_SKALAR", d.dist_skalar, 1)
-            if d.distribute is Distribution.BLOCK and d.dist_skalar != 1:
-                out.warn("block-dist-skalar", dpath, "DIST_SKALAR has no effect on BLOCK distribution")
-        if t.distribute_onto is not None and t.distribute_onto not in proc_names:
-            out.bad("unresolved-processors", path, f"DISTRIBUTE_ONTO={t.distribute_onto!r} names no declared PROCESSORS")
-        _validate_type(t.element, path, {}, proc_names, out)
-
-
-def _validate_view(v: ViewDecl, path: str, out: _Collector) -> bool:
-    """Check a view and its nested views; False when a period in it
-    exceeds the 64-bit range, reported at the innermost such view."""
-    out.at_least(path, "SKIP_HEADER", v.skip_header, 0)
-    out.at_least(path, "SKIP", v.skip, 0)
-    if not v.blocks:
-        out.bad("view-blocks", path, "VIEW requires at least one BLOCK")
-    spans = True
-    for i, b in enumerate(v.blocks, 1):
-        bpath = f"{path}/BLOCK[{i}]"
-        out.at_least(bpath, "OFFSET", b.offset, 0)
-        out.at_least(bpath, "STRIDE", b.stride, 0)
-        out.at_least(bpath, "REPEAT", b.repeat, 1)
-        out.at_least(bpath, "COUNT", b.count, 1)
-        if isinstance(b.child, ViewDecl):
-            spans = _validate_view(b.child, f"{bpath}/VIEW[1]", out) and spans
-    if spans:
-        try:
-            view_period(v)
-        except DescriptorError as exc:
-            out.bad("view-period", path, str(exc))
-            return False
-    return spans
 
 
 # --------------------------------------------------------------------------
@@ -699,49 +699,46 @@ def _optional(name: str, value: str | None) -> str:
     return "" if value is None else f" {name}={_quoteattr(value)}"
 
 
-# Each node type's tag, attribute text and children in document order.  A processor
-# dimension is a (lower, upper) pair; a device without a view holds None, written NOVIEW.
-_ELEMENTS: dict[type, Callable[[Any], tuple[str, str, tuple]]] = {
-    Document: lambda d: ("PARSTORAGE", f" VERSION={_quoteattr(d.version)} TIMESTAMP={_quoteattr(d.timestamp)}", (*d.processors, *d.types, *d.aligns, d.island)),
-    ProcessorsDecl: lambda p: ("PROCESSORS", f" NAME={_quoteattr(p.name)}", p.dims),
-    tuple: lambda d: ("PROC_DIMENSION", f' LOWER="{d[0]}" UPPER="{d[1]}"', ()),
-    CompoundDecl: lambda t: ("TYPE", f'{_optional("TYPENAME", t.typename)}{_optional("NAME", t.name)}', t.children),
-    EtypeDecl: lambda t: ("ETYPE", f' TYPE={_quoteattr(t.base)} LENGTH="{t.length_bytes}"{_optional("NAME", t.name)}', ()),
-    ArrayDecl: lambda t: ("ARRAY", f'{_optional("NAME", t.name)} MAJOR="{t.major.value}"{_optional("DISTRIBUTE_ONTO", t.distribute_onto)}', (t.element, *t.dims)),
-    DimensionDecl: lambda d: ("DIMENSION", f' LOWER="{d.lower}" UPPER="{d.upper}"{_optional("DISTRIBUTE", _DISTRIBUTE[d.distribute])} DIST_SKALAR="{d.dist_skalar}"', ()),
-    AlignDecl: lambda a: ("ALIGN", f" WHAT={_quoteattr(a.what)} WITH={_quoteattr(a.with_target)}", ()),
-    IslandDecl: lambda i: ("ISLAND", f" NAME={_quoteattr(i.name)}", i.servers),
-    ServerDecl: lambda s: ("SERVER", f" HOST={_quoteattr(s.host)}", s.devices),
-    DeviceDecl: lambda d: ("DEVICE", f" DEVICE_ID={_quoteattr(d.device_id)}", (d.view,)),
-    type(None): lambda _: ("NOVIEW", "", ()),
-    ViewDecl: lambda v: ("VIEW", f' SKIP_HEADER="{v.skip_header}" SKIP="{v.skip}"', v.blocks),
-    BlockDecl: lambda b: ("BLOCK", f' OFFSET="{b.offset}" REPEAT="{b.repeat}" COUNT="{b.count}" STRIDE="{b.stride}"', (b.child,)),
-    ByteBlock: lambda _: ("BYTEBLOCK", "", ()),
+# Each node type's tag, attribute text and children in document order, for writer and
+# validator.  A processor dimension is a (lower, upper) pair; a viewless device's None a NOVIEW.
+_LEAF: Callable[[Any], tuple] = lambda _: ()
+_ELEMENTS: dict[type, tuple[str, Callable[[Any], str], Callable[[Any], tuple]]] = {
+    Document: ("PARSTORAGE", lambda d: f" VERSION={_quoteattr(d.version)} TIMESTAMP={_quoteattr(d.timestamp)}", lambda d: (*d.processors, *d.types, *d.aligns, d.island)),
+    ProcessorsDecl: ("PROCESSORS", lambda p: f" NAME={_quoteattr(p.name)}", lambda p: p.dims),
+    tuple: ("PROC_DIMENSION", lambda d: f' LOWER="{d[0]}" UPPER="{d[1]}"', _LEAF),
+    CompoundDecl: ("TYPE", lambda t: f'{_optional("TYPENAME", t.typename)}{_optional("NAME", t.name)}', lambda t: t.children),
+    EtypeDecl: ("ETYPE", lambda t: f' TYPE={_quoteattr(t.base)} LENGTH="{t.length_bytes}"{_optional("NAME", t.name)}', _LEAF),
+    ArrayDecl: ("ARRAY", lambda t: f'{_optional("NAME", t.name)} MAJOR="{t.major.value}"{_optional("DISTRIBUTE_ONTO", t.distribute_onto)}', lambda t: (t.element, *t.dims)),
+    DimensionDecl: ("DIMENSION", lambda d: f' LOWER="{d.lower}" UPPER="{d.upper}"{_optional("DISTRIBUTE", _DISTRIBUTE[d.distribute])} DIST_SKALAR="{d.dist_skalar}"', _LEAF),
+    AlignDecl: ("ALIGN", lambda a: f" WHAT={_quoteattr(a.what)} WITH={_quoteattr(a.with_target)}", _LEAF),
+    IslandDecl: ("ISLAND", lambda i: f" NAME={_quoteattr(i.name)}", lambda i: i.servers),
+    ServerDecl: ("SERVER", lambda s: f" HOST={_quoteattr(s.host)}", lambda s: s.devices),
+    DeviceDecl: ("DEVICE", lambda d: f" DEVICE_ID={_quoteattr(d.device_id)}", lambda d: (d.view,)),
+    type(None): ("NOVIEW", lambda _: "", _LEAF),
+    ViewDecl: ("VIEW", lambda v: f' SKIP_HEADER="{v.skip_header}" SKIP="{v.skip}"', lambda v: v.blocks),
+    BlockDecl: ("BLOCK", lambda b: f' OFFSET="{b.offset}" REPEAT="{b.repeat}" COUNT="{b.count}" STRIDE="{b.stride}"', lambda b: (b.child,)),
+    ByteBlock: ("BYTEBLOCK", lambda _: "", _LEAF),
 }
 
 
 def _write(node: object, lines: list[str], indent: str) -> None:
     """The element rule: open tag, children indented, close tag; a self-closed
     tag when there are no children, except an ISLAND's, kept as written before."""
-    tag, attrs, children = _ELEMENTS[type(node)](node)
-    if not children and tag != "ISLAND":
-        lines.append(f"{indent}<{tag}{attrs}/>")
+    tag, attrs, children = _ELEMENTS[type(node)]
+    if not (nodes := children(node)) and tag != "ISLAND":
+        lines.append(f"{indent}<{tag}{attrs(node)}/>")
         return
-    lines.append(f"{indent}<{tag}{attrs}>")
+    lines.append(f"{indent}<{tag}{attrs(node)}>")
     inner = indent + "  "
-    for child in children:
+    for child in nodes:
         _write(child, lines, inner)
     lines.append(f"{indent}</{tag}>")
 
 
 def serialize_document(doc: Document) -> str:
-    """Canonical XML text of a valid document: InvalidDocument otherwise,
-    DescriptorError for a value XML 1.0 cannot carry (``_quoteattr``).
-
-    Attribute defaults are written explicitly; parse_document on the
-    result rebuilds a structurally equal Document.  The text is ASCII,
-    every other character a character reference (module notes).
-    """
+    """Canonical XML text of a valid document, which parse_document reads back
+    equal: attribute defaults written explicitly, ASCII (module notes).
+    InvalidDocument otherwise, DescriptorError for a value XML 1.0 cannot carry."""
     require_valid(doc)
     lines = ['<?xml version="1.0" encoding="ISO-8859-1"?>', '<!DOCTYPE PARSTORAGE SYSTEM "XDGDL.dtd">']
     _write(doc, lines, "")

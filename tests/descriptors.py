@@ -7,6 +7,9 @@ bytes per inner period and therefore misaligns with the other servers'
 29-byte inner spans (gaps and overlaps on an 82-byte period).
 THREE_SERVER_BALANCED_XML tightens that inner pattern (stride 5, trailing
 skip 5, inner period 29) so the three servers partition the file exactly.
+LOGICAL_XML declares every element of the logical description (PROCESSORS,
+an ARRAY of TYPE, ALIGN) over two servers that split each 3 bytes 2:1, the
+second holding a NOVIEW device too.
 """
 
 TWO_SERVER_XML = """<?xml version="1.0" encoding="ISO-8859-1"?>
@@ -105,6 +108,47 @@ MINIMAL_XML = """<?xml version="1.0" encoding="ISO-8859-1"?>
     <ETYPE TYPE="CHAR" LENGTH="1"/>
   </TYPE>
   <ISLAND NAME="lonely"/>
+</PARSTORAGE>
+"""
+
+LOGICAL_XML = """<?xml version="1.0" encoding="ISO-8859-1"?>
+<PARSTORAGE VERSION="1.0" TIMESTAMP="logical_all">
+  <PROCESSORS NAME="P">
+    <PROC_DIMENSION LOWER="1" UPPER="2"/>
+  </PROCESSORS>
+  <TYPE TYPENAME="pair" NAME="t">
+    <ARRAY NAME="a" MAJOR="COLUMN" DISTRIBUTE_ONTO="P">
+      <TYPE>
+        <ETYPE TYPE="CHAR" LENGTH="1" NAME="c"/>
+      </TYPE>
+      <DIMENSION LOWER="0" UPPER="5" DISTRIBUTE="CYCLIC" DIST_SKALAR="2"/>
+      <DIMENSION UPPER="3"/>
+    </ARRAY>
+  </TYPE>
+  <ALIGN WHAT="a" WITH="P"/>
+  <ISLAND NAME="isle">
+    <SERVER HOST="h1">
+      <DEVICE DEVICE_ID="d1">
+        <VIEW SKIP_HEADER="0" SKIP="1">
+          <BLOCK OFFSET="0" REPEAT="1" COUNT="2" STRIDE="0">
+            <BYTEBLOCK/>
+          </BLOCK>
+        </VIEW>
+      </DEVICE>
+    </SERVER>
+    <SERVER HOST="h2">
+      <DEVICE DEVICE_ID="d2">
+        <VIEW SKIP_HEADER="2" SKIP="2">
+          <BLOCK OFFSET="0" REPEAT="1" COUNT="1" STRIDE="0">
+            <BYTEBLOCK/>
+          </BLOCK>
+        </VIEW>
+      </DEVICE>
+      <DEVICE DEVICE_ID="d3">
+        <NOVIEW/>
+      </DEVICE>
+    </SERVER>
+  </ISLAND>
 </PARSTORAGE>
 """
 

@@ -2,10 +2,13 @@
 
 Used where determinism and speed matter (the acceptance criteria run
 thousands of cases); the hypothesis strategies in strategies.py cover the
-same shapes with shrinking support.
+same shapes with shrinking support.  ``random_document(rng, shapes=True)``
+also draws documents the text grammar refuses (``_grammar_shape``).
 """
 
+import dataclasses
 import io
+import itertools
 import random
 import string
 
@@ -29,6 +32,7 @@ from xdgdl import (
     gather,
     scatter,
 )
+from xdgdl.model import MAX_DEPTH
 from xdgdl.views import INT64_MAX, MapEntry, Selection
 
 _NAME_CHARS = string.ascii_lowercase + string.digits + "._-"
@@ -111,8 +115,10 @@ def random_type(rng: random.Random, proc_names: list[str], depth: int = 2) -> Co
     )
 
 
-def random_document(rng: random.Random) -> Document:
-    """Valid document: parses back from its serialization unchanged."""
+def random_document(rng: random.Random, shapes: bool = False) -> Document:
+    """Valid document: parses back from its serialization unchanged.  With
+    ``shapes``, half of them get one shape drawn by ``_grammar_shape``
+    instead; without, the draws are as they always were."""
     processors = tuple(
         ProcessorsDecl(
             name=f"p{i}_{rand_name(rng)}",
@@ -154,7 +160,7 @@ def random_document(rng: random.Random) -> Document:
             for _ in range(rng.randint(1, 2))
         )
 
-    return Document(
+    doc = Document(
         version=rng.choice(["1.0", "1.1", "2"]),
         timestamp=rand_name(rng, "ts_"),
         types=types,
@@ -162,6 +168,80 @@ def random_document(rng: random.Random) -> Document:
         processors=processors,
         aligns=aligns,
     )
+    return _grammar_shape(rng, doc) if shapes and rng.random() < 0.5 else doc
+
+
+# The integer fields of each node type, a PROCESSORS's being its (LOWER, UPPER) dims;
+# only a LOWER may be negative.
+_INT_FIELDS = {
+    EtypeDecl: ("length_bytes",),
+    DimensionDecl: ("upper", "lower", "dist_skalar"),
+    ViewDecl: ("skip_header", "skip"),
+    BlockDecl: ("offset", "repeat", "count", "stride"),
+    ProcessorsDecl: ("dims",),
+}
+
+
+def _rebuild(node, edit):
+    """``node`` rebuilt bottom-up, with ``edit`` applied to every declaration
+    in it, in document order."""
+    if isinstance(node, tuple):
+        return tuple(_rebuild(n, edit) for n in node)
+    if not dataclasses.is_dataclass(node):
+        return node
+    fields = {f.name: _rebuild(getattr(node, f.name), edit) for f in dataclasses.fields(node)}
+    return edit(dataclasses.replace(node, **fields))
+
+
+def _edit_one(rng: random.Random, doc: Document, kinds: tuple, change) -> Document | None:
+    """``doc`` with ``change`` applied to one of its declarations of the given
+    kinds, drawn at random; None when it has none."""
+    found = []
+    _rebuild(doc, lambda n: found.append(n) or n)
+    count = sum(isinstance(n, kinds) for n in found)
+    if not count:
+        return None
+    target, seen = rng.randrange(count), itertools.count()
+    return _rebuild(doc, lambda n: change(n) if isinstance(n, kinds) and next(seen) == target else n)
+
+
+def _nested_view(rng: random.Random, views: int) -> ViewDecl:
+    """A view nesting ``views`` VIEWs in all around a small random one."""
+    view = random_view(rng, max_depth=1)
+    for _ in range(views - 1):
+        view = ViewDecl(rng.randint(0, 2), rng.randint(0, 2), (BlockDecl(rng.randint(0, 2), 1, 1, rng.randint(0, 2), view),))
+    return view
+
+
+def _big_integer(rng: random.Random, node):
+    """``node`` with one integer past the 64-bit range in magnitude: past
+    -INT64_MAX for a LOWER, past INT64_MAX otherwise, so that no other rule
+    of the node breaks."""
+    big = rng.choice([INT64_MAX + 1, 2**64, 10**30])
+    if isinstance(node, ProcessorsDecl):
+        i, lower = rng.randrange(len(node.dims)), rng.random() < 0.5
+        dims = list(node.dims)
+        dims[i] = (-big, dims[i][1]) if lower else (dims[i][0], big)
+        return dataclasses.replace(node, dims=tuple(dims))
+    field = rng.choice(_INT_FIELDS[type(node)])
+    return dataclasses.replace(node, **{field: -big if field == "lower" else big})
+
+
+def _grammar_shape(rng: random.Random, doc: Document) -> Document:
+    """``doc`` with one of three shapes a document built in code can take:
+    a device view nesting 118 to 200 VIEWs (past 125 some element is deeper
+    than MAX_DEPTH), a bare ETYPE or ARRAY among the top-level types, or one
+    integer past the 64-bit range.  Only the first can still be valid."""
+    shape = rng.choice(["deep", "bare", "integer"])
+    if shape == "deep":
+        view = _nested_view(rng, rng.randint((MAX_DEPTH - 20) // 2, 200))
+        deep = _edit_one(rng, doc, (DeviceDecl,), lambda d: DeviceDecl(d.device_id, view))
+        return deep or dataclasses.replace(doc, island=IslandDecl(doc.island.name, (ServerDecl("h", (DeviceDecl("d", view),)),)))
+    if shape == "bare":
+        bare = random_etype(rng) if rng.random() < 0.5 else ArrayDecl(random_etype(rng), (DimensionDecl(rng.randint(1, 9)),))
+        i = rng.randint(0, len(doc.types))
+        return dataclasses.replace(doc, types=(*doc.types[:i], bare, *doc.types[i:]))
+    return _edit_one(rng, doc, tuple(_INT_FIELDS), lambda n: _big_integer(rng, n))
 
 
 def random_partition_views(rng: random.Random, devices: int, period: int, run_max: int) -> list:
