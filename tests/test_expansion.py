@@ -340,6 +340,6 @@ class TestCostGuard:
             return lambda: list(_windows(dmap))
 
         short, long = windows(size), windows(4 * size)
-        assert [n for n, _ in short()] == [WINDOW_BYTES] * 4
+        assert [n for n, _ in short()] == [WINDOW_BYTES] * (size // WINDOW_BYTES)  # the period is longer than the budget
         assert [[s.pieces for s in sels] for _, sels in short()] == [[s.pieces for s in sels] for _, sels in long()]
         assert python_steps(long) == python_steps(short)

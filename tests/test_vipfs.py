@@ -1,6 +1,9 @@
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from descriptors import CONFIG_TEMPLATE, THREE_SERVER_BALANCED_XML, TWO_SERVER_XML
 from xdgdl import (
@@ -60,9 +63,25 @@ class TestLocateSidecar:
 class TestTimestampForName:
     def test_plain(self):
         assert timestamp_for_name("testfile") == "testfile"
+        assert timestamp_for_name("f000001.bin") == "f000001.bin"
 
     def test_sanitized(self):
-        assert timestamp_for_name("9 lives!.dat") == "f_9_lives_.dat"
+        assert timestamp_for_name("9 lives!.dat") == "f_9_lives_.dat-540801b7aa5d62ce"
+        assert timestamp_for_name("a b") == "f_a_b-bb37dea5c027f928"
+        assert timestamp_for_name("a_b") == "f_a_b-f05e550658986ad7"
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.text(alphabet="ab_ .-9!\u00e9\udcff", max_size=5), min_size=2, max_size=2))
+    def test_every_name_has_an_id_of_its_own(self, names):
+        """Names of a few characters that sanitise alike get IDs of their
+        own; a plain name is its own ID, any other starts with 'f_' and
+        ends in a 16-hex digest, and every ID is an XML ID."""
+        ids = [timestamp_for_name(name) for name in names]
+        assert (ids[0] == ids[1]) == (names[0] == names[1])
+        for name, ts in zip(names, ids):
+            plain = re.fullmatch(r"[A-Za-z][A-Za-z0-9.-]*", name)
+            assert ts == name if plain else re.fullmatch(r"f_[A-Za-z0-9._-]*-[0-9a-f]{16}", ts)
+            assert validate_document(default_descriptor(parse_config(CONFIG_TEMPLATE.format(root="/grid")), ts)).ok
 
 
 class TestDefaultDescriptor:
