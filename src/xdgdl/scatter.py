@@ -26,8 +26,9 @@ Files move window by window, cut from byte 0 by one rule.  One budget,
 ``coverage_period`` and S the most bytes an entry selects per L, every
 window but the clipped last one is the most whole periods L that fit it
 with their share, ``WINDOW_BYTES // (L + S) * L``, or, when not even one
-does, L or the budget, whichever is shorter.  A window is plain data: its
-length and each entry's selection as seen from its start
+does, L or the budget, whichever is shorter (so an L past the budget
+cuts windows of partial periods, each with its own table).  A window is plain
+data: its length and each entry's selection as seen from its start
 (``Selection.shifted``), built from only the pieces that meet the
 window, so a window of a long period costs its own runs, not the
 period's.  A window equal to the previous one is that same tuple, and
@@ -46,10 +47,11 @@ This is list I/O: no byte is copied to join a share.  A failed write,
 here or in the store, raises IoFailure by one rule (``writing``).
 Memory stays within the budget (past it only when one period and its
 share do not fit), plus one transient column, a strided copy's step
-slice of one byte per period, and the compiled selections.  The budget
-sits under the cache: copying 16 MiB of a 3 x 4 KiB stripe by
-``readinto`` and ``os.writev`` (2-vCPU Xeon, 2 MiB L2 per core, Python
-3.11.7), 384-768 KiB windows ran 6-10% faster than 1020 KiB ones.
+slice of one byte per period, and the compiled selections.  Against
+1 MiB windows and a share beside them, 8 MiB copies (2-vCPU Xeon,
+Python 3.11.7) ran about as fast for a 4 KiB stripe and the nested
+three-server layout, and 3-6% slower for 1-byte cyclic over two devices,
+whose traced peak fell from 2.0 MiB to 0.7 MiB (README).
 """
 
 from __future__ import annotations
@@ -84,7 +86,9 @@ def _require_one_per_entry(streams: list[BinaryIO], dmap: DistributionMap) -> No
 def _windows(dmap: DistributionMap) -> Iterator[tuple[int, tuple[Selection, ...]]]:
     """Each window of the file, in file order: its length and each
     entry's selection as seen from its start.  A window equal to the
-    previous one is the same tuple object."""
+    previous one is the same tuple object.  The width counts a share for
+    every entry as if it moved strided, an upper bound: one that
+    ``_slots`` moves by runs takes none."""
     size, (header, period) = dmap.file_size, dmap.coverage_period()
     share = max((e.selection.per_period * (period // e.selection.period) for e in dmap.entries if e.selection.pieces), default=0)
     width = WINDOW_BYTES // (period + share) * period or min(period, WINDOW_BYTES)

@@ -23,11 +23,9 @@ and they stream: ``put_file`` reads a binary stream and ``get_file``
 writes one, window by window (see ``scatter`` for the width rule), so
 memory stays bounded by one 512 KiB budget for a window and its share,
 ``WINDOW_BYTES``, plus one transient column, whatever the descriptor's
-header or period, not by the file; sized under the 2 MiB L2 of a 2-vCPU
-Xeon, it copied a 4 KiB stripe 6-10% faster than a 1020 KiB window.
-Callers holding bytes pass ``io.BytesIO``; a stream that cannot seek,
-such as a pipe, is spooled to a temporary file first (``measured``).
-Every output file is written
+header or period, not by the file.  Callers holding bytes pass
+``io.BytesIO``; a stream that cannot seek, such as a pipe, is spooled
+to a temporary file first (``measured``).  Every output file is written
 to a new ``<path>.tmp`` (one that exists is refused) through an
 unbuffered handle and renamed into place (``committed``), so no reader
 sees a half-written file.  A put commits its fragments and its three

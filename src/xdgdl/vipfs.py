@@ -66,13 +66,15 @@ def locate_sidecar(data_path: Path) -> SidecarResult:
 def timestamp_for_name(name: str) -> str:
     """The XML ID naming a file's fragments, one per name: a name of ASCII
     letters, digits, '.' and '-' that starts with a letter is its own, and
-    any other's is 'f_', its text with every other character as '_', '-'
-    and a 16-hex digest of it, so two IDs meet only if digests do."""
+    any other's is 'f_', its first 200 characters with every other
+    character as '_', '-' and a 16-hex digest of it, so two IDs meet only
+    if digests do.  At most 219 characters, its ``<id>.frag.tmp`` fits
+    NAME_MAX whenever the name's ``.vd.<name>.size.tmp`` does."""
     if re.fullmatch(r"[A-Za-z][A-Za-z0-9.-]*", name):
         return name
     import hashlib  # loads OpenSSL, about 6 ms a process, which only a name that is not its own ID needs
     digest = hashlib.blake2b(os.fsencode(name), digest_size=8).hexdigest()
-    return f"f_{re.sub(r'[^A-Za-z0-9.-]', '_', name)}-{digest}"
+    return f"f_{re.sub(r'[^A-Za-z0-9.-]', '_', name[:200])}-{digest}"
 
 
 def default_descriptor(cfg: VipfsConfig, timestamp: str) -> Document:

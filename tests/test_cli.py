@@ -413,6 +413,17 @@ class TestCp:
             assert main(["cp-out", name, str(store_env / f"{name}.back")]) == 0
             assert (store_env / f"{name}.back").read_bytes() == (store_env / name).read_bytes()
 
+    @pytest.mark.parametrize("length", [235, 242])
+    def test_a_long_name_with_an_underscore_stores_and_reads_back(self, store_env, length):
+        """A name of up to 242 bytes, the longest whose ``.vd.<name>.size.tmp``
+        fits NAME_MAX, stores even when it is not its own TIMESTAMP: the
+        ID keeps 200 characters of it, so ``<id>.frag.tmp`` is 228 bytes."""
+        name = "a_" + "b" * (length - 2)
+        (store_env / name).write_bytes(random.Random(length).randbytes(9000))
+        assert main(["cp-in", str(store_env / name)]) == 0
+        assert main(["cp-out", name, str(store_env / "back")]) == 0
+        assert (store_env / "back").read_bytes() == (store_env / name).read_bytes()
+
     def test_sidecar_with_a_period_past_int64_falls_back(self, store_env, capsys):
         src = store_env / "vast"
         src.write_bytes(b"v" * 5000)

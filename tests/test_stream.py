@@ -235,7 +235,7 @@ def test_cp_out_reads_each_window_with_one_readv_per_entry(store_env, monkeypatc
     monkeypatch.setattr(stream, "write_all", lambda sink, data: written.append(data.obj) or real_write(sink, data))
     assert main(["cp-out", "f", str(store_env / "back")]) == 0
     assert (store_env / "back").read_bytes() == src.read_bytes()
-    assert len(written) == 9  # 8 of 32 periods (384 KiB, leaving 128 KiB for a share), then the last 5000 bytes
+    assert len(written) == 9  # 8 of 32 periods (384 KiB; the rule counts a 128 KiB share these run-moved entries never take), then the last 5000 bytes
     assert len(readv) == 3 * len(written) and max(readv) <= 1024  # 33 slots an entry a window
     assert len(tables) <= 2  # every full window's, then the clipped last one's
     assert all(buf is written[0] for buf in written)  # one window buffer

@@ -70,6 +70,14 @@ class TestTimestampForName:
         assert timestamp_for_name("a b") == "f_a_b-bb37dea5c027f928"
         assert timestamp_for_name("a_b") == "f_a_b-f05e550658986ad7"
 
+    def test_a_long_name_keeps_200_characters_and_its_digest(self):
+        """An ID that is not the name is at most 219 characters, so a
+        fragment's ``<id>.frag.tmp`` never passes NAME_MAX before the
+        name's ``.vd.<name>.size.tmp`` does; the digest keeps names that
+        share their first 200 characters apart."""
+        a, b = timestamp_for_name("x_" * 121), timestamp_for_name("x_" * 120 + "xy")
+        assert a[:202] == b[:202] == "f_" + "x_" * 100 and len(a) == len(b) == 219 and a != b
+
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.text(alphabet="ab_ .-9!\u00e9\udcff", max_size=5), min_size=2, max_size=2))
     def test_every_name_has_an_id_of_its_own(self, names):
