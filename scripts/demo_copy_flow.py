@@ -36,10 +36,9 @@ def main() -> None:
         source = root / "testfile"
         source.write_bytes(os.urandom(3 * 4096 + 1500))
 
-        stored, diagnostic = copy_in(cfg, source)
+        diagnostic = copy_in(cfg, source)
         if diagnostic:
-            print(f"fallback: {diagnostic}")
-        print(f"stored as timestamp {stored.timestamp_id!r}\n")
+            print(f"fallback: {diagnostic}\n")
 
         print("store contents (sizes in bytes):")
         listing(root / "grid")

@@ -21,7 +21,6 @@ from xdgdl import (
     render_plan,
     scatter,
     serialize_document,
-    view_period,
 )
 
 
@@ -58,7 +57,7 @@ def main() -> None:
     dmap = build_distribution_map(doc, len(text))
     for srv, entry in zip(doc.island.servers, dmap.entries):
         print(
-            f"{srv.host}: period {view_period(srv.devices[0].view)} bytes, "
+            f"{srv.host}: period {srv.devices[0].view.period} bytes, "
             f"{entry.selection.per_period} selected per period"
         )
     print()

@@ -35,10 +35,9 @@ from .model import (
     parse_document,
     serialize_document,
     validate_document,
-    view_period,
 )
 from .scatter import gather, scatter
-from .store import GridLayout, LayoutDevice, StoredFile, get_file, init_store, put_file
+from .store import GridLayout, LayoutDevice, get_file, init_store, put_file
 from .vipfs import SidecarResult, copy_in, copy_out, default_descriptor, locate_sidecar, timestamp_for_name
 from .views import (
     DistributionMap,

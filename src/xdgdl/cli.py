@@ -157,7 +157,7 @@ def _config_from_env() -> VipfsConfig:
 
 def cmd_cp_in(args) -> int:
     cfg = _config_from_env()
-    _, diagnostic = copy_in(cfg, Path(args.file))
+    diagnostic = copy_in(cfg, Path(args.file))
     if diagnostic:
         print(f"xdgdl: {diagnostic}; using default cyclic distribution", file=sys.stderr)
     return 0

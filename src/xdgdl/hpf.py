@@ -44,7 +44,6 @@ from .model import (
     TypeDecl,
     ViewDecl,
     guard_int64,
-    view_period,
 )
 from .views import round_robin_view
 
@@ -151,7 +150,7 @@ def ownermap_to_views(om: OwnerMap, element_bytes: int) -> list[ViewDecl]:
         nothing = ViewDecl(0, 0, (BlockDecl(om.element_count * element_bytes, 1, 1, 0, ByteBlock()),))
         views = [view or nothing for view in views]
     for view in views:
-        view_period(view)  # the 64-bit check, which bounds every attribute (module notes)
+        view.period  # the 64-bit check, which bounds every attribute (module notes)
     return views
 
 
@@ -177,7 +176,7 @@ def _slab_view(n: int, g: int, p: int, d: int, child: ViewDecl | ByteBlock) -> V
     """Coordinate d's part of a slab of n units of child, dealt in groups
     of g units over p coordinates: the whole turns, then its part of the
     last partial turn.  None when that part is empty."""
-    unit = view_period(child)
+    unit = child.period
     turns, rest = divmod(n, p * g)
     blocks, end = [], 0  # end: the units laid down so far
     if turns:

@@ -21,7 +21,8 @@ doctype reference is never fetched, so parsing stays hermetic.
 
 It also holds the rules the other modules build descriptors by: the 64-bit
 range of every integer (``INT64_MAX``, ``parse_size``, ``guard_int64``),
-a view's period (``view_period``, which validation checks against it),
+a view's constants as properties of its records (``ViewDecl.period``, kept
+on the view and checked by validation; ``BlockDecl.take`` and ``span``),
 the walk over type declarations (``type_decls``), the island of one-device
 servers (``one_device_island``) and the one output text: serialization
 writes ASCII, every other character as a character reference, so the text
@@ -35,6 +36,7 @@ import enum
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable, Iterable, Iterator
 
 from .errors import DescriptorError, InvalidDocument, ParseError, ValidationError
@@ -61,7 +63,6 @@ __all__ = [
     "parse_document",
     "validate_document",
     "serialize_document",
-    "view_period",
 ]
 
 
@@ -157,7 +158,9 @@ class AlignDecl:
 
 @dataclass(frozen=True)
 class ByteBlock:
-    """Leaf marker: a take's unit is one raw byte."""
+    """Leaf marker: a take's unit is one raw byte, its period."""
+
+    period = 1  # a class constant, not a field
 
 
 @dataclass(frozen=True)
@@ -176,6 +179,16 @@ class BlockDecl:
     stride: int
     child: "ViewDecl | ByteBlock"
 
+    @property
+    def take(self) -> int:
+        """Bytes of one take: COUNT units of the child's period."""
+        return self.count * self.child.period
+
+    @property
+    def span(self) -> int:
+        """Bytes of the block: OFFSET, then REPEAT takes with STRIDE bytes between them."""
+        return self.offset + self.repeat * self.take + (self.repeat - 1) * self.stride
+
 
 @dataclass(frozen=True)
 class ViewDecl:
@@ -191,6 +204,13 @@ class ViewDecl:
 
     def __post_init__(self):
         _freeze(self, "blocks")
+
+    @cached_property
+    def period(self) -> int:
+        """Bytes one pattern instance spans before it repeats: the blocks'
+        spans plus the trailing SKIP, without the one-time SKIP_HEADER.
+        DescriptorError past INT64_MAX, and then nothing is kept."""
+        return guard_int64(self.skip + sum(b.span for b in self.blocks), "view period")
 
 
 @dataclass(frozen=True)
@@ -272,8 +292,8 @@ MAX_DEPTH = 256
 element is refused (``nesting-depth``) by reading before it is read and by
 validation before it is walked, so no rule that walks the tree by recursion
 comes near Python's recursion limit of 1000 frames; the deepest is a view's
-block table, about 3 frames per nested VIEW, and 256 elements hold at most
-125 nested VIEWs."""
+period read first at its outermost VIEW, 5 frames per nested VIEW; 256
+elements hold at most 125 nested VIEWs, which map unvalidated at a limit of 629."""
 _DECL_ENCODING_RE = re.compile(rb"^\s*<\?xml[^>]*?encoding\s*=\s*[\"']([A-Za-z][A-Za-z0-9._-]*)[\"']")
 
 
@@ -373,25 +393,6 @@ def guard_int64(value: int, what: str) -> int:
     if value > INT64_MAX:
         raise DescriptorError(f"{what} exceeds the 64-bit range: {value}")
     return value
-
-
-def block_take_span(b: BlockDecl) -> tuple[int, int]:
-    """A block's take, COUNT units of its child's period, and its span:
-    OFFSET, then REPEAT takes with STRIDE bytes between them."""
-    take = b.count * view_period(b.child)
-    return take, b.offset + b.repeat * take + (b.repeat - 1) * b.stride
-
-
-def view_period(view: ViewDecl | ByteBlock) -> int:
-    """Bytes one pattern instance spans before it repeats: a BYTEBLOCK's
-    is 1, the unit of a take of either child; a view's is its blocks' spans
-    plus its trailing SKIP, without the one-time SKIP_HEADER, kept on the
-    (frozen) view once worked out.  DescriptorError past INT64_MAX."""
-    if isinstance(view, ByteBlock):
-        return 1
-    if "_period" not in view.__dict__:
-        view.__dict__["_period"] = guard_int64(view.skip + sum(block_take_span(b)[1] for b in view.blocks), "view period")
-    return view.__dict__["_period"]
 
 
 def _int_attr(elem: ET.Element, attr: str, path: str, default: int | None = None) -> int:
@@ -631,7 +632,8 @@ def _validate(node: Any, path: str, depth: int, out: _Validator) -> bool:
     report ``nesting-depth`` and stop; run the node's own rules; check each
     child's tag against the grammar, at the path the reader gives it, and walk
     it; then check a view's period.  False when a period in the element
-    cannot be worked out, so that only the innermost such view reports one."""
+    cannot be worked out or holds a misplaced child, so that only the
+    innermost such view reports one."""
     tag, _, children = _ELEMENTS[type(node)]
     if depth > MAX_DEPTH:
         out.bad("nesting-depth", path, f"{tag} is nested deeper than {MAX_DEPTH} elements")
@@ -645,10 +647,11 @@ def _validate(node: Any, path: str, depth: int, out: _Validator) -> bool:
         child_path = _step(path, child_tag, seen)
         if child_tag not in allowed:
             out.bad("block-child" if tag == "BLOCK" else "unexpected-element", child_path, f"{child_tag} is not allowed under {tag}")
+            sound = False  # no period above a misplaced child
         sound = _validate(child, child_path, depth + 1, out) and sound
     if sound and tag == "VIEW":
         try:
-            view_period(node)
+            node.period
         except DescriptorError as exc:
             out.bad("view-period", path, str(exc))
             return False

@@ -55,7 +55,7 @@ from .scatter import WINDOW_BYTES, gather, remaining, require_exact, scatter, wr
 from .views import DistributionMap, build_distribution_map
 
 __all__ = [
-    "LayoutDevice", "GridLayout", "StoredFile", "grid_layout", "init_store", "put_file", "get_file", "rebuild", "committed",
+    "LayoutDevice", "GridLayout", "grid_layout", "init_store", "put_file", "get_file", "rebuild", "committed",
     "measured",
 ]
 
@@ -75,13 +75,6 @@ class GridLayout:
 
     root: Path
     devices: tuple[LayoutDevice, ...]
-
-
-@dataclass(frozen=True)
-class StoredFile:
-    timestamp_id: str
-    manifest: Document
-    fragment_paths: tuple[Path, ...]
 
 
 def grid_layout(cfg: VipfsConfig) -> GridLayout:
@@ -171,7 +164,7 @@ def put_file(
     src: BinaryIO,
     manifest: Document,
     manifest_text: bytes | None = None,
-) -> StoredFile:
+) -> None:
     """Scatter the rest of the stream per the manifest and persist
     fragments plus metadata.
 
@@ -180,12 +173,16 @@ def put_file(
     When the caller holds the descriptor's original text (a user-supplied
     sidecar), passing it keeps the stored ``.vd.`` file byte-identical to
     it; otherwise the manifest is serialized canonically.  A name that
-    begins with ``.vd.``, the prefix of the metadata files, or whose
-    metadata file exists without its stub raises IoFailure before
-    anything is written.
+    begins with ``.vd.``, the prefix of the metadata files, whose longest
+    file ``.vd.<name>.size.tmp`` would pass the store root's NAME_MAX, or
+    whose metadata file exists without its stub raises IoFailure before
+    the source is measured or a file is opened.
     """
     if name.startswith(".vd."):
         raise IoFailure(layout.root / name, "cannot store a name that begins with the reserved '.vd.' prefix")
+    name_max = os.pathconf(layout.root, "PC_NAME_MAX")
+    if len(os.fsencode(f".vd.{name}.size.tmp")) > name_max:
+        raise IoFailure(layout.root / name, f"cannot store a name whose .vd.<name>.size.tmp passes the store root's NAME_MAX of {name_max} bytes")
     manifest_path, size_path, stub = layout.root / f".vd.{name}", layout.root / f".vd.{name}.size", layout.root / name
     if not stub.exists() and (manifest_path.exists() or size_path.exists()):
         raise IoFailure(stub, "cannot store a name whose metadata file exists without its stub")
@@ -208,17 +205,16 @@ def put_file(
             scatter(src, dmap, sinks[: len(frag_paths)])
             for sink, payload in zip(sinks[len(frag_paths) :], metadata.values()):
                 write_all(sink, payload)
-        return StoredFile(timestamp_id=manifest.timestamp, manifest=manifest, fragment_paths=frag_paths)
 
 
 def get_file(layout: GridLayout, name: str, dst: BinaryIO) -> None:
     """Rebuild a stored file from its manifest and fragments into ``dst``;
     every check passes before the first byte is written."""
-    manifest_path = layout.root / f".vd.{name}"
-    if not manifest_path.exists():
-        raise XdgdlError(f"no stored descriptor for {name!r}")
+    manifest_path, size_path = layout.root / f".vd.{name}", layout.root / f".vd.{name}.size"
     try:
         manifest = parse_document(manifest_path.read_bytes())
+    except FileNotFoundError:
+        raise XdgdlError(f"no stored descriptor for {name!r}") from None
     except OSError as exc:
         raise IoFailure(manifest_path, f"cannot read manifest ({exc})") from exc
     except XdgdlError as exc:
@@ -226,11 +222,12 @@ def get_file(layout: GridLayout, name: str, dst: BinaryIO) -> None:
     report = validate_document(manifest)
     if not report.ok:
         raise XdgdlError(f"stored descriptor for {name!r} is invalid: {report.violations[0]}")
-    size_path = layout.root / f".vd.{name}.size"
-    if not size_path.exists():
-        raise XdgdlError(f"no stored size for {name!r}")
     try:
         size = parse_size(size_path.read_bytes().strip().decode("latin-1"))
+    except FileNotFoundError:
+        raise XdgdlError(f"no stored size for {name!r}") from None
+    except OSError as exc:
+        raise IoFailure(size_path, f"cannot read size ({exc})") from exc
     except ValueError as exc:
         raise XdgdlError(f"stored size for {name!r} is corrupt: {exc}") from None
     dmap = build_distribution_map(manifest, size)

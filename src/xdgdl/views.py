@@ -13,7 +13,7 @@ straddling the region end are clipped, never dropped.
 
 The data path works on each view's compiled ``Selection``: its header,
 its period and the merged pieces of one period, walked once and kept
-in the view's block table, in the manner of FALLS nested strided
+on the (frozen) view, in the manner of FALLS nested strided
 segments or an MPI-IO vector file view.  ``Selection`` owns the piece
 arithmetic, including ``shifted``, the one builder of a selection as
 seen from any byte, over a window of any length.  A ``MapEntry`` is a
@@ -44,16 +44,16 @@ is one of ``phases`` texts, formatted once with a placeholder for H, and
 every whole block is written by C-level ``str.replace``.  The runs before
 the first whole block and after the last are formatted as they are.
 
-A view's constants are worked out once, in one block table memoized on
-the (frozen) view (``_blocks``): the period and, per block, the bytes of
-a take, of a take and its stride, and of the block, by the rule
-validation checks the period with (``model.view_period``).  The two
-evaluators share that table and nothing else, so they check each other's
-use of it: ``enumerate_extents`` expands the selection a cursor walk of
-the rows compiles, and ``member_oracle`` answers per-byte membership
-arithmetically (modulo the period, then span subtraction and division).
-A wrong table constant would fool both; the test suite's naive painter
-derives its own and catches it.
+A view's constants are properties of the model's records, the ones
+validation checks the period by: ``ViewDecl.period``, worked out once
+and kept on the (frozen) view, and each block's ``take`` (COUNT units
+of its child's period, one byte under a BYTEBLOCK) and ``span``.  The
+two evaluators share those constants and nothing else, so they check
+each other's use of them: ``enumerate_extents`` expands the selection a
+cursor walk of the blocks compiles, and ``member_oracle`` answers
+per-byte membership arithmetically (modulo the period, then span
+subtraction and division).  A wrong constant would fool both; the test
+suite's naive painter derives its own and catches it.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ from operator import itemgetter, sub
 from typing import Iterator, Sequence
 
 from .errors import DescriptorError
-from .model import INT64_MAX, BlockDecl, ByteBlock, Document, ViewDecl, block_take_span, guard_int64, view_period
+from .model import INT64_MAX, BlockDecl, ByteBlock, Document, ViewDecl, guard_int64
 
 __all__ = [
     "MapEntry",
@@ -280,47 +280,24 @@ class PartitionVerdict:
             end = hi
 
 
-class _Blocks:
-    """A view's block table (module notes): its ``period`` and, per block,
-    ``(offset, repeat, take, step, span, nested)``, with take = count*unit
-    (one byte, or the nested view's period) and step = take + stride."""
-
-    def __init__(self, view: ViewDecl):
-        self.header, self.period, rows = view.skip_header, view_period(view), []
+def _compile(view: ViewDecl) -> Selection:
+    """The view's selection, its blocks cursor-walked over one period and
+    kept on the (frozen) view; ValueError for a negative parameter or a
+    REPEAT below 1 (module notes)."""
+    selection = view.__dict__.get("_selection")
+    if selection is None:
+        period, pieces, cursor = view.period, [], 0
         for b in view.blocks:
-            take, span = block_take_span(b)
-            rows.append((b.offset, b.repeat, take, take + b.stride, span, b.child if isinstance(b.child, ViewDecl) else None))
-        self.rows = tuple(rows)
-
-    @cached_property
-    def selection(self) -> Selection:
-        """The rows cursor-walked over one period; ValueError for a
-        negative parameter or a REPEAT below 1 (module notes)."""
-        pieces: list[tuple[int, int]] = []
-        cursor = 0
-        for offset, repeat, take, step, span, nested in self.rows:
-            if repeat < 1:
-                raise ValueError(f"block REPEAT {repeat} is not positive")
-            child = None if nested is None else _compile(nested)
+            if b.repeat < 1:
+                raise ValueError(f"block REPEAT {b.repeat} is not positive")
+            take, step = b.take, b.take + b.stride
             # the child's runs, the same in every take; a negative take
             # stays one piece, for the Selection check to reject
-            inner = tuple(child.runs(take)) if child is not None and take >= 0 else [(0, take)]
-            pieces.extend((cursor + offset + r * step + a, n) for r in range(repeat) for a, n in inner)
-            cursor = guard_int64(cursor + span, "view cursor")
-        return Selection(self.header, self.period, tuple(pieces))
-
-
-def _blocks(view: ViewDecl) -> _Blocks:
-    """The view's block table, memoized on the (frozen) view."""
-    table = view.__dict__.get("_blocks")
-    if table is None:
-        table = view.__dict__["_blocks"] = _Blocks(view)
-    return table
-
-
-def _compile(view: ViewDecl) -> Selection:
-    """The view's selection: its block table's rows walked over one period."""
-    return _blocks(view).selection
+            inner = tuple(_compile(b.child).runs(take)) if isinstance(b.child, ViewDecl) and take >= 0 else [(0, take)]
+            pieces.extend((cursor + b.offset + r * step + a, n) for r in range(b.repeat) for a, n in inner)
+            cursor = guard_int64(cursor + b.span, "view cursor")
+        selection = view.__dict__["_selection"] = Selection(view.skip_header, period, tuple(pieces))
+    return selection
 
 
 def enumerate_extents(view: ViewDecl, region_size: int) -> tuple[tuple[int, int], ...]:
@@ -332,25 +309,26 @@ def member_oracle(view: ViewDecl, byte_index: int) -> bool:
     """Arithmetic membership test: does the view select this byte?
 
     Equivalent to membership in enumerate_extents over an unbounded
-    region, but computed from the same block table by modular reduction
+    region, but computed from the same constants by modular reduction
     and span subtraction with no cursor walk, so the two can cross-check.
     """
     if byte_index < view.skip_header:
         return False
-    table = _blocks(view)
-    if table.period < 1:  # block-less views select nothing
+    if view.period < 1:  # block-less views select nothing
         return False
-    r = (byte_index - view.skip_header) % table.period
-    for offset, _, take, step, span, nested in table.rows:
+    r = (byte_index - view.skip_header) % view.period
+    for b in view.blocks:
+        span = b.span
         if r < span:
-            if r < offset:
+            if r < b.offset:
                 return False
-            inside = (r - offset) % step
+            take = b.take
+            inside = (r - b.offset) % (take + b.stride)
             if inside >= take:
                 return False  # stride gap
-            if nested is None:
+            if isinstance(b.child, ByteBlock):
                 return True
-            return member_oracle(nested, inside)
+            return member_oracle(b.child, inside)
         r -= span
     return False  # trailing skip
 
@@ -482,7 +460,7 @@ def round_robin_view(device: int, devices: int, chunk: int, child: ViewDecl | By
     """Device ``device`` of ``devices`` takes chunk number ``device`` of
     every ``devices`` chunks of ``chunk`` units of ``child``: bytes under
     a BYTEBLOCK, the child's periods under a VIEW."""
-    unit = view_period(child)
+    unit = child.period
     return ViewDecl(
         skip_header=0,
         skip=(devices - 1 - device) * chunk * unit,

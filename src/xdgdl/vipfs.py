@@ -17,7 +17,7 @@ from pathlib import Path
 from .config import VipfsConfig
 from .errors import IoFailure, XdgdlError
 from .model import CompoundDecl, Document, EtypeDecl, one_device_island, parse_document, validate_document
-from .store import StoredFile, committed, get_file, grid_layout, init_store, put_file
+from .store import committed, get_file, grid_layout, init_store, put_file
 from .views import round_robin_view
 
 __all__ = [
@@ -46,10 +46,10 @@ def locate_sidecar(data_path: Path) -> SidecarResult:
     diagnostic; it never raises.
     """
     sidecar = data_path.parent / f"{SIDECAR_PREFIX}{data_path.name}"
-    if not sidecar.exists():
-        return SidecarResult(None, f"no sidecar {sidecar.name} next to {data_path.name}")
     try:
         raw = sidecar.read_bytes()
+    except FileNotFoundError:
+        return SidecarResult(None, f"no sidecar {sidecar.name} next to {data_path.name}")
     except OSError as exc:
         return SidecarResult(None, f"sidecar {sidecar} is unreadable: {exc}")
     try:
@@ -94,13 +94,12 @@ def default_descriptor(cfg: VipfsConfig, timestamp: str) -> Document:
     )
 
 
-def copy_in(cfg: VipfsConfig, src: Path) -> tuple[StoredFile, str | None]:
+def copy_in(cfg: VipfsConfig, src: Path) -> str | None:
     """Distribute a local file into the store under its base name.
 
-    Returns the stored record plus the sidecar diagnostic when the
-    default distribution was used.  A source that is itself the stub the
-    store would write (the store root is its directory) raises IoFailure
-    before anything is written.
+    Returns the sidecar diagnostic when the default distribution was used.
+    A source that is itself the stub the store would write (the store root
+    is its directory) raises IoFailure before anything is written.
     """
     layout = init_store(cfg)
     try:
@@ -116,8 +115,8 @@ def copy_in(cfg: VipfsConfig, src: Path) -> tuple[StoredFile, str | None]:
     with stream:
         if stub.exists() and os.path.samestat(os.fstat(stream.fileno()), stub.stat()):
             raise IoFailure(src, "cannot store a file over itself, the store root holds it")
-        stored = put_file(layout, src.name, stream, descriptor, manifest_text=sidecar.text)
-    return stored, sidecar.diagnostic
+        put_file(layout, src.name, stream, descriptor, manifest_text=sidecar.text)
+    return sidecar.diagnostic
 
 
 def copy_out(cfg: VipfsConfig, name: str, dst: Path) -> Path:

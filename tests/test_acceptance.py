@@ -30,7 +30,6 @@ from xdgdl import (
     parse_document,
     serialize_document,
     validate_document,
-    view_period,
 )
 from xdgdl import ArrayDecl, DimensionDecl, Distribution, EtypeDecl, ProcessorsDecl
 from xdgdl import DistributionMap
@@ -44,7 +43,7 @@ def report(line: str) -> None:
 def test_criterion_1_period_cross_check(two_server_doc):
     """Both two-server views share period 36; per-period bytes split 5:7."""
     view1, view2 = (s.devices[0].view for s in two_server_doc.island.servers)
-    periods = (view_period(view1), view_period(view2))
+    periods = (view1.period, view2.period)
     assert periods == (36, 36)
     bytes_per_period = tuple(e.selection.per_period for e in build_distribution_map(two_server_doc, 0).entries)
     assert bytes_per_period == (15, 21)
@@ -72,8 +71,8 @@ def test_criterion_3_nested_three_server(three_server_doc, balanced_doc):
     [29,41)+[70,82); the descriptor as printed is not a partition, the
     balanced variant is and round-trips."""
     views = [s.devices[0].view for s in three_server_doc.island.servers]
-    assert view_period(views[0]) == 82
-    assert view_period(views[2]) == 82
+    assert views[0].period == 82
+    assert views[2].period == 82
     assert enumerate_extents(views[2], 82) == ((29, 12), (70, 12))
 
     printed = check_partition(build_distribution_map(three_server_doc, 82))

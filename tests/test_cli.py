@@ -424,6 +424,26 @@ class TestCp:
         assert main(["cp-out", name, str(store_env / "back")]) == 0
         assert (store_env / "back").read_bytes() == (store_env / name).read_bytes()
 
+    def test_a_242_byte_name_stores_and_reads_back(self, store_env):
+        name = "n" * 242
+        (store_env / name).write_bytes(random.Random(242).randbytes(9000))
+        assert main(["cp-in", str(store_env / name)]) == 0
+        assert main(["cp-out", name, str(store_env / "back")]) == 0
+        assert (store_env / "back").read_bytes() == (store_env / name).read_bytes()
+
+    @pytest.mark.parametrize("length", [243, 253])
+    def test_a_name_past_242_bytes_is_refused_before_any_work(self, store_env, capsys, length):
+        """Its ``.vd.<name>.size.tmp`` would pass NAME_MAX: ``cp-in`` exits 4
+        naming the limit, and nothing lands in the store root or a device
+        directory (at 253 bytes the sidecar probe itself fails)."""
+        name = "n" * length
+        (store_env / name).write_bytes(b"x" * 9000)
+        assert main(["cp-in", str(store_env / name)]) == 4
+        vip = store_env / "grid" / "vipios"
+        limit = os.pathconf(vip, "PC_NAME_MAX")
+        assert capsys.readouterr() == ("", f"xdgdl: cannot store a name whose .vd.<name>.size.tmp passes the store root's NAME_MAX of {limit} bytes: {vip / name}\n")
+        assert [p for p in (store_env / "grid").rglob("*") if p.is_file()] == []
+
     def test_sidecar_with_a_period_past_int64_falls_back(self, store_env, capsys):
         src = store_env / "vast"
         src.write_bytes(b"v" * 5000)
@@ -546,6 +566,20 @@ class TestCp:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("xdgdl: cannot read manifest (") and err.endswith(f"): {manifest}\n")
+        assert not (store_env / "back").exists()
+
+    def test_cp_out_of_a_size_that_is_a_directory_exits_4(self, store_env, capsys):
+        src = store_env / "x"
+        src.write_bytes(b"x" * 72)
+        assert main(["cp-in", str(src)]) == 0
+        size = store_env / "grid" / "vipios" / ".vd.x.size"
+        size.unlink()
+        size.mkdir()
+        capsys.readouterr()
+        assert main(["cp-out", "x", str(store_env / "back")]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("xdgdl: cannot read size (") and err.endswith(f"): {size}\n")
         assert not (store_env / "back").exists()
 
     def test_sidecar_that_is_a_directory_falls_back(self, store_env, capsys):

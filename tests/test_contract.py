@@ -119,6 +119,23 @@ def test_a_view_period_past_the_64_bit_range_is_reported_after_its_block_integer
     assert rules == [("bad-integer", "BLOCK[1]"), ("view-period", "VIEW[1]")]
 
 
+@pytest.mark.parametrize(
+    "view, rule, at",
+    [
+        (ViewDecl(0, 0, (BlockDecl(0, 1, 1, 0, EtypeDecl("CHAR", 1)),)), "block-child", "/BLOCK[1]/ETYPE[1]"),
+        (ViewDecl(0, 0, (BlockDecl(0, 1, 1, 0, None),)), "block-child", "/BLOCK[1]/NOVIEW[1]"),
+        (ViewDecl(0, 0, (ByteBlock(),)), "unexpected-element", "/BYTEBLOCK[1]"),
+    ],
+    ids=["ETYPE under BLOCK", "NOVIEW under BLOCK", "BYTEBLOCK under VIEW"],
+)
+def test_a_misplaced_child_in_a_view_is_reported_not_raised(view, rule, at):
+    """A view built in code with a child the grammar refuses has no period:
+    the child is reported where the reader refuses it, and no period is
+    worked out above it."""
+    (violation,) = validate_document(one_view_doc(view)).violations
+    assert (violation.rule, violation.path) == (rule, FIRST_DEVICE + "/VIEW[1]" + at)
+
+
 def test_random_documents_keep_the_contract():
     """A valid document reads back equal and maps without an error outside
     XdgdlError; an invalid one (each has one shape the grammar refuses) is

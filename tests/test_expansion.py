@@ -45,7 +45,6 @@ from xdgdl import (
     ownermap_to_views,
     parse_config,
     render_plan,
-    view_period,
 )
 from xdgdl import views
 from xdgdl.scatter import WINDOW_BYTES, _windows
@@ -95,7 +94,7 @@ class TestRunsAgainstPainter:
     @settings(max_examples=150, deadline=None)
     @given(view_decls(), st.integers(0, 3), st.integers(0, 60))
     def test_random_views(self, view, periods, extra):
-        size = view.skip_header + periods * view_period(view) + extra
+        size = view.skip_header + periods * view.period + extra
         expected = painted_runs(naive_coverage(view, size))
         assert enumerate_extents(view, size) == tuple(expected)
         dmap = build_distribution_map(doc_of([view]), size)

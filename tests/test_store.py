@@ -39,6 +39,11 @@ def put(layout, name, data, manifest):
     return put_file(layout, name, io.BytesIO(data), manifest)
 
 
+def fragments(layout):
+    """The two-server manifest's fragment files, one per device it names."""
+    return [d.directory / "testfile_regular.frag" for d in layout.devices[:2]]
+
+
 def get(layout, name):
     out = io.BytesIO()
     get_file(layout, name, out)
@@ -72,16 +77,16 @@ class TestInit:
 class TestPutFile:
     def test_fragments_stub_and_sidecars(self, layout):
         data = bytes(i % 251 for i in range(72))
-        stored = put(layout, "testfile", data, two_server_manifest())
-        sizes = [p.stat().st_size for p in stored.fragment_paths]
+        put(layout, "testfile", data, two_server_manifest())
+        sizes = [p.stat().st_size for p in fragments(layout)]
         assert sizes == [30, 42]
         assert (layout.root / "testfile").stat().st_size == 0
         assert (layout.root / ".vd.testfile").exists()
         assert (layout.root / ".vd.testfile.size").read_text() == "72\n"
 
     def test_empty_file(self, layout):
-        stored = put(layout, "nil", b"", two_server_manifest())
-        assert [p.stat().st_size for p in stored.fragment_paths] == [0, 0]
+        put(layout, "nil", b"", two_server_manifest())
+        assert [p.stat().st_size for p in fragments(layout)] == [0, 0]
         assert (layout.root / "nil").stat().st_size == 0
 
     def test_duplicate_timestamp(self, layout):
@@ -121,15 +126,15 @@ class TestGetFile:
             get(layout, "ghost")
 
     def test_deleted_fragment_names_device(self, layout):
-        stored = put(layout, "testfile", b"f" * 72, two_server_manifest())
-        stored.fragment_paths[1].unlink()
+        put(layout, "testfile", b"f" * 72, two_server_manifest())
+        fragments(layout)[1].unlink()
         with pytest.raises(XdgdlError, match="has no fragment at") as err:
             get(layout, "testfile")
         assert "vipclus9.pri.univie.ac.at" in str(err.value)
 
     def test_truncated_fragment(self, layout):
-        stored = put(layout, "testfile", b"g" * 72, two_server_manifest())
-        stored.fragment_paths[0].write_bytes(b"short")
+        put(layout, "testfile", b"g" * 72, two_server_manifest())
+        fragments(layout)[0].write_bytes(b"short")
         with pytest.raises(XdgdlError, match="has 5 bytes, extents total 30") as err:
             get(layout, "testfile")
         assert "vipios.pri.univie.ac.at" in str(err.value)

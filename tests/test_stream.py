@@ -163,8 +163,8 @@ def test_windowed_paths_match_the_painter_and_the_library(cfg, monkeypatch, tmp_
             assert len(readv) == calls  # io.BytesIO sources are read by readinto
 
             name = f"c{case}_{size}"
-            stored = put_file(layout, name, io.BytesIO(data), dataclasses.replace(doc, timestamp=name))
-            assert [p.read_bytes() for p in stored.fragment_paths] == expected
+            put_file(layout, name, io.BytesIO(data), dataclasses.replace(doc, timestamp=name))
+            assert [(d.directory / f"{name}.frag").read_bytes() for d in layout.devices[: len(views)]] == expected
             assert get_bytes(layout, name) == data
             seen["readv"] += len(readv) > calls  # fragment files are read by os.readv
 
@@ -374,7 +374,7 @@ def test_memory_is_bounded_by_the_window(cfg, tmp_path):
             (work / f".vd.{layout}").write_text(desc.read_text())
         gather_argv = ["gather", str(desc), "--frags", str(frags), "--size", str(len(data)), "--out", str(work / "g")]
         ops = {
-            "cp-in": lambda: copy_in(cfg, src) and 0,
+            "cp-in": lambda: (copy_in(cfg, src), 0)[1],
             "cp-out": lambda: copy_out(cfg, layout, work / "back") and 0,
             "scatter": lambda: main(["scatter", str(src), str(desc), "--out", str(frags)]),
             "gather": lambda: main(gather_argv),
@@ -533,7 +533,7 @@ def copy_peaks(cfg, tmp_path, name: str, data: bytes, text: str) -> dict[str, in
     desc.write_text(text)
     (tmp_path / f".vd.{name}").write_text(text)
     peaks = traced_peaks({
-        "cp-in": lambda: copy_in(cfg, src)[1] or 0,  # no sidecar diagnostic: the descriptor is used
+        "cp-in": lambda: copy_in(cfg, src) or 0,  # no sidecar diagnostic: the descriptor is used
         "cp-out": lambda: copy_out(cfg, name, tmp_path / "back") and 0,
         "scatter": lambda: main(["scatter", str(src), str(desc), "--out", str(frags)]),
         "gather": lambda: main(["gather", str(desc), "--frags", str(frags), "--size", str(len(data)), "--out", str(tmp_path / "g")]),

@@ -24,7 +24,6 @@ from xdgdl import (
     enumerate_extents,
     member_oracle,
     render_plan,
-    view_period,
 )
 from descriptors import MINIMAL_XML
 from xdgdl import parse_document
@@ -45,20 +44,20 @@ def per_period(view) -> int:
 
 class TestPeriod:
     def test_two_server_pair(self):
-        assert view_period(S1) == 36
-        assert view_period(S2) == 36
+        assert S1.period == 36
+        assert S2.period == 36
 
     def test_single_take_is_count(self):
-        assert view_period(byte_view(0, 1, 13, 99)) == 13
+        assert byte_view(0, 1, 13, 99).period == 13
 
     def test_nested_three_server(self, three_server_doc):
         views = [s.devices[0].view for s in three_server_doc.island.servers]
-        assert view_period(views[0]) == 82
-        assert view_period(views[2]) == 82
+        assert views[0].period == 82
+        assert views[2].period == 82
         # the misaligned middle server: inner period 31, outer 2*31 + 12 + 12
-        assert view_period(views[1]) == 86
+        assert views[1].period == 86
         inner = views[1].blocks[0].child
-        assert view_period(inner) == 31
+        assert inner.period == 31
 
     def test_per_period_bytes(self):
         assert per_period(S1) == 15
@@ -68,12 +67,32 @@ class TestPeriod:
     def test_overflow(self):
         huge = byte_view(0, 2**40, 2**40, 0)
         with pytest.raises(DescriptorError, match="exceeds the 64-bit range"):
-            view_period(huge)
+            huge.period
+
+    def test_a_period_past_int64_is_not_kept(self):
+        huge = byte_view(0, 2**40, 2**40, 0)
+        for _ in range(2):
+            with pytest.raises(DescriptorError, match="exceeds the 64-bit range"):
+                huge.period
+        assert "period" not in huge.__dict__
 
     @settings(max_examples=200, deadline=None)
     @given(view_decls())
     def test_matches_naive_walk(self, view):
-        assert view_period(view) == naive_period(view)
+        assert view.period == naive_period(view)
+
+    def test_block_take_and_span_match_naive_walk(self):
+        """Each block's take and span are the painter's period of one take
+        of it and of the block alone, in random views at every depth."""
+        rng = random.Random(28)
+        for _ in range(300):
+            stack = [random_view(rng)]
+            while stack:
+                for b in stack.pop().blocks:
+                    assert b.take == naive_period(ViewDecl(0, 0, (BlockDecl(0, 1, b.count, 0, b.child),)))
+                    assert b.span == naive_period(ViewDecl(0, 0, (b,)))
+                    if isinstance(b.child, ViewDecl):
+                        stack.append(b.child)
 
 
 class TestEnumerate:
@@ -119,7 +138,7 @@ class TestEnumerate:
     @settings(max_examples=150, deadline=None)
     @given(view_decls(), st.integers(0, 3))
     def test_period_consistency(self, view, k):
-        region = view.skip_header + k * view_period(view)
+        region = view.skip_header + k * view.period
         selected = sum(n for _, n in enumerate_extents(view, region))
         assert selected == k * per_period(view)
 

@@ -1,5 +1,6 @@
 import random
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -40,6 +41,14 @@ class TestLocateSidecar:
         result = locate_sidecar(tmp_path / "testfile")
         assert result.document is None
         assert "no sidecar" in result.diagnostic
+
+    def test_a_sidecar_name_past_name_max_is_a_diagnostic(self, tmp_path):
+        """``.vd.<name>`` of a 253-byte name is 257 bytes: the probe's
+        OSError is reported, not raised."""
+        (tmp_path / ("n" * 253)).write_bytes(b"payload")
+        result = locate_sidecar(tmp_path / ("n" * 253))
+        assert result.document is None
+        assert result.diagnostic.startswith(f"sidecar {tmp_path / ('.vd.' + 'n' * 253)} is unreadable: [Errno 36]")
 
     def test_invalid_descriptor_falls_back_with_report(self, tmp_path):
         broken = TWO_SERVER_XML.replace(
@@ -135,9 +144,9 @@ class TestCopyRoundTrip:
         data = random.Random(11).randbytes(82 * 9 + 3)
         src.write_bytes(data)
         (src.parent / ".vd.testfile").write_text(THREE_SERVER_BALANCED_XML)
-        stored, diagnostic = copy_in(cfg, src)
+        diagnostic = copy_in(cfg, src)
         assert diagnostic is None
-        assert stored.timestamp_id == "regular_multilevel"
+        assert all((Path(d) / "regular_multilevel.frag").exists() for d in cfg.device_paths)
         out = copy_out(cfg, "testfile", tmp_path / "back")
         assert out.read_bytes() == data
 
@@ -145,9 +154,9 @@ class TestCopyRoundTrip:
         src = tmp_path / "plain"
         data = random.Random(12).randbytes(10_000)
         src.write_bytes(data)
-        stored, diagnostic = copy_in(cfg, src)
+        diagnostic = copy_in(cfg, src)
         assert "no sidecar" in diagnostic
-        assert stored.timestamp_id == "plain"
+        assert all((Path(d) / "plain.frag").exists() for d in cfg.device_paths)
         out_dir = tmp_path / "outdir"
         out_dir.mkdir()
         target = copy_out(cfg, "plain", out_dir)
@@ -158,7 +167,7 @@ class TestCopyRoundTrip:
         src = tmp_path / "data"
         src.write_bytes(b"hello world")
         (tmp_path / ".vd.data").write_text("not xml at all <")
-        stored, diagnostic = copy_in(cfg, src)
+        diagnostic = copy_in(cfg, src)
         assert diagnostic is not None
         assert copy_out(cfg, "data", tmp_path / "data.back").read_bytes() == b"hello world"
 
