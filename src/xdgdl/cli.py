@@ -20,7 +20,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .config import VipfsConfig, parse_config
-from .errors import ConfigError, DescriptorError, InvalidDocument, NotAPartition, XdgdlError
+from .errors import ConfigError, DescriptorError, InvalidDocument, NotAPartition, XdgdlError, failing
 from .hpf import compile_hpf_mapping, ownermap_to_views, sizeof_type
 from .model import (
     ArrayDecl,
@@ -52,9 +52,8 @@ def _print_verdict(exc: NotAPartition) -> None:
         print(f"  overlap {start}:{length} claimed by {', '.join(claimants)}", file=sys.stderr)
 
 
-def _load_valid_document(path: str) -> Document:
-    """The parsed descriptor; InvalidDocument if it breaks a rule."""
-    return require_valid(parse_document(Path(path).read_bytes()))
+def _load_document(path: str) -> Document:
+    return parse_document(failing(path, "read descriptor", Path(path).read_bytes))
 
 
 def _frag_name(index: int) -> str:
@@ -69,7 +68,7 @@ def _size_arg(raw: str) -> int:
 
 
 def cmd_validate(args) -> int:
-    doc = parse_document(Path(args.descriptor).read_bytes())
+    doc = _load_document(args.descriptor)
     report = validate_document(doc)
     for warning in report.warnings:
         print(f"warning: {warning}")
@@ -82,30 +81,30 @@ def cmd_validate(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    doc = _load_valid_document(args.descriptor)
+    doc = require_valid(_load_document(args.descriptor))
     dmap = build_distribution_map(doc, args.size)
     print(render_plan(dmap), end="")
     return 0
 
 
 def cmd_scatter(args) -> int:
-    doc = _load_valid_document(args.descriptor)
+    doc = require_valid(_load_document(args.descriptor))
     out = Path(args.out)
-    with open(args.file, "rb", buffering=0) as stream, measured(stream) as (src, size):
+    with failing(args.file, "read source file", open, args.file, "rb", buffering=0) as stream, measured(stream) as (src, size):
         dmap = build_distribution_map(doc, size)
         require_exact(dmap)  # before the output directory is made
-        out.mkdir(parents=True, exist_ok=True)
+        failing(out, "create output directory", out.mkdir, parents=True, exist_ok=True)
         with committed([out / _frag_name(i) for i in range(len(dmap.entries))]) as sinks:
             scatter(src, dmap, sinks)
     return 0
 
 
 def cmd_gather(args) -> int:
-    doc = _load_valid_document(args.descriptor)
+    doc = require_valid(_load_document(args.descriptor))
     dmap = build_distribution_map(doc, args.size)
     require_exact(dmap)
     frags, count = Path(args.frags), len(dmap.entries)
-    names = os.listdir(frags) if frags.is_dir() else ()
+    names = failing(frags, "list fragments", os.listdir, frags)
     extra = sorted(n for n in names if re.fullmatch(r"[0-9]+\.frag", n) and int(n[:-5]) >= count)
     if extra:
         raise XdgdlError(f"{frags / extra[0]} is past the map's {count} entries")
@@ -115,7 +114,7 @@ def cmd_gather(args) -> int:
 
 
 def cmd_hpf_compile(args) -> int:
-    doc = _load_valid_document(args.descriptor)
+    doc = require_valid(_load_document(args.descriptor))
     distributed = [t for t in type_decls(doc) if isinstance(t, ArrayDecl) and t.distribute_onto is not None]
     if len(distributed) != 1:
         raise DescriptorError(f"expected exactly one distributed ARRAY, found {len(distributed)}")

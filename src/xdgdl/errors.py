@@ -11,6 +11,12 @@ Each error carries the exit code the command line ends with
 
 A subclass exists only where it carries data beyond its message; any
 other failure is raised as the class of its exit code.
+
+Every file-system call goes through one rule, ``failing``: its OSError
+becomes IoFailure, ``cannot <action> (<reason>): <path>``.  Four missing
+files keep messages of their own: ``no stored descriptor for 'x'``, ``no
+stored size for 'x'``, ``device ... has no fragment at ...`` and the
+sidecar diagnostic ``no sidecar ...``.
 """
 
 from __future__ import annotations
@@ -75,6 +81,16 @@ class IoFailure(XdgdlError):
     def __init__(self, path, message: str):
         self.path = path
         super().__init__(f"{message}: {path}")
+
+
+def failing(path, action: str, fn, /, *args, missing: str | None = None, **kwargs):
+    """``fn(*args, **kwargs)`` under the rule; a missing file raises XdgdlError(missing) if given."""
+    try:
+        return fn(*args, **kwargs)
+    except OSError as exc:
+        if missing is not None and isinstance(exc, FileNotFoundError):
+            raise XdgdlError(missing) from None
+        raise IoFailure(path, f"cannot {action} ({exc.strerror or exc})") from exc
 
 
 class ConfigError(XdgdlError):

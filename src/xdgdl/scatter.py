@@ -43,8 +43,8 @@ window's slice for each run, in fragment order.  ``scatter`` reads the
 window, then per entry fills the share and writes its slots with one
 ``os.writev``; ``gather`` per entry reads its slots with one ``os.readv``
 and assigns the share into the window, then writes it (``_vectored``).
-This is list I/O: no byte is copied to join a share.  A failed write,
-here or in the store, raises IoFailure by one rule (``writing``).
+This is list I/O: no byte is copied to join a share.  A failed read or
+write raises IoFailure naming its stream (``errors.failing``).
 Memory stays within the budget (past it only when one period and its
 share do not fit), plus one transient column, a strided copy's step
 slice of one byte per period, and the compiled selections.  Against
@@ -60,7 +60,7 @@ import io
 import os
 from typing import BinaryIO, Iterator
 
-from .errors import IoFailure, NotAPartition, XdgdlError
+from .errors import IoFailure, NotAPartition, XdgdlError, failing
 from .views import DistributionMap, PartitionStatus, Selection
 
 __all__ = ["scatter", "gather", "remaining", "require_exact", "WINDOW_BYTES"]
@@ -103,8 +103,12 @@ def _windows(dmap: DistributionMap) -> Iterator[tuple[int, tuple[Selection, ...]
         yield window
 
 
+def _name(stream: BinaryIO):
+    return getattr(stream, "name", "stream")
+
+
 def _changed(stream: BinaryIO) -> IoFailure:
-    return IoFailure(getattr(stream, "name", "stream"), "size changed while copying")
+    return IoFailure(_name(stream), "size changed while copying")
 
 
 def remaining(src: BinaryIO) -> int:
@@ -125,19 +129,11 @@ def _fill(src: BinaryIO, buf) -> None:
         view = view[got:]
 
 
-def writing(path, fn, *args, **kwargs):
-    """``fn(*args, **kwargs)``, an OSError raised as IoFailure on ``path``."""
-    try:
-        return fn(*args, **kwargs)
-    except OSError as exc:
-        raise IoFailure(path, f"cannot write ({exc.strerror})") from exc
-
-
 def write_all(sink: BinaryIO, data) -> None:
     """Write every byte, however many calls an unbuffered sink takes."""
-    view, name = memoryview(data), getattr(sink, "name", "stream")
+    view, name = memoryview(data), _name(sink)
     while view:
-        view = view[writing(name, sink.write, view) :]
+        view = view[failing(name, "write", sink.write, view) :]
 
 
 def _vectored(stream: BinaryIO, slots: list[memoryview], syscall: str, fallback) -> None:
@@ -203,13 +199,14 @@ def scatter(src: BinaryIO, dmap: DistributionMap, sinks: list[BinaryIO]) -> None
     returns (the ``io.RawIOBase.write`` contract)."""
     require_exact(dmap)
     _require_one_per_entry(sinks, dmap)
+    name, names = _name(src), [_name(sink) for sink in sinks]
     for buf, window, share, table in _tabled_windows(dmap):
-        _fill(src, window)
-        for sink, (slots, strided) in zip(sinks, table):
+        failing(name, "read source file", _fill, src, window)
+        for sink, sink_name, (slots, strided) in zip(sinks, names, table):
             for window_slice, share_slice in strided:
                 share[share_slice] = buf[window_slice]  # a step slice of bytes copies faster than a strided memoryview
-            writing(getattr(sink, "name", "stream"), _vectored, sink, slots, "writev", write_all)
-    if src.read(1):
+            failing(sink_name, "write", _vectored, sink, slots, "writev", write_all)
+    if failing(name, "read source file", src.read, 1):
         raise _changed(src)
 
 
@@ -224,9 +221,10 @@ def gather(sources: list[BinaryIO], dmap: DistributionMap, dst: BinaryIO) -> Non
         expected, actual = entry.selection.total(dmap.file_size), remaining(src)
         if actual != expected:
             raise XdgdlError(f"fragment for {entry.label} has {actual} bytes, extents total {expected}")
+    names = [_name(src) for src in sources]
     for buf, window, share, table in _tabled_windows(dmap):
-        for src, (slots, strided) in zip(sources, table):
-            _vectored(src, slots, "readv", _fill)
+        for src, name, (slots, strided) in zip(sources, names, table):
+            failing(name, "read fragment", _vectored, src, slots, "readv", _fill)
             for window_slice, share_slice in strided:
                 buf[window_slice] = share[share_slice]
         write_all(dst, window)

@@ -49,9 +49,9 @@ from pathlib import Path
 from typing import BinaryIO, Iterator
 
 from .config import VipfsConfig
-from .errors import IoFailure, XdgdlError
+from .errors import IoFailure, XdgdlError, failing
 from .model import Document, parse_document, parse_size, serialize_document, validate_document
-from .scatter import WINDOW_BYTES, gather, remaining, require_exact, scatter, write_all, writing
+from .scatter import WINDOW_BYTES, gather, remaining, require_exact, scatter, write_all
 from .views import DistributionMap, build_distribution_map
 
 __all__ = [
@@ -101,10 +101,7 @@ def init_store(cfg: VipfsConfig) -> GridLayout:
     layout = grid_layout(cfg)
     targets = [(d.directory, "device directory") for d in layout.devices] + [(layout.root, "store root")]
     for directory, what in targets:
-        try:
-            directory.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise IoFailure(directory, f"cannot create {what} ({exc})") from exc
+        failing(directory, f"create {what}", directory.mkdir, parents=True, exist_ok=True)
     return layout
 
 
@@ -119,13 +116,13 @@ def committed(paths: list[Path]) -> Iterator[list[BinaryIO]]:
     try:
         try:
             for tmp in tmps:
-                sinks.append(writing(tmp, open, tmp, "xb", buffering=0))
+                sinks.append(failing(tmp, "write", open, tmp, "xb", buffering=0))
             yield sinks
         finally:
             for sink in sinks:
                 sink.close()
         for tmp, path in zip(tmps, paths):
-            writing(path, os.replace, tmp, path)
+            failing(path, "write", os.replace, tmp, path)
     except BaseException:
         for tmp in tmps[: len(sinks)]:
             with suppress(OSError):  # a failed removal must not hide the failure being raised
@@ -173,16 +170,20 @@ def put_file(
     When the caller holds the descriptor's original text (a user-supplied
     sidecar), passing it keeps the stored ``.vd.`` file byte-identical to
     it; otherwise the manifest is serialized canonically.  A name that
-    begins with ``.vd.``, the prefix of the metadata files, whose longest
-    file ``.vd.<name>.size.tmp`` would pass the store root's NAME_MAX, or
-    whose metadata file exists without its stub raises IoFailure before
-    the source is measured or a file is opened.
+    begins with ``.vd.`` (the metadata files' prefix), whose metadata file
+    exists without its stub, or a file that would pass its directory's
+    NAME_MAX (``.vd.<name>.size.tmp``, a fragment's ``<timestamp>.frag.tmp``)
+    raises IoFailure before the source is measured or a file is opened.
     """
     if name.startswith(".vd."):
         raise IoFailure(layout.root / name, "cannot store a name that begins with the reserved '.vd.' prefix")
-    name_max = os.pathconf(layout.root, "PC_NAME_MAX")
-    if len(os.fsencode(f".vd.{name}.size.tmp")) > name_max:
-        raise IoFailure(layout.root / name, f"cannot store a name whose .vd.<name>.size.tmp passes the store root's NAME_MAX of {name_max} bytes")
+    devices = layout.devices[: sum(len(server.devices) for server in manifest.island.servers)]
+    longest = [(layout.root, f".vd.{name}.size.tmp", layout.root / name, "a name whose .vd.<name>.size.tmp passes the store root's")]
+    longest += [(d.directory, f"{manifest.timestamp}.frag.tmp", d.directory, "a TIMESTAMP whose <timestamp>.frag.tmp passes the device directory's") for d in devices]
+    for directory, file, path, what in longest:
+        name_max = failing(directory, "query NAME_MAX", os.pathconf, directory, "PC_NAME_MAX")
+        if len(os.fsencode(file)) > name_max:
+            raise IoFailure(path, f"cannot store {what} NAME_MAX of {name_max} bytes")
     manifest_path, size_path, stub = layout.root / f".vd.{name}", layout.root / f".vd.{name}.size", layout.root / name
     if not stub.exists() and (manifest_path.exists() or size_path.exists()):
         raise IoFailure(stub, "cannot store a name whose metadata file exists without its stub")
@@ -211,23 +212,17 @@ def get_file(layout: GridLayout, name: str, dst: BinaryIO) -> None:
     """Rebuild a stored file from its manifest and fragments into ``dst``;
     every check passes before the first byte is written."""
     manifest_path, size_path = layout.root / f".vd.{name}", layout.root / f".vd.{name}.size"
+    raw = failing(manifest_path, "read manifest", manifest_path.read_bytes, missing=f"no stored descriptor for {name!r}")
     try:
-        manifest = parse_document(manifest_path.read_bytes())
-    except FileNotFoundError:
-        raise XdgdlError(f"no stored descriptor for {name!r}") from None
-    except OSError as exc:
-        raise IoFailure(manifest_path, f"cannot read manifest ({exc})") from exc
+        manifest = parse_document(raw)
     except XdgdlError as exc:
         raise XdgdlError(f"stored descriptor for {name!r} is unreadable: {exc}") from exc
     report = validate_document(manifest)
     if not report.ok:
         raise XdgdlError(f"stored descriptor for {name!r} is invalid: {report.violations[0]}")
+    raw = failing(size_path, "read size", size_path.read_bytes, missing=f"no stored size for {name!r}")
     try:
-        size = parse_size(size_path.read_bytes().strip().decode("latin-1"))
-    except FileNotFoundError:
-        raise XdgdlError(f"no stored size for {name!r}") from None
-    except OSError as exc:
-        raise IoFailure(size_path, f"cannot read size ({exc})") from exc
+        size = parse_size(raw.strip().decode("latin-1"))
     except ValueError as exc:
         raise XdgdlError(f"stored size for {name!r} is corrupt: {exc}") from None
     dmap = build_distribution_map(manifest, size)
@@ -241,10 +236,6 @@ def rebuild(dmap: DistributionMap, paths: list[Path], dst: BinaryIO) -> None:
     with ExitStack() as stack:
         sources: list[BinaryIO] = []
         for entry, path in zip(dmap.entries, paths):
-            try:
-                sources.append(stack.enter_context(open(path, "rb", buffering=0)))
-            except FileNotFoundError:
-                raise XdgdlError(f"device {entry.label} has no fragment at {path}") from None
-            except OSError as exc:
-                raise IoFailure(path, f"cannot read fragment ({exc.strerror})") from exc
+            missing = f"device {entry.label} has no fragment at {path}"
+            sources.append(stack.enter_context(failing(path, "read fragment", open, path, "rb", buffering=0, missing=missing)))
         gather(sources, dmap, dst)

@@ -142,7 +142,7 @@ class Selection:
                 return [([h], (size - h,))]
             return [([h], (min(pieces[0][1], size - h),)), *self._past_head.progressions(size)]
         m, k = len(pieces), self.full_periods(size)
-        if m == 1:
+        if m == 1:  # a range: a 1-byte cyclic plan then tiles its blocks without building a start per run
             starts: Sequence[int] = range(h + pieces[0][0], h + k * p, p)
         else:
             starts = [0] * (m * k)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .config import VipfsConfig
-from .errors import IoFailure, XdgdlError
+from .errors import IoFailure, XdgdlError, failing
 from .model import CompoundDecl, Document, EtypeDecl, one_device_island, parse_document, validate_document
 from .store import committed, get_file, grid_layout, init_store, put_file
 from .views import round_robin_view
@@ -42,16 +42,14 @@ class SidecarResult:
 def locate_sidecar(data_path: Path) -> SidecarResult:
     """Find and parse ``.vd.<basename>`` beside the data file.
 
-    An absent, unparsable or invalid sidecar yields no document plus a
-    diagnostic; it never raises.
+    An absent, unreadable, unparsable or invalid sidecar yields no
+    document plus a diagnostic; it never raises.
     """
     sidecar = data_path.parent / f"{SIDECAR_PREFIX}{data_path.name}"
     try:
-        raw = sidecar.read_bytes()
-    except FileNotFoundError:
-        return SidecarResult(None, f"no sidecar {sidecar.name} next to {data_path.name}")
-    except OSError as exc:
-        return SidecarResult(None, f"sidecar {sidecar} is unreadable: {exc}")
+        raw = failing(sidecar, "read sidecar", sidecar.read_bytes, missing=f"no sidecar {sidecar.name} next to {data_path.name}")
+    except XdgdlError as exc:
+        return SidecarResult(None, str(exc))
     try:
         doc = parse_document(raw)
     except XdgdlError as exc:
@@ -102,10 +100,7 @@ def copy_in(cfg: VipfsConfig, src: Path) -> str | None:
     is its directory) raises IoFailure before anything is written.
     """
     layout = init_store(cfg)
-    try:
-        stream = open(src, "rb", buffering=0)
-    except OSError as exc:
-        raise IoFailure(src, f"cannot read source file ({exc})") from exc
+    stream = failing(src, "read source file", open, src, "rb", buffering=0)
     sidecar = locate_sidecar(src)
     if sidecar.document is not None:
         descriptor = sidecar.document

@@ -1,4 +1,5 @@
 import argparse
+import errno
 import io
 import logging
 import os
@@ -192,7 +193,7 @@ class TestPlan:
     def test_missing_descriptor_exits_4(self, tmp_path, capsys):
         missing = tmp_path / "missing.xml"
         assert main(["plan", str(missing), "--size", "4"]) == 4
-        assert capsys.readouterr() == ("", f"xdgdl: [Errno 2] No such file or directory: '{missing}'\n")
+        assert capsys.readouterr() == ("", f"xdgdl: cannot read descriptor (No such file or directory): {missing}\n")
 
     def test_plan_past_memory_is_one_line_exit_4(self, two_server, capsys):
         """The plan of a 10**15-byte file would need hundreds of TB, past
@@ -444,6 +445,33 @@ class TestCp:
         assert capsys.readouterr() == ("", f"xdgdl: cannot store a name whose .vd.<name>.size.tmp passes the store root's NAME_MAX of {limit} bytes: {vip / name}\n")
         assert [p for p in (store_env / "grid").rglob("*") if p.is_file()] == []
 
+    @staticmethod
+    def beside_a_timestamp_of(store_env, length):
+        """``t``, 72 bytes, beside a valid sidecar whose TIMESTAMP has ``length`` characters."""
+        src = store_env / "t"
+        src.write_bytes(b"t" * 72)
+        (store_env / ".vd.t").write_text(TWO_SERVER_XML.replace('TIMESTAMP="testfile_regular"', f'TIMESTAMP="{"t" * length}"'))
+        assert main(["validate", str(store_env / ".vd.t")]) == 0
+        return src
+
+    def test_a_246_character_timestamp_stores_and_reads_back(self, store_env):
+        assert main(["cp-in", str(self.beside_a_timestamp_of(store_env, 246))]) == 0
+        assert main(["cp-out", "t", str(store_env / "back")]) == 0
+        assert (store_env / "back").read_bytes() == b"t" * 72
+
+    def test_a_247_character_timestamp_is_refused_before_any_work(self, store_env, capsys):
+        """Its fragments' ``<timestamp>.frag.tmp`` would pass NAME_MAX:
+        ``cp-in`` exits 4 naming the first device directory, and nothing
+        lands under the grid."""
+        src = self.beside_a_timestamp_of(store_env, 247)
+        capsys.readouterr()
+        assert main(["cp-in", str(src)]) == 4
+        device = store_env / "grid" / "ViPIOS" / "dev1"
+        limit = os.pathconf(device, "PC_NAME_MAX")
+        message = f"cannot store a TIMESTAMP whose <timestamp>.frag.tmp passes the device directory's NAME_MAX of {limit} bytes"
+        assert capsys.readouterr() == ("", f"xdgdl: {message}: {device}\n")
+        assert [p for p in (store_env / "grid").rglob("*") if p.is_file()] == []
+
     def test_sidecar_with_a_period_past_int64_falls_back(self, store_env, capsys):
         src = store_env / "vast"
         src.write_bytes(b"v" * 5000)
@@ -588,7 +616,7 @@ class TestCp:
         sidecar.mkdir()
         assert main(["cp-in", str(src)]) == 0
         err = capsys.readouterr().err
-        assert err.startswith(f"xdgdl: sidecar {sidecar} is unreadable: ")
+        assert err.startswith(f"xdgdl: cannot read sidecar (Is a directory): {sidecar}; ")
         assert err.endswith("; using default cyclic distribution\n")
         cfg = xdgdl.parse_config((store_env / "ViPIOS.conf").read_text())
         stored = (store_env / "grid" / "vipios" / ".vd.d").read_bytes()
@@ -799,6 +827,97 @@ class TestCp:
         src.write_bytes(b"1234")
         assert main(["cp-in", str(src)]) == 0
         assert "configuration wins" in capsys.readouterr().err
+
+
+def _missing_descriptor(command):
+    def setup(tmp, desc):
+        missing, out = tmp / "missing.xml", tmp / "out"
+        argv = {
+            "validate": ["validate", missing],
+            "plan": ["plan", missing, "--size", "4"],
+            "scatter": ["scatter", tmp / "data", missing, "--out", out],
+            "gather": ["gather", missing, "--frags", tmp, "--size", "4", "--out", out],
+            "hpf-compile": ["hpf-compile", missing, "--servers", "s1,s2"],
+        }[command]
+        return argv, "read descriptor", errno.ENOENT, missing
+
+    return setup
+
+
+def _scatter_input_missing(tmp, desc):
+    return ["scatter", tmp / "missing.bin", desc, "--out", tmp / "out"], "read source file", errno.ENOENT, tmp / "missing.bin"
+
+
+def _scatter_out_is_a_file(tmp, desc):
+    (tmp / "out").write_bytes(b"")
+    return ["scatter", tmp / "data", desc, "--out", tmp / "out"], "create output directory", errno.EEXIST, tmp / "out"
+
+
+def _gather_frags_is_a_file(tmp, desc):
+    (tmp / "frags").write_bytes(b"")
+    return ["gather", desc, "--frags", tmp / "frags", "--size", "72", "--out", tmp / "g"], "list fragments", errno.ENOTDIR, tmp / "frags"
+
+
+def _gather_fragment_is_a_directory(tmp, desc):
+    assert main(["scatter", str(tmp / "data"), str(desc), "--out", str(tmp / "frags")]) == 0
+    (tmp / "frags" / "000.frag").unlink()
+    (tmp / "frags" / "000.frag").mkdir()
+    argv = ["gather", desc, "--frags", tmp / "frags", "--size", "72", "--out", tmp / "g"]
+    return argv, "read fragment", errno.EISDIR, tmp / "frags" / "000.frag"
+
+
+def _stored(tmp, damaged):
+    """Store ``data``, then swap the named file of it for a directory."""
+    assert main(["cp-in", str(tmp / "data")]) == 0
+    damaged.unlink()
+    damaged.mkdir()
+    return ["cp-out", "data", tmp / "back"]
+
+
+def _cp_out_fragment_is_a_directory(tmp, desc):
+    fragment = tmp / "grid" / "ViPIOS" / "dev1" / "data.frag"
+    return _stored(tmp, fragment), "read fragment", errno.EISDIR, fragment
+
+
+def _cp_out_manifest_is_a_directory(tmp, desc):
+    manifest = tmp / "grid" / "vipios" / ".vd.data"
+    return _stored(tmp, manifest), "read manifest", errno.EISDIR, manifest
+
+
+def _cp_out_size_is_a_directory(tmp, desc):
+    size = tmp / "grid" / "vipios" / ".vd.data.size"
+    return _stored(tmp, size), "read size", errno.EISDIR, size
+
+
+def _store_root_cannot_be_created(tmp, desc):
+    (tmp / "grid").mkdir()
+    (tmp / "grid" / "vipios").write_bytes(b"")
+    return ["cp-in", tmp / "data"], "create store root", errno.EEXIST, tmp / "grid" / "vipios"
+
+
+class TestOneFailureRule:
+    """Every file-system failure a command meets ends it with exit 4 and
+    one stderr line, ``xdgdl: cannot <action> (<reason>): <path>``."""
+
+    @pytest.mark.parametrize(
+        "setup",
+        [
+            *(pytest.param(_missing_descriptor(c), id=f"{c}-missing-descriptor") for c in ["validate", "plan", "scatter", "gather", "hpf-compile"]),
+            *(pytest.param(f, id=f.__name__[1:].replace("_", "-")) for f in [
+                _scatter_input_missing, _scatter_out_is_a_file, _gather_frags_is_a_file, _gather_fragment_is_a_directory,
+                _cp_out_fragment_is_a_directory, _store_root_cannot_be_created, _cp_out_manifest_is_a_directory,
+                _cp_out_size_is_a_directory,
+            ]),
+        ],
+    )
+    def test_one_line_naming_the_path_once(self, store_env, two_server, capsys, setup):
+        (store_env / "data").write_bytes(random.Random(29).randbytes(72))
+        argv, action, code, path = setup(store_env, two_server)
+        capsys.readouterr()
+        assert main([str(arg) for arg in argv]) == 4
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"xdgdl: cannot {action} ({os.strerror(code)}): {path}\n")
+        assert err.count(str(path)) == 1 and "[Errno" not in err and "Traceback" not in err
 
 
 class TestOnePartitionCheck:

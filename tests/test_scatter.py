@@ -1,5 +1,7 @@
+import errno
 import importlib
 import io
+import os
 import random
 
 import pytest
@@ -25,6 +27,15 @@ scatter_module = importlib.import_module("xdgdl.scatter")  # the package's ``sca
 def pattern_bytes(n: int) -> bytes:
     alphabet = b"ABCDEFGHIJKL"
     return bytes(alphabet[i % len(alphabet)] for i in range(n))
+
+
+class FailingStream(io.BytesIO):
+    """A named stream whose ``readinto`` fails as a device would, with EIO."""
+
+    name = "failing.bin"
+
+    def readinto(self, buffer):
+        raise OSError(errno.EIO, os.strerror(errno.EIO))
 
 
 def whole_file_map(n: int) -> DistributionMap:
@@ -100,6 +111,13 @@ class TestScatter:
         dmap = build_distribution_map(two_server_doc, 0)
         assert scatter_bytes(b"", dmap) == [b"", b""]
 
+    def test_a_failed_source_read_names_the_source(self, two_server_doc):
+        dmap = build_distribution_map(two_server_doc, 72)
+        with pytest.raises(IoFailure) as err:
+            scatter(FailingStream(), dmap, [io.BytesIO(), io.BytesIO()])
+        assert err.value.path == "failing.bin"
+        assert str(err.value) == f"cannot read source file ({os.strerror(errno.EIO)}): failing.bin"
+
 
 class TestGather:
     def test_round_trip_two_server(self, two_server_doc):
@@ -111,6 +129,15 @@ class TestGather:
         data = bytes(random.Random(3).randbytes(82))
         dmap = build_distribution_map(balanced_doc, 82)
         assert gather_bytes(scatter_bytes(data, dmap), dmap) == data
+
+    def test_a_failed_fragment_read_names_the_fragment(self, two_server_doc):
+        dmap = build_distribution_map(two_server_doc, 72)
+        frags = scatter_bytes(pattern_bytes(72), dmap)
+        sources = [io.BytesIO(frags[0]), FailingStream(frags[1])]  # the right length, unreadable
+        with pytest.raises(IoFailure) as err:
+            gather(sources, dmap, io.BytesIO())
+        assert err.value.path == "failing.bin"
+        assert str(err.value) == f"cannot read fragment ({os.strerror(errno.EIO)}): failing.bin"
 
     def test_zero_size(self):
         dmap = whole_file_map(0)

@@ -44,11 +44,11 @@ class TestLocateSidecar:
 
     def test_a_sidecar_name_past_name_max_is_a_diagnostic(self, tmp_path):
         """``.vd.<name>`` of a 253-byte name is 257 bytes: the probe's
-        OSError is reported, not raised."""
+        failure is reported, not raised."""
         (tmp_path / ("n" * 253)).write_bytes(b"payload")
         result = locate_sidecar(tmp_path / ("n" * 253))
         assert result.document is None
-        assert result.diagnostic.startswith(f"sidecar {tmp_path / ('.vd.' + 'n' * 253)} is unreadable: [Errno 36]")
+        assert result.diagnostic == f"cannot read sidecar (File name too long): {tmp_path / ('.vd.' + 'n' * 253)}"
 
     def test_invalid_descriptor_falls_back_with_report(self, tmp_path):
         broken = TWO_SERVER_XML.replace(
