@@ -32,7 +32,7 @@ from xdgdl import (
     gather,
     scatter,
 )
-from xdgdl.model import MAX_DEPTH
+from xdgdl.model import MAX_DEPTH, _write
 from xdgdl.views import INT64_MAX, MapEntry, Selection
 
 _NAME_CHARS = string.ascii_lowercase + string.digits + "._-"
@@ -180,6 +180,13 @@ _INT_FIELDS = {
     BlockDecl: ("offset", "repeat", "count", "stride"),
     ProcessorsDecl: ("dims",),
 }
+
+
+def text_of(doc: Document) -> str:
+    """The text the writer makes of ``doc``, valid or not."""
+    lines: list[str] = []
+    _write(doc, lines, "")
+    return "\n".join(lines)
 
 
 def _rebuild(node, edit):

@@ -8,7 +8,7 @@ from dataclasses import replace
 import pytest
 
 from descriptors import FIRST_DEVICE
-from gen import _nested_view, random_document
+from gen import _nested_view, random_document, text_of
 from xdgdl import (
     ArrayDecl,
     BlockDecl,
@@ -30,16 +30,9 @@ from xdgdl import (
     serialize_document,
     validate_document,
 )
-from xdgdl.model import MAX_DEPTH, _write
+from xdgdl.model import MAX_DEPTH
 
 BIG = 2**64
-
-
-def text_of(doc: Document) -> str:
-    """The text the writer makes of ``doc``, valid or not."""
-    lines: list[str] = []
-    _write(doc, lines, "")
-    return "\n".join(lines)
 
 
 def one_view_doc(view: ViewDecl, **changes) -> Document:
