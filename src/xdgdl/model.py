@@ -6,16 +6,24 @@ the physical description (an ``ISLAND`` of servers, each with storage
 devices).  Every device either holds a recursive ``VIEW``/``BLOCK``
 selection pattern or an explicit ``NOVIEW`` marker.
 
-This module owns the in-memory tree (frozen dataclasses), parsing from XML
-text, validation, and canonical serialization, each one element rule over one
-table.  The reader (``_read``) walks the grammar keyed by tag (``_GRAMMAR``:
-attributes, child tags, node builder).  The writer (``_write``) and the
-validator (``_validate``) walk one table of each node type's tag, attribute
-text and children (``_ELEMENTS``).  The validator refuses what the reader
-refuses, at the same rule id and path (siblings indexed per tag): an element
-nested past ``MAX_DEPTH``, a child tag the grammar does not allow under its
-parent, an integer past INT64_MAX in magnitude; it also runs each type's own
-rules (``_RULES``).  So the contract: the text of a document that
+This module owns the in-memory tree (frozen dataclasses) and one schema of
+the dialect, which parsing from XML text, validation and canonical
+serialization each walk by one element rule.  The schema (``_SCHEMA``) has
+one row per tag: its node type; its attributes in written order, each with
+XML name, field, kind (``text``; ``name``, nonempty; ``id``, an XML ID;
+``int``; or the enum members the text spells), least value, and default
+or required; its child tags and its children in written order; its
+builder; the children it allows once; the field that must not be empty,
+with that rule's id, message and severity; and a rule that spans fields
+or elements.  The reader (``_read``) checks and reads an element's
+attributes in row order before its children; the validator (``_validate``)
+checks the same attributes in the same order before the row's other rules
+and the children; the writer (``_write``) writes them in that order.  So
+the validator refuses what the reader refuses, at the same rule id and
+path (siblings indexed per tag), and of several such faults it names the
+reader's first: an element nested past ``MAX_DEPTH``, a child tag its row
+does not allow, an integer field holding no ``int`` or one past INT64_MAX
+in magnitude.  The contract: the text of a document that
 ``validate_document`` passes reads back equal.  The emitted ``XDGDL.dtd``
 doctype reference is never fetched, so parsing stays hermetic.
 
@@ -37,6 +45,7 @@ import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter, itemgetter
 from typing import Any, Callable, Iterable, Iterator
 
 from .errors import DescriptorError, InvalidDocument, ParseError, ValidationError
@@ -342,41 +351,6 @@ def _step(parent: str, tag: str, seen: dict[str, int]) -> str:
     return f"{parent}/{tag}[{n}]"
 
 
-def _check(elem: ET.Element, path: str) -> list[tuple[ET.Element, str]]:
-    """Check an element's attributes, text and child tags against the grammar;
-    return the children with their paths.  A BLOCK's child count is checked
-    before its child's tag, both under ``block-child``."""
-    tag = elem.tag
-    optional, required, child_tags, _ = _GRAMMAR[tag]
-    for attr in elem.attrib:
-        if attr not in required and attr not in optional:
-            raise ValidationError("unknown-attribute", path, f"unknown attribute {attr!r} on {tag}")
-    for attr in required:
-        if attr not in elem.attrib:
-            raise ValidationError("required-attribute", path, f"{tag} requires attribute {attr}")
-    if elem.text and elem.text.strip():
-        raise ValidationError("unexpected-text", path, f"{tag} must not contain text")
-    block = tag == "BLOCK"
-    seen: dict[str, int] = {}
-    children = []
-    for child in elem:
-        if child.tail and child.tail.strip():
-            raise ValidationError("unexpected-text", path, f"{tag} must not contain text")
-        cpath = _step(path, child.tag, seen)
-        if child.tag not in child_tags and not block:
-            if child.tag not in _GRAMMAR:
-                raise ValidationError("unknown-element", cpath, f"unknown element {child.tag}")
-            raise ValidationError("unexpected-element", cpath, f"{child.tag} is not allowed under {tag}")
-        children.append((child, cpath))
-    if block:
-        if len(children) != 1:
-            raise ValidationError("block-child", path, f"BLOCK requires exactly one VIEW or BYTEBLOCK child, found {len(children)}")
-        ((child, cpath),) = children
-        if child.tag not in child_tags:
-            raise ValidationError("block-child", cpath, f"{child.tag} is not allowed under BLOCK")
-    return children
-
-
 def parse_size(raw: str) -> int:
     """A size or count written as ASCII digits, at most INT64_MAX, or
     ValueError: leading zeros accepted, a sign or '_' rejected."""
@@ -395,113 +369,8 @@ def guard_int64(value: int, what: str) -> int:
     return value
 
 
-def _int_attr(elem: ET.Element, attr: str, path: str, default: int | None = None) -> int:
-    """A base-10 integer attribute: an optional '-', then ``parse_size``."""
-    raw = elem.get(attr)
-    if raw is None:
-        assert default is not None, f"required integer attribute {attr} unchecked"
-        return default
-    try:
-        return -parse_size(raw[1:]) if raw.startswith("-") else parse_size(raw)
-    except ValueError:
-        raise ValidationError("bad-integer", path, f"attribute {attr} must be a base-10 integer, got {raw!r}") from None
-
-
-def _enum_attr(elem: ET.Element, attr: str, path: str, default: enum.Enum, choices: tuple[str, ...]) -> enum.Enum:
-    raw = elem.get(attr)
-    if raw is None:
-        return default
-    if raw not in choices:
-        raise ValidationError("bad-enum", path, f"{attr} must be {', '.join(choices[:-1])} or {choices[-1]}, got {raw!r}")
-    return type(default)(raw)
-
-
-def _of(nodes: list, kind) -> tuple:
-    """The nodes of one kind, in document order."""
-    return tuple(n for n in nodes if isinstance(n, kind))
-
-
-def _document(elem: ET.Element, path: str, nodes: list) -> Document:
-    islands = _of(nodes, IslandDecl)
-    if len(islands) != 1:
-        raise ValidationError("parstorage-structure", path, f"PARSTORAGE requires exactly one ISLAND, found {len(islands)}")
-    return Document(elem.get("VERSION"), elem.get("TIMESTAMP"), _of(nodes, TypeDecl), islands[0], _of(nodes, ProcessorsDecl), _of(nodes, AlignDecl))
-
-
-def _array(elem: ET.Element, path: str, nodes: list) -> ArrayDecl:
-    element = _of(nodes, TypeDecl)
-    if not element:
-        raise ValidationError("array-structure", path, "ARRAY requires an element type child")
-    major = _enum_attr(elem, "MAJOR", path, Major.ROW, ("ROW", "COLUMN"))
-    return ArrayDecl(element[0], _of(nodes, DimensionDecl), major, elem.get("DISTRIBUTE_ONTO"), elem.get("NAME"))
-
-
-# The grammar: tag -> (optional attributes, required ones in the order a missing one is
-# named, child tags, node builder).  A builder takes the element, its path and its
-# children's nodes in document order, and reads the attributes, in the order a bad one
-# is named.  A processor dimension reads as a (lower, upper) pair, a NOVIEW as None.
-_GRAMMAR: dict[str, tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...], Callable[[ET.Element, str, list], Any]]] = {
-    "PARSTORAGE": ((), ("VERSION", "TIMESTAMP"), ("PROCESSORS", "TYPE", "ALIGN", "ISLAND"), _document),
-    "PROCESSORS": ((), ("NAME",), ("PROC_DIMENSION",), lambda e, p, nodes: ProcessorsDecl(e.get("NAME"), nodes)),
-    "PROC_DIMENSION": (("LOWER",), ("UPPER",), (), lambda e, p, _: (_int_attr(e, "LOWER", p, 1), _int_attr(e, "UPPER", p))),
-    "TYPE": (("TYPENAME", "NAME"), (), ("ETYPE", "ARRAY", "TYPE"), lambda e, p, nodes: CompoundDecl(nodes, e.get("NAME"), e.get("TYPENAME"))),
-    "ETYPE": (("NAME",), ("TYPE", "LENGTH"), (), lambda e, p, _: EtypeDecl(e.get("TYPE"), _int_attr(e, "LENGTH", p), e.get("NAME"))),
-    "ARRAY": (("NAME", "MAJOR", "DISTRIBUTE_ONTO"), (), ("DIMENSION", "ETYPE", "ARRAY", "TYPE"), _array),
-    "DIMENSION": (
-        ("LOWER", "DISTRIBUTE", "DIST_SKALAR"),
-        ("UPPER",),
-        (),
-        lambda e, p, _: DimensionDecl(
-            distribute=_enum_attr(e, "DISTRIBUTE", p, Distribution.UNSPECIFIED, ("BLOCK", "CYCLIC", "NO")),
-            upper=_int_attr(e, "UPPER", p),
-            lower=_int_attr(e, "LOWER", p, 1),
-            dist_skalar=_int_attr(e, "DIST_SKALAR", p, 1),
-        ),
-    ),
-    "ALIGN": ((), ("WHAT", "WITH"), (), lambda e, p, _: AlignDecl(e.get("WHAT"), e.get("WITH"))),
-    "ISLAND": ((), ("NAME",), ("SERVER",), lambda e, p, nodes: IslandDecl(e.get("NAME"), nodes)),
-    "SERVER": ((), ("HOST",), ("DEVICE",), lambda e, p, nodes: ServerDecl(e.get("HOST"), nodes)),
-    "DEVICE": ((), ("DEVICE_ID",), ("VIEW", "NOVIEW"), lambda e, p, nodes: DeviceDecl(e.get("DEVICE_ID"), next(filter(None, nodes), None), None in nodes)),
-    "VIEW": ((), ("SKIP_HEADER", "SKIP"), ("BLOCK",), lambda e, p, nodes: ViewDecl(_int_attr(e, "SKIP_HEADER", p), _int_attr(e, "SKIP", p), nodes)),
-    "NOVIEW": ((), (), (), lambda e, p, _: None),
-    "BLOCK": (
-        (),
-        ("OFFSET", "REPEAT", "COUNT", "STRIDE"),
-        ("VIEW", "BYTEBLOCK"),
-        lambda e, p, nodes: BlockDecl(_int_attr(e, "OFFSET", p), _int_attr(e, "REPEAT", p), _int_attr(e, "COUNT", p), _int_attr(e, "STRIDE", p), nodes[0]),
-    ),
-    "BYTEBLOCK": ((), (), (), lambda e, p, _: ByteBlock()),
-}
-
-# Child tags a parent allows once: the rule and the name a second one is refused by.
-_ONCE = {
-    "ARRAY": dict.fromkeys(("ETYPE", "ARRAY", "TYPE"), ("array-structure", "element type")),
-    "DEVICE": {"VIEW": ("device-access", "VIEW"), "NOVIEW": ("device-access", "NOVIEW")},
-}
-
-
-def _read(elem: ET.Element, path: str, depth: int = 1) -> Any:
-    """The element rule: refuse an element nested past MAX_DEPTH, check it
-    against the grammar, read its children in document order by this rule
-    (refusing a second child its parent allows once, before reading it),
-    then build its node."""
-    if depth > MAX_DEPTH:
-        raise ValidationError("nesting-depth", path, f"{elem.tag} is nested deeper than {MAX_DEPTH} elements")
-    once = _ONCE.get(elem.tag)
-    seen: set[str] = set()
-    nodes = []
-    for child, cpath in _check(elem, path):
-        if once and child.tag in once:
-            rule, name = once[child.tag]
-            if name in seen:
-                raise ValidationError(rule, cpath, f"{elem.tag} allows a single {name}")
-            seen.add(name)
-        nodes.append(_read(child, cpath, depth + 1))
-    return _GRAMMAR[elem.tag][3](elem, path, nodes)
-
-
 # --------------------------------------------------------------------------
-# validation
+# the schema
 
 
 def type_decls(doc: Document) -> Iterator[TypeDecl]:
@@ -520,7 +389,7 @@ def type_decls(doc: Document) -> Iterator[TypeDecl]:
 class _Validator:
     """One walk's violations and warnings, the names a reference resolves to
     (DISTRIBUTE_ONTO a PROCESSORS NAME; ALIGN, only then collected, any NAME),
-    and each node type's own rules, which ``_RULES`` lists."""
+    and the rules that span fields or elements, which the rows name."""
 
     def __init__(self, doc: Document):
         self.violations: list[Violation] = []
@@ -534,118 +403,217 @@ class _Validator:
     def warn(self, rule: str, path: str, message: str) -> None:
         self.warnings.append(Violation(rule, path, message))
 
-    def nonempty(self, path: str, what: str, value: str) -> None:
-        if not value:
-            self.bad("required-nonempty", path, f"{what} must be nonempty")
-
-    def integer(self, path: str, attr: str, value: int, least: int | None = None) -> None:
-        """The one integer rule: ``bad-integer`` past INT64_MAX in magnitude, as the
-        reader has it, else ``nonnegative-int`` (least 0) or ``positive-int`` (1)."""
-        if abs(value) > INT64_MAX:
-            self.bad("bad-integer", path, f"attribute {attr} must be a base-10 integer, got {str(value)!r}")
-        elif least is not None and value < least:
-            self.bad("positive-int" if least else "nonnegative-int", path, f"{attr} must be >= {least}, got {value}")
-
-    def parstorage(self, d: Document, path: str) -> None:
-        self.nonempty(path, "VERSION", d.version)
-        ts = d.timestamp  # an XML ID: a letter or underscore, then letters, digits and ._-:
-        if not (ts[:1].isalpha() or ts[:1] == "_") or not all(c.isalnum() or c in "._-:" for c in ts):
-            self.bad("timestamp-id", path, f"TIMESTAMP must be an XML ID (letter or underscore first, no spaces), got {d.timestamp!r}")
-        if not d.types:
-            self.bad("parstorage-types", path, "at least one TYPE declaration is required")
-
-    def processors(self, p: ProcessorsDecl, path: str) -> None:
-        self.nonempty(path, "NAME", p.name)
-        if not p.dims:
-            self.bad("processors-dimensions", path, "PROCESSORS requires at least one PROC_DIMENSION")
-
     def bounds(self, pair: tuple[int, int], path: str) -> None:  # a PROC_DIMENSION's or DIMENSION's
         lower, upper = pair
-        self.integer(path, "LOWER", lower)
-        self.integer(path, "UPPER", upper)
         if lower > upper:
             self.bad("dimension-range", path, f"LOWER {lower} exceeds UPPER {upper}")
 
-    def compound(self, t: CompoundDecl, path: str) -> None:
-        if not t.children:
-            self.bad("type-children", path, "TYPE requires at least one ETYPE, ARRAY or TYPE child")
-
-    def etype(self, t: EtypeDecl, path: str) -> None:
-        self.nonempty(path, "TYPE attribute", t.base)
-        self.integer(path, "LENGTH", t.length_bytes, 1)
-
-    def array(self, t: ArrayDecl, path: str) -> None:
-        if not t.dims:
-            self.bad("array-dimensions", path, "ARRAY requires at least one DIMENSION")
-        if t.distribute_onto is not None and t.distribute_onto not in self.proc_names:
-            self.bad("unresolved-processors", path, f"DISTRIBUTE_ONTO={t.distribute_onto!r} names no declared PROCESSORS")
-
     def dimension(self, d: DimensionDecl, path: str) -> None:
         self.bounds((d.lower, d.upper), path)
-        self.integer(path, "DIST_SKALAR", d.dist_skalar, 1)
         if d.distribute is Distribution.BLOCK and d.dist_skalar != 1:
             self.warn("block-dist-skalar", path, "DIST_SKALAR has no effect on BLOCK distribution")
 
+    def array(self, t: ArrayDecl, path: str) -> None:
+        if t.distribute_onto is not None and t.distribute_onto not in self.proc_names:
+            self.bad("unresolved-processors", path, f"DISTRIBUTE_ONTO={t.distribute_onto!r} names no declared PROCESSORS")
+
     def align(self, a: AlignDecl, path: str) -> None:
-        for attr, value in (("WHAT", a.what), ("WITH", a.with_target)):
-            self.nonempty(path, attr, value)
-            if value and value not in self.names:
-                self.bad("unresolved-align", path, f"{attr}={value!r} names no declared TYPE, ARRAY or PROCESSORS")
-
-    def island(self, i: IslandDecl, path: str) -> None:
-        self.nonempty(path, "NAME", i.name)
-        if not i.servers:
-            self.warn("island-empty", path, "island declares no servers; nothing can be placed")
-
-    def server(self, s: ServerDecl, path: str) -> None:
-        self.nonempty(path, "HOST", s.host)
-        if not s.devices:
-            self.warn("server-empty", path, "server declares no devices")
+        for xml, _, _, _, _, get in _TYPES[AlignDecl].attrs:
+            if (value := get(a)) and value not in self.names:
+                self.bad("unresolved-align", path, f"{xml}={value!r} names no declared TYPE, ARRAY or PROCESSORS")
 
     def device(self, d: DeviceDecl, path: str) -> None:
-        self.nonempty(path, "DEVICE_ID", d.device_id)
         if (d.view is None) == (not d.noview):
             self.bad("device-access", path, "DEVICE requires exactly one of VIEW or NOVIEW")
 
-    def view(self, v: ViewDecl, path: str) -> None:
-        self.integer(path, "SKIP_HEADER", v.skip_header, 0)
-        self.integer(path, "SKIP", v.skip, 0)
-        if not v.blocks:
-            self.bad("view-blocks", path, "VIEW requires at least one BLOCK")
 
-    def block(self, b: BlockDecl, path: str) -> None:
-        for attr, value, least in (("OFFSET", b.offset, 0), ("STRIDE", b.stride, 0), ("REPEAT", b.repeat, 1), ("COUNT", b.count, 1)):
-            self.integer(path, attr, value, least)
+def _of(nodes: list, kind) -> tuple:
+    """The nodes of one kind, in document order."""
+    return tuple(n for n in nodes if isinstance(n, kind))
 
 
-# Each node type's own rules; NOVIEW and BYTEBLOCK have none.
-_RULES: dict[type, Callable[[_Validator, Any, str], None]] = {
-    Document: _Validator.parstorage, ProcessorsDecl: _Validator.processors, tuple: _Validator.bounds, CompoundDecl: _Validator.compound,
-    EtypeDecl: _Validator.etype, ArrayDecl: _Validator.array, DimensionDecl: _Validator.dimension, AlignDecl: _Validator.align,
-    IslandDecl: _Validator.island, ServerDecl: _Validator.server, DeviceDecl: _Validator.device, type(None): lambda *_: None,
-    ViewDecl: _Validator.view, BlockDecl: _Validator.block, ByteBlock: lambda *_: None,
-}
+def _document(values: dict, nodes: list, path: str) -> Document:
+    islands = _of(nodes, IslandDecl)
+    if len(islands) != 1:
+        raise ValidationError("parstorage-structure", path, f"PARSTORAGE requires exactly one ISLAND, found {len(islands)}")
+    return Document(types=_of(nodes, TypeDecl), island=islands[0], processors=_of(nodes, ProcessorsDecl), aligns=_of(nodes, AlignDecl), **values)
+
+
+def _array(values: dict, nodes: list, path: str) -> ArrayDecl:
+    element = _of(nodes, TypeDecl)
+    if not element:
+        raise ValidationError("array-structure", path, "ARRAY requires an element type child")
+    return ArrayDecl(element[0], _of(nodes, DimensionDecl), **values)
+
+
+class _Element:
+    """One row of the schema (module notes).  An attribute is ``(XML name,
+    field, kind, least, default)``, to which the row adds the field's getter;
+    the field indexes a PROC_DIMENSION's (lower, upper) pair.  A builder
+    takes the attribute values by field, the children's nodes in document
+    order and the path.  ``once`` maps a child tag to the rule and the name a
+    second such child is refused by; ``nonempty`` is ``(field, rule, message,
+    severity)``, the severity being the ``_Validator`` method that reports it."""
+
+    __slots__ = ("tag", "node", "attrs", "names", "child_tags", "children", "build", "once", "nonempty", "rule")
+
+    def __init__(self, tag, node, attrs, child_tags, children, build, once=None, nonempty=None, rule=None):
+        self.attrs = tuple((*a, itemgetter(a[1]) if isinstance(a[1], int) else attrgetter(a[1])) for a in attrs)
+        self.names = frozenset(a[0] for a in attrs)
+        self.tag, self.node, self.child_tags, self.children, self.build = tag, node, child_tags, children, build
+        self.once, self.nonempty, self.rule = once or {}, nonempty, rule
+
+
+def _enum(*members: enum.Enum) -> dict[str, enum.Enum]:
+    """An enum kind: the members the text spells, by their text."""
+    return {m.value: m for m in members}
+
+
+_R = _REQUIRED = object()  # the default of an attribute the text must give
+_LEAF: Callable[[Any], tuple] = lambda _: ()
+_SCHEMA = (
+    _Element("PARSTORAGE", Document, (("VERSION", "version", "name", None, _R), ("TIMESTAMP", "timestamp", "id", None, _R)),
+             ("PROCESSORS", "TYPE", "ALIGN", "ISLAND"), lambda d: (*d.processors, *d.types, *d.aligns, d.island), _document,
+             nonempty=("types", "parstorage-types", "at least one TYPE declaration is required", "bad")),
+    _Element("PROCESSORS", ProcessorsDecl, (("NAME", "name", "name", None, _R),), ("PROC_DIMENSION",), lambda p: p.dims,
+             lambda v, nodes, _: ProcessorsDecl(dims=nodes, **v), nonempty=("dims", "processors-dimensions", "PROCESSORS requires at least one PROC_DIMENSION", "bad")),
+    _Element("PROC_DIMENSION", tuple, (("LOWER", 0, "int", None, 1), ("UPPER", 1, "int", None, _R)), (), _LEAF, lambda v, *_: (v[0], v[1]), rule=_Validator.bounds),
+    _Element("TYPE", CompoundDecl, (("TYPENAME", "typename", "text", None, None), ("NAME", "name", "text", None, None)), ("ETYPE", "ARRAY", "TYPE"), lambda t: t.children,
+             lambda v, nodes, _: CompoundDecl(nodes, **v), nonempty=("children", "type-children", "TYPE requires at least one ETYPE, ARRAY or TYPE child", "bad")),
+    _Element("ETYPE", EtypeDecl, (("TYPE", "base", "name", None, _R), ("LENGTH", "length_bytes", "int", 1, _R), ("NAME", "name", "text", None, None)), (), _LEAF,
+             lambda v, *_: EtypeDecl(**v)),
+    _Element("ARRAY", ArrayDecl, (("NAME", "name", "text", None, None), ("MAJOR", "major", _enum(*Major), None, Major.ROW),
+                                  ("DISTRIBUTE_ONTO", "distribute_onto", "text", None, None)),
+             ("DIMENSION", "ETYPE", "ARRAY", "TYPE"), lambda t: (t.element, *t.dims), _array, dict.fromkeys(("ETYPE", "ARRAY", "TYPE"), ("array-structure", "element type")),
+             ("dims", "array-dimensions", "ARRAY requires at least one DIMENSION", "bad"), _Validator.array),
+    _Element("DIMENSION", DimensionDecl, (("LOWER", "lower", "int", None, 1), ("UPPER", "upper", "int", None, _R),
+                                          ("DISTRIBUTE", "distribute", _enum(Distribution.BLOCK, Distribution.CYCLIC, Distribution.NO), None, Distribution.UNSPECIFIED),
+                                          ("DIST_SKALAR", "dist_skalar", "int", 1, 1)),
+             (), _LEAF, lambda v, *_: DimensionDecl(**v), rule=_Validator.dimension),
+    _Element("ALIGN", AlignDecl, (("WHAT", "what", "name", None, _R), ("WITH", "with_target", "name", None, _R)), (), _LEAF, lambda v, *_: AlignDecl(**v),
+             rule=_Validator.align),
+    _Element("ISLAND", IslandDecl, (("NAME", "name", "name", None, _R),), ("SERVER",), lambda i: i.servers, lambda v, nodes, _: IslandDecl(servers=nodes, **v),
+             nonempty=("servers", "island-empty", "island declares no servers; nothing can be placed", "warn")),
+    _Element("SERVER", ServerDecl, (("HOST", "host", "name", None, _R),), ("DEVICE",), lambda s: s.devices, lambda v, nodes, _: ServerDecl(devices=nodes, **v),
+             nonempty=("devices", "server-empty", "server declares no devices", "warn")),
+    _Element("DEVICE", DeviceDecl, (("DEVICE_ID", "device_id", "name", None, _R),), ("VIEW", "NOVIEW"), lambda d: (d.view,),
+             lambda v, nodes, _: DeviceDecl(view=next(filter(None, nodes), None), noview=None in nodes, **v),
+             {"VIEW": ("device-access", "VIEW"), "NOVIEW": ("device-access", "NOVIEW")}, rule=_Validator.device),
+    _Element("VIEW", ViewDecl, (("SKIP_HEADER", "skip_header", "int", 0, _R), ("SKIP", "skip", "int", 0, _R)), ("BLOCK",), lambda v: v.blocks,
+             lambda v, nodes, _: ViewDecl(blocks=nodes, **v), nonempty=("blocks", "view-blocks", "VIEW requires at least one BLOCK", "bad")),
+    _Element("NOVIEW", type(None), (), (), _LEAF, lambda *_: None),
+    _Element("BLOCK", BlockDecl, (("OFFSET", "offset", "int", 0, _R), ("REPEAT", "repeat", "int", 1, _R), ("COUNT", "count", "int", 1, _R),
+                                  ("STRIDE", "stride", "int", 0, _R)), ("VIEW", "BYTEBLOCK"), lambda b: (b.child,), lambda v, nodes, _: BlockDecl(child=nodes[0], **v)),
+    _Element("BYTEBLOCK", ByteBlock, (), (), _LEAF, lambda *_: ByteBlock()),
+)
+_TAGS = {row.tag: row for row in _SCHEMA}
+_TYPES = {row.node: row for row in _SCHEMA}
+
+
+# --------------------------------------------------------------------------
+# reading
+
+
+def _read(elem: ET.Element, path: str, depth: int = 1) -> Any:
+    """The element rule of reading: refuse an element nested past MAX_DEPTH;
+    read its attributes in row order, refusing an unknown one first, then a
+    missing one or a value its kind cannot hold; refuse text; then, child by
+    child in document order, refuse a tag the row does not allow (a BLOCK's
+    child count first, all under ``block-child``) or a second child the row
+    allows once, and read it by this rule; then build the node."""
+    tag = elem.tag
+    if depth > MAX_DEPTH:
+        raise ValidationError("nesting-depth", path, f"{tag} is nested deeper than {MAX_DEPTH} elements")
+    row = _TAGS[tag]
+    attrib = elem.attrib
+    if not row.names.issuperset(attrib):
+        unknown = next(attr for attr in attrib if attr not in row.names)
+        raise ValidationError("unknown-attribute", path, f"unknown attribute {unknown!r} on {tag}")
+    values = {}
+    for xml, field, kind, _, default, _ in row.attrs:
+        raw = attrib.get(xml)
+        if raw is None:
+            if default is _REQUIRED:
+                raise ValidationError("required-attribute", path, f"{tag} requires attribute {xml}")
+            values[field] = default
+        elif kind == "int":
+            try:
+                values[field] = -parse_size(raw[1:]) if raw.startswith("-") else parse_size(raw)
+            except ValueError:
+                raise ValidationError("bad-integer", path, f"attribute {xml} must be a base-10 integer, got {raw!r}") from None
+        elif type(kind) is dict:
+            if raw not in kind:
+                *choices, last = kind
+                raise ValidationError("bad-enum", path, f"{xml} must be {', '.join(choices)} or {last}, got {raw!r}")
+            values[field] = kind[raw]
+        else:
+            values[field] = raw
+    if elem.text and elem.text.strip():
+        raise ValidationError("unexpected-text", path, f"{tag} must not contain text")
+    if tag == "BLOCK" and len(elem) != 1:
+        raise ValidationError("block-child", path, f"BLOCK requires exactly one VIEW or BYTEBLOCK child, found {len(elem)}")
+    seen: dict[str, int] = {}
+    named: set[str] = set()
+    nodes = []
+    for child in elem:
+        if child.tail and child.tail.strip():
+            raise ValidationError("unexpected-text", path, f"{tag} must not contain text")
+        cpath = _step(path, child.tag, seen)
+        if child.tag not in row.child_tags:
+            if tag != "BLOCK" and child.tag not in _TAGS:
+                raise ValidationError("unknown-element", cpath, f"unknown element {child.tag}")
+            raise ValidationError("block-child" if tag == "BLOCK" else "unexpected-element", cpath, f"{child.tag} is not allowed under {tag}")
+        if child.tag in row.once:
+            rule, name = row.once[child.tag]
+            if name in named:
+                raise ValidationError(rule, cpath, f"{tag} allows a single {name}")
+            named.add(name)
+        nodes.append(_read(child, cpath, depth + 1))
+    return row.build(values, nodes, path)
+
+
+# --------------------------------------------------------------------------
+# validation
 
 
 def _validate(node: Any, path: str, depth: int, out: _Validator) -> bool:
-    """The element rule of validation, over the writer's table: past MAX_DEPTH
-    report ``nesting-depth`` and stop; run the node's own rules; check each
-    child's tag against the grammar, at the path the reader gives it, and walk
-    it; then check a view's period.  False when a period in the element
-    cannot be worked out or holds a misplaced child, so that only the
-    innermost such view reports one."""
-    tag, _, children = _ELEMENTS[type(node)]
+    """The element rule of validation: past MAX_DEPTH report ``nesting-depth``
+    and stop; check the row's attributes in row order, by their kinds (an
+    attribute spelled like an element, ETYPE's TYPE, is called ``TYPE
+    attribute``); then the field that must not be empty and the row's own
+    rule; check each child's tag against the row, at the path the reader
+    gives it, and walk it; then check a view's period.  False when a period
+    in the element cannot be worked out (an integer field holds no ``int``,
+    or the element holds a misplaced child), so that only the innermost such
+    view reports one."""
+    row = _TYPES[type(node)]
+    tag = row.tag
     if depth > MAX_DEPTH:
         out.bad("nesting-depth", path, f"{tag} is nested deeper than {MAX_DEPTH} elements")
         return False
-    _RULES[type(node)](out, node, path)
-    allowed = _GRAMMAR[tag][2]
-    seen: dict[str, int] = {}
     sound = True
-    for child in children(node):
-        child_tag = _ELEMENTS[type(child)][0]
+    for xml, _, kind, least, _, get in row.attrs:
+        value = get(node)
+        if kind == "int":
+            if type(value) is not int or abs(value) > INT64_MAX:
+                out.bad("bad-integer", path, f"attribute {xml} must be a base-10 integer, got {str(value)!r}")
+                sound = sound and type(value) is int
+            elif least is not None and value < least:
+                out.bad("positive-int" if least else "nonnegative-int", path, f"{xml} must be >= {least}, got {value}")
+        elif kind == "name" and not value:
+            out.bad("required-nonempty", path, f"{xml} attribute must be nonempty" if xml in _TAGS else f"{xml} must be nonempty")
+        elif kind == "id" and (not (value[:1].isalpha() or value[:1] == "_") or not all(c.isalnum() or c in "._-:" for c in value)):
+            out.bad(f"{xml.lower()}-id", path, f"{xml} must be an XML ID (letter or underscore first, no spaces), got {value!r}")
+    if row.nonempty and not getattr(node, row.nonempty[0]):
+        _, rule, message, severity = row.nonempty
+        getattr(out, severity)(rule, path, message)
+    if row.rule and sound:
+        row.rule(out, node, path)
+    seen: dict[str, int] = {}
+    for child in row.children(node):
+        child_tag = _TYPES[type(child)].tag
         child_path = _step(path, child_tag, seen)
-        if child_tag not in allowed:
+        if child_tag not in row.child_tags:
             out.bad("block-child" if tag == "BLOCK" else "unexpected-element", child_path, f"{child_tag} is not allowed under {tag}")
             sound = False  # no period above a misplaced child
         sound = _validate(child, child_path, depth + 1, out) and sound
@@ -678,7 +646,6 @@ def require_valid(doc: Document) -> Document:
 
 _ATTR_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", "\n": "&#10;", "\r": "&#13;", "\t": "&#9;"})
 _UNWRITABLE_RE = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")  # XML 1.0 allows these in no form
-_DISTRIBUTE = {d: None if d is Distribution.UNSPECIFIED else d.value for d in Distribution}  # UNSPECIFIED is not written
 
 
 def _quoteattr(value: str) -> str:
@@ -698,40 +665,28 @@ def _quoteattr(value: str) -> str:
     return '"%s"' % value.replace('"', "&quot;")
 
 
-def _optional(name: str, value: str | None) -> str:
-    return "" if value is None else f" {name}={_quoteattr(value)}"
-
-
-# Each node type's tag, attribute text and children in document order, for writer and
-# validator.  A processor dimension is a (lower, upper) pair; a viewless device's None a NOVIEW.
-_LEAF: Callable[[Any], tuple] = lambda _: ()
-_ELEMENTS: dict[type, tuple[str, Callable[[Any], str], Callable[[Any], tuple]]] = {
-    Document: ("PARSTORAGE", lambda d: f" VERSION={_quoteattr(d.version)} TIMESTAMP={_quoteattr(d.timestamp)}", lambda d: (*d.processors, *d.types, *d.aligns, d.island)),
-    ProcessorsDecl: ("PROCESSORS", lambda p: f" NAME={_quoteattr(p.name)}", lambda p: p.dims),
-    tuple: ("PROC_DIMENSION", lambda d: f' LOWER="{d[0]}" UPPER="{d[1]}"', _LEAF),
-    CompoundDecl: ("TYPE", lambda t: f'{_optional("TYPENAME", t.typename)}{_optional("NAME", t.name)}', lambda t: t.children),
-    EtypeDecl: ("ETYPE", lambda t: f' TYPE={_quoteattr(t.base)} LENGTH="{t.length_bytes}"{_optional("NAME", t.name)}', _LEAF),
-    ArrayDecl: ("ARRAY", lambda t: f'{_optional("NAME", t.name)} MAJOR="{t.major.value}"{_optional("DISTRIBUTE_ONTO", t.distribute_onto)}', lambda t: (t.element, *t.dims)),
-    DimensionDecl: ("DIMENSION", lambda d: f' LOWER="{d.lower}" UPPER="{d.upper}"{_optional("DISTRIBUTE", _DISTRIBUTE[d.distribute])} DIST_SKALAR="{d.dist_skalar}"', _LEAF),
-    AlignDecl: ("ALIGN", lambda a: f" WHAT={_quoteattr(a.what)} WITH={_quoteattr(a.with_target)}", _LEAF),
-    IslandDecl: ("ISLAND", lambda i: f" NAME={_quoteattr(i.name)}", lambda i: i.servers),
-    ServerDecl: ("SERVER", lambda s: f" HOST={_quoteattr(s.host)}", lambda s: s.devices),
-    DeviceDecl: ("DEVICE", lambda d: f" DEVICE_ID={_quoteattr(d.device_id)}", lambda d: (d.view,)),
-    type(None): ("NOVIEW", lambda _: "", _LEAF),
-    ViewDecl: ("VIEW", lambda v: f' SKIP_HEADER="{v.skip_header}" SKIP="{v.skip}"', lambda v: v.blocks),
-    BlockDecl: ("BLOCK", lambda b: f' OFFSET="{b.offset}" REPEAT="{b.repeat}" COUNT="{b.count}" STRIDE="{b.stride}"', lambda b: (b.child,)),
-    ByteBlock: ("BYTEBLOCK", lambda _: "", _LEAF),
-}
-
-
 def _write(node: object, lines: list[str], indent: str) -> None:
-    """The element rule: open tag, children indented, close tag; a self-closed
-    tag when there are no children, except an ISLAND's, kept as written before."""
-    tag, attrs, children = _ELEMENTS[type(node)]
-    if not (nodes := children(node)) and tag != "ISLAND":
-        lines.append(f"{indent}<{tag}{attrs(node)}/>")
+    """The element rule of writing: the open tag with the row's attributes in
+    row order (an unset text or an enum member its kind does not spell, such
+    as DISTRIBUTE's UNSPECIFIED, left out), the children indented, the close
+    tag; a self-closed tag when there are no children, except an ISLAND's,
+    kept as written before."""
+    row = _TYPES[type(node)]
+    tag = row.tag
+    attrs = ""
+    for xml, _, kind, _, _, get in row.attrs:
+        value = get(node)
+        if kind == "int":
+            attrs += f' {xml}="{value}"'
+        elif type(kind) is dict:
+            if value.value in kind:
+                attrs += f' {xml}="{value.value}"'
+        elif value is not None:
+            attrs += f" {xml}={_quoteattr(value)}"
+    if not (nodes := row.children(node)) and tag != "ISLAND":
+        lines.append(f"{indent}<{tag}{attrs}/>")
         return
-    lines.append(f"{indent}<{tag}{attrs(node)}>")
+    lines.append(f"{indent}<{tag}{attrs}>")
     inner = indent + "  "
     for child in nodes:
         _write(child, lines, inner)

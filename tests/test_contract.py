@@ -8,7 +8,7 @@ from dataclasses import replace
 import pytest
 
 from descriptors import FIRST_DEVICE
-from gen import _nested_view, random_document, text_of
+from gen import _INT_FIELDS, _big_integer, _edit_one, _nested_view, random_document, text_of
 from xdgdl import (
     ArrayDecl,
     BlockDecl,
@@ -160,3 +160,58 @@ def test_nested_views_past_125_are_deeper_than_max_depth():
     for views, ok in ((125, True), (126, False)):
         report = validate_document(one_view_doc(_nested_view(rng, views)))
         assert report.ok is ok
+
+
+def first_faults(doc: Document) -> tuple[str, str]:
+    """The validator's first violation and the reader's error on the writer's text."""
+    with pytest.raises(ValidationError) as err:
+        parse_document(text_of(doc))
+    return str(validate_document(doc).violations[0]), str(err.value)
+
+
+def test_of_two_out_of_range_integers_validator_and_reader_name_the_same_first():
+    rng = random.Random(31)
+    for _ in range(400):
+        doc = random_document(rng)
+        for _ in range(2):
+            doc = _edit_one(rng, doc, tuple(_INT_FIELDS), lambda n: _big_integer(rng, n))
+        first, read = first_faults(doc)
+        assert first == read
+
+
+TWO_FAULTS = {
+    "BLOCK REPEAT and STRIDE": (one_view_doc(ViewDecl(0, 0, (BlockDecl(0, BIG, 1, BIG, ByteBlock()),))), "/BLOCK[1]", "REPEAT"),
+    "DIMENSION LOWER and UPPER": (
+        one_view_doc(deep_view(1), types=(CompoundDecl((ArrayDecl(EtypeDecl("CHAR", 1), (DimensionDecl(BIG, -BIG),)),)),)),
+        "/PARSTORAGE/TYPE[1]/ARRAY[1]/DIMENSION[1]",
+        "LOWER",
+    ),
+    "VIEW SKIP_HEADER over a BLOCK COUNT": (one_view_doc(ViewDecl(BIG, 0, (BlockDecl(0, 1, BIG, 0, ByteBlock()),))), "", "SKIP_HEADER"),
+}
+
+
+@pytest.mark.parametrize("name", TWO_FAULTS)
+def test_the_first_of_two_faults_is_the_one_the_reader_names(name):
+    doc, at, attr = TWO_FAULTS[name]
+    first, read = first_faults(doc)
+    assert first == read
+    path = at if at.startswith("/PARSTORAGE") else FIRST_DEVICE + "/VIEW[1]" + at
+    assert read.startswith(f"[bad-integer] {path}: attribute {attr} ")
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        one_view_doc(deep_view(1), types=(CompoundDecl((EtypeDecl("CHAR", True),)),)),
+        one_view_doc(ViewDecl(0, 0, (BlockDecl(0, 1, True, 0, ByteBlock()),))),
+        one_view_doc(ViewDecl(0, False, deep_view(1).blocks)),
+    ],
+    ids=["ETYPE LENGTH", "BLOCK COUNT", "VIEW SKIP"],
+)
+def test_an_integer_field_holding_a_bool_is_refused_as_the_reader_refuses_its_text(doc):
+    (violation,) = validate_document(doc).violations
+    assert violation.rule == "bad-integer"
+    assert violation.message.endswith("got 'True'") or violation.message.endswith("got 'False'")
+    assert first_faults(doc) == (str(violation), str(violation))
+    with pytest.raises(InvalidDocument):
+        serialize_document(doc)
