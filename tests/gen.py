@@ -32,7 +32,7 @@ from xdgdl import (
     gather,
     scatter,
 )
-from xdgdl.model import MAX_DEPTH, _write
+from xdgdl.model import _SCHEMA, MAX_DEPTH, _write
 from xdgdl.views import INT64_MAX, MapEntry, Selection
 
 _NAME_CHARS = string.ascii_lowercase + string.digits + "._-"
@@ -171,14 +171,10 @@ def random_document(rng: random.Random, shapes: bool = False) -> Document:
     return _grammar_shape(rng, doc) if shapes and rng.random() < 0.5 else doc
 
 
-# The integer fields of each node type, a PROCESSORS's being its (LOWER, UPPER) dims;
-# only a LOWER may be negative.
-_INT_FIELDS = {
-    EtypeDecl: ("length_bytes",),
-    DimensionDecl: ("upper", "lower", "dist_skalar"),
-    ViewDecl: ("skip_header", "skip"),
-    BlockDecl: ("offset", "repeat", "count", "stride"),
-    ProcessorsDecl: ("dims",),
+# The integer fields of each node type, read from the schema's rows, a PROCESSORS's being
+# its (LOWER, UPPER) dims; only a LOWER may be negative.
+_INT_FIELDS = {ProcessorsDecl: ("dims",)} | {
+    row.node: fields for row in _SCHEMA if row.node is not tuple and (fields := tuple(field for _, field, kind, *_ in row.attrs if kind == "int"))
 }
 
 

@@ -1,7 +1,9 @@
 """Seeded single edits of the descriptor texts in descriptors.py.
 
-Each edit changes one thing of one element: drops an attribute; sets one
-to ``x1``, ``-1`` or 2**64; adds an unknown attribute or text; inserts
+Each edit changes one thing of one element: drops an attribute; sets one,
+or one its schema row allows that the element lacks, to ``x1``, ``-1`` or
+2**64, or an integer to one below its least value; adds an unknown
+attribute or text; inserts
 one of the 15 grammar tags, or GIZMO, as its first or last child; or
 duplicates or removes one of its children.  An inserted grammar tag is a
 small specimen of that element, so that some edits still read.  This is
@@ -14,6 +16,7 @@ import random
 import xml.etree.ElementTree as ET
 
 from descriptors import LOGICAL_XML, MINIMAL_XML, THREE_SERVER_BALANCED_XML, THREE_SERVER_XML, TWO_SERVER_XML
+from xdgdl.model import _TAGS
 
 TEXTS = (TWO_SERVER_XML, THREE_SERVER_XML, THREE_SERVER_BALANCED_XML, MINIMAL_XML, LOGICAL_XML)
 VALUES = ("x1", "-1", str(2**64))
@@ -45,6 +48,11 @@ def _edits(text: str) -> list[tuple[str, int, tuple]]:
         for attr in elem.attrib:
             edits.append((text, i, ("drop", attr)))
             edits.extend((text, i, ("set", attr, value)) for value in VALUES)
+        for xml, _, kind, least, *_ in _TAGS[elem.tag].attrs:
+            values = () if xml in elem.attrib else VALUES
+            if kind == "int" and least is not None and str(least - 1) not in VALUES:
+                values += (str(least - 1),)
+            edits.extend((text, i, ("set", xml, value)) for value in values)
         edits += [(text, i, ("set", "GIZMO", "1")), (text, i, ("text", "junk"))]
         for tag in SPECIMENS:
             edits += [(text, i, ("insert", tag, 0)), (text, i, ("insert", tag, len(elem)))]
