@@ -469,7 +469,7 @@ def _enum(*members: enum.Enum) -> dict[str, enum.Enum]:
     return {m.value: m for m in members}
 
 
-_R = _REQUIRED = object()  # the default of an attribute the text must give
+_R = object()  # the default of a required attribute: the text must give it
 _LEAF: Callable[[Any], tuple] = lambda _: ()
 _SCHEMA = (
     _Element("PARSTORAGE", Document, (("VERSION", "version", "name", None, _R), ("TIMESTAMP", "timestamp", "id", None, _R)),
@@ -533,7 +533,7 @@ def _read(elem: ET.Element, path: str, depth: int = 1) -> Any:
     for xml, field, kind, _, default, _ in row.attrs:
         raw = attrib.get(xml)
         if raw is None:
-            if default is _REQUIRED:
+            if default is _R:
                 raise ValidationError("required-attribute", path, f"{tag} requires attribute {xml}")
             values[field] = default
         elif kind == "int":
@@ -595,7 +595,7 @@ def _validate(node: Any, path: str, depth: int, out: _Validator) -> bool:
     for xml, _, kind, least, _, get in row.attrs:
         value = get(node)
         if kind == "int":
-            if type(value) is not int or abs(value) > INT64_MAX:
+            if type(value) is not int or not -INT64_MAX <= value <= INT64_MAX:
                 out.bad("bad-integer", path, f"attribute {xml} must be a base-10 integer, got {str(value)!r}")
                 sound = sound and type(value) is int
             elif least is not None and value < least:

@@ -40,6 +40,7 @@ from xdgdl import (
     EtypeDecl,
     Major,
     ProcessorsDecl,
+    ValidationReport,
     XdgdlError,
     build_distribution_map,
     compile_hpf_mapping,
@@ -64,8 +65,7 @@ def _failure(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _report(doc: Document) -> list[str]:
-    report = validate_document(doc)
+def _lines(report: ValidationReport) -> list[str]:
     return [str(v) for v in report.violations] + [f"warning {v}" for v in report.warnings]
 
 
@@ -73,14 +73,15 @@ def _documents(out: dict[str, list[str]]) -> None:
     rng = random.Random(31)
     for _ in range(DOCUMENTS):
         doc = random_document(rng, shapes=True)
-        out["reports"] += _report(doc) + ["--"]
+        report = validate_document(doc)
+        out["reports"] += _lines(report) + ["--"]
         try:
             again = parse_document(text_of(doc))
         except XdgdlError as exc:
             out["readback"].append(_failure(exc))
         else:
             out["readback"].append("equal" if again == doc else "differs")
-        if validate_document(doc).ok:
+        if report.ok:
             out["canonical"].append(serialize_document(doc))
             for size in SIZES if len(out["canonical"]) <= PLANNED else ():
                 try:
@@ -96,7 +97,8 @@ def _mutants(out: dict[str, list[str]]) -> None:
         except XdgdlError as exc:
             out["mutants"].append(_failure(exc))
             continue
-        out["mutants"] += _report(doc) + ([serialize_document(doc)] if validate_document(doc).ok else [])
+        report = validate_document(doc)
+        out["mutants"] += _lines(report) + ([serialize_document(doc)] if report.ok else [])
 
 
 def _lowerings(out: dict[str, list[str]]) -> None:

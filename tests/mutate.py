@@ -3,9 +3,8 @@
 Each edit changes one thing of one element: drops an attribute; sets one,
 or one its schema row allows that the element lacks, to ``x1``, ``-1`` or
 2**64, or an integer to one below its least value; adds an unknown
-attribute or text; inserts
-one of the 15 grammar tags, or GIZMO, as its first or last child; or
-duplicates or removes one of its children.  An inserted grammar tag is a
+attribute or text; inserts one of the 15 grammar tags, or GIZMO, as its
+first or last child; or duplicates or removes one of its children.  An inserted grammar tag is a
 small specimen of that element, so that some edits still read.  This is
 grammar-based differential testing: every edit must either be refused at
 a rule id and element path, or read to a document that behaves.

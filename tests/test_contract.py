@@ -180,22 +180,21 @@ def test_of_two_out_of_range_integers_validator_and_reader_name_the_same_first()
 
 
 TWO_FAULTS = {
-    "BLOCK REPEAT and STRIDE": (one_view_doc(ViewDecl(0, 0, (BlockDecl(0, BIG, 1, BIG, ByteBlock()),))), "/BLOCK[1]", "REPEAT"),
+    "BLOCK REPEAT and STRIDE": (one_view_doc(ViewDecl(0, 0, (BlockDecl(0, BIG, 1, BIG, ByteBlock()),))), FIRST_DEVICE + "/VIEW[1]/BLOCK[1]", "REPEAT"),
     "DIMENSION LOWER and UPPER": (
         one_view_doc(deep_view(1), types=(CompoundDecl((ArrayDecl(EtypeDecl("CHAR", 1), (DimensionDecl(BIG, -BIG),)),)),)),
         "/PARSTORAGE/TYPE[1]/ARRAY[1]/DIMENSION[1]",
         "LOWER",
     ),
-    "VIEW SKIP_HEADER over a BLOCK COUNT": (one_view_doc(ViewDecl(BIG, 0, (BlockDecl(0, 1, BIG, 0, ByteBlock()),))), "", "SKIP_HEADER"),
+    "VIEW SKIP_HEADER over a BLOCK COUNT": (one_view_doc(ViewDecl(BIG, 0, (BlockDecl(0, 1, BIG, 0, ByteBlock()),))), FIRST_DEVICE + "/VIEW[1]", "SKIP_HEADER"),
 }
 
 
 @pytest.mark.parametrize("name", TWO_FAULTS)
 def test_the_first_of_two_faults_is_the_one_the_reader_names(name):
-    doc, at, attr = TWO_FAULTS[name]
+    doc, path, attr = TWO_FAULTS[name]
     first, read = first_faults(doc)
     assert first == read
-    path = at if at.startswith("/PARSTORAGE") else FIRST_DEVICE + "/VIEW[1]" + at
     assert read.startswith(f"[bad-integer] {path}: attribute {attr} ")
 
 
@@ -211,7 +210,15 @@ def test_the_first_of_two_faults_is_the_one_the_reader_names(name):
 def test_an_integer_field_holding_a_bool_is_refused_as_the_reader_refuses_its_text(doc):
     (violation,) = validate_document(doc).violations
     assert violation.rule == "bad-integer"
-    assert violation.message.endswith("got 'True'") or violation.message.endswith("got 'False'")
+    assert violation.message.endswith(("got 'True'", "got 'False'"))
     assert first_faults(doc) == (str(violation), str(violation))
     with pytest.raises(InvalidDocument):
         serialize_document(doc)
+
+
+def test_an_integer_field_holding_a_string_is_reported_not_raised():
+    """Its text would read, but the field holds no int: ``bad-integer``, and
+    no rule or period that would compute with it runs."""
+    view = ViewDecl(0, 0, (BlockDecl(0, "2", 1, 0, ByteBlock()),))
+    (violation,) = validate_document(one_view_doc(view)).violations
+    assert str(violation) == f"[bad-integer] {FIRST_DEVICE}/VIEW[1]/BLOCK[1]: attribute REPEAT must be a base-10 integer, got '2'"
