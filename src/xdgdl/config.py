@@ -31,41 +31,37 @@ class VipfsConfig:
         object.__setattr__(self, "device_paths", tuple(self.device_paths))
 
 
-@dataclass(frozen=True)
-class _Token:
-    text: str
-    ordinal: int  # 1-based position in the stream
-    quoted: bool
-
-
 # a quoted value, a quote that never closes, or a bare token up to whitespace
 _TOKEN = re.compile(r'"([^"]*)"|(")|(\S+)')
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
+def _tokenize(text: str) -> list[tuple[str, int, bool]]:
+    """Each token's text, 1-based position in the stream, and whether it was quoted."""
+    tokens = []
     for ordinal, match in enumerate(_TOKEN.finditer(text), 1):
         quoted, stray, bare = match.groups()
         if stray:
             raise ConfigError(f"unterminated quote at token {ordinal}")
-        tokens.append(_Token(bare if quoted is None else quoted, ordinal, quoted is not None))
+        tokens.append((bare if quoted is None else quoted, ordinal, quoted is not None))
     return tokens
 
 
-def _positive_int(tok: _Token, key: str) -> int:
+def _positive_int(tok: tuple[str, int, bool], key: str) -> int:
+    text, ordinal, _ = tok
     try:
-        value = parse_size(tok.text)
+        value = parse_size(text)
     except ValueError:
-        raise ConfigError(f"{key} expects a positive integer, got {tok.text!r} (token {tok.ordinal})") from None
+        raise ConfigError(f"{key} expects a positive integer, got {text!r} (token {ordinal})") from None
     if value < 1:
-        raise ConfigError(f"{key} must be >= 1, got {value} (token {tok.ordinal})")
+        raise ConfigError(f"{key} must be >= 1, got {value} (token {ordinal})")
     return value
 
 
-def _nonempty(tok: _Token, key: str) -> str:
-    if not tok.text:
-        raise ConfigError(f"{key} must be nonempty, got '' (token {tok.ordinal})")
-    return tok.text
+def _nonempty(tok: tuple[str, int, bool], key: str) -> str:
+    text, ordinal, _ = tok
+    if not text:
+        raise ConfigError(f"{key} must be nonempty, got '' (token {ordinal})")
+    return text
 
 
 def parse_config(text: str) -> VipfsConfig:
@@ -78,40 +74,31 @@ def parse_config(text: str) -> VipfsConfig:
     there point at a device-list count shorter than the paths supplied,
     anything else is an unknown key.
     """
-    tokens = _tokenize(text)
+    tokens = iter(_tokenize(text))
     values: dict[str, object] = {}
-    i = 0
-    while i < len(tokens):
-        tok = tokens[i]
-        if tok.quoted or tok.text not in _KEYS:
-            if "/" in tok.text:
-                raise ConfigError(f"device path outside the declared SRVR_DEVICE_LIST count: {tok.text!r} (token {tok.ordinal})")
-            raise ConfigError(f"unknown configuration key {tok.text!r} (token {tok.ordinal})")
-        key = tok.text
+    for key, ordinal, quoted in tokens:
+        if quoted or key not in _KEYS:
+            if "/" in key:
+                raise ConfigError(f"device path outside the declared SRVR_DEVICE_LIST count: {key!r} (token {ordinal})")
+            raise ConfigError(f"unknown configuration key {key!r} (token {ordinal})")
         if key in values:
-            raise ConfigError(f"duplicate key {key} (token {tok.ordinal})")
-        if i + 1 >= len(tokens):
-            raise ConfigError(f"{key} is missing its value (token {tok.ordinal})")
-        i += 1
+            raise ConfigError(f"duplicate key {key} (token {ordinal})")
+        if (tok := next(tokens, None)) is None:
+            raise ConfigError(f"{key} is missing its value (token {ordinal})")
         if key in _INT_KEYS:
-            values[key] = _positive_int(tokens[i], key)
-            i += 1
+            values[key] = _positive_int(tok, key)
         elif key in ("SRV_GROUP_NAME", "VIP_DIR"):
-            values[key] = _nonempty(tokens[i], key)
-            i += 1
+            values[key] = _nonempty(tok, key)
         else:  # SRVR_DEVICE_LIST
-            declared = tokens[i]
-            count = _positive_int(declared, key)
-            i += 1
+            count = _positive_int(tok, key)
             paths = []
             for _ in range(count):
-                if i >= len(tokens):
-                    raise ConfigError(f"SRVR_DEVICE_LIST declares {count} devices but the list ends early: {declared.text!r} (token {declared.ordinal})")
-                path_tok = tokens[i]
-                if not path_tok.quoted and path_tok.text in _KEYS:
-                    raise ConfigError(f"SRVR_DEVICE_LIST declares {count} devices but fewer paths follow: {path_tok.text!r} (token {path_tok.ordinal})")
+                if (path_tok := next(tokens, None)) is None:
+                    raise ConfigError(f"SRVR_DEVICE_LIST declares {count} devices but the list ends early: {tok[0]!r} (token {tok[1]})")
+                text, ordinal, quoted = path_tok
+                if not quoted and text in _KEYS:
+                    raise ConfigError(f"SRVR_DEVICE_LIST declares {count} devices but fewer paths follow: {text!r} (token {ordinal})")
                 paths.append(_nonempty(path_tok, "SRVR_DEVICE_LIST path"))
-                i += 1
             values[key] = tuple(paths)
     for key in _KEYS:
         if key not in values:

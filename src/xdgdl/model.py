@@ -296,6 +296,7 @@ class ValidationReport:
 # parsing
 
 INT64_MAX = 2**63 - 1  # the largest integer a descriptor, configuration or size may hold
+_INT64_DIGITS = len(str(INT64_MAX))
 MAX_DEPTH = 256
 """The deepest an element may nest, PARSTORAGE being depth 1: 256.  A deeper
 element is refused (``nesting-depth``) by reading before it is read and by
@@ -356,10 +357,11 @@ def parse_size(raw: str) -> int:
     ValueError: leading zeros accepted, a sign or '_' rejected."""
     if not (raw.isascii() and raw.isdigit()):
         raise ValueError("size must be a non-negative integer")
-    digits = raw.lstrip("0") or "0"
-    if len(digits) > len(str(INT64_MAX)) or int(digits) > INT64_MAX:  # int() refuses more than 4300 digits
+    if len(raw) > _INT64_DIGITS:
+        raw = raw.lstrip("0") or "0"  # int() refuses more than 4300 digits
+    if len(raw) > _INT64_DIGITS or (value := int(raw)) > INT64_MAX:
         raise ValueError(f"size must be at most {INT64_MAX}")
-    return int(digits)
+    return value
 
 
 def guard_int64(value: int, what: str) -> int:
@@ -394,8 +396,8 @@ class _Validator:
     def __init__(self, doc: Document):
         self.violations: list[Violation] = []
         self.warnings: list[Violation] = []
-        self.proc_names = {p.name for p in doc.processors if p.name}
-        self.names = self.proc_names.union(t.name for t in type_decls(doc) if t.name) if doc.aligns else set()
+        self.proc_names = {p.name for p in doc.processors if isinstance(p.name, str) and p.name}
+        self.names = self.proc_names.union(t.name for t in type_decls(doc) if isinstance(t.name, str) and t.name) if doc.aligns else set()
 
     def bad(self, rule: str, path: str, message: str) -> None:
         self.violations.append(Violation(rule, path, message))
@@ -580,19 +582,20 @@ def _validate(node: Any, path: str, depth: int, out: _Validator) -> bool:
     """The element rule of validation: past MAX_DEPTH report ``nesting-depth``
     and stop; check the row's attributes in row order, by their kinds (an
     attribute spelled like an element, ETYPE's TYPE, is called ``TYPE
-    attribute``); then the field that must not be empty and the row's own
-    rule; check each child's tag against the row, at the path the reader
-    gives it, and walk it; then check a view's period.  False when a period
-    in the element cannot be worked out (an integer field holds no ``int``,
-    or the element holds a misplaced child), so that only the innermost such
-    view reports one."""
+    attribute``; a text field holding no ``str``, unless an unset optional
+    one, is ``bad-text``, an enum field holding no member ``bad-enum``);
+    then the field that must not be empty and the row's own rule; check each
+    child's tag against the row, at the path the reader gives it, and walk
+    it; then check a view's period.  False, and the row's rule skipped,
+    when a field holds the wrong class or a child is misplaced, so that
+    only the innermost view whose period cannot be worked out reports one."""
     row = _TYPES[type(node)]
     tag = row.tag
     if depth > MAX_DEPTH:
         out.bad("nesting-depth", path, f"{tag} is nested deeper than {MAX_DEPTH} elements")
         return False
     sound = True
-    for xml, _, kind, least, _, get in row.attrs:
+    for xml, _, kind, least, default, get in row.attrs:
         value = get(node)
         if kind == "int":
             if type(value) is not int or not -INT64_MAX <= value <= INT64_MAX:
@@ -600,6 +603,13 @@ def _validate(node: Any, path: str, depth: int, out: _Validator) -> bool:
                 sound = sound and type(value) is int
             elif least is not None and value < least:
                 out.bad("positive-int" if least else "nonnegative-int", path, f"{xml} must be >= {least}, got {value}")
+        elif type(kind) is dict:
+            if not isinstance(value, type(default)):
+                out.bad("bad-enum", path, f"attribute {xml} must be a {type(default).__name__}, got {value!r}")
+                sound = False
+        elif not isinstance(value, str) and not (kind == "text" and value is None):
+            out.bad("bad-text", path, f"attribute {xml} must be a str, got {value!r}")
+            sound = False
         elif kind == "name" and not value:
             out.bad("required-nonempty", path, f"{xml} attribute must be nonempty" if xml in _TAGS else f"{xml} must be nonempty")
         elif kind == "id" and (not (value[:1].isalpha() or value[:1] == "_") or not all(c.isalnum() or c in "._-:" for c in value)):

@@ -16,7 +16,8 @@ map-entry order throughout, and ``_fragment_paths`` is the one rule for
 where they live: ``<timestamp>.frag`` in the directory of the layout
 device at the entry's position.  No two devices share a directory,
 and the user-visible directory is none of theirs, however they are
-spelled (``grid_layout`` compares resolved paths).
+spelled (``grid_layout`` compares ``(st_dev, st_ino)``, or resolved paths
+while one cannot be statted; ``init_store`` makes only what is missing).
 
 ``put_file`` and ``get_file`` are the store's only write and read path,
 and they stream: ``put_file`` reads a binary stream and ``get_file``
@@ -46,6 +47,7 @@ import tempfile
 from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import dataclass
 from pathlib import Path
+from stat import S_ISDIR
 from typing import BinaryIO, Iterator
 
 from .config import VipfsConfig
@@ -77,31 +79,42 @@ class GridLayout:
     devices: tuple[LayoutDevice, ...]
 
 
-def grid_layout(cfg: VipfsConfig) -> GridLayout:
-    """The store's paths and host names under ``cfg``; creates nothing."""
+def _resolved(cfg: VipfsConfig) -> tuple[GridLayout, list[os.stat_result | None]]:
+    """The layout under ``cfg`` and a stat of each device directory, then of
+    the root (None if it fails); refuses two spellings of one directory."""
     if not cfg.device_paths:
         raise XdgdlError("configuration declares zero devices")
-    directories = [Path(raw) for raw in cfg.device_paths]
-    resolved = [os.path.realpath(directory) for directory in directories]  # one directory however it is spelled
-    for i, directory in enumerate(directories):
-        if resolved[i] in resolved[:i]:
+    paths = [Path(raw) for raw in (*cfg.device_paths, cfg.vip_dir)]
+    stats: list[os.stat_result | None] = []
+    for path in paths:
+        try:
+            stats.append(os.stat(path))
+        except OSError:
+            stats.append(None)
+    # a path that cannot be statted may name another's directory once made (``gone/../d1``)
+    keys = [os.path.realpath(path) for path in paths] if None in stats else [(st.st_dev, st.st_ino) for st in stats]
+    for i, directory in enumerate(paths[:-1]):
+        if keys[i] in keys[:i]:
             raise IoFailure(directory, "device directories must be distinct")
-    if os.path.realpath(cfg.vip_dir) in resolved:  # a stub could be renamed over a fragment there
+    if keys[-1] in keys[:-1]:  # a stub could be renamed over a fragment there
         raise IoFailure(cfg.vip_dir, "store root must not be a device directory")
-    devices = tuple(
-        LayoutDevice(host=f"{cfg.srv_group_name}.{i + 1}", device_id=raw, directory=directory)
-        for i, (raw, directory) in enumerate(zip(cfg.device_paths, directories))
-    )
-    return GridLayout(root=Path(cfg.vip_dir), devices=devices)
+    devices = tuple(LayoutDevice(f"{cfg.srv_group_name}.{i}", raw, path) for i, (raw, path) in enumerate(zip(cfg.device_paths, paths), 1))
+    return GridLayout(root=paths[-1], devices=devices), stats
+
+
+def grid_layout(cfg: VipfsConfig) -> GridLayout:
+    """The store's paths and host names under ``cfg``; creates nothing."""
+    return _resolved(cfg)[0]
 
 
 def init_store(cfg: VipfsConfig) -> GridLayout:
-    """The layout (``grid_layout``), with its device directories and
-    user-visible root created; idempotent."""
-    layout = grid_layout(cfg)
+    """The layout (``grid_layout``), with each device directory and the
+    root its stat found missing or not a directory created; idempotent."""
+    layout, stats = _resolved(cfg)
     targets = [(d.directory, "device directory") for d in layout.devices] + [(layout.root, "store root")]
-    for directory, what in targets:
-        failing(directory, f"create {what}", directory.mkdir, parents=True, exist_ok=True)
+    for (directory, what), st in zip(targets, stats):
+        if st is None or not S_ISDIR(st.st_mode):  # a file in the way fails here (File exists)
+            failing(directory, f"create {what}", directory.mkdir, parents=True, exist_ok=True)
     return layout
 
 
@@ -185,7 +198,7 @@ def put_file(
         if len(os.fsencode(file)) > name_max:
             raise IoFailure(path, f"cannot store {what} NAME_MAX of {name_max} bytes")
     manifest_path, size_path, stub = layout.root / f".vd.{name}", layout.root / f".vd.{name}.size", layout.root / name
-    if not stub.exists() and (manifest_path.exists() or size_path.exists()):
+    if (manifest_path.exists() or size_path.exists()) and not stub.exists():  # a fresh name's stub is statted by copy_in alone
         raise IoFailure(stub, "cannot store a name whose metadata file exists without its stub")
     with measured(src) as (src, size):
         dmap = build_distribution_map(manifest, size)

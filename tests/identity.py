@@ -12,6 +12,9 @@ Each class hashes what the package makes of a corpus drawn by
   canonical text, of each seeded single edit;
 - ``plans``: ``render_plan`` of the first ``PLANNED`` valid documents at
   sizes 0, 1, 97, 1000 and 4096;
+- ``fragments``: the bytes ``scatter`` writes into one ``io.BytesIO`` per
+  entry of each of those maps that is an exact partition, from the first
+  bytes of ``DATA``;
 - ``lowerings``: the canonical text of ``ownermap_to_views`` lowerings of
   random BLOCK and CYCLIC arrays.
 
@@ -20,10 +23,12 @@ Each class hashes what the package makes of a corpus drawn by
 moved, and ``PYTHONPATH=src python tests/identity.py --write`` records the
 digests anew, the one way to change the file.  The draws use only
 ``random``, ``randint``, ``randrange``, ``choice`` and ``sample``, whose
-sequences hold across Python versions, and nothing hashes with ``hash()``.
+sequences hold across Python versions, the scattered bytes come from
+SHAKE-256, and nothing hashes with ``hash()``.
 """
 
 import hashlib
+import io
 import json
 import random
 import sys
@@ -39,6 +44,7 @@ from xdgdl import (
     Document,
     EtypeDecl,
     Major,
+    PartitionStatus,
     ProcessorsDecl,
     ValidationReport,
     XdgdlError,
@@ -47,6 +53,7 @@ from xdgdl import (
     ownermap_to_views,
     parse_document,
     render_plan,
+    scatter,
     serialize_document,
     sizeof_type,
     validate_document,
@@ -59,6 +66,7 @@ PLANNED = 30
 MUTANTS = 300
 LOWERINGS = 60
 SIZES = (0, 1, 97, 1000, 4096)
+DATA = hashlib.shake_256(b"xdgdl identity").digest(max(SIZES))
 
 
 def _failure(exc: Exception) -> str:
@@ -85,9 +93,15 @@ def _documents(out: dict[str, list[str]]) -> None:
             out["canonical"].append(serialize_document(doc))
             for size in SIZES if len(out["canonical"]) <= PLANNED else ():
                 try:
-                    out["plans"].append(render_plan(build_distribution_map(doc, size)))
+                    dmap = build_distribution_map(doc, size)
+                    out["plans"].append(render_plan(dmap))
                 except XdgdlError as exc:
                     out["plans"].append(_failure(exc))
+                    continue
+                if dmap.verdict.status is PartitionStatus.EXACT_PARTITION:
+                    sinks = [io.BytesIO() for _ in dmap.entries]
+                    scatter(io.BytesIO(DATA[:size]), dmap, sinks)
+                    out["fragments"] += [sink.getvalue().hex() for sink in sinks] + ["--"]
 
 
 def _mutants(out: dict[str, list[str]]) -> None:
@@ -123,7 +137,7 @@ def _lowerings(out: dict[str, list[str]]) -> None:
 
 def digests() -> dict[str, str]:
     """The SHA-256 of each output class, by class name."""
-    out: dict[str, list[str]] = {name: [] for name in ("reports", "canonical", "readback", "mutants", "plans", "lowerings")}
+    out: dict[str, list[str]] = {name: [] for name in ("reports", "canonical", "readback", "mutants", "plans", "fragments", "lowerings")}
     _documents(out)
     _mutants(out)
     _lowerings(out)

@@ -530,15 +530,21 @@ class TestCp:
         assert (tmp_path / "x.bin").read_bytes() == data
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["ViPIOS.conf", "d1", "d2", "x.bin"]
 
-    @pytest.mark.parametrize("alias", ["absolute", "symlink"])
+    @pytest.mark.parametrize("alias", ["absolute", "symlink", "dangling-symlink", "through-a-missing-directory"])
     def test_device_directories_spelled_twice_are_refused(self, tmp_path, monkeypatch, capsys, alias):
         """One directory listed under two spellings would get both of its
-        devices' fragments: the layout is refused before anything is written."""
+        devices' fragments: the layout is refused before anything is written,
+        whether the directory exists or not (a dangling link to it, or a
+        path through a directory that ``cp-in`` would make, spells it too)."""
         monkeypatch.chdir(tmp_path)
         if alias == "absolute":
             first, second = "d1", f"{tmp_path}/d1"
-        else:
+        elif alias == "through-a-missing-directory":
             (tmp_path / "real").mkdir()
+            first, second = "real", "gone/../real"
+        else:
+            if alias == "symlink":
+                (tmp_path / "real").mkdir()
             (tmp_path / "link").symlink_to("real")
             first, second = "real", "link"
         conf = tmp_path / "ViPIOS.conf"
@@ -889,6 +895,13 @@ def _cp_out_size_is_a_directory(tmp, desc):
     return _stored(tmp, size), "read size", errno.EISDIR, size
 
 
+def _device_directory_is_a_file(tmp, desc):
+    device = tmp / "grid" / "ViPIOS" / "dev2"
+    device.parent.mkdir(parents=True)
+    device.write_bytes(b"")
+    return ["cp-in", tmp / "data"], "create device directory", errno.EEXIST, device
+
+
 def _store_root_cannot_be_created(tmp, desc):
     (tmp / "grid").mkdir()
     (tmp / "grid" / "vipios").write_bytes(b"")
@@ -905,8 +918,8 @@ class TestOneFailureRule:
             *(pytest.param(_missing_descriptor(c), id=f"{c}-missing-descriptor") for c in ["validate", "plan", "scatter", "gather", "hpf-compile"]),
             *(pytest.param(f, id=f.__name__[1:].replace("_", "-")) for f in [
                 _scatter_input_missing, _scatter_out_is_a_file, _gather_frags_is_a_file, _gather_fragment_is_a_directory,
-                _cp_out_fragment_is_a_directory, _store_root_cannot_be_created, _cp_out_manifest_is_a_directory,
-                _cp_out_size_is_a_directory,
+                _cp_out_fragment_is_a_directory, _device_directory_is_a_file, _store_root_cannot_be_created,
+                _cp_out_manifest_is_a_directory, _cp_out_size_is_a_directory,
             ]),
         ],
     )

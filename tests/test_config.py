@@ -86,7 +86,7 @@ def test_unterminated_quote():
 def test_tokens(text, tokens):
     """A quoted value runs to the next quote; a bare token runs to the next
     whitespace, quotes and all; any Unicode whitespace separates tokens."""
-    assert [(t.text, t.ordinal, t.quoted) for t in _tokenize(text)] == tokens
+    assert _tokenize(text) == tokens
 
 
 @pytest.mark.parametrize("text, ordinal", [('"', 1), ('a "', 2), ('a "b c', 2), ('ab"c "d', 2), ('"a" b "c', 3)])

@@ -222,3 +222,42 @@ def test_an_integer_field_holding_a_string_is_reported_not_raised():
     view = ViewDecl(0, 0, (BlockDecl(0, "2", 1, 0, ByteBlock()),))
     (violation,) = validate_document(one_view_doc(view)).violations
     assert str(violation) == f"[bad-integer] {FIRST_DEVICE}/VIEW[1]/BLOCK[1]: attribute REPEAT must be a base-10 integer, got '2'"
+
+
+def test_an_enum_field_holding_its_text_is_a_violation_and_not_written():
+    """``MAJOR="ROW"`` is the text, not the ``Major`` member: ``bad-enum``."""
+    array = ArrayDecl(EtypeDecl("CHAR", 1), (DimensionDecl(4),), major="ROW")
+    doc = one_view_doc(deep_view(1), types=(CompoundDecl((array,)),))
+    (violation,) = validate_document(doc).violations
+    assert str(violation) == "[bad-enum] /PARSTORAGE/TYPE[1]/ARRAY[1]: attribute MAJOR must be a Major, got 'ROW'"
+    with pytest.raises(InvalidDocument):
+        serialize_document(doc)
+
+
+def test_a_name_field_holding_no_str_is_a_violation_and_not_written():
+    """``HOST=5`` would be written as no text can say: ``bad-text``."""
+    doc = one_view_doc(deep_view(1), island=IslandDecl("i", (ServerDecl(5, ()),)))
+    (violation,) = validate_document(doc).violations
+    assert str(violation) == "[bad-text] /PARSTORAGE/ISLAND[1]/SERVER[1]: attribute HOST must be a str, got 5"
+    with pytest.raises(InvalidDocument):
+        serialize_document(doc)
+
+
+@pytest.mark.parametrize(
+    "doc, path, attr",
+    [
+        (one_view_doc(deep_view(1), processors=(ProcessorsDecl(["P"], ((1, 2),)),)), "/PARSTORAGE/PROCESSORS[1]", "NAME"),
+        (one_view_doc(deep_view(1), timestamp=None), "/PARSTORAGE", "TIMESTAMP"),
+        (one_view_doc(deep_view(1), types=(CompoundDecl((ArrayDecl(EtypeDecl("CHAR", 1), (DimensionDecl(4),), distribute_onto=7),)),)),
+         "/PARSTORAGE/TYPE[1]/ARRAY[1]", "DISTRIBUTE_ONTO"),
+    ],
+    ids=["name-unhashable", "id-unset", "text-int"],
+)
+def test_a_text_field_of_any_kind_holding_no_str_is_bad_text_alone(doc, path, attr):
+    """No rule that would look the value up runs on it (an unset optional
+    text, such as an ARRAY's NAME here, stays valid)."""
+    (violation,) = validate_document(doc).violations
+    assert (violation.rule, violation.path) == ("bad-text", path)
+    assert violation.message.startswith(f"attribute {attr} must be a str, got ")
+    with pytest.raises(InvalidDocument):
+        serialize_document(doc)

@@ -1,5 +1,9 @@
+import builtins
 import io
+import os
+import pathlib
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -17,6 +21,7 @@ from xdgdl import (
     parse_document,
     put_file,
 )
+from xdgdl.cli import main
 from xdgdl.store import grid_layout
 from xdgdl.vipfs import default_descriptor
 
@@ -215,3 +220,55 @@ class TestDistinctDevices:
         with pytest.raises(IoFailure):
             init_store(dup)
         assert not (tmp_path / "same").exists()  # refused before anything is created
+
+
+COUNTED = ("stat", "lstat", "fstat", "mkdir", "replace", "unlink", "pathconf", "readv", "writev", "listdir")
+
+
+def counting_calls(monkeypatch) -> Counter:
+    """The number of each file-system call made from now on, by name:
+    ``open`` and the ``os`` functions in ``COUNTED``.  Python 3.10's
+    pathlib binds them when it is imported, so its accessor is counted
+    too."""
+    calls: Counter = Counter()
+    accessor = getattr(pathlib, "_NormalAccessor", None)
+    for module, name in [(io, "open"), (builtins, "open"), *((os, name) for name in COUNTED)]:
+        real = getattr(module, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        if getattr(accessor, name, None) is real:
+            monkeypatch.setattr(accessor, name, staticmethod(counted))
+    return calls
+
+
+class TestFixedCost:
+    """The file-system calls of one small ``cp-in`` into a store that
+    exists and of one ``cp-out``, pinned: each directory is statted once,
+    no path is resolved component by component and no directory is made."""
+
+    def test_cp_in_and_cp_out_of_a_small_file(self, tmp_path, monkeypatch, capsys):
+        conf = tmp_path / "ViPIOS.conf"
+        conf.write_text(CONFIG_TEMPLATE.format(root=tmp_path / "grid"))
+        monkeypatch.setenv("VIP_CONF", str(conf))
+        monkeypatch.delenv("VIP_DIR", raising=False)
+        data = random.Random(32).randbytes(72)
+        (tmp_path / "in").mkdir()
+        (tmp_path / "in" / "testfile").write_bytes(data)
+        (tmp_path / "in" / ".vd.testfile").write_text(TWO_SERVER_XML)
+        assert main(["init"]) == 0
+        calls = counting_calls(monkeypatch)
+        assert main(["cp-in", str(tmp_path / "in" / "testfile")]) == 0
+        # open: VIP_CONF, the source, its sidecar and five .tmp files; stat: four store
+        # directories, the stub, .vd.testfile, .vd.testfile.size and two fragments
+        assert calls == {"open": 8, "stat": 9, "pathconf": 3, "replace": 5, "writev": 2}
+        calls.clear()
+        assert main(["cp-out", "testfile", str(tmp_path / "back")]) == 0
+        # open: VIP_CONF, .vd.testfile, .vd.testfile.size, two fragments and back.tmp;
+        # stat: four store directories and the target
+        assert calls == {"open": 6, "stat": 5, "readv": 2, "replace": 1}
+        assert (tmp_path / "back").read_bytes() == data
+        assert capsys.readouterr().err == ""
